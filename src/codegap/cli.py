@@ -27,17 +27,20 @@ from .pipeline import (
     ingest,
     make_pairs,
     read_jsonl,
+    read_jsonl_objects,
     read_shard_dir,
     write_shards,
 )
 from .retrieval import (
     evaluate,
     evaluate_rankings,
+    lexical_pool,
     load_candidates,
     load_embeddings,
     load_qrels,
     load_queries,
     rank_lexical,
+    token_set,
 )
 from .texttok import text_tokens
 
@@ -149,16 +152,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusFile]:
     if getattr(args, "manifest", None):
-        files = []
-        with Path(args.manifest).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                files.append(CorpusFile(path=Path(obj["path"]), language=obj["language"],
-                                        content_hash=obj["hash"], split=obj["split"]))
-        return files
+        rows = read_jsonl_objects(args.manifest, ("path", "language", "hash", "split"))
+        return [CorpusFile(path=Path(obj["path"]), language=obj["language"],
+                           content_hash=obj["hash"], split=obj["split"]) for _, obj in rows]
     if not args.roots:
         raise UsageError("pairs needs --roots or --manifest")
     return ingest(args.roots, config, ext_map=_ext_map(args))
@@ -202,8 +198,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     candidates = load_candidates(args.candidates)
     judgments = load_qrels(args.qrels)
     if args.lexical:
-        texts = {tid: c["text"] for tid, c in candidates.items()}
-        lists = [rank_lexical(q["context"], texts,
+        pool = lexical_pool({tid: c["text"] for tid, c in candidates.items()})
+        lists = [rank_lexical(token_set(q["context"]), pool,
                               exclude=judgments.original.get(qid), query_id=qid)
                  for qid, q in sorted(queries.items())]
         report = evaluate_rankings(lists, judgments)
@@ -360,7 +356,6 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--valid-cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="accepted for symmetry; training is single-owner")
     p.add_argument("--negatives-only-denominator", action="store_true",
                    help="score against negatives only instead of the full softmax pool")
     p.set_defaults(func=cmd_train_toy)

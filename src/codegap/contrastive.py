@@ -133,9 +133,6 @@ class ToyEncoder:
             raise ZeroVector("degenerate embedding with zero norm")
         return raw / norm
 
-    def encode_many(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self.encode(t) for t in texts])
-
     def save(self, path: str | Path) -> None:
         path = Path(path)
         with path.open("wb") as fh:
@@ -216,11 +213,6 @@ def batch_loss(encoder: ToyEncoder, contexts: list[str], targets: list[str],
     return loss
 
 
-def _counts_loss(params: np.ndarray, ctx_counts, tgt_counts, tau, include_positive) -> float:
-    loss, _ = _loss_matrix(params, ctx_counts, tgt_counts, tau, include_positive)
-    return loss
-
-
 def batch_loss_and_grads(params: np.ndarray, ctx_counts: list[dict[int, int]],
                          tgt_counts: list[dict[int, int]], tau: float,
                          include_positive: bool = True) -> tuple[float, dict[int, np.ndarray]]:
@@ -289,9 +281,9 @@ def grad_check(encoder: ToyEncoder, contexts: list[str], targets: list[str],
         analytic = float(grads.get(bucket, np.zeros(encoder.dim))[col])
         saved = params[bucket, col]
         params[bucket, col] = saved + eps
-        up = _counts_loss(params, ctx_counts, tgt_counts, tau, include_positive)
+        up = _loss_matrix(params, ctx_counts, tgt_counts, tau, include_positive)[0]
         params[bucket, col] = saved - eps
-        down = _counts_loss(params, ctx_counts, tgt_counts, tau, include_positive)
+        down = _loss_matrix(params, ctx_counts, tgt_counts, tau, include_positive)[0]
         params[bucket, col] = saved
         numeric = (up - down) / (2 * eps)
         scale = max(abs(analytic), abs(numeric))
@@ -350,13 +342,10 @@ def validation_mrr(params: np.ndarray, ctx_counts: list[dict[int, int]],
         stop = min(n, start + block)
         scores = eq[start:stop] @ ek.T
         own = scores[np.arange(stop - start), np.arange(start, stop)]
-        greater = (scores > own[:, None]).sum(axis=1)
-        ties_before = np.zeros(stop - start, dtype=np.int64)
-        for r in range(stop - start):
-            qi = start + r
-            tied = np.flatnonzero(scores[r] == own[r])
-            ties_before[r] = int((tied < qi).sum())
-        ranks = 1 + greater + ties_before
+        # rank = 1 + higher scores + equal scores at a lower index
+        before = np.arange(n) < np.arange(start, stop)[:, None]
+        ranks = (1 + (scores > own[:, None]).sum(axis=1)
+                 + ((scores == own[:, None]) & before).sum(axis=1))
         total += float(np.sum(1.0 / ranks))
     return total / n
 

@@ -24,11 +24,13 @@ from .retrieval import (
     Judgments,
     evaluate,
     evaluate_rankings,
+    lexical_pool,
     load_candidates,
     load_qrels,
     load_queries,
     overlap_coefficient,
     rank_lexical,
+    token_set,
 )
 from .synth import CloneCorpus, write_clone_corpus
 
@@ -109,9 +111,9 @@ def lexical_training_map(records: list[PairRecord], cap: int) -> float:
     should stand out, with masking it should not.
     """
     sample = records[:cap]
-    pool = {f"t:{r.pair_id}": r.target for r in sample}
+    pool = lexical_pool({f"t:{r.pair_id}": r.target for r in sample})
     judgments = _own_target_judgments(sample)
-    lists = [rank_lexical(r.context, pool, query_id=f"q:{r.pair_id}",
+    lists = [rank_lexical(token_set(r.context), pool, query_id=f"q:{r.pair_id}",
                           scorer=overlap_coefficient) for r in sample]
     return evaluate_rankings(lists, judgments).map
 

@@ -29,7 +29,7 @@ from .deleak import (
     mutual_identifiers,
     plan_masking,
 )
-from .errors import SchemaError
+from .errors import CodegapError, SchemaError
 from .languages import Language, get_language, language_for_path
 from .spans import SpanSelection, select_span, select_span_with_retry, split
 from .texttok import count_text_tokens, truncate_text_tokens
@@ -110,6 +110,8 @@ def ingest(roots: Iterable[str | Path], config: PipelineConfig,
     wanted = set(config.languages) if config.languages else None
     for root in roots:
         root = Path(root)
+        if not root.is_dir():
+            raise CodegapError(f"corpus root {str(root)!r} is not a directory")
         paths = sorted(p for p in root.rglob("*") if p.is_file())
         for path in paths:
             lang = language_for_path(path, ext_map)
@@ -307,9 +309,6 @@ def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[Pair
 # --------------------------------------------------------------------------
 # persistence
 
-_REQUIRED_FIELDS = ("id", "language", "context", "target", "meta")
-
-
 def dump_record(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
@@ -326,8 +325,10 @@ def write_jsonl(path: str | Path, records: Iterable[PairRecord | dict]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:
-    out: list[PairRecord] = []
+def read_jsonl_objects(path: str | Path,
+                       required: tuple[str, ...] = ()) -> list[tuple[int, dict]]:
+    """(line number, object) per non-blank line; SchemaError names a bad line."""
+    rows = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -337,17 +338,23 @@ def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            for key in _REQUIRED_FIELDS:
+            if not isinstance(obj, dict):
+                raise SchemaError("expected a JSON object", line=lineno)
+            for key in required:
                 if key not in obj:
                     raise SchemaError(f"missing {key!r} field", line=lineno)
-            if not isinstance(obj["meta"], dict):
-                raise SchemaError("'meta' must be an object", line=lineno)
-            out.append(PairRecord(
-                pair_id=str(obj["id"]), language=str(obj["language"]),
-                context=str(obj["context"]), target=str(obj["target"]),
-                meta=obj["meta"],
-                split=split or TRAIN))
-    return out
+            rows.append((lineno, obj))
+    return rows
+
+
+def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:
+    rows = read_jsonl_objects(path, ("id", "language", "context", "target", "meta"))
+    for lineno, obj in rows:
+        if not isinstance(obj["meta"], dict):
+            raise SchemaError("'meta' must be an object", line=lineno)
+    return [PairRecord(pair_id=str(obj["id"]), language=str(obj["language"]),
+                       context=str(obj["context"]), target=str(obj["target"]),
+                       meta=obj["meta"], split=split or TRAIN) for _, obj in rows]
 
 
 def write_shards(records: Iterable[PairRecord], out_dir: str | Path,

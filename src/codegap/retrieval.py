@@ -9,20 +9,18 @@ are reproducible.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .contrastive import cosine
-from .errors import NoRelevant, SchemaError
+from .errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
+from .pipeline import read_jsonl_objects
 from .texttok import text_tokens
 
-log = logging.getLogger(__name__)
-
 PRECISION_KS = (1, 3, 10)
+QUERY_BLOCK = 64  # queries per score matrix: memory stays O(block x pool)
 
 
 @dataclass(frozen=True)
@@ -46,64 +44,66 @@ class Judgments:
         return rel - {orig} if orig is not None else set(rel)
 
 
-def rank(query_embedding: np.ndarray, candidates: Mapping[str, np.ndarray],
-         exclude: str | None = None, query_id: str = "") -> RankedList:
-    """Candidates by cosine similarity, best first, ties by ascending id."""
-    scored = [(tid, cosine(query_embedding, vec))
-              for tid, vec in candidates.items() if tid != exclude]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return RankedList(query_id=query_id, ranking=tuple(scored))
+def rank(scores: np.ndarray, ids: Sequence[str], exclude: str | None = None,
+         query_id: str = "") -> RankedList:
+    """Candidates best first; the only sorter of every ranking path.
+
+    `ids` are ascending and `scores` is the row of scores aligned with them,
+    so a stable sort on the negated scores keeps ties in ascending-id order.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable").tolist()
+    ranking = tuple((ids[i], s) for i, s in zip(order, scores[order].tolist())
+                    if ids[i] != exclude)
+    return RankedList(query_id=query_id, ranking=ranking)
+
+
+# --------------------------------------------------------------------------
+# metrics, all read off the 1-based positions of the relevant candidates
+
+def _hit_positions(ranked: RankedList, relevant: set[str]) -> list[int]:
+    return [pos for pos, (tid, _) in enumerate(ranked.ranking, start=1) if tid in relevant]
+
+
+def _found(ranked: RankedList, relevant: set[str]) -> list[int]:
+    hits = _hit_positions(ranked, relevant)
+    if not hits:
+        raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
+    return hits
+
+
+def _precision(hits: list[int], pool: int, k: int) -> float:
+    return sum(1 for pos in hits if pos <= k) / min(k, pool) if pool else 0.0
+
+
+def _average_precision(hits: list[int]) -> float:
+    return sum(found / pos for found, pos in enumerate(hits, start=1)) / len(hits)
+
+
+def _ndcg(hits: list[int]) -> float:
+    dcg = sum(1.0 / np.log2(pos + 1) for pos in hits)
+    ideal = sum(1.0 / np.log2(pos + 1) for pos in range(1, len(hits) + 1))
+    return float(dcg / ideal)
 
 
 def precision_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
     """Relevant fraction of the top k; pools smaller than k cap the denominator."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pool = len(ranked.ranking)
-    if pool == 0:
-        return 0.0
-    denom = min(k, pool)
-    hits = sum(1 for tid, _ in ranked.ranking[:k] if tid in relevant)
-    return hits / denom
+    return _precision(_hit_positions(ranked, relevant), len(ranked.ranking), k)
 
 
 def average_precision(ranked: RankedList, relevant: set[str]) -> float:
-    present = [tid for tid in ranked.ids if tid in relevant]
-    if not present:
-        raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
-    hits = 0
-    precisions = []
-    for pos, tid in enumerate(ranked.ids, start=1):
-        if tid in relevant:
-            hits += 1
-            precisions.append(hits / pos)
-    return sum(precisions) / len(precisions)
+    return _average_precision(_found(ranked, relevant))
 
 
 def ndcg(ranked: RankedList, relevant: set[str]) -> float:
     """Binary-gain NDCG with a log2(rank + 1) discount."""
-    in_pool = sum(1 for tid in ranked.ids if tid in relevant)
-    if in_pool == 0:
-        raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
-    dcg = sum(1.0 / np.log2(pos + 1)
-              for pos, tid in enumerate(ranked.ids, start=1) if tid in relevant)
-    ideal = sum(1.0 / np.log2(pos + 1) for pos in range(1, in_pool + 1))
-    return float(dcg / ideal)
+    return _ndcg(_found(ranked, relevant))
 
 
 def reciprocal_rank(ranked: RankedList, relevant: set[str]) -> float:
-    for pos, tid in enumerate(ranked.ids, start=1):
-        if tid in relevant:
-            return 1.0 / pos
-    raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
-
-
-def mrr(lists: list[RankedList], judgments: Judgments) -> float:
-    return sum(reciprocal_rank(r, judgments.relevant_for(r.query_id)) for r in lists) / len(lists)
-
-
-def mean_average_precision(lists: list[RankedList], judgments: Judgments) -> float:
-    return sum(average_precision(r, judgments.relevant_for(r.query_id)) for r in lists) / len(lists)
+    return 1.0 / _found(ranked, relevant)[0]
 
 
 @dataclass
@@ -137,119 +137,123 @@ def evaluate_rankings(lists: list[RankedList], judgments: Judgments) -> EvalRepo
     if not lists:
         raise NoRelevant("no queries to evaluate")
     per_query = []
-    sums = {"map": 0.0, "ndcg": 0.0, "mrr": 0.0}
-    psums = {k: 0.0 for k in PRECISION_KS}
     for ranked in lists:
-        rel = judgments.relevant_for(ranked.query_id)
-        row = {
+        hits = _found(ranked, judgments.relevant_for(ranked.query_id))
+        pool = len(ranked.ranking)
+        per_query.append({
             "query_id": ranked.query_id,
-            "ap": average_precision(ranked, rel),
-            "ndcg": ndcg(ranked, rel),
-            "rr": reciprocal_rank(ranked, rel),
-            "p_at": {str(k): precision_at_k(ranked, rel, k) for k in PRECISION_KS},
-        }
-        per_query.append(row)
-        sums["map"] += row["ap"]
-        sums["ndcg"] += row["ndcg"]
-        sums["mrr"] += row["rr"]
-        for k in PRECISION_KS:
-            psums[k] += row["p_at"][str(k)]
-    n = len(lists)
+            "ap": _average_precision(hits),
+            "ndcg": _ndcg(hits),
+            "rr": 1.0 / hits[0],
+            "p_at": {str(k): _precision(hits, pool, k) for k in PRECISION_KS},
+        })
+    n = len(per_query)
     return EvalReport(
-        map=sums["map"] / n,
-        ndcg=sums["ndcg"] / n,
-        p_at={k: psums[k] / n for k in PRECISION_KS},
-        mrr=sums["mrr"] / n,
+        map=sum(row["ap"] for row in per_query) / n,
+        ndcg=sum(row["ndcg"] for row in per_query) / n,
+        p_at={k: sum(row["p_at"][str(k)] for row in per_query) / n for k in PRECISION_KS},
+        mrr=sum(row["rr"] for row in per_query) / n,
         per_query=per_query,
     )
 
 
+def _unit_rows(vectors: list[np.ndarray], dim: int) -> np.ndarray:
+    for vec in vectors:
+        if np.shape(vec) != (dim,):
+            raise DimensionMismatch(f"vector shapes differ: {np.shape(vec)} vs {(dim,)}")
+    rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    return rows / norms
+
+
 def evaluate(queries: dict[str, np.ndarray], candidates: dict[str, np.ndarray],
              judgments: Judgments) -> EvalReport:
-    """Rank every query against the shared pool and aggregate all metrics."""
-    lists = [rank(vec, candidates, exclude=judgments.original.get(qid), query_id=qid)
-             for qid, vec in sorted(queries.items())]
+    """Rank every query against the shared pool by cosine similarity and
+    aggregate all metrics.
+
+    Scores come from one matrix product of unit rows, QUERY_BLOCK queries at
+    a time. Identical candidate vectors share one column, so their scores are
+    bitwise equal and only the id decides their order.
+    """
+    qids, tids = sorted(queries), sorted(candidates)
+    if not qids:
+        return evaluate_rankings([], judgments)
+    dim = np.asarray(queries[qids[0]]).size
+    q_rows = _unit_rows([queries[q] for q in qids], dim)
+    c_rows = _unit_rows([candidates[t] for t in tids], dim)
+    first: dict[bytes, int] = {}
+    column = np.array([first.setdefault(row.tobytes(), len(first)) for row in c_rows],
+                      dtype=np.intp)
+    distinct = np.empty((len(first), dim))
+    distinct[column] = c_rows
+    lists = []
+    for start in range(0, len(qids), QUERY_BLOCK):
+        block = slice(start, start + QUERY_BLOCK)
+        scores = (q_rows[block] @ distinct.T)[:, column]
+        lists.extend(rank(row, tids, exclude=judgments.original.get(qid), query_id=qid)
+                     for qid, row in zip(qids[block], scores))
     return evaluate_rankings(lists, judgments)
 
 
 # --------------------------------------------------------------------------
-# a deliberately naive baseline for leakage measurements
+# a deliberately naive baseline for leakage measurements: token-set overlap
 
-def lexical_overlap(a: str, b: str) -> float:
-    """Jaccard similarity of the two texts' token sets."""
-    ta, tb = set(text_tokens(a)), set(text_tokens(b))
-    if not ta or not tb:
+def token_set(text: str) -> frozenset[str]:
+    return frozenset(text_tokens(text))
+
+
+def lexical_pool(texts: Mapping[str, str]) -> tuple[list[str], list[frozenset[str]]]:
+    """Ascending candidate ids and their token sets, each text tokenized once."""
+    ids = sorted(texts)
+    return ids, [token_set(texts[tid]) for tid in ids]
+
+
+def lexical_overlap(a: frozenset[str], b: frozenset[str]) -> float:
+    """Jaccard similarity of two token sets."""
+    if not a or not b:
         return 0.0
-    return len(ta & tb) / len(ta | tb)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
-def overlap_coefficient(a: str, b: str) -> float:
-    """Shared-token fraction of the smaller side; length-robust overlap."""
-    ta, tb = set(text_tokens(a)), set(text_tokens(b))
-    if not ta or not tb:
+def overlap_coefficient(a: frozenset[str], b: frozenset[str]) -> float:
+    """Shared-token fraction of the smaller set; length-robust overlap."""
+    if not a or not b:
         return 0.0
-    return len(ta & tb) / min(len(ta), len(tb))
+    return len(a & b) / min(len(a), len(b))
 
 
-def rank_lexical(query_text: str, candidates: Mapping[str, str],
+def rank_lexical(query_tokens: frozenset[str],
+                 pool: tuple[list[str], list[frozenset[str]]],
                  exclude: str | None = None, query_id: str = "",
-                 scorer: Callable[[str, str], float] = lexical_overlap) -> RankedList:
-    scored = [(tid, scorer(query_text, text))
-              for tid, text in candidates.items() if tid != exclude]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return RankedList(query_id=query_id, ranking=tuple(scored))
+                 scorer: Callable[[frozenset, frozenset], float] = lexical_overlap) -> RankedList:
+    """Score one query's token set against a pool from `lexical_pool`, then rank."""
+    ids, token_sets = pool
+    scores = np.fromiter((scorer(query_tokens, tokens) for tokens in token_sets),
+                         dtype=np.float64, count=len(token_sets))
+    return rank(scores, ids, exclude=exclude, query_id=query_id)
 
 
 # --------------------------------------------------------------------------
 # file formats: queries / candidates / qrels / embeddings
 
-def _read_jsonl_objects(path: str | Path) -> list[tuple[int, dict]]:
-    rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise SchemaError("expected a JSON object", line=lineno)
-            rows.append((lineno, obj))
-    return rows
-
-
-def _require(obj: dict, key: str, lineno: int):
-    if key not in obj:
-        raise SchemaError(f"missing {key!r} field", line=lineno)
-    return obj[key]
-
-
 def load_queries(path: str | Path) -> dict[str, dict]:
-    out = {}
-    for lineno, obj in _read_jsonl_objects(path):
-        qid = str(_require(obj, "query_id", lineno))
-        out[qid] = {"language": _require(obj, "language", lineno),
-                    "context": _require(obj, "context", lineno)}
-    return out
+    return {str(obj["query_id"]): {"language": obj["language"], "context": obj["context"]}
+            for _, obj in read_jsonl_objects(path, ("query_id", "language", "context"))}
 
 
 def load_candidates(path: str | Path) -> dict[str, dict]:
-    out = {}
-    for lineno, obj in _read_jsonl_objects(path):
-        tid = str(_require(obj, "target_id", lineno))
-        out[tid] = {"language": _require(obj, "language", lineno),
-                    "text": _require(obj, "text", lineno)}
-    return out
+    return {str(obj["target_id"]): {"language": obj["language"], "text": obj["text"]}
+            for _, obj in read_jsonl_objects(path, ("target_id", "language", "text"))}
 
 
 def load_qrels(path: str | Path) -> Judgments:
     relevant: dict[str, set[str]] = {}
     original: dict[str, str] = {}
-    for lineno, obj in _read_jsonl_objects(path):
-        qid = str(_require(obj, "query_id", lineno))
-        tid = str(_require(obj, "target_id", lineno))
+    for _, obj in read_jsonl_objects(path, ("query_id", "target_id")):
+        qid, tid = str(obj["query_id"]), str(obj["target_id"])
         rel = int(obj.get("relevance", 0))
         if int(obj.get("is_original", 0)):
             original[qid] = tid
@@ -260,10 +264,9 @@ def load_qrels(path: str | Path) -> Judgments:
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     out = {}
-    for lineno, obj in _read_jsonl_objects(path):
-        eid = str(_require(obj, "id", lineno))
-        vec = _require(obj, "vector", lineno)
+    for lineno, obj in read_jsonl_objects(path, ("id", "vector")):
+        vec = obj["vector"]
         if not isinstance(vec, list) or not vec:
             raise SchemaError("'vector' must be a non-empty list", line=lineno)
-        out[eid] = np.asarray(vec, dtype=np.float64)
+        out[str(obj["id"])] = np.asarray(vec, dtype=np.float64)
     return out

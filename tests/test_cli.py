@@ -68,6 +68,26 @@ def test_pairs_from_manifest_matches_roots(small_corpus, tmp_path):
     assert shard_bytes(out_a) == shard_bytes(out_b)
 
 
+@pytest.mark.parametrize("bad_line", [
+    '{"path": "a.py", "language": "python", "hash": ',
+    '{"path": "a.py", "language": "python", "split": "train"}',
+])
+def test_pairs_malformed_manifest_is_data_error(tmp_path, capsys, bad_line):
+    manifest = tmp_path / "m.jsonl"
+    good = json.dumps({"path": "a.py", "language": "python", "hash": "0" * 64,
+                       "split": "train"})
+    manifest.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+    assert main(["pairs", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_pairs_missing_root_is_data_error(tmp_path, capsys):
+    missing = tmp_path / "no_such_root"
+    assert main(["pairs", "--roots", str(missing), "--out", str(tmp_path / "out")]) == 2
+    assert "no_such_root" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_flag_precedence(small_corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "mask_prob": 0.5}), encoding="utf-8")
@@ -95,7 +115,7 @@ def test_batch_manifest(small_corpus, tmp_path):
         assert row["token_count"] <= 3000
 
 
-def test_eval_with_embeddings(tmp_path, capsys):
+def _embedding_eval_files(tmp_path, vectors):
     qp, cp, rp, ep = (tmp_path / n for n in
                       ("q.jsonl", "c.jsonl", "r.jsonl", "e.jsonl"))
     qp.write_text(json.dumps({"query_id": "q1", "language": "python",
@@ -106,19 +126,29 @@ def test_eval_with_embeddings(tmp_path, capsys):
     ]) + "\n", encoding="utf-8")
     rp.write_text(json.dumps({"query_id": "q1", "target_id": "t1",
                               "relevance": 1, "is_original": 0}) + "\n", encoding="utf-8")
-    ep.write_text("\n".join([
-        json.dumps({"id": "q1", "vector": [1.0, 0.0]}),
-        json.dumps({"id": "t1", "vector": [0.99, 0.01]}),
-        json.dumps({"id": "t2", "vector": [0.0, 1.0]}),
-    ]) + "\n", encoding="utf-8")
+    ep.write_text("\n".join(json.dumps({"id": i, "vector": v}) for i, v in vectors.items())
+                  + "\n", encoding="utf-8")
+    return ["eval", "--queries", str(qp), "--candidates", str(cp),
+            "--qrels", str(rp), "--embeddings", str(ep)]
+
+
+def test_eval_with_embeddings(tmp_path, capsys):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                            "t2": [0.0, 1.0]})
     report = tmp_path / "report.json"
-    code = main(["eval", "--queries", str(qp), "--candidates", str(cp),
-                 "--qrels", str(rp), "--embeddings", str(ep), "--out", str(report)])
+    code = main([*args, "--out", str(report)])
     assert code == 0
     out = capsys.readouterr().out
     assert "MAP" in out and "MRR" in out
     payload = json.loads(report.read_text())
     assert payload["map"] == 1.0 and payload["mrr"] == 1.0
+
+
+def test_eval_zero_embedding_is_data_error(tmp_path, capsys):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                            "t2": [0.0, 0.0]})
+    assert main(args) == 2
+    assert "zero vector" in capsys.readouterr().err
 
 
 def test_eval_usage_error_without_scorer(tmp_path):

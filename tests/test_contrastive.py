@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codegap.contrastive import (
+    _embed_counts,
     ToyEncoder,
     TrainConfig,
     batch_loss,
@@ -304,6 +305,26 @@ def test_validation_mrr_perfect_and_chance():
     enc = small_encoder()
     ctx_counts = [enc.bucket_counts(t) for t in ("aa bb", "cc dd")]
     assert validation_mrr(enc.params, ctx_counts, ctx_counts) == pytest.approx(1.0)
+
+
+def test_validation_mrr_ties_match_brute_force_rank():
+    # three copies of one target score exactly equal; ties break by
+    # ascending index, which here changes the mean (reversed ties would not)
+    enc = small_encoder()
+    ctx = [enc.bucket_counts(t) for t in ("aa bb", "cc", "aa", "ee ff", "gg", "cc dd bb")]
+    tgt = [enc.bucket_counts(t) for t in ("aa bb", "cc dd", "aa bb", "ee", "ff gg hh", "aa bb")]
+    eq, _, _ = _embed_counts(enc.params, ctx)
+    ek, _, _ = _embed_counts(enc.params, tgt)
+    scores = (eq @ ek.T).tolist()
+    assert all(row[0] == row[2] == row[5] for row in scores)
+
+    def mean_rr(tie_key) -> float:
+        ranks = [sorted(range(len(tgt)), key=lambda j: (-row[j], tie_key(j))).index(i) + 1
+                 for i, row in enumerate(scores)]
+        return sum(1.0 / r for r in ranks) / len(ranks)
+
+    assert mean_rr(lambda j: -j) != pytest.approx(mean_rr(lambda j: j))
+    assert validation_mrr(enc.params, ctx, tgt) == pytest.approx(mean_rr(lambda j: j), rel=1e-12)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -16,18 +16,22 @@ from codegap.retrieval import (
     RankedList,
     average_precision,
     evaluate,
+    evaluate_rankings,
     lexical_overlap,
+    lexical_pool,
     load_candidates,
     load_embeddings,
     load_qrels,
     load_queries,
-    mrr,
     ndcg,
     overlap_coefficient,
     precision_at_k,
     rank,
+    rank_lexical,
     reciprocal_rank,
+    token_set,
 )
+from codegap.texttok import text_tokens
 
 
 def ranked(ids, query_id="q"):
@@ -38,41 +42,60 @@ def ranked(ids, query_id="q"):
 # --------------------------------------------------------------------------
 # ranking
 
-def test_rank_self_similarity_first():
-    a = np.array([1.0, 0.0, 0.0])
-    cands = {"A": a, "B": np.array([0.0, 1.0, 0.0]), "C": np.array([0.0, 0.0, 1.0])}
-    result = rank(a, cands)
-    assert result.ids[0] == "A"
-    assert result.ranking[0][1] == pytest.approx(1.0)
+def test_rank_tie_break_ascending_id():
+    result = rank(np.array([0.5, 0.9, 0.5, 0.5]), ["alpha", "beta", "mid", "zeta"])
+    assert result.ids == ["beta", "alpha", "mid", "zeta"]
+    assert result.ranking[0] == ("beta", 0.9)
 
 
 def test_rank_excludes_original():
-    a = np.array([1.0, 0.0])
-    cands = {"A": a, "B": np.array([0.0, 1.0])}
-    assert rank(a, cands, exclude="A").ids == ["B"]
+    assert rank(np.array([1.0, 0.0]), ["A", "B"], exclude="A").ids == ["B"]
+    assert rank(np.array([1.0, 0.0]), ["A", "B"], exclude="Z").ids == ["A", "B"]
 
 
-def test_rank_scale_invariance():
+def test_evaluate_self_similarity_first():
+    a = np.array([1.0, 0.0, 0.0])
+    cands = {"A": a, "B": np.array([0.0, 1.0, 0.0]), "C": np.array([0.0, 0.0, 1.0])}
+    report = evaluate({"q": a}, cands, Judgments(relevant={"q": {"A"}}))
+    assert report.mrr == 1.0
+
+
+def test_evaluate_scale_invariance():
     rng = np.random.default_rng(0)
-    q = rng.normal(size=8)
+    queries = {f"q{i}": rng.normal(size=8) for i in range(3)}
     cands = {f"c{i}": rng.normal(size=8) for i in range(10)}
-    base = rank(q, cands).ids
-    scaled = {tid: vec * (3.7 if i % 2 else 0.004) for i, (tid, vec) in enumerate(cands.items())}
-    assert rank(q * 11.0, scaled).ids == base
+    judgments = Judgments(relevant={f"q{i}": {f"c{i}", f"c{i + 5}"} for i in range(3)})
+    base = evaluate(queries, cands, judgments).to_dict()
+    scaled_q = {qid: vec * 11.0 for qid, vec in queries.items()}
+    scaled_c = {tid: vec * (3.7 if i % 2 else 0.004) for i, (tid, vec) in enumerate(cands.items())}
+    assert evaluate(scaled_q, scaled_c, judgments).to_dict() == base
 
 
-def test_rank_tie_break_ascending_id():
-    q = np.array([1.0, 0.0])
-    v = np.array([1.0, 0.0])
-    result = rank(q, {"zeta": v, "alpha": v * 5, "mid": v * 0.1})
-    assert result.ids == ["alpha", "mid", "zeta"]
+def test_evaluate_identical_candidates_rank_by_id():
+    # 37 copies of one vector: only the id orders them, so the query
+    # relevant to c{i} finds it at position i + 1. A lone query takes BLAS's
+    # matrix-vector path, which need not score equal columns equally.
+    rng = np.random.default_rng(1)
+    shared = rng.normal(size=256)
+    cands = {f"c{i:02d}": shared.copy() for i in range(37)}
+    queries = {f"q{i:02d}": rng.normal(size=256) for i in range(37)}
+    judgments = Judgments(relevant={f"q{i:02d}": {f"c{i:02d}"} for i in range(37)})
+    report = evaluate(queries, cands, judgments)
+    assert [row["rr"] for row in report.per_query] == [1.0 / (i + 1) for i in range(37)]
+    for i, (qid, vec) in enumerate(queries.items()):
+        assert evaluate({qid: vec}, cands, judgments).mrr == 1.0 / (i + 1)
 
 
-def test_rank_errors():
+def test_evaluate_vector_errors():
+    judgments = Judgments(relevant={"q": {"a"}})
     with pytest.raises(DimensionMismatch):
-        rank(np.ones(3), {"a": np.ones(4)})
+        evaluate({"q": np.ones(3)}, {"a": np.ones(4)}, judgments)
+    with pytest.raises(DimensionMismatch):
+        evaluate({"q": np.ones(3)}, {"a": np.ones(3), "b": np.ones((1, 3))}, judgments)
     with pytest.raises(ZeroVector):
-        rank(np.zeros(3), {"a": np.ones(3)})
+        evaluate({"q": np.zeros(3)}, {"a": np.ones(3)}, judgments)
+    with pytest.raises(ZeroVector):
+        evaluate({"q": np.ones(3)}, {"a": np.ones(3), "b": np.zeros(3)}, judgments)
 
 
 # --------------------------------------------------------------------------
@@ -104,7 +127,7 @@ def test_mrr_cases():
     assert reciprocal_rank(ranked(["B", "A"]), {"A"}) == 0.5
     lists = [ranked(["A", "B", "C", "D"], "q1"), ranked(["B", "C", "D", "A"], "q2")]
     judgments = Judgments(relevant={"q1": {"A"}, "q2": {"A"}})
-    assert mrr(lists, judgments) == pytest.approx((1 + 0.25) / 2)
+    assert evaluate_rankings(lists, judgments).mrr == pytest.approx((1 + 0.25) / 2)
 
 
 def test_no_relevant_raises():
@@ -222,10 +245,57 @@ def test_report_schema_and_table():
 # lexical baseline + loaders
 
 def test_lexical_overlap_bounds():
-    assert lexical_overlap("a b c", "a b c") == 1.0
-    assert lexical_overlap("a b", "c d") == 0.0
-    assert 0.0 < lexical_overlap("a b c d", "a x y z") < 1.0
-    assert overlap_coefficient("a b", "a b c d e f") == 1.0
+    assert lexical_overlap(token_set("a b c"), token_set("a b c")) == 1.0
+    assert lexical_overlap(token_set("a b"), token_set("c d")) == 0.0
+    assert 0.0 < lexical_overlap(token_set("a b c d"), token_set("a x y z")) < 1.0
+    assert lexical_overlap(token_set(""), token_set("a")) == 0.0
+    assert overlap_coefficient(token_set("a b"), token_set("a b c d e f")) == 1.0
+    assert overlap_coefficient(token_set("a"), token_set("")) == 0.0
+
+
+_SAMPLE_TEXTS = [
+    "<cls_python>def f(x):\n    return x + 1",
+    "<cls_python>x = <mask>\nprint(x, x)",
+    "int main(void) { return 0; }",
+    "for (int i = 0; i < n; i++) { s += a[i]; }",
+    "return x + 1",
+    "",
+    "(((",
+]
+
+
+def _brute_counts(a: str, b: str) -> tuple[int, int, int, int]:
+    """(shared, union, size a, size b) of the distinct tokens, by plain loops."""
+    da, db = [], []
+    for tok in text_tokens(a):
+        if tok not in da:
+            da.append(tok)
+    for tok in text_tokens(b):
+        if tok not in db:
+            db.append(tok)
+    shared = sum(1 for tok in da if tok in db)
+    return shared, len(da) + sum(1 for tok in db if tok not in da), len(da), len(db)
+
+
+def test_set_scorers_match_brute_force_counts():
+    for a, b in itertools.product(_SAMPLE_TEXTS, repeat=2):
+        shared, union, na, nb = _brute_counts(a, b)
+        jaccard = shared / union if na and nb else 0.0
+        coefficient = shared / min(na, nb) if na and nb else 0.0
+        assert lexical_overlap(token_set(a), token_set(b)) == jaccard
+        assert overlap_coefficient(token_set(a), token_set(b)) == coefficient
+
+
+def test_rank_lexical_matches_per_pair_sort():
+    texts = {f"t{i}": text for i, text in enumerate(_SAMPLE_TEXTS)}
+    pool = lexical_pool(texts)
+    for scorer in (lexical_overlap, overlap_coefficient):
+        for query in _SAMPLE_TEXTS:
+            got = rank_lexical(token_set(query), pool, exclude="t1", query_id="q", scorer=scorer)
+            want = sorted(((tid, scorer(token_set(query), token_set(text)))
+                           for tid, text in texts.items() if tid != "t1"),
+                          key=lambda pair: (-pair[1], pair[0]))
+            assert got.ranking == tuple(want)
 
 
 def test_loaders_roundtrip(tmp_path):
