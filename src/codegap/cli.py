@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .contrastive import DEFAULT_BUCKETS, DEFAULT_DIM, DEFAULT_TAU, ToyEncoder, TrainConfig, train_toy
-from .errors import CodegapError, UsageError
+from .errors import CodegapError, SchemaError, UsageError
 from .languages import DEFAULT_EXTENSIONS, load_extension_map, supported_languages
 from .pipeline import (
     CorpusFile,
@@ -120,7 +120,13 @@ def _load_file_config(args: argparse.Namespace) -> dict:
     path = getattr(args, "config", None)
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: invalid JSON config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise SchemaError(f"{path}: a config file must hold one JSON object")
+    return config
 
 
 def _echo_config(subcommand: str, payload: dict) -> None:

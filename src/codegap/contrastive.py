@@ -10,6 +10,7 @@ One shared encoder embeds both contexts and targets.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -17,11 +18,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BatchTooSmall,
+    CodegapError,
     DimensionMismatch,
     Diverged,
     EmptyInput,
@@ -121,13 +124,9 @@ class ToyEncoder:
             raise EmptyInput("cannot encode an empty token sequence")
         return ngram_bucket_counts(tokens, self.buckets)
 
-    def _raw(self, counts: dict[int, int]) -> np.ndarray:
-        idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        mult = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        return mult @ self.params[idx]
-
     def encode(self, text: str) -> np.ndarray:
-        raw = self._raw(self.bucket_counts(text))
+        buckets, mult = count_entries(self.bucket_counts(text))
+        raw = mult @ self.params[buckets]
         norm = np.linalg.norm(raw)
         if norm == 0.0:
             raise ZeroVector("degenerate embedding with zero norm")
@@ -151,50 +150,54 @@ class ToyEncoder:
         path = Path(path)
         sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
         if sidecar.get("format_version") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format: {sidecar.get('format_version')}")
+            raise CodegapError(f"unsupported checkpoint format: {sidecar.get('format_version')}")
         with path.open("rb") as fh:
             params = np.load(fh)
         return cls(params=params, tau=float(sidecar["tau"]))
 
 
 # --------------------------------------------------------------------------
-# batch loss and its analytic gradient
+# packed bucket counts, the batch loss and its analytic gradient
 
-def _embed_counts(params: np.ndarray, counts_list: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dim = params.shape[1]
-    raw = np.empty((len(counts_list), dim), dtype=np.float64)
-    for i, counts in enumerate(counts_list):
-        idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        mult = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        raw[i] = mult @ params[idx]
+EMBED_ROWS = 32  # texts per dense count block when embedding a validation set
+
+
+class PackedCounts(NamedTuple):
+    """Bucket counts of n texts: entry e puts mult[e] at (rows[e], cols[e]) of
+    a dense n x len(buckets) matrix over the texts' sorted distinct buckets."""
+
+    buckets: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mult: np.ndarray
+    n: int
+
+    def dense(self) -> np.ndarray:
+        counts = np.zeros((self.n, len(self.buckets)), dtype=np.float64)
+        counts[self.rows, self.cols] = self.mult
+        return counts
+
+
+def count_entries(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """One text's buckets in ascending order and their multiplicities."""
+    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    order = np.argsort(keys)
+    return keys[order], np.fromiter(counts.values(), dtype=np.int32, count=len(counts))[order]
+
+
+def pack_counts(entries: list[tuple[np.ndarray, np.ndarray]]) -> PackedCounts:
+    """Pack several texts' count_entries; row i is entries[i]."""
+    buckets, cols = np.unique(np.concatenate([k for k, _ in entries]), return_inverse=True)
+    rows = np.repeat(np.arange(len(entries), dtype=np.int32), [len(k) for k, _ in entries])
+    mult = np.concatenate([m for _, m in entries])
+    return PackedCounts(buckets, rows, cols.astype(np.int32), mult, len(entries))
+
+
+def _unit_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("degenerate embedding with zero norm")
-    return raw / norms[:, None], raw, norms
-
-
-def _loss_matrix(params: np.ndarray, ctx_counts: list[dict[int, int]],
-                 tgt_counts: list[dict[int, int]], tau: float,
-                 include_positive: bool) -> tuple[float, dict]:
-    k = len(ctx_counts)
-    eq, raw_q, norm_q = _embed_counts(params, ctx_counts)
-    ek, raw_k, norm_k = _embed_counts(params, tgt_counts)
-    z = (eq @ ek.T) / tau
-    diag = np.diag(z).copy()
-    if include_positive:
-        m = z.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-        probs = np.exp(z - lse[:, None])
-    else:
-        z_off = z.copy()
-        np.fill_diagonal(z_off, -np.inf)
-        m = z_off.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(z_off - m).sum(axis=1))
-        probs = np.exp(z_off - lse[:, None])
-        np.fill_diagonal(probs, 0.0)
-    loss = float(np.mean(lse - diag))
-    cache = dict(eq=eq, ek=ek, norm_q=norm_q, norm_k=norm_k, probs=probs, k=k)
-    return loss, cache
+    return raw / norms[:, None], norms
 
 
 def batch_loss(encoder: ToyEncoder, contexts: list[str], targets: list[str],
@@ -207,35 +210,28 @@ def batch_loss(encoder: ToyEncoder, contexts: list[str], targets: list[str],
     tau = encoder.tau if tau is None else tau
     if tau <= 0:
         raise InvalidTemperature(f"temperature must be positive, got {tau}")
-    ctx_counts = [encoder.bucket_counts(t) for t in contexts]
-    tgt_counts = [encoder.bucket_counts(t) for t in targets]
-    loss, _ = _loss_matrix(encoder.params, ctx_counts, tgt_counts, tau, include_positive)
-    return loss
+    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
+    return batch_loss_and_grads(encoder.params, packed, tau, include_positive)[0]
 
 
-def batch_loss_and_grads(params: np.ndarray, ctx_counts: list[dict[int, int]],
-                         tgt_counts: list[dict[int, int]], tau: float,
-                         include_positive: bool = True) -> tuple[float, dict[int, np.ndarray]]:
-    """Loss plus sparse parameter-row gradients (bucket -> d-vector)."""
-    loss, c = _loss_matrix(params, ctx_counts, tgt_counts, tau, include_positive)
-    k = c["k"]
-    dz = (c["probs"] - np.eye(k)) / (k * tau)
-    d_eq = dz @ c["ek"]
-    d_ek = dz.T @ c["eq"]
+def batch_loss_and_grads(params: np.ndarray, packed: PackedCounts, tau: float,
+                         include_positive: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss of a packed batch (k contexts, then their k targets), its distinct
+    buckets U and the gradient of params[U], one row per bucket."""
+    counts = packed.dense()
+    e, norms = _unit_rows(counts @ params[packed.buckets])
+    k = packed.n // 2
+    z = (e[:k] @ e[k:].T) / tau
+    diag = np.diag(z).copy()
+    if not include_positive:
+        np.fill_diagonal(z, -np.inf)
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    dz = (np.exp(z - lse[:, None]) - np.eye(k)) / (k * tau)
+    d_e = np.vstack((dz @ e[k:], dz.T @ e[:k]))
     # backprop through the L2 normalization
-    d_raw_q = (d_eq - (np.sum(d_eq * c["eq"], axis=1, keepdims=True)) * c["eq"]) / c["norm_q"][:, None]
-    d_raw_k = (d_ek - (np.sum(d_ek * c["ek"], axis=1, keepdims=True)) * c["ek"]) / c["norm_k"][:, None]
-    grads: dict[int, np.ndarray] = {}
-    for rows, counts_list in ((d_raw_q, ctx_counts), (d_raw_k, tgt_counts)):
-        for i, counts in enumerate(counts_list):
-            row = rows[i]
-            for bucket, mult in counts.items():
-                acc = grads.get(bucket)
-                if acc is None:
-                    grads[bucket] = mult * row
-                else:
-                    acc += mult * row
-    return loss, grads
+    d_raw = (d_e - np.sum(d_e * e, axis=1, keepdims=True) * e) / norms[:, None]
+    return float(np.mean(lse - diag)), packed.buckets, counts.T @ d_raw
 
 
 @dataclass
@@ -258,12 +254,11 @@ def grad_check(encoder: ToyEncoder, contexts: list[str], targets: list[str],
     if not 1e-6 <= eps <= 1e-3:
         raise ValueError("eps outside the supported range [1e-6, 1e-3]")
     rng = rng or random.Random(0)
-    ctx_counts = [encoder.bucket_counts(t) for t in contexts]
-    tgt_counts = [encoder.bucket_counts(t) for t in targets]
+    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
     tau = encoder.tau
-    _, grads = batch_loss_and_grads(encoder.params, ctx_counts, tgt_counts, tau, include_positive)
-
-    touched = sorted(grads)
+    _, buckets, rows = batch_loss_and_grads(encoder.params, packed, tau, include_positive)
+    touched = buckets.tolist()
+    grads = dict(zip(touched, rows))
     untouched = []
     while len(untouched) < max(4, samples // 8):
         b = rng.randrange(encoder.buckets)
@@ -281,9 +276,9 @@ def grad_check(encoder: ToyEncoder, contexts: list[str], targets: list[str],
         analytic = float(grads.get(bucket, np.zeros(encoder.dim))[col])
         saved = params[bucket, col]
         params[bucket, col] = saved + eps
-        up = _loss_matrix(params, ctx_counts, tgt_counts, tau, include_positive)[0]
+        up = batch_loss_and_grads(params, packed, tau, include_positive)[0]
         params[bucket, col] = saved - eps
-        down = _loss_matrix(params, ctx_counts, tgt_counts, tau, include_positive)[0]
+        down = batch_loss_and_grads(params, packed, tau, include_positive)[0]
         params[bucket, col] = saved
         numeric = (up - down) / (2 * eps)
         scale = max(abs(analytic), abs(numeric))
@@ -331,21 +326,35 @@ def learning_rate(step: int, config: TrainConfig) -> float:
     return config.lr * (1.0 - progress) ** config.decay_power
 
 
-def validation_mrr(params: np.ndarray, ctx_counts: list[dict[int, int]],
-                   tgt_counts: list[dict[int, int]], block: int = 512) -> float:
-    """Mean reciprocal rank of each context's own target over all targets."""
-    eq, _, _ = _embed_counts(params, ctx_counts)
-    ek, _, _ = _embed_counts(params, tgt_counts)
-    n = eq.shape[0]
+def pack_validation(contexts: list[tuple[np.ndarray, np.ndarray]],
+                    targets: list[tuple[np.ndarray, np.ndarray]]
+                    ) -> tuple[list[PackedCounts], np.ndarray]:
+    """Contexts, then distinct targets, packed in blocks of EMBED_ROWS texts,
+    and each context's own row among the distinct targets. Identical target
+    counts share a row, so ties fall to the index rule, not to rounding."""
+    first: dict[tuple[bytes, bytes], int] = {}
+    own = np.array([first.setdefault((k.tobytes(), m.tobytes()), len(first)) for k, m in targets],
+                   dtype=np.intp)
+    texts = contexts + [targets[i] for i in np.unique(own, return_index=True)[1]]
+    return [pack_counts(texts[i:i + EMBED_ROWS]) for i in range(0, len(texts), EMBED_ROWS)], own
+
+
+def validation_mrr(params: np.ndarray, blocks: list[PackedCounts], own: np.ndarray,
+                   block: int = 512) -> float:
+    """Mean reciprocal rank of each context's own target over all targets,
+    on a validation set packed by pack_validation."""
+    n = len(own)
+    e = _unit_rows(np.vstack([b.dense() @ params[b.buckets] for b in blocks]))[0]
+    eq, ek = e[:n], e[n:]
     total = 0.0
     for start in range(0, n, block):
         stop = min(n, start + block)
-        scores = eq[start:stop] @ ek.T
-        own = scores[np.arange(stop - start), np.arange(start, stop)]
+        scores = (eq[start:stop] @ ek.T)[:, own]
+        mine = scores[np.arange(stop - start), np.arange(start, stop)]
         # rank = 1 + higher scores + equal scores at a lower index
         before = np.arange(n) < np.arange(start, stop)[:, None]
-        ranks = (1 + (scores > own[:, None]).sum(axis=1)
-                 + ((scores == own[:, None]) & before).sum(axis=1))
+        ranks = (1 + (scores > mine[:, None]).sum(axis=1)
+                 + ((scores == mine[:, None]) & before).sum(axis=1))
         total += float(np.sum(1.0 / ranks))
     return total / n
 
@@ -362,21 +371,13 @@ def train_toy(train_records, valid_records, config: TrainConfig,
     if not batches:
         raise BatchTooSmall("no trainable batch holds two or more pairs")
 
-    counts_cache: dict[str, dict[int, int]] = {}
-
-    def counts_for(text: str) -> dict[int, int]:
-        got = counts_cache.get(text)
-        if got is None:
-            got = counts_cache[text] = encoder.bucket_counts(text)
-        return got
-
-    batch_counts = [
-        ([counts_for(p.context) for p in b.pairs], [counts_for(p.target) for p in b.pairs])
-        for b in batches
-    ]
+    entries = functools.cache(lambda text: count_entries(encoder.bucket_counts(text)))
+    packed = [pack_counts([entries(p.context) for p in b.pairs] + [entries(p.target) for p in b.pairs])
+              for b in batches]
     valid = list(valid_records)[: config.valid_cap]
-    valid_ctx = [counts_for(p.context) for p in valid]
-    valid_tgt = [counts_for(p.target) for p in valid]
+    valid_set = pack_validation([entries(p.context) for p in valid],
+                                [entries(p.target) for p in valid])
+    del entries  # one count per distinct text, kept only until all is packed
 
     rng = random.Random(config.seed)
     order: list[int] = []
@@ -390,18 +391,16 @@ def train_toy(train_records, valid_records, config: TrainConfig,
 
     for step in range(config.steps):
         if not order:
-            order = list(range(len(batch_counts)))
+            order = list(range(len(packed)))
             rng.shuffle(order)
-        ctx_counts, tgt_counts = batch_counts[order.pop()]
-        loss, grads = batch_loss_and_grads(params, ctx_counts, tgt_counts,
-                                           config.tau, config.include_positive)
+        loss, buckets, grads = batch_loss_and_grads(params, packed[order.pop()],
+                                                    config.tau, config.include_positive)
         if not math.isfinite(loss):
             raise Diverged(f"loss became non-finite at step {step}")
         lr = learning_rate(step, config)
-        for bucket, grad in grads.items():
-            params[bucket] -= lr * grad
+        params[buckets] -= lr * grads
         if valid and ((step + 1) % eval_every == 0 or step + 1 == config.steps):
-            mrr = validation_mrr(params, valid_ctx, valid_tgt)
+            mrr = validation_mrr(params, *valid_set)
             history.append((step + 1, mrr))
             if mrr > best_mrr:
                 best_mrr = mrr

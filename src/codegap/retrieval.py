@@ -268,5 +268,12 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
         vec = obj["vector"]
         if not isinstance(vec, list) or not vec:
             raise SchemaError("'vector' must be a non-empty list", line=lineno)
-        out[str(obj["id"])] = np.asarray(vec, dtype=np.float64)
+        bad = "'vector' must be a flat list of finite numbers"
+        try:
+            arr = np.asarray(vec)
+        except ValueError as exc:  # ragged nesting
+            raise SchemaError(bad, line=lineno) from exc
+        if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise SchemaError(bad, line=lineno)
+        out[str(obj["id"])] = arr.astype(np.float64)
     return out

@@ -96,6 +96,52 @@ def exhaustive_metric_comparison() -> float:
 
 
 # --------------------------------------------------------------------------
+# contrastive batch loss and its gradient, one text and one bucket at a time
+
+def oracle_batch_loss_and_grads(params, ctx_counts: list[dict[int, int]],
+                                tgt_counts: list[dict[int, int]], tau: float,
+                                include_positive: bool = True) -> tuple[float, dict]:
+    """Mean in-batch contrastive loss and its gradient as bucket -> d-vector:
+    each text embedded from its own count dict, each pair's loss on its own,
+    and every count entry scattered into the gradient one by one."""
+    import numpy as np
+
+    def embed(counts_list):
+        unit, norms = [], []
+        for counts in counts_list:
+            raw = sum(mult * params[bucket] for bucket, mult in counts.items())
+            norm = float(np.linalg.norm(raw))
+            unit.append(raw / norm)
+            norms.append(norm)
+        return unit, norms
+
+    k = len(ctx_counts)
+    eq, norm_q = embed(ctx_counts)
+    ek, norm_k = embed(tgt_counts)
+    d_eq = [np.zeros_like(e) for e in eq]
+    d_ek = [np.zeros_like(e) for e in ek]
+    loss = 0.0
+    for i in range(k):
+        logits = [float(eq[i] @ ek[j]) / tau for j in range(k)]
+        pool = [j for j in range(k) if include_positive or j != i]
+        top = max(logits[j] for j in pool)
+        lse = top + math.log(sum(math.exp(logits[j] - top) for j in pool))
+        loss += (lse - logits[i]) / k
+        for j in range(k):
+            dz = (math.exp(logits[j] - lse) if j in pool else 0.0) - (1.0 if j == i else 0.0)
+            d_eq[i] = d_eq[i] + dz / (k * tau) * ek[j]
+            d_ek[j] = d_ek[j] + dz / (k * tau) * eq[i]
+    grads: dict[int, np.ndarray] = {}
+    for units, d_units, norms, counts_list in ((eq, d_eq, norm_q, ctx_counts),
+                                                (ek, d_ek, norm_k, tgt_counts)):
+        for e, d_e, norm, counts in zip(units, d_units, norms, counts_list):
+            d_raw = (d_e - float(d_e @ e) * e) / norm  # through the L2 normalization
+            for bucket, mult in counts.items():
+                grads[bucket] = grads.get(bucket, 0.0) + mult * d_raw
+    return loss, grads
+
+
+# --------------------------------------------------------------------------
 # delimiter balance over token streams
 
 _PAIRS = {"(": ")", "[": "]", "{": "}"}

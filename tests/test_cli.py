@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from codegap.cli import main
+from codegap.contrastive import ToyEncoder
 from codegap.languages import get_language
 from codegap.pipeline import read_jsonl
 from codegap.synth import write_mixed_corpus
@@ -88,6 +89,18 @@ def test_pairs_missing_root_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["pairs", "train-toy"])
+@pytest.mark.parametrize("content", ['{"seed": 1,', '[1, 2]', '"seed"'])
+def test_malformed_config_is_data_error(tmp_path, capsys, subcommand, content):
+    cfg = tmp_path / "bad_cfg.json"
+    cfg.write_text(content, encoding="utf-8")
+    args = {"pairs": ["pairs", "--roots", str(tmp_path), "--out", str(tmp_path / "out")],
+            "train-toy": ["train-toy", "--shards", str(tmp_path), "--out", str(tmp_path / "m")]}
+    assert main(["--config", str(cfg), *args[subcommand]]) == 2
+    assert "bad_cfg.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "m").exists()
+
+
 def test_config_file_flag_precedence(small_corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "mask_prob": 0.5}), encoding="utf-8")
@@ -149,6 +162,26 @@ def test_eval_zero_embedding_is_data_error(tmp_path, capsys):
                                             "t2": [0.0, 0.0]})
     assert main(args) == 2
     assert "zero vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vector", [["x"], [1.0, None], [[1.0, 0.0], [0.0, 1.0]],
+                                    [[1.0], [0.0, 1.0]], [1.0, float("nan")], [True, False]])
+def test_eval_malformed_vector_is_data_error(tmp_path, capsys, vector):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                            "t2": vector})
+    assert main(args) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_eval_unsupported_checkpoint_is_data_error(tmp_path, capsys):
+    args = _embedding_eval_files(tmp_path, {})[:7]
+    ckpt = tmp_path / "toy.ckpt"
+    ToyEncoder.create(seed=0, dim=8, buckets=64).save(ckpt)
+    sidecar = Path(str(ckpt) + ".json")
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    sidecar.write_text(json.dumps({**meta, "format_version": 99}), encoding="utf-8")
+    assert main([*args, "--model", "toy", "--checkpoint", str(ckpt)]) == 2
+    assert "unsupported checkpoint format: 99" in capsys.readouterr().err
 
 
 def test_eval_usage_error_without_scorer(tmp_path):

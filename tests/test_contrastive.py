@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codegap.contrastive import (
-    _embed_counts,
     ToyEncoder,
     TrainConfig,
     batch_loss,
     batch_loss_and_grads,
     cosine,
+    count_entries,
     grad_check,
     info_nce,
     learning_rate,
     ngram_bucket_counts,
+    pack_counts,
+    pack_validation,
     stable_bucket,
     train_toy,
     validation_mrr,
@@ -31,6 +33,8 @@ from codegap.errors import (
 )
 from codegap.pipeline import PairRecord
 
+from _oracles import oracle_batch_loss_and_grads
+
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 
@@ -40,6 +44,10 @@ def small_encoder(**kw):
     kw.setdefault("dim", 16)
     kw.setdefault("buckets", 512)
     return ToyEncoder.create(**kw)
+
+
+def entries(enc, texts):
+    return [count_entries(enc.bucket_counts(t)) for t in texts]
 
 
 def records(texts, language="python"):
@@ -211,20 +219,44 @@ def test_untouched_rows_have_zero_gradient():
     ctxs, tgts = _random_batch(random.Random(1))
     ctx_counts = [enc.bucket_counts(t) for t in ctxs]
     tgt_counts = [enc.bucket_counts(t) for t in tgts]
-    _, grads = batch_loss_and_grads(enc.params, ctx_counts, tgt_counts, enc.tau)
+    _, buckets, grads = batch_loss_and_grads(enc.params, pack_counts(entries(enc, ctxs + tgts)),
+                                             enc.tau)
     touched = set().union(*ctx_counts, *tgt_counts)
-    assert set(grads) <= touched
+    # the gradient has one row per touched bucket and none for any other
+    assert buckets.tolist() == sorted(touched)
+    assert grads.shape == (len(touched), enc.dim)
 
 
 def test_smaller_tau_amplifies_gradients():
     enc = small_encoder()
     ctxs, tgts = _random_batch(random.Random(2))
-    ctx_counts = [enc.bucket_counts(t) for t in ctxs]
-    tgt_counts = [enc.bucket_counts(t) for t in tgts]
-    _, g_warm = batch_loss_and_grads(enc.params, ctx_counts, tgt_counts, 0.1)
-    _, g_cold = batch_loss_and_grads(enc.params, ctx_counts, tgt_counts, 0.05)
-    norm = lambda g: sum(float(np.abs(v).sum()) for v in g.values())
-    assert norm(g_cold) > norm(g_warm)
+    packed = pack_counts(entries(enc, ctxs + tgts))
+    _, _, g_warm = batch_loss_and_grads(enc.params, packed, 0.1)
+    _, _, g_cold = batch_loss_and_grads(enc.params, packed, 0.05)
+    assert float(np.abs(g_cold).sum()) > float(np.abs(g_warm).sum())
+
+
+@pytest.mark.parametrize("include_positive", [True, False])
+def test_batch_kernel_matches_per_pair_oracle(include_positive):
+    rng = random.Random(11)
+    for trial in range(6):
+        enc = small_encoder(seed=trial, buckets=64 if trial % 2 else 512)
+        ctxs, tgts = _random_batch(rng, k=rng.randrange(2, 8))
+        # repeated texts: a duplicated context, a duplicated target and a
+        # context that is also a target
+        ctxs[-1] = ctxs[0]
+        tgts[-1] = tgts[0]
+        ctxs[0] = tgts[1]
+        ctx_counts = [enc.bucket_counts(t) for t in ctxs]
+        tgt_counts = [enc.bucket_counts(t) for t in tgts]
+        loss, buckets, grads = batch_loss_and_grads(
+            enc.params, pack_counts(entries(enc, ctxs + tgts)), enc.tau, include_positive)
+        want_loss, want_grads = oracle_batch_loss_and_grads(
+            enc.params, ctx_counts, tgt_counts, enc.tau, include_positive)
+        assert loss == pytest.approx(want_loss, abs=1e-12)
+        assert buckets.tolist() == sorted(want_grads)
+        for bucket, row in zip(buckets.tolist(), grads):
+            assert np.abs(row - want_grads[bucket]).max() <= 1e-12
 
 
 def test_grad_check_rejects_bad_eps():
@@ -303,28 +335,53 @@ def test_learning_rate_schedule_shape():
 
 def test_validation_mrr_perfect_and_chance():
     enc = small_encoder()
-    ctx_counts = [enc.bucket_counts(t) for t in ("aa bb", "cc dd")]
-    assert validation_mrr(enc.params, ctx_counts, ctx_counts) == pytest.approx(1.0)
+    ctx = entries(enc, ("aa bb", "cc dd"))
+    assert validation_mrr(enc.params, *pack_validation(ctx, ctx)) == pytest.approx(1.0)
+
+
+def _brute_force_mrr(enc, contexts, targets, tie_key=lambda j: j) -> float:
+    """Mean reciprocal rank from one dot product per (context, target) pair;
+    identical target texts give identical vectors and so equal scores."""
+    queries = [enc.encode(t) for t in contexts]
+    keys = [enc.encode(t) for t in targets]
+    total = 0.0
+    for i, q in enumerate(queries):
+        row = [float(np.dot(q, k)) for k in keys]
+        order = sorted(range(len(keys)), key=lambda j: (-row[j], tie_key(j)))
+        total += 1.0 / (order.index(i) + 1)
+    return total / len(queries)
 
 
 def test_validation_mrr_ties_match_brute_force_rank():
     # three copies of one target score exactly equal; ties break by
     # ascending index, which here changes the mean (reversed ties would not)
     enc = small_encoder()
-    ctx = [enc.bucket_counts(t) for t in ("aa bb", "cc", "aa", "ee ff", "gg", "cc dd bb")]
-    tgt = [enc.bucket_counts(t) for t in ("aa bb", "cc dd", "aa bb", "ee", "ff gg hh", "aa bb")]
-    eq, _, _ = _embed_counts(enc.params, ctx)
-    ek, _, _ = _embed_counts(enc.params, tgt)
-    scores = (eq @ ek.T).tolist()
-    assert all(row[0] == row[2] == row[5] for row in scores)
+    contexts = ("aa bb", "cc", "aa", "ee ff", "gg", "cc dd bb")
+    targets = ("aa bb", "cc dd", "aa bb", "ee", "ff gg hh", "aa bb")
+    want = _brute_force_mrr(enc, contexts, targets)
+    assert _brute_force_mrr(enc, contexts, targets, tie_key=lambda j: -j) != pytest.approx(want)
+    valid = pack_validation(entries(enc, contexts), entries(enc, targets))
+    assert valid[1][0] == valid[1][2] == valid[1][5]  # the copies share one target row
+    # block 5 leaves one row in the last block, apart from two of the copies
+    for block in (512, 5, 1):
+        assert validation_mrr(enc.params, *valid, block=block) == pytest.approx(want, rel=1e-12)
 
-    def mean_rr(tie_key) -> float:
-        ranks = [sorted(range(len(tgt)), key=lambda j: (-row[j], tie_key(j))).index(i) + 1
-                 for i, row in enumerate(scores)]
-        return sum(1.0 / r for r in ranks) / len(ranks)
 
-    assert mean_rr(lambda j: -j) != pytest.approx(mean_rr(lambda j: j))
-    assert validation_mrr(enc.params, ctx, tgt) == pytest.approx(mean_rr(lambda j: j), rel=1e-12)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_validation_mrr_duplicate_targets_tie_by_index_in_any_block(seed):
+    # 37 copies of one target among 41: scoring them as separate columns of
+    # a matrix product rounds some copies differently (seen with a one-row
+    # block and with 8-row blocks), so ties would fall to rounding
+    enc = small_encoder(seed=seed, dim=64)
+    rng = np.random.default_rng(seed)
+    words = "alpha beta gamma delta epsi zeta eta theta iota kappa lam mu".split()
+    contexts = [" ".join(rng.choice(words, 6)) for _ in range(41)]
+    targets = [" ".join(rng.choice(words, 4)) if i < 4 else "alpha beta gamma" for i in range(41)]
+    want = _brute_force_mrr(enc, contexts, targets)
+    valid = pack_validation(entries(enc, contexts), entries(enc, targets))
+    assert len(valid[1]) == 41 and valid[1].max() == 4
+    for block in (512, 8, 1):  # 41 % 8 == 1: the last block holds one row
+        assert validation_mrr(enc.params, *valid, block=block) == pytest.approx(want, abs=1e-12)
 
 
 def test_checkpoint_roundtrip(tmp_path):
