@@ -90,29 +90,52 @@ _FLAG_TO_FIELD = {
 }
 
 
-def resolve_pipeline_config(args: argparse.Namespace, file_config: dict) -> PipelineConfig:
-    values = {f.name: getattr(PipelineConfig, "__dataclass_fields__")[f.name].default
-              for f in dataclasses.fields(PipelineConfig)}
-    for key, val in file_config.items():
-        if key in values:
-            values[key] = val
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        flag_val = getattr(args, flag, None)
-        if flag_val is not None:
-            values[fieldname] = flag_val
-    if getattr(args, "langs", None):
-        values["languages"] = tuple(args.langs)
-    elif isinstance(values.get("languages"), list):
-        values["languages"] = tuple(values["languages"])
+def _fits_field(field: dataclasses.Field, value) -> bool:
+    """Whether a config-file value may go in this field: a bool in a bool
+    field, an int in an int or float field, a float in a float field, and a
+    list of strings in a name field (or null where that is the default)."""
+    if field.type == "bool":
+        return isinstance(value, bool)
+    if field.type in ("int", "float"):
+        kinds = (int,) if field.type == "int" else (int, float)
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    if value is None:
+        return field.default is None
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _merge_config(cls, args: argparse.Namespace, flags: dict) -> dict:
+    """Field values of `cls`: its defaults, then the --config file, then the
+    flags that were given; a file value of the wrong type is a SchemaError."""
+    file_config = _load_file_config(args)
+    values = {}
+    for field in dataclasses.fields(cls):
+        values[field.name] = field.default
+        if field.name in file_config:
+            value = file_config[field.name]
+            if not _fits_field(field, value):
+                raise SchemaError(f"{args.config}: config key {field.name!r} "
+                                  f"expects {field.type}, got {value!r}")
+            values[field.name] = value
+        if flags.get(field.name) is not None:
+            values[field.name] = flags[field.name]
+    return values
+
+
+def resolve_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    flags = {field: getattr(args, flag, None) for flag, field in _FLAG_TO_FIELD.items()}
+    flags["languages"] = getattr(args, "langs", None)
     if getattr(args, "no_masking", False):
-        values["masking_enabled"] = False
+        flags["masking_enabled"] = False
     if getattr(args, "no_dedent", False):
-        values["dedent_enabled"] = False
+        flags["dedent_enabled"] = False
     if getattr(args, "valid_repos", None):
         names = [ln.strip() for ln in Path(args.valid_repos).read_text(encoding="utf-8").splitlines()]
-        values["valid_repos"] = frozenset(n for n in names if n and not n.startswith("#"))
-    elif isinstance(values.get("valid_repos"), list):
-        values["valid_repos"] = frozenset(values["valid_repos"])
+        flags["valid_repos"] = [n for n in names if n and not n.startswith("#")]
+    values = _merge_config(PipelineConfig, args, flags)
+    if values["languages"] is not None:
+        values["languages"] = tuple(values["languages"])
+    values["valid_repos"] = frozenset(values["valid_repos"])
     return PipelineConfig(**values)
 
 
@@ -142,7 +165,7 @@ def _ext_map(args: argparse.Namespace):
 # subcommands
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    config = resolve_pipeline_config(args, _load_file_config(args))
+    config = resolve_pipeline_config(args)
     _echo_config("prepare", config.to_dict())
     files = ingest(args.roots, config, ext_map=_ext_map(args))
     out = Path(args.out)
@@ -167,7 +190,7 @@ def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusF
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
-    config = resolve_pipeline_config(args, _load_file_config(args))
+    config = resolve_pipeline_config(args)
     _echo_config("pairs", config.to_dict())
     files = _files_for(args, config)
     records = make_pairs(files, config)
@@ -178,7 +201,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    config = resolve_pipeline_config(args, _load_file_config(args))
+    config = resolve_pipeline_config(args)
     _echo_config("batch", {"budget": config.token_budget, "shards": str(args.shards)})
     train, valid = read_shard_dir(args.shards)
     out = Path(args.out)
@@ -233,22 +256,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+_TRAIN_FLAG_TO_FIELD = {"steps": "steps", "lr": "lr", "seed": "seed", "d": "dim", "tau": "tau",
+                        "buckets": "buckets", "budget": "token_budget",
+                        "eval_every": "eval_every", "valid_cap": "valid_cap"}
+
+
 def cmd_train_toy(args: argparse.Namespace) -> int:
-    file_config = _load_file_config(args)
-    values = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-    for key, val in file_config.items():
-        if key in values:
-            values[key] = val
-    for flag, fieldname in (("steps", "steps"), ("lr", "lr"), ("seed", "seed"),
-                            ("d", "dim"), ("tau", "tau"), ("buckets", "buckets"),
-                            ("budget", "token_budget"), ("eval_every", "eval_every"),
-                            ("valid_cap", "valid_cap")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            values[fieldname] = val
+    flags = {field: getattr(args, flag, None) for flag, field in _TRAIN_FLAG_TO_FIELD.items()}
     if args.negatives_only_denominator:
-        values["include_positive"] = False
-    config = TrainConfig(**values)
+        flags["include_positive"] = False
+    config = TrainConfig(**_merge_config(TrainConfig, args, flags))
     _echo_config("train-toy", dataclasses.asdict(config))
     train, valid = read_shard_dir(args.shards)
     if not train:

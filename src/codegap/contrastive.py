@@ -148,12 +148,21 @@ class ToyEncoder:
     @classmethod
     def load(cls, path: str | Path) -> "ToyEncoder":
         path = Path(path)
-        sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
+        sidecar_path = Path(str(path) + ".json")
+        try:
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CodegapError(f"{sidecar_path}: invalid checkpoint sidecar: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise CodegapError(f"{sidecar_path}: a checkpoint sidecar must hold one JSON object")
         if sidecar.get("format_version") != CHECKPOINT_FORMAT:
             raise CodegapError(f"unsupported checkpoint format: {sidecar.get('format_version')}")
+        tau = sidecar.get("tau")
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+            raise CodegapError(f"{sidecar_path}: checkpoint sidecar needs a numeric 'tau', got {tau!r}")
         with path.open("rb") as fh:
             params = np.load(fh)
-        return cls(params=params, tau=float(sidecar["tau"]))
+        return cls(params=params, tau=float(tau))
 
 
 # --------------------------------------------------------------------------

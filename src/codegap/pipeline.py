@@ -220,17 +220,6 @@ class PairRecord:
         }
 
 
-def _pair_to_record(pair: ContextTargetPair, split_name: str) -> PairRecord:
-    return PairRecord(
-        pair_id=pair.pair_id,
-        language=pair.language.name,
-        context=pair.context_text,
-        target=pair.target_text,
-        meta=pair.meta.to_dict(),
-        split=split_name,
-    )
-
-
 def generate_pairs_for_source(source: str, language: Language, *, seed: int,
                               source_name: str, pair_id_prefix: str,
                               config: PipelineConfig) -> list[ContextTargetPair]:
@@ -276,18 +265,19 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
     return pairs
 
 
-def _worker_generate(args: tuple) -> tuple[str, list[dict], str, str]:
+def _worker_generate(args: tuple) -> list[PairRecord]:
     path_str, lang_name, digest, split_name, config = args
-    language = get_language(lang_name)
     try:
         source = Path(path_str).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         log.warning("skipping %s: %s", path_str, exc)
-        return digest, [], lang_name, split_name
+        return []
     pairs = generate_pairs_for_source(
-        source, language, seed=file_seed(config.seed, digest),
+        source, get_language(lang_name), seed=file_seed(config.seed, digest),
         source_name=path_str, pair_id_prefix=digest[:16], config=config)
-    return digest, [_pair_to_record(p, split_name).to_record() for p in pairs], lang_name, split_name
+    return [PairRecord(pair_id=p.pair_id, language=p.language.name, context=p.context_text,
+                       target=p.target_text, meta=p.meta.to_dict(), split=split_name)
+            for p in pairs]
 
 
 def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[PairRecord]:
@@ -295,15 +285,12 @@ def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[Pair
     ordered = sorted(files, key=lambda f: f.content_hash)
     tasks = [(str(f.path), f.language, f.content_hash, f.split, config) for f in ordered]
     if config.jobs <= 1:
-        results = map(_worker_generate, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_worker_generate, tasks, chunksize=4))
-    for digest, records, lang_name, split_name in results:
-        for rec in records:
-            yield PairRecord(pair_id=rec["id"], language=rec["language"],
-                             context=rec["context"], target=rec["target"],
-                             meta=rec["meta"], split=split_name)
+        for records in map(_worker_generate, tasks):
+            yield from records
+        return
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        for records in pool.map(_worker_generate, tasks, chunksize=4):
+            yield from records
 
 
 # --------------------------------------------------------------------------

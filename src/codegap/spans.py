@@ -72,19 +72,17 @@ def _eligible_nodes(tree: SyntaxTree) -> tuple[list[Node], list[Node]]:
     """Preorder (internal, leaf) seed candidates, error subtrees excluded."""
     internal: list[Node] = []
     leaves: list[Node] = []
-
-    def visit(node: Node, in_error: bool) -> None:
-        in_error = in_error or node.kind == "error"
-        if not in_error and node is not tree.root:
-            if node.is_leaf:
-                if not _is_delimiter_leaf(node) and node.token.kind not in WHITESPACE_KINDS:
-                    leaves.append(node)
-            else:
-                internal.append(node)
-        for child in node.children:
-            visit(child, in_error)
-
-    visit(tree.root, False)
+    stack = list(reversed(tree.root.children))
+    while stack:
+        node = stack.pop()
+        if node.kind == "error":
+            continue
+        if node.is_leaf:
+            if not _is_delimiter_leaf(node) and node.token.kind not in WHITESPACE_KINDS:
+                leaves.append(node)
+        else:
+            internal.append(node)
+            stack.extend(reversed(node.children))
     return internal, leaves
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EncodingError, IndexOutOfRange
 from .languages import Language, get_language
@@ -26,8 +26,6 @@ from .tokenizer import (
     make_marker,
     tokenize,
 )
-
-_Nested = Union[Token, tuple[str, list]]
 
 CONTROL_KEYWORDS = frozenset(
     "if else elif for while do switch try catch finally return break continue goto "
@@ -46,7 +44,7 @@ class Node:
     __slots__ = ("kind", "children", "token", "leaf_start", "leaf_count",
                  "parent", "child_index")
 
-    def __init__(self, kind: str, children: tuple["Node", ...] = (), token: Token | None = None):
+    def __init__(self, kind: str, children: Sequence["Node"] = (), token: Token | None = None):
         self.kind = kind
         self.children = children
         self.token = token
@@ -76,6 +74,10 @@ class Node:
         return f"Node({self.kind!r}, leaves[{self.leaf_start}:{self.leaf_end}])"
 
 
+def _leaf(tok: Token) -> Node:
+    return Node(tok.kind, token=tok)
+
+
 @dataclass
 class SyntaxTree:
     language: Language
@@ -97,28 +99,27 @@ class SyntaxTree:
         return len(self.leaves)
 
 
-def _finalize(nested: _Nested, leaves: list[Token]) -> Node:
-    if isinstance(nested, Token):
-        node = Node(nested.kind, token=nested)
-        node.leaf_start = len(leaves)
-        node.leaf_count = 1
-        leaves.append(nested)
-        return node
-    kind, items = nested
-    start = len(leaves)
-    children = tuple(_finalize(item, leaves) for item in items)
-    node = Node(kind, children=children)
-    node.leaf_start = start
-    node.leaf_count = len(leaves) - start
-    for idx, child in enumerate(children):
-        child.parent = node
-        child.child_index = idx
-    return node
-
-
-def _build_tree(nested_children: list[_Nested], language: Language) -> SyntaxTree:
+def _build_tree(children: list[Node], language: Language) -> SyntaxTree:
+    """Hang fresh nodes under a program root and number them in preorder:
+    leaf ranges, parent links and child indexes, collecting the leaves."""
+    root = Node("program", children)
     leaves: list[Token] = []
-    root = _finalize(("program", nested_children), leaves)
+    internal: list[Node] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.leaf_start = len(leaves)
+        if node.token is not None:
+            leaves.append(node.token)
+            node.leaf_count = 1
+            continue
+        internal.append(node)
+        for idx, child in enumerate(node.children):
+            child.parent = node
+            child.child_index = idx
+        stack.extend(reversed(node.children))
+    for node in reversed(internal):  # children before their parents
+        node.leaf_count = node.children[-1].leaf_end - node.leaf_start if node.children else 0
     source = "".join(t.text for t in leaves)
     return SyntaxTree(language=language, source=source, leaves=leaves, root=root)
 
@@ -126,136 +127,119 @@ def _build_tree(nested_children: list[_Nested], language: Language) -> SyntaxTre
 # --------------------------------------------------------------------------
 # bracket grouping (shared by both block styles)
 
-def _group_brackets(tokens: list[Token]) -> list[_Nested]:
+def _group_brackets(tokens: list[Token]) -> list[Node]:
     """Nest bracket pairs; unmatched delimiters end up inside error nodes."""
-
-    def parse_items(i: int, closing: str | None) -> tuple[list[_Nested], int, bool]:
-        items: list[_Nested] = []
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok.kind in OPEN_BRACKETS and tok.kind == tok.text:
-                inner, j, ok = parse_items(i + 1, MATCHING_BRACKET[tok.text])
-                group: list[_Nested] = [tok, *inner]
-                if ok:
-                    group.append(tokens[j])
-                    items.append((OPEN_BRACKETS[tok.text], group))
-                    i = j + 1
-                else:
-                    items.append(("error", group))
-                    i = j
+    groups: list[list[Node]] = [[]]  # items of each open group, outermost first
+    for tok in tokens:
+        if tok.kind == tok.text and tok.text in BRACKET_TEXTS:
+            if tok.text in OPEN_BRACKETS:
+                groups.append([_leaf(tok)])
                 continue
-            if tok.text in BRACKET_TEXTS and tok.kind == tok.text:
-                if tok.text == closing:
-                    return items, i, True
-                items.append(("error", [tok]))  # stray closer
-                i += 1
-                continue
-            items.append(tok)
-            i += 1
-        return items, i, False
-
-    items, _, _ = parse_items(0, None)
-    return items
-
-
-def _is_trivia(item: _Nested) -> bool:
-    return isinstance(item, Token) and item.kind in TRIVIA_KINDS
+            if len(groups) > 1 and tok.text == MATCHING_BRACKET[groups[-1][0].token.text]:
+                items = groups.pop()
+                items.append(_leaf(tok))
+                groups[-1].append(Node(OPEN_BRACKETS[items[0].token.text], items))
+            else:
+                groups[-1].append(Node("error", [_leaf(tok)]))  # stray closer
+            continue
+        groups[-1].append(_leaf(tok))
+    while len(groups) > 1:  # still open at the end of input
+        items = groups.pop()
+        groups[-1].append(Node("error", items))
+    return groups[0]
 
 
-def _is_error(item: _Nested) -> bool:
-    return isinstance(item, tuple) and item[0] == "error"
+def _is_trivia(node: Node) -> bool:
+    return node.token is not None and node.kind in TRIVIA_KINDS
 
 
-def _first_leaf_token(item: _Nested) -> Token:
-    while not isinstance(item, Token):
-        item = item[1][0]
-    return item
+def _first_leaf_token(node: Node) -> Token:
+    while node.token is None:
+        node = node.children[0]
+    return node.token
+
+
+def _is_text(node: Node, text: str) -> bool:
+    return node.token is not None and node.token.text == text
 
 
 # --------------------------------------------------------------------------
 # brace-language statement grouping
 
-def _statement_kind(first_kw: str | None, parts: list[_Nested]) -> str:
+def _statement_kind(first_kw: str | None, parts: list[Node]) -> str:
     if first_kw in CONTROL_KEYWORDS:
         return f"{first_kw}_statement"
     if first_kw in DECLARATION_KEYWORDS:
         return _KIND_ALIASES.get(first_kw, f"{first_kw}_declaration")
-    if any(isinstance(p, tuple) and p[0] == "block" for p in parts):
+    if any(p.kind == "block" for p in parts):
         return "definition"
     return "statement"
 
 
-def _skip_trivia(items: list[_Nested], i: int) -> int:
+def _skip_trivia(items: list[Node], i: int) -> int:
     while i < len(items) and _is_trivia(items[i]):
         i += 1
     return i
 
 
-def _continues_statement(first_kw: str | None, item: _Nested) -> bool:
-    if not isinstance(item, Token):
-        return False
-    if item.text in ("else", "catch", "finally"):
-        return True
-    if item.text == "while" and first_kw == "do":
-        return True
-    return item.text == ";"
+def _continues_statement(first_kw: str | None, node: Node) -> bool:
+    text = node.token.text if node.token is not None else None
+    return text in ("else", "catch", "finally", ";") or (text == "while" and first_kw == "do")
 
 
-def _regroup(item: tuple, lang: Language) -> _Nested:
-    kind, inner = item
-    if kind == "block" and len(inner) >= 2:
-        return (kind, [inner[0], *_group_statements(inner[1:-1], lang), inner[-1]])
-    return (kind, [x if isinstance(x, Token) else _regroup(x, lang) for x in inner])
-
-
-def _group_statements(items: list[_Nested], lang: Language) -> list[_Nested]:
-    processed: list[_Nested] = [
-        item if isinstance(item, Token) else _regroup(item, lang) for item in items
-    ]
-    out: list[_Nested] = []
+def _group_statements(items: list[Node], lang: Language) -> list[Node]:
+    """Group one block interior (or the top level) into statement nodes."""
+    out: list[Node] = []
     i = 0
-    n = len(processed)
+    n = len(items)
     while i < n:
-        item = processed[i]
-        if _is_trivia(item) or _is_error(item):
+        item = items[i]
+        if _is_trivia(item) or item.kind == "error":
             out.append(item)
             i += 1
             continue
         first = _first_leaf_token(item)
         first_kw = first.text if first.kind == "keyword" else None
         consume_to_semi = lang.name == "c" and first_kw == "typedef"
-        parts: list[_Nested] = [item]
-        ended = isinstance(item, Token) and item.text == ";"
+        parts: list[Node] = [item]
+        ended = _is_text(item, ";")
         i += 1
         while not ended and i < n:
-            nxt = processed[i]
-            if _is_error(nxt):
-                break
-            if isinstance(nxt, Token) and nxt.text == ";":
-                parts.append(nxt)
-                i += 1
+            nxt = items[i]
+            if nxt.kind == "error":
                 break
             parts.append(nxt)
             i += 1
-            if isinstance(nxt, tuple) and nxt[0] == "block" and not consume_to_semi:
-                j = _skip_trivia(processed, i)
-                if j < n and _continues_statement(first_kw, processed[j]):
-                    cont = processed[j]
-                    parts.extend(processed[i:j + 1])
+            if _is_text(nxt, ";"):
+                break
+            if nxt.kind == "block" and not consume_to_semi:
+                j = _skip_trivia(items, i)
+                if j < n and _continues_statement(first_kw, items[j]):
+                    parts.extend(items[i:j + 1])
                     i = j + 1
-                    if isinstance(cont, Token) and cont.text == ";":
+                    if _is_text(items[j], ";"):
                         break
                     continue
                 break
-        if len(parts) == 1 and isinstance(parts[0], tuple):
+        if len(parts) == 1 and parts[0].token is None:
             out.append(parts[0])
         else:
-            out.append((_statement_kind(first_kw, parts), parts))
+            out.append(Node(_statement_kind(first_kw, parts), parts))
     return out
 
 
-def _build_brace_nested(tokens: list[Token], lang: Language) -> list[_Nested]:
-    return _group_statements(_group_brackets(tokens), lang)
+def _build_brace_items(tokens: list[Token], lang: Language) -> list[Node]:
+    """Bracket groups, with statements grouped at the top level and inside
+    every closed block. Each block's grouping depends on no other block's,
+    so the blocks are visited in any order."""
+    items = _group_brackets(tokens)
+    stack = list(items)
+    while stack:
+        node = stack.pop()
+        if node.kind == "block":
+            node.children[1:-1] = _group_statements(node.children[1:-1], lang)
+        stack.extend(node.children)
+    return _group_statements(items, lang)
 
 
 # --------------------------------------------------------------------------
@@ -301,11 +285,11 @@ _CLAUSE_OWNERS = {
 }
 
 
-def _items_end_with_colon(items: list[_Nested]) -> bool:
+def _items_end_with_colon(items: list[Node]) -> bool:
     for item in reversed(items):
         if _is_trivia(item):
             continue
-        return isinstance(item, Token) and item.text == ":"
+        return _is_text(item, ":")
     return False
 
 
@@ -316,71 +300,65 @@ def _next_real_index(lines: list[_LogicalLine], pos: int) -> int | None:
     return None
 
 
-def _build_statement(lines: list[_LogicalLine], pos: int) -> tuple[list[_Nested], int]:
-    line = lines[pos]
-    first_sig = line.significant[0]
-    stmt_kw = first_sig.text if first_sig.kind == "keyword" else None
+class _Statement:
+    """A statement being built: its header line, then suites and clauses."""
 
-    line_items = list(line.items)
-    leading: list[_Nested] = []
-    if line_items and isinstance(line_items[0], Token) and line_items[0].kind == "whitespace":
-        leading.append(line_items.pop(0))
-    parts: list[_Nested] = line_items
-    pos += 1
-    cur = line
+    __slots__ = ("keyword", "indent", "leading", "parts")
 
-    while _items_end_with_colon(parts):
-        k = _next_real_index(lines, pos)
-        if k is None or lines[k].indent <= cur.indent:
-            break
-        suite_items, pos = _build_suite(lines, pos, lines[k].indent)
-        parts.append(("block", suite_items))
-        k = _next_real_index(lines, pos)
-        if k is None:
-            break
-        cand = lines[k]
-        sig = cand.significant[0]
-        if (cand.indent == cur.indent and sig.kind == "keyword"
-                and stmt_kw in _CLAUSE_OWNERS.get(sig.text, ())):
-            for blank in lines[pos:k]:
-                parts.extend(blank.items)
-            parts.extend(cand.items)  # clause line, leading ws included
-            pos = k + 1
-            cur = cand
-            continue
-        break
+    def __init__(self, line: _LogicalLine):
+        first_sig = line.significant[0]
+        self.keyword = first_sig.text if first_sig.kind == "keyword" else None
+        self.indent = line.indent
+        self.parts = list(line.items)
+        self.leading = [self.parts.pop(0)] if self.parts[0].kind == "whitespace" else []
 
-    if stmt_kw is None and len(parts) == 1 and isinstance(parts[0], tuple):
-        node = parts[0]
-    else:
-        node = (_statement_kind(stmt_kw, parts), parts)
-    return leading + [node], pos
+    def node(self) -> Node:
+        parts = self.parts
+        if self.keyword is None and len(parts) == 1 and parts[0].token is None:
+            return parts[0]
+        return Node(_statement_kind(self.keyword, parts), parts)
 
 
-def _build_suite(lines: list[_LogicalLine], pos: int, level: int) -> tuple[list[_Nested], int]:
-    items: list[_Nested] = []
-    while pos < len(lines):
-        line = lines[pos]
-        if line.blank:
-            k = _next_real_index(lines, pos + 1)
-            if k is not None and lines[k].indent < level:
-                break
-            items.extend(line.items)
-            pos += 1
-            continue
-        if line.indent < level:
-            break
-        stmt_items, pos = _build_statement(lines, pos)
-        items.extend(stmt_items)
-    return items, pos
-
-
-def _build_indent_nested(tokens: list[Token], lang: Language) -> list[_Nested]:
+def _build_indent_items(tokens: list[Token]) -> list[Node]:
+    """Nest python suites under the statements whose header ends in a colon,
+    with an explicit stack of open suites."""
     lines = _split_logical_lines(tokens)
-    items, pos = _build_suite(lines, 0, 0)
-    for line in lines[pos:]:  # leftovers from pathological dedents
-        items.extend(line.items)
-    return items
+    suites: list[tuple[list[Node], int]] = [([], 0)]  # items and indent of each open suite
+    owners: list[_Statement] = []  # the statement owning each suite but the outermost
+    pos = 0
+    while True:
+        items, level = suites[-1]
+        k = _next_real_index(lines, pos)
+        if pos < len(lines) and (k is None or lines[k].indent >= level):
+            if lines[pos].blank:
+                items.extend(lines[pos].items)
+                pos += 1
+                continue
+            stmt = _Statement(lines[pos])
+            pos += 1
+        else:  # the innermost suite ends here
+            if not owners:
+                return items
+            suites.pop()
+            stmt = owners.pop()
+            stmt.parts.append(Node("block", items))
+            cand = lines[k] if k is not None else None
+            if (cand is None or cand.indent != stmt.indent
+                    or cand.significant[0].kind != "keyword"
+                    or stmt.keyword not in _CLAUSE_OWNERS.get(cand.significant[0].text, ())):
+                suites[-1][0].extend([*stmt.leading, stmt.node()])
+                continue
+            for blank in lines[pos:k]:
+                stmt.parts.extend(blank.items)
+            stmt.parts.extend(cand.items)  # clause line, leading ws included
+            pos = k + 1
+        if _items_end_with_colon(stmt.parts):
+            k = _next_real_index(lines, pos)
+            if k is not None and lines[k].indent > stmt.indent:
+                owners.append(stmt)
+                suites.append(([], lines[k].indent))
+                continue
+        suites[-1][0].extend([*stmt.leading, stmt.node()])
 
 
 # --------------------------------------------------------------------------
@@ -396,10 +374,8 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
     tokens = tokenize(source, lang)
     if lang.indent_blocks:
-        nested = _build_indent_nested(tokens, lang)
-    else:
-        nested = _build_brace_nested(tokens, lang)
-    return _build_tree(nested, lang)
+        return _build_tree(_build_indent_items(tokens), lang)
+    return _build_tree(_build_brace_items(tokens, lang), lang)
 
 
 def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:
@@ -431,42 +407,39 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
 # --------------------------------------------------------------------------
 # structural rebuilds used by file truncation
 
-def _node_to_nested(node: Node) -> _Nested:
-    if node.is_leaf:
-        return node.token
-    return (node.kind, [_node_to_nested(c) for c in node.children])
+def _copy_subtrees(nodes: Iterable[Node], swap: dict[int, Node | None]) -> list[Node]:
+    """Fresh copies of the given subtrees, iteratively; a node whose id is in
+    `swap` is replaced by the node it maps to, or dropped if that is None."""
+    copies: list[Node] = []
+    pending = [(nodes, copies)]
+    while pending:
+        originals, siblings = pending.pop()
+        for node in originals:
+            if id(node) in swap:
+                if swap[id(node)] is not None:
+                    siblings.append(swap[id(node)])
+            elif node.token is not None:
+                siblings.append(_leaf(node.token))
+            else:
+                copy = Node(node.kind, [])
+                siblings.append(copy)
+                pending.append((node.children, copy.children))
+    return copies
 
 
 def tree_from_run(tree: SyntaxTree, run: tuple[Node, ...] | list[Node]) -> SyntaxTree:
     """A standalone tree viewing a sibling run as its own program."""
-    nested = [_node_to_nested(n) for n in run]
-    return _build_tree(nested, tree.language)
+    return _build_tree(_copy_subtrees(run, {}), tree.language)
 
 
 def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[Node, ...]]) -> SyntaxTree:
     """Rebuild the tree with each sibling run replaced by one fold marker."""
     if not runs:
         return tree
-    fold_at: dict[int, Token] = {}
-    removed: set[int] = set()
+    swap: dict[int, Node | None] = {}
     for run in runs:
-        marker = make_marker(tree.language.fold_token, "fold",
-                             at=tree.leaves[run[0].leaf_start])
-        fold_at[id(run[0])] = marker
         for node in run:
-            removed.add(id(node))
-
-    def rebuild_children(node: Node) -> list[_Nested]:
-        out: list[_Nested] = []
-        for child in node.children:
-            if id(child) in fold_at:
-                out.append(fold_at[id(child)])
-            elif id(child) in removed:
-                continue
-            elif child.is_leaf:
-                out.append(child.token)
-            else:
-                out.append((child.kind, rebuild_children(child)))
-        return out
-
-    return _build_tree(rebuild_children(tree.root), tree.language)
+            swap[id(node)] = None
+        swap[id(run[0])] = _leaf(make_marker(tree.language.fold_token, "fold",
+                                             at=tree.leaves[run[0].leaf_start]))
+    return _build_tree(_copy_subtrees(tree.root.children, swap), tree.language)

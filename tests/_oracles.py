@@ -6,11 +6,12 @@ plain loops, not shared with package code.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from codegap.languages import Language
 from codegap.tokenizer import Token
-from codegap.tree import SyntaxTree, _build_tree
+from codegap.tree import Node, SyntaxTree, _build_tree
 
 
 # --------------------------------------------------------------------------
@@ -60,8 +61,6 @@ def oracle_reciprocal_rank(ranking: list[str], relevant: set[str]) -> float:
 def exhaustive_metric_comparison() -> float:
     """Worst absolute deviation from the oracles over every ranking of pools
     with up to six candidates and up to three relevant ones."""
-    import itertools
-
     from codegap.retrieval import (
         RankedList,
         average_precision,
@@ -177,28 +176,19 @@ def make_leaf_tokens(n: int, text: str = "t") -> list[Token]:
 
 def make_tree(spec, language: Language) -> SyntaxTree:
     """Build a tree from ("kind", [children]) / int (leaf count) nesting."""
-    counter = [0]
+    counter = itertools.count()
 
-    def nested(node_spec):
+    def nodes(node_spec) -> list[Node]:
         if isinstance(node_spec, int):
             leaves = []
             for _ in range(node_spec):
-                i = counter[0]
-                counter[0] += 1
-                leaves.append(Token(text=f"x{i} ", byte_start=i * 4, byte_end=i * 4 + 3,
-                                    kind="identifier", is_identifier=True, line=0,
-                                    column=i * 4, column_expanded=i * 4))
+                i = next(counter)
+                leaves.append(Node("identifier", token=Token(
+                    text=f"x{i} ", byte_start=i * 4, byte_end=i * 4 + 3, kind="identifier",
+                    is_identifier=True, line=0, column=i * 4, column_expanded=i * 4)))
             return leaves
         kind, children = node_spec
-        items = []
-        for child in children:
-            result = nested(child)
-            if isinstance(result, list):
-                items.extend(result)
-            else:
-                items.append(result)
-        return (kind, items)
+        return [Node(kind, [node for child in children for node in nodes(child)])]
 
-    top = nested(spec)
-    children = top[1] if isinstance(top, tuple) else top
-    return _build_tree(list(children) if isinstance(children, list) else [children], language)
+    top = nodes(spec)
+    return _build_tree(top if isinstance(spec, int) else top[0].children, language)

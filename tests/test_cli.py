@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -59,6 +60,46 @@ def test_pairs_deterministic_across_runs_and_jobs(small_corpus, tmp_path):
     assert outs[0]
 
 
+
+# SHA-256 of the pairs shards (relative path, then bytes, per file in path
+# order) for the mixed corpus below at --seed 0, taken from the tree code that
+# built nested tuples first; it pins tree shape and the order of RNG draws
+MIXED_PAIRS_SHA256 = "0266f789fc1458ab39f722e0c9f2f402fd1839556dad4c3b683498b3737d4af1"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pairs_match_golden_digest(tmp_path, monkeypatch, jobs):
+    write_mixed_corpus(tmp_path / "corpus", seed=3, files_per_lang=30)
+    monkeypatch.chdir(tmp_path)  # relative roots keep absolute paths out of "source"
+    assert main(["pairs", "--roots", "corpus", "--out", "out", "--seed", "0",
+                 "--jobs", jobs]) == 0
+    digest = hashlib.sha256()
+    for name, data in shard_bytes(tmp_path / "out").items():
+        digest.update(Path(name).as_posix().encode() + b"\n" + data)
+    assert digest.hexdigest() == MIXED_PAIRS_SHA256
+
+
+def test_pairs_with_deeply_nested_file(small_corpus, tmp_path):
+    reference = tmp_path / "reference"
+    assert main(["pairs", "--roots", str(small_corpus), "--out", str(reference),
+                 "--seed", "4"]) == 0
+    corpus = tmp_path / "corpus"
+    for path in small_corpus.rglob("*"):
+        if path.is_file():
+            target = corpus / path.relative_to(small_corpus)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(path.read_bytes())
+    (corpus / "deep.js").write_text("let x = " + "[" * 5000 + "1" + "]" * 5000 + ";\n",
+                                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pairs", "--roots", str(corpus), "--out", str(out), "--seed", "4"]) == 0
+    records = [r for path in sorted(out.rglob("*.jsonl")) for r in read_jsonl(path)]
+    expected = [r for path in sorted(reference.rglob("*.jsonl")) for r in read_jsonl(path)]
+    sources = {r.meta["source"] for r in records}
+    assert str(corpus / "deep.js") in sources
+    assert ({(r.pair_id, r.context, r.target) for r in expected}
+            <= {(r.pair_id, r.context, r.target) for r in records})
+
 def test_pairs_from_manifest_matches_roots(small_corpus, tmp_path):
     manifest = tmp_path / "m.jsonl"
     main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)])
@@ -100,6 +141,42 @@ def test_malformed_config_is_data_error(tmp_path, capsys, subcommand, content):
     assert "bad_cfg.json" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "m").exists()
 
+
+
+@pytest.mark.parametrize("subcommand,config", [
+    ("train-toy", {"steps": "10"}),
+    ("train-toy", {"lr": True}),
+    ("train-toy", {"include_positive": 1}),
+    ("pairs", {"seed": "x"}),
+    ("pairs", {"seed": 1.5}),
+    ("pairs", {"mask_prob": "0.9"}),
+    ("pairs", {"masking_enabled": "no"}),
+    ("pairs", {"languages": "python"}),
+    ("pairs", {"valid_repos": [1, 2]}),
+])
+def test_config_value_of_wrong_type_is_data_error(tmp_path, capsys, subcommand, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    args = {"pairs": ["pairs", "--roots", str(tmp_path), "--out", str(tmp_path / "out")],
+            "train-toy": ["train-toy", "--shards", str(tmp_path), "--out", str(tmp_path / "m")]}
+    assert main(["--config", str(cfg), *args[subcommand]]) == 2
+    err = capsys.readouterr().err
+    assert repr(next(iter(config))) in err and "cfg.json" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "m").exists()
+
+
+def test_config_accepts_well_typed_values(small_corpus, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "mask_prob": 1, "stddev_target_len": 40.0,
+                               "dedent_enabled": False, "languages": ["python", "c"],
+                               "valid_repos": ["python_repo1"], "jobs": 1}),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "pairs", "--roots", str(small_corpus),
+                 "--out", str(out)]) == 0
+    names = sorted(str(p.relative_to(out)) for p in out.rglob("*.jsonl"))
+    assert names == ["train/c-00000.jsonl", "train/python-00000.jsonl",
+                     "valid/python-00000.jsonl"]
 
 def test_config_file_flag_precedence(small_corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -183,6 +260,22 @@ def test_eval_unsupported_checkpoint_is_data_error(tmp_path, capsys):
     assert main([*args, "--model", "toy", "--checkpoint", str(ckpt)]) == 2
     assert "unsupported checkpoint format: 99" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("sidecar", [[], {"format_version": 1}, {"tau": "0.1"}, {"tau": None},
+                                     {"tau": True}, "{not json"])
+def test_eval_malformed_checkpoint_sidecar_is_data_error(tmp_path, capsys, sidecar):
+    args = _embedding_eval_files(tmp_path, {})[:7]
+    ckpt = tmp_path / "toy.ckpt"
+    ToyEncoder.create(seed=0, dim=8, buckets=64).save(ckpt)
+    path = Path(str(ckpt) + ".json")
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(sidecar, dict):
+        sidecar = {"format_version": meta["format_version"], **sidecar}
+    path.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar),
+                    encoding="utf-8")
+    assert main([*args, "--model", "toy", "--checkpoint", str(ckpt)]) == 2
+    assert "toy.ckpt.json" in capsys.readouterr().err
 
 def test_eval_usage_error_without_scorer(tmp_path):
     empty = tmp_path / "x.jsonl"

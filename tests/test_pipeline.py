@@ -95,6 +95,24 @@ def test_truncate_long_file_reconstructs(parsed_corpus):
             assert tokens_balanced(segment.leaves)
 
 
+
+def _preorder_shape(tree):
+    return [(id(n), n.kind, n.leaf_start, n.leaf_count, n.child_index, id(n.parent), n.token)
+            for n in tree.walk()]
+
+
+def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):
+    cfg = PipelineConfig()
+    long_trees = [t for _, t in parsed_corpus if t.leaf_count > cfg.truncation_threshold]
+    assert long_trees
+    for tree in long_trees[:6]:
+        before = _preorder_shape(tree)
+        leaves = list(tree.leaves)
+        result = truncate_file(tree, random.Random(5), cfg)
+        assert result.was_truncated
+        assert _preorder_shape(tree) == before
+        assert tree.leaves == leaves
+
 def test_make_pairs_deterministic_and_parallel_stable(tmp_path, mixed_corpus):
     root, _ = mixed_corpus
     cfg = PipelineConfig(seed=13)

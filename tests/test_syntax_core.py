@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,8 @@ from codegap.languages import (
     load_extension_map,
     supported_languages,
 )
+from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
+from codegap.spans import select_span
 from codegap.tokenizer import tokenize
 from codegap.tree import identifier_occurrences, indentation_of, parse
 
@@ -177,3 +182,53 @@ def test_extension_registry(tmp_path):
 
 def test_default_extensions_cover_supported_grammars():
     assert set(DEFAULT_EXTENSIONS.values()) == set(supported_languages())
+
+
+# SHA-256 of every parsed_corpus tree's preorder (kind, leaf_start, leaf_count),
+# taken from the nested-tuple builders this tree code replaced
+CORPUS_TREE_SHAPES_SHA256 = "3e282d5b4cbe3a84301c27d1296dd6ea597cba4cbb0a670e8cf8b2d2d8c7d5c4"
+
+
+def test_corpus_tree_shapes_match_golden_digest(parsed_corpus):
+    digest = hashlib.sha256()
+    for _, tree in parsed_corpus:
+        for node in tree.walk():
+            digest.update(f"{node.kind} {node.leaf_start} {node.leaf_count}\n".encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == CORPUS_TREE_SHAPES_SHA256
+
+
+DEEP = 5000
+DEEP_SOURCES = {
+    "c": "int f(void) " + "{" * DEEP + "g();" + "}" * DEEP + "\n",
+    "java": "class A { void f() " + "{" * DEEP + "g();" + "}" * DEEP + " }\n",
+    "javascript": "let x = " + "[" * DEEP + "1" + "]" * DEEP + ";\n",
+    "python": "x = " + "(" * DEEP + "1" + ")" * DEEP + "\n",
+    "python_suites": "".join(" " * i + "if x:\n" for i in range(600)) + " " * 600 + "pass\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+def test_deep_nesting_parses_splits_and_truncates(name):
+    src = DEEP_SOURCES[name]
+    tree = parse(src, name.split("_")[0])
+    assert roundtrip(tree, src)
+    assert max(_depths(tree)) >= 600
+
+    span = select_span(tree, 64, random.Random(0))
+    assert 0 < span.leaf_count <= 64
+    assert span.sibling_run[-1].leaf_end - span.sibling_run[0].leaf_start == span.leaf_count
+
+    cfg = PipelineConfig()
+    assert tree.leaf_count > cfg.truncation_threshold
+    result = truncate_file(tree, random.Random(0), cfg)
+    assert result.was_truncated
+    assert splice_truncation(result, tree.language.fold_token) == [t.text for t in tree.leaves]
+
+
+def _depths(tree):
+    depth = {id(tree.root): 0}
+    for node in tree.walk():
+        if node.parent is not None:
+            depth[id(node)] = depth[id(node.parent)] + 1
+    return depth.values()
