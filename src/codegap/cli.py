@@ -52,7 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
+def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags that pick and split the corpus files."""
+    sub.add_argument("--langs", nargs="+", default=None)
+    sub.add_argument("--valid-repos", type=Path, default=None,
+                     help="file listing repository names reserved for validation")
+    sub.add_argument("--ext-map", type=Path, default=None,
+                     help="ext=grammar lines overriding the extension registry")
+
+
+def _add_pair_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags that shape pair generation and shard writing."""
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--mean", type=float, default=None, help="mean sampled target length")
     sub.add_argument("--stddev", type=float, default=None, help="stddev of target length")
@@ -61,17 +71,11 @@ def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mask-prob", type=float, default=None)
     sub.add_argument("--skip-prob", type=float, default=None)
     sub.add_argument("--threshold", type=int, default=None, help="truncation threshold in tokens")
-    sub.add_argument("--budget", type=int, default=None, help="batch token budget")
-    sub.add_argument("--langs", nargs="+", default=None)
     sub.add_argument("--shard-size", type=int, default=None)
     sub.add_argument("--pairs-per-input", type=int, default=None)
     sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--no-masking", action="store_true")
     sub.add_argument("--no-dedent", action="store_true")
-    sub.add_argument("--valid-repos", type=Path, default=None,
-                     help="file listing repository names reserved for validation")
-    sub.add_argument("--ext-map", type=Path, default=None,
-                     help="ext=grammar lines overriding the extension registry")
 
 
 _FLAG_TO_FIELD = {
@@ -183,7 +187,8 @@ def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusF
     if getattr(args, "manifest", None):
         rows = read_jsonl_objects(args.manifest, ("path", "language", "hash", "split"))
         return [CorpusFile(path=Path(obj["path"]), language=obj["language"],
-                           content_hash=obj["hash"], split=obj["split"]) for _, obj in rows]
+                           content_hash=obj["hash"], split=obj["split"]) for _, obj in rows
+                if not config.languages or obj["language"] in config.languages]
     if not args.roots:
         raise UsageError("pairs needs --roots or --manifest")
     return ingest(args.roots, config, ext_map=_ext_map(args))
@@ -340,20 +345,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="ingest and deduplicate a corpus")
     p.add_argument("--roots", nargs="+", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    _add_pipeline_flags(p)
+    _add_corpus_flags(p)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("pairs", help="generate context/target pair shards")
     p.add_argument("--roots", nargs="+", type=Path, default=None)
     p.add_argument("--manifest", type=Path, default=None)
     p.add_argument("--out", required=True, type=Path)
-    _add_pipeline_flags(p)
+    _add_corpus_flags(p)
+    _add_pair_flags(p)
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("batch", help="emit language-pure batch manifests")
     p.add_argument("--shards", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    _add_pipeline_flags(p)
+    p.add_argument("--budget", type=int, default=None, help="batch token budget")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("eval", help="rank candidates for every query and report metrics")

@@ -28,7 +28,6 @@ class Language:
     operators: tuple[str, ...]
     line_comment: str | None = None
     block_comment: tuple[str, str] | None = None
-    string_quotes: tuple[str, ...] = ('"', "'")
     string_prefixes: frozenset[str] = frozenset()
     triple_quotes: bool = False
     template_strings: bool = False

@@ -29,7 +29,7 @@ from .deleak import (
     mutual_identifiers,
     plan_masking,
 )
-from .errors import CodegapError, SchemaError
+from .errors import CodegapError, EmptyTree, SchemaError
 from .languages import Language, get_language, language_for_path
 from .spans import SpanSelection, select_span, select_span_with_retry, split
 from .texttok import count_text_tokens, truncate_text_tokens
@@ -163,7 +163,10 @@ def truncate_file(tree: SyntaxTree, rng: random.Random, config: PipelineConfig) 
         placed = None
         for _attempt in range(24):
             want = rng.randint(config.segment_min_len, config.segment_max_len)
-            span = select_span(tree, want, rng)
+            try:
+                span = select_span(tree, want, rng)
+            except EmptyTree:  # every node lies in an error region: keep the file whole
+                return TruncationResult(shortened=tree, segments=[], spans=[])
             if span.leaf_count < config.segment_min_len:
                 continue
             if any(not (span.leaf_end <= s.leaf_start or s.leaf_end <= span.leaf_start)

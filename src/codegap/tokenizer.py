@@ -4,11 +4,19 @@ Concatenating the emitted token texts reproduces the source byte for byte,
 which is the property the whole pair-generation pipeline leans on. Token kinds
 are deliberately coarse; bracket and operator tokens use their own text as the
 kind, mirroring anonymous grammar nodes.
+
+Each grammar compiles to one alternation of named groups, tried in order; the
+group name is the token kind. Three rules depend on context and stay in the
+loop: a word is a keyword or an identifier, `#` opens a directive only when
+blanks alone precede it on its line, and `/` opens a javascript regex literal
+only after a token that cannot end an operand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import re
+from typing import NamedTuple
 
 from .languages import Language
 
@@ -20,49 +28,39 @@ OPEN_BRACKETS = {"(": "paren_group", "[": "bracket_group", "{": "block"}
 MATCHING_BRACKET = {"(": ")", "[": "]", "{": "}"}
 BRACKET_TEXTS = frozenset("()[]{}")
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGITS = frozenset("0123456789")
-_WS_CHARS = frozenset(" \t\f\v")
-
 # tokens after which a '/' in javascript is a division, not a regex start
 _NO_REGEX_AFTER_KINDS = frozenset({"identifier", "number", "string", "regex", "template_string"})
 _NO_REGEX_AFTER_TEXTS = frozenset({")", "]", "}", "++", "--", "this", "super", "true", "false", "null"})
 
+# body, optional character class runs, closing slash, then flags; an escape
+# may swallow a line break, an unescaped one means this '/' is not a regex
+_JS_REGEX = re.compile(r"/(?:[^\\/\[\n\r]|\\.|\[(?:[^\]\\\n\r]|\\.)*\])+/[A-Za-z_]*", re.DOTALL)
+# '#' to the line end; a line whose last non-blank character is a backslash
+# continues the directive
+_DIRECTIVE = r"#[^\n\r\\]*(?:\\(?:[ \t]*(?:\r\n?|\n))?[^\n\r\\]*)*"
 
-@dataclass(frozen=True, slots=True)
-class Token:
+
+class Token(NamedTuple):
     text: str
-    byte_start: int
-    byte_end: int
     kind: str
-    is_identifier: bool
     line: int
     column: int
     column_expanded: int
     synthetic: bool = False
 
     @property
-    def byte_range(self) -> tuple[int, int]:
-        return (self.byte_start, self.byte_end)
+    def is_identifier(self) -> bool:
+        return self.kind == "identifier"
 
     def with_text(self, text: str) -> "Token":
-        return replace(self, text=text)
+        return self._replace(text=text)
 
 
 def make_marker(text: str, kind: str, at: Token | None = None) -> Token:
     """Synthetic zero-width marker token (cls/mask/fold), anchored at `at`."""
-    pos = at.byte_start if at is not None else 0
-    return Token(
-        text=text,
-        byte_start=pos,
-        byte_end=pos,
-        kind=kind,
-        is_identifier=False,
-        line=at.line if at is not None else 0,
-        column=at.column if at is not None else 0,
-        column_expanded=at.column_expanded if at is not None else 0,
-        synthetic=True,
-    )
+    if at is None:
+        return Token(text, kind, 0, 0, 0, synthetic=True)
+    return Token(text, kind, at.line, at.column, at.column_expanded, synthetic=True)
 
 
 def expanded_width(text: str, start: int = 0) -> int:
@@ -73,229 +71,81 @@ def expanded_width(text: str, start: int = 0) -> int:
     return col - start
 
 
-class _Scanner:
-    def __init__(self, source: str, lang: Language):
-        self.src = source
-        self.n = len(source)
-        self.lang = lang
-        self.i = 0
-        self.line = 0
-        self.col = 0
-        self.colx = 0
-        self.byte = 0
-        self.tokens: list[Token] = []
-        self.prev_significant: Token | None = None
+def _quoted(quote: str, triple: bool) -> str:
+    """A string body with backslash escapes; unclosed, it stops at the line
+    end, or runs to the end of input when triple-quoted."""
+    q = re.escape(quote)
+    if triple:
+        return rf"{q * 3}[^{q}\\]*(?:(?:\\.?|{q}(?!{q}{q}))[^{q}\\]*)*(?:{q * 3})?"
+    return rf"{q}[^{q}\\\n\r]*(?:\\.?[^{q}\\\n\r]*)*{q}?"
 
-    def emit(self, end: int, kind: str, is_identifier: bool = False) -> None:
-        text = self.src[self.i:end]
-        nbytes = len(text.encode("utf-8"))
-        tok = Token(text, self.byte, self.byte + nbytes, kind, is_identifier,
-                    self.line, self.col, self.colx)
-        self.tokens.append(tok)
-        if kind not in TRIVIA_KINDS:
-            self.prev_significant = tok
-        # advance source position counters
-        if "\n" not in text and "\r" not in text:
-            self.col += len(text)
-            self.colx += expanded_width(text, self.colx) if "\t" in text else len(text)
-        else:
-            for ch in text:
-                if ch == "\n" or ch == "\r":
-                    self.line += 1
-                    self.col = 0
-                    self.colx = 0
-                elif ch == "\t":
-                    self.col += 1
-                    self.colx = (self.colx // TAB_WIDTH + 1) * TAB_WIDTH
-                else:
-                    self.col += 1
-                    self.colx += 1
-            # \r\n counts as a single line break
-            text_pairs = text.count("\r\n")
-            self.line -= text_pairs
-        self.byte += nbytes
-        self.i = end
 
-    # --- branch scanners; each returns the token end index ---------------
-
-    def scan_string(self, start: int, quote: str, triple: bool) -> int:
-        closer = quote * 3 if triple else quote
-        j = start + len(closer)
-        while j < self.n:
-            ch = self.src[j]
-            if ch == "\\":
-                j += 2
-                continue
-            if self.src.startswith(closer, j):
-                return j + len(closer)
-            if not triple and ch in "\n\r":
-                return j  # unterminated single-line string: stop at newline
-            j += 1
-        return self.n
-
-    def scan_template(self, start: int) -> int:
-        j = start + 1
-        while j < self.n:
-            ch = self.src[j]
-            if ch == "\\":
-                j += 2
-                continue
-            if ch == "`":
-                return j + 1
-            j += 1
-        return self.n
-
-    def scan_line_comment(self, start: int) -> int:
-        j = start
-        while j < self.n and self.src[j] not in "\n\r":
-            j += 1
-        return j
-
-    def scan_block_comment(self, start: int) -> int:
-        close = self.lang.block_comment[1]
-        end = self.src.find(close, start + len(self.lang.block_comment[0]))
-        return self.n if end < 0 else end + len(close)
-
-    def scan_preproc(self, start: int) -> int:
-        # '#...' to end of line, honouring backslash-newline continuations
-        j = start
-        while j < self.n:
-            if self.src[j] in "\n\r":
-                k = j - 1
-                while k >= start and self.src[k] in " \t":
-                    k -= 1
-                if k >= start and self.src[k] == "\\":
-                    j += 2 if self.src.startswith("\r\n", j) else 1
-                    continue
-                return j
-            j += 1
-        return self.n
-
-    def scan_number(self, start: int) -> int:
-        j = start + 1
-        while j < self.n:
-            ch = self.src[j]
-            if ch in "+-" and self.src[j - 1] in "eEpP" and j - 1 > start:
-                j += 1
-            elif ch == "." or ch == "_" or ch in _DIGITS or (ch.isalpha() and ch.isascii()):
-                j += 1
-            else:
-                break
-        return j
-
-    def scan_identifier(self, start: int) -> int:
-        j = start + 1
-        allow_dollar = self.lang.dollar_identifiers
-        while j < self.n:
-            ch = self.src[j]
-            if ch in _IDENT_START or ch in _DIGITS or (allow_dollar and ch == "$"):
-                j += 1
-            else:
-                break
-        return j
-
-    def try_scan_regex(self, start: int) -> int | None:
-        prev = self.prev_significant
-        if prev is not None:
-            if prev.kind in _NO_REGEX_AFTER_KINDS or prev.text in _NO_REGEX_AFTER_TEXTS:
-                return None
-        j = start + 1
-        in_class = False
-        saw_body = False
-        while j < self.n:
-            ch = self.src[j]
-            if ch == "\\":
-                j += 2
-                saw_body = True
-                continue
-            if ch in "\n\r":
-                return None
-            if in_class:
-                if ch == "]":
-                    in_class = False
-            elif ch == "[":
-                in_class = True
-            elif ch == "/":
-                if not saw_body:
-                    return None
-                j += 1
-                while j < self.n and (self.src[j] in _IDENT_START):
-                    j += 1
-                return j
-            saw_body = True
-            j += 1
-        return None
-
-    # --- main loop -------------------------------------------------------
-
-    def run(self) -> list[Token]:
-        src, n, lang = self.src, self.n, self.lang
-        dollar = lang.dollar_identifiers
-        while self.i < n:
-            i = self.i
-            ch = src[i]
-            if ch == "\r":
-                self.emit(i + 2 if src.startswith("\r\n", i) else i + 1, "newline")
-                continue
-            if ch == "\n":
-                self.emit(i + 1, "newline")
-                continue
-            if ch in _WS_CHARS:
-                j = i + 1
-                while j < n and src[j] in _WS_CHARS:
-                    j += 1
-                self.emit(j, "whitespace")
-                continue
-            if lang.block_comment and src.startswith(lang.block_comment[0], i):
-                self.emit(self.scan_block_comment(i), "comment")
-                continue
-            if lang.line_comment and src.startswith(lang.line_comment, i):
-                self.emit(self.scan_line_comment(i), "comment")
-                continue
-            if lang.preprocessor and ch == "#" and src[i - self.col:i].strip(" \t") == "":
-                # a directive only when nothing but blanks precede it on the line
-                self.emit(self.scan_preproc(i), "preproc")
-                continue
-            if ch in ("'", '"'):
-                triple = lang.triple_quotes and src.startswith(ch * 3, i)
-                self.emit(self.scan_string(i, ch, triple), "string")
-                continue
-            if ch == "`" and lang.template_strings:
-                self.emit(self.scan_template(i), "template_string")
-                continue
-            if ch in _DIGITS or (ch == "." and i + 1 < n and src[i + 1] in _DIGITS):
-                self.emit(self.scan_number(i), "number")
-                continue
-            if ch in _IDENT_START or (dollar and ch == "$"):
-                j = self.scan_identifier(i)
-                word = src[i:j]
-                if (lang.string_prefixes and word in lang.string_prefixes
-                        and j < n and src[j] in ("'", '"')):
-                    quote = src[j]
-                    triple = lang.triple_quotes and src.startswith(quote * 3, j)
-                    self.emit(self.scan_string(j, quote, triple) , "string")
-                    continue
-                if word in lang.keywords:
-                    self.emit(j, "keyword")
-                else:
-                    self.emit(j, "identifier", is_identifier=True)
-                continue
-            if ch == "/" and lang.regex_literals:
-                end = self.try_scan_regex(i)
-                if end is not None:
-                    self.emit(end, "regex")
-                    continue
-            matched = False
-            for op in lang.operators:
-                if src.startswith(op, i):
-                    self.emit(i + len(op), op)
-                    matched = True
-                    break
-            if matched:
-                continue
-            self.emit(i + 1, ch)
-        return self.tokens
+@functools.cache
+def _pattern(lang: Language) -> re.Pattern[str]:
+    word_chars = "A-Za-z_$" if lang.dollar_identifiers else "A-Za-z_"
+    comments = []
+    if lang.block_comment:  # closed at the first closer, else at the end of input
+        opener, closer = map(re.escape, lang.block_comment)
+        comments.append(f"{opener}.*?{closer}|{opener}.*")
+    if lang.line_comment:
+        comments.append(re.escape(lang.line_comment) + r"[^\n\r]*")
+    triples = [_quoted(q, True) for q in "'\""] if lang.triple_quotes else []
+    quotes = "|".join(triples + [_quoted(q, False) for q in "'\""])
+    prefixes = "|".join(sorted(lang.string_prefixes, key=len, reverse=True))
+    # tried in order; each consumes at least one character, since a
+    # zero-width match would never advance the loop in `tokenize`
+    groups = [
+        ("newline", r"\r\n?|\n"),
+        ("whitespace", r"[ \t\f\v]+"),
+        ("comment", "|".join(comments)),
+        ("preproc", _DIRECTIVE if lang.preprocessor else ""),
+        ("string", (f"(?:{prefixes})?" if prefixes else "") + f"(?:{quotes})"),
+        ("template_string", r"`[^`\\]*(?:\\.?[^`\\]*)*`?" if lang.template_strings else ""),
+        ("number", r"(?:[0-9]|\.[0-9])[0-9A-Za-z_.]*(?:(?<=[eEpP])[+-][0-9A-Za-z_.]*)*"),
+        ("word", f"[{word_chars}][0-9{word_chars}]*"),
+        ("op", "|".join(map(re.escape, lang.operators))),
+        ("char", "."),
+    ]
+    return re.compile("|".join(f"(?P<{name}>{body})" for name, body in groups if body), re.DOTALL)
 
 
 def tokenize(source: str, lang: Language) -> list[Token]:
-    return _Scanner(source, lang).run()
+    match = _pattern(lang).match
+    keywords = lang.keywords
+    tokens: list[Token] = []
+    prev: Token | None = None  # last token that is not trivia
+    pos = line = col = colx = 0
+    n = len(source)
+    while pos < n:
+        m = match(source, pos)
+        kind, end = m.lastgroup, m.end()
+        text = source[pos:end]
+        if kind == "word":
+            kind = "keyword" if text in keywords else "identifier"
+        elif kind == "preproc" and source[pos - col:pos].strip(" \t"):
+            kind = text = "#"  # not first on its line: a plain '#'
+            end = pos + 1
+        elif kind == "op" or kind == "char":
+            kind = text
+            if (text[0] == "/" and lang.regex_literals
+                    and (prev is None or (prev.kind not in _NO_REGEX_AFTER_KINDS
+                                          and prev.text not in _NO_REGEX_AFTER_TEXTS))):
+                regex = _JS_REGEX.match(source, pos)
+                if regex:
+                    kind, end = "regex", regex.end()
+                    text = source[pos:end]
+        tok = Token(text, kind, line, col, colx)
+        tokens.append(tok)
+        if kind not in TRIVIA_KINDS:
+            prev = tok
+        if kind == "newline":
+            line, col, colx = line + 1, 0, 0
+        elif "\n" in text or "\r" in text:
+            line += text.count("\n") + text.count("\r") - text.count("\r\n")
+            tail = text[max(text.rfind("\n"), text.rfind("\r")) + 1:]
+            col, colx = len(tail), expanded_width(tail)
+        else:
+            col += len(text)
+            colx += expanded_width(text, colx) if "\t" in text else len(text)
+        pos = end
+    return tokens

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from codegap.languages import Language
 from codegap.tokenizer import Token
@@ -167,8 +168,7 @@ def tokens_balanced(tokens: list[Token]) -> bool:
 
 def make_leaf_tokens(n: int, text: str = "t") -> list[Token]:
     return [
-        Token(text=f"{text}{i} ", byte_start=i * 4, byte_end=i * 4 + 3,
-              kind="identifier", is_identifier=True, line=0, column=i * 4,
+        Token(text=f"{text}{i} ", kind="identifier", line=0, column=i * 4,
               column_expanded=i * 4)
         for i in range(n)
     ]
@@ -184,11 +184,272 @@ def make_tree(spec, language: Language) -> SyntaxTree:
             for _ in range(node_spec):
                 i = next(counter)
                 leaves.append(Node("identifier", token=Token(
-                    text=f"x{i} ", byte_start=i * 4, byte_end=i * 4 + 3, kind="identifier",
-                    is_identifier=True, line=0, column=i * 4, column_expanded=i * 4)))
+                    text=f"x{i} ", kind="identifier", line=0, column=i * 4,
+                    column_expanded=i * 4)))
             return leaves
         kind, children = node_spec
         return [Node(kind, [node for child in children for node in nodes(child)])]
 
     top = nodes(spec)
     return _build_tree(top if isinstance(spec, int) else top[0].children, language)
+
+
+# --------------------------------------------------------------------------
+# reference lexer: a per-character scanner that shares no code with the
+# compiled patterns of codegap.tokenizer; its records also carry UTF-8 byte
+# offsets
+
+TAB_WIDTH = 4
+TRIVIA_KINDS = frozenset({"whitespace", "newline", "comment"})
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_DIGITS = frozenset("0123456789")
+_WS_CHARS = frozenset(" \t\f\v")
+_NO_REGEX_AFTER_KINDS = frozenset({"identifier", "number", "string", "regex", "template_string"})
+_NO_REGEX_AFTER_TEXTS = frozenset({")", "]", "}", "++", "--", "this", "super", "true", "false", "null"})
+
+
+@dataclass(frozen=True, slots=True)
+class OracleToken:
+    text: str
+    byte_start: int
+    byte_end: int
+    kind: str
+    is_identifier: bool
+    line: int
+    column: int
+    column_expanded: int
+
+
+def expanded_width(text: str, start: int = 0) -> int:
+    col = start
+    for ch in text:
+        col = (col // TAB_WIDTH + 1) * TAB_WIDTH if ch == "\t" else col + 1
+    return col - start
+
+
+def oracle_tokenize(source: str, lang: Language) -> list[OracleToken]:
+    return _Scanner(source, lang).run()
+
+
+class _Scanner:
+    def __init__(self, source: str, lang: Language):
+        self.src = source
+        self.n = len(source)
+        self.lang = lang
+        self.i = 0
+        self.line = 0
+        self.col = 0
+        self.colx = 0
+        self.byte = 0
+        self.tokens: list[OracleToken] = []
+        self.prev_significant: OracleToken | None = None
+
+    def emit(self, end: int, kind: str, is_identifier: bool = False) -> None:
+        text = self.src[self.i:end]
+        nbytes = len(text.encode("utf-8"))
+        tok = OracleToken(text, self.byte, self.byte + nbytes, kind, is_identifier,
+                    self.line, self.col, self.colx)
+        self.tokens.append(tok)
+        if kind not in TRIVIA_KINDS:
+            self.prev_significant = tok
+        # advance source position counters
+        if "\n" not in text and "\r" not in text:
+            self.col += len(text)
+            self.colx += expanded_width(text, self.colx) if "\t" in text else len(text)
+        else:
+            for ch in text:
+                if ch == "\n" or ch == "\r":
+                    self.line += 1
+                    self.col = 0
+                    self.colx = 0
+                elif ch == "\t":
+                    self.col += 1
+                    self.colx = (self.colx // TAB_WIDTH + 1) * TAB_WIDTH
+                else:
+                    self.col += 1
+                    self.colx += 1
+            # \r\n counts as a single line break
+            text_pairs = text.count("\r\n")
+            self.line -= text_pairs
+        self.byte += nbytes
+        self.i = end
+
+    # --- branch scanners; each returns the token end index ---------------
+
+    def scan_string(self, start: int, quote: str, triple: bool) -> int:
+        closer = quote * 3 if triple else quote
+        j = start + len(closer)
+        while j < self.n:
+            ch = self.src[j]
+            if ch == "\\":
+                j += 2
+                continue
+            if self.src.startswith(closer, j):
+                return j + len(closer)
+            if not triple and ch in "\n\r":
+                return j  # unterminated single-line string: stop at newline
+            j += 1
+        return self.n
+
+    def scan_template(self, start: int) -> int:
+        j = start + 1
+        while j < self.n:
+            ch = self.src[j]
+            if ch == "\\":
+                j += 2
+                continue
+            if ch == "`":
+                return j + 1
+            j += 1
+        return self.n
+
+    def scan_line_comment(self, start: int) -> int:
+        j = start
+        while j < self.n and self.src[j] not in "\n\r":
+            j += 1
+        return j
+
+    def scan_block_comment(self, start: int) -> int:
+        close = self.lang.block_comment[1]
+        end = self.src.find(close, start + len(self.lang.block_comment[0]))
+        return self.n if end < 0 else end + len(close)
+
+    def scan_preproc(self, start: int) -> int:
+        # '#...' to end of line, honouring backslash-newline continuations
+        j = start
+        while j < self.n:
+            if self.src[j] in "\n\r":
+                k = j - 1
+                while k >= start and self.src[k] in " \t":
+                    k -= 1
+                if k >= start and self.src[k] == "\\":
+                    j += 2 if self.src.startswith("\r\n", j) else 1
+                    continue
+                return j
+            j += 1
+        return self.n
+
+    def scan_number(self, start: int) -> int:
+        j = start + 1
+        while j < self.n:
+            ch = self.src[j]
+            if ch in "+-" and self.src[j - 1] in "eEpP" and j - 1 > start:
+                j += 1
+            elif ch == "." or ch == "_" or ch in _DIGITS or (ch.isalpha() and ch.isascii()):
+                j += 1
+            else:
+                break
+        return j
+
+    def scan_identifier(self, start: int) -> int:
+        j = start + 1
+        allow_dollar = self.lang.dollar_identifiers
+        while j < self.n:
+            ch = self.src[j]
+            if ch in _IDENT_START or ch in _DIGITS or (allow_dollar and ch == "$"):
+                j += 1
+            else:
+                break
+        return j
+
+    def try_scan_regex(self, start: int) -> int | None:
+        prev = self.prev_significant
+        if prev is not None:
+            if prev.kind in _NO_REGEX_AFTER_KINDS or prev.text in _NO_REGEX_AFTER_TEXTS:
+                return None
+        j = start + 1
+        in_class = False
+        saw_body = False
+        while j < self.n:
+            ch = self.src[j]
+            if ch == "\\":
+                j += 2
+                saw_body = True
+                continue
+            if ch in "\n\r":
+                return None
+            if in_class:
+                if ch == "]":
+                    in_class = False
+            elif ch == "[":
+                in_class = True
+            elif ch == "/":
+                if not saw_body:
+                    return None
+                j += 1
+                while j < self.n and (self.src[j] in _IDENT_START):
+                    j += 1
+                return j
+            saw_body = True
+            j += 1
+        return None
+
+    # --- main loop -------------------------------------------------------
+
+    def run(self) -> list[OracleToken]:
+        src, n, lang = self.src, self.n, self.lang
+        dollar = lang.dollar_identifiers
+        while self.i < n:
+            i = self.i
+            ch = src[i]
+            if ch == "\r":
+                self.emit(i + 2 if src.startswith("\r\n", i) else i + 1, "newline")
+                continue
+            if ch == "\n":
+                self.emit(i + 1, "newline")
+                continue
+            if ch in _WS_CHARS:
+                j = i + 1
+                while j < n and src[j] in _WS_CHARS:
+                    j += 1
+                self.emit(j, "whitespace")
+                continue
+            if lang.block_comment and src.startswith(lang.block_comment[0], i):
+                self.emit(self.scan_block_comment(i), "comment")
+                continue
+            if lang.line_comment and src.startswith(lang.line_comment, i):
+                self.emit(self.scan_line_comment(i), "comment")
+                continue
+            if lang.preprocessor and ch == "#" and src[i - self.col:i].strip(" \t") == "":
+                # a directive only when nothing but blanks precede it on the line
+                self.emit(self.scan_preproc(i), "preproc")
+                continue
+            if ch in ("'", '"'):
+                triple = lang.triple_quotes and src.startswith(ch * 3, i)
+                self.emit(self.scan_string(i, ch, triple), "string")
+                continue
+            if ch == "`" and lang.template_strings:
+                self.emit(self.scan_template(i), "template_string")
+                continue
+            if ch in _DIGITS or (ch == "." and i + 1 < n and src[i + 1] in _DIGITS):
+                self.emit(self.scan_number(i), "number")
+                continue
+            if ch in _IDENT_START or (dollar and ch == "$"):
+                j = self.scan_identifier(i)
+                word = src[i:j]
+                if (lang.string_prefixes and word in lang.string_prefixes
+                        and j < n and src[j] in ("'", '"')):
+                    quote = src[j]
+                    triple = lang.triple_quotes and src.startswith(quote * 3, j)
+                    self.emit(self.scan_string(j, quote, triple) , "string")
+                    continue
+                if word in lang.keywords:
+                    self.emit(j, "keyword")
+                else:
+                    self.emit(j, "identifier", is_identifier=True)
+                continue
+            if ch == "/" and lang.regex_literals:
+                end = self.try_scan_regex(i)
+                if end is not None:
+                    self.emit(end, "regex")
+                    continue
+            matched = False
+            for op in lang.operators:
+                if src.startswith(op, i):
+                    self.emit(i + len(op), op)
+                    matched = True
+                    break
+            if matched:
+                continue
+            self.emit(i + 1, ch)
+        return self.tokens

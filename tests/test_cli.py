@@ -110,6 +110,42 @@ def test_pairs_from_manifest_matches_roots(small_corpus, tmp_path):
     assert shard_bytes(out_a) == shard_bytes(out_b)
 
 
+def test_pairs_from_manifest_keeps_only_langs(small_corpus, tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    assert main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)]) == 0
+    out_m, out_r = tmp_path / "from_manifest", tmp_path / "from_roots"
+    for source, out in ((["--manifest", str(manifest)], out_m), (["--roots", str(small_corpus)], out_r)):
+        assert main(["pairs", *source, "--out", str(out), "--seed", "3", "--langs", "c"]) == 0
+    records = [r for path in sorted(out_m.rglob("*.jsonl")) for r in read_jsonl(path)]
+    assert records and {r.language for r in records} == {"c"}
+    assert shard_bytes(out_m) == shard_bytes(out_r)
+
+
+def test_pairs_with_a_file_that_is_one_error_region(small_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "good.py").write_bytes(sorted(small_corpus.rglob("*.py"))[0].read_bytes())
+    alone = tmp_path / "alone"
+    assert main(["pairs", "--roots", str(corpus), "--out", str(alone), "--seed", "2"]) == 0
+    # an unclosed '(' makes the whole file, over the truncation threshold, one error node
+    (corpus / "bad.py").write_text("(" + "x = 1\n" * 400, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pairs", "--roots", str(corpus), "--out", str(out), "--seed", "2"]) == 0
+    assert shard_bytes(alone)
+    assert shard_bytes(out) == shard_bytes(alone)
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--roots", ".", "--out", "m.jsonl", "--seed", "3"],
+    ["batch", "--shards", ".", "--out", "b.jsonl", "--mask-prob", "0.5"],
+    ["pairs", "--roots", ".", "--out", "out", "--budget", "100"],
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("bad_line", [
     '{"path": "a.py", "language": "python", "hash": ',
     '{"path": "a.py", "language": "python", "split": "train"}',

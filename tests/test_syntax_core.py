@@ -1,5 +1,8 @@
+import glob
 import hashlib
 import random
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,8 @@ from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
 from codegap.spans import select_span
 from codegap.tokenizer import tokenize
 from codegap.tree import identifier_occurrences, indentation_of, parse
+
+from _oracles import oracle_tokenize
 
 
 def roundtrip(tree, source):
@@ -54,12 +59,66 @@ def test_corpus_roundtrip_and_ranges(lang, parsed_corpus):
 
 def test_byte_ranges_tile_the_source(parsed_corpus):
     for _, tree in parsed_corpus[:20]:
+        scanned = oracle_tokenize(tree.source, tree.language)
+        assert [t.text for t in scanned] == [t.text for t in tokenize(tree.source, tree.language)]
         pos = 0
-        for tok in tree.leaves:
+        for tok in scanned:
             assert tok.byte_start == pos
             assert tok.byte_end - tok.byte_start == len(tok.text.encode("utf-8"))
             pos = tok.byte_end
         assert pos == len(tree.source.encode("utf-8"))
+
+
+def _stream(tokens):
+    return [(t.text, t.kind, t.is_identifier, t.line, t.column, t.column_expanded)
+            for t in tokens]
+
+
+# quotes, escapes, comment and directive openers, template and regex starts,
+# every line break and blank, brackets, string prefixes, number parts and one
+# letter outside ASCII: the characters where lexing rules meet
+_LEXER_HOSTILE = st.text(
+    st.sampled_from(list("'\"\\/*#`$\r\n\t\f\v ()[]{}rbufRBUFe.+-0123456789é")), max_size=60)
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=300, deadline=None)
+@given(text=_LEXER_HOSTILE)
+def test_tokenize_matches_reference_scanner(lang, text):
+    grammar = get_language(lang)
+    assert _stream(tokenize(text, grammar)) == _stream(oracle_tokenize(text, grammar))
+
+
+def _real_sources(pattern: str, count: int) -> list[str]:
+    """The first `count` files matching `pattern` (by name) that decode as
+    UTF-8 and stay under 20 kB, so the reference scanner runs quickly."""
+    out = []
+    for path in sorted(glob.glob(pattern)):
+        data = Path(path).read_bytes()
+        if len(data) < 20_000:
+            try:
+                out.append(data.decode("utf-8"))
+            except UnicodeDecodeError:
+                continue
+        if len(out) == count:
+            break
+    return out
+
+
+@pytest.mark.parametrize("source_set", ["mixed", "stdlib", "headers"])
+def test_tokenize_matches_reference_scanner_on_real_files(source_set, parsed_corpus):
+    if source_set == "mixed":
+        sources = [tree.source for _, tree in parsed_corpus]
+    elif source_set == "stdlib":
+        sources = _real_sources(str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), 40)
+    else:
+        sources = _real_sources("/usr/include/*.h", 40)
+    if len(sources) < 40:
+        pytest.skip(f"fewer than 40 {source_set} files here")
+    for source in sources:
+        for lang in supported_languages():
+            grammar = get_language(lang)
+            assert _stream(tokenize(source, grammar)) == _stream(oracle_tokenize(source, grammar))
 
 
 @settings(max_examples=120, deadline=None)
