@@ -10,15 +10,8 @@ __version__ = "0.1.0"
 
 from .languages import Language, get_language, supported_languages
 from .tree import SyntaxTree, parse, identifier_occurrences, indentation_of
-from .spans import SpanSelection, SplitResult, sample_target_length, select_span, split
-from .deleak import (
-    ContextTargetPair,
-    MaskingPlan,
-    apply_masking,
-    dedent_target,
-    mutual_identifiers,
-    plan_masking,
-)
+from .spans import SpanSelection, sample_target_length, select_span, split
+from .deleak import MaskingPlan, apply_masking, dedent_target, mutual_identifiers, plan_masking
 
 __all__ = [
     "Language",
@@ -29,11 +22,9 @@ __all__ = [
     "identifier_occurrences",
     "indentation_of",
     "SpanSelection",
-    "SplitResult",
     "sample_target_length",
     "select_span",
     "split",
-    "ContextTargetPair",
     "MaskingPlan",
     "mutual_identifiers",
     "plan_masking",

@@ -11,10 +11,9 @@ all occurrences of a name move together.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import AliasCollision
-from .languages import Language
 from .tokenizer import WHITESPACE_KINDS, Token, expanded_width
 
 MASK_IN_CONTEXT = "mask_in_context"
@@ -31,45 +30,6 @@ class MaskingPlan:
     decisions: dict[str, str]
     skip_pair: bool
     alias_map: dict[str, str]
-
-
-@dataclass
-class PairMeta:
-    source: str
-    span_start: int
-    span_len: int
-    dedent_cols: int = 0
-    skipped_masking: bool = False
-    aliases: dict[str, str] = field(default_factory=dict)
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "span_start": self.span_start,
-            "span_len": self.span_len,
-            "dedent_cols": self.dedent_cols,
-            "skipped_masking": self.skipped_masking,
-            "aliases": dict(self.aliases),
-            "seed": self.seed,
-        }
-
-
-@dataclass
-class ContextTargetPair:
-    pair_id: str
-    language: Language
-    context: list[Token]
-    target: list[Token]
-    meta: PairMeta
-
-    @property
-    def context_text(self) -> str:
-        return "".join(t.text for t in self.context)
-
-    @property
-    def target_text(self) -> str:
-        return "".join(t.text for t in self.target)
 
 
 def mutual_identifiers(context: list[Token], target: list[Token]) -> set[str]:
@@ -144,27 +104,18 @@ def _mask_side(tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
             else tok for tok in tokens]
 
 
-def apply_masking(pair: ContextTargetPair, plan: MaskingPlan) -> ContextTargetPair:
-    """Substitute aliases on each identifier's masked side."""
+def apply_masking(context: list[Token], target: list[Token],
+                  plan: MaskingPlan) -> tuple[list[Token], list[Token]]:
+    """Substitute aliases on each identifier's masked side: (context, target)."""
     if plan.skip_pair:
-        meta = replace(pair.meta, skipped_masking=True, aliases={})
-        return ContextTargetPair(pair.pair_id, pair.language,
-                                 list(pair.context), list(pair.target), meta)
+        return list(context), list(target)
     ctx_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_CONTEXT}
     tgt_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_TARGET}
-    for side, mapping in (("context", ctx_mask), ("target", tgt_mask)):
-        tokens = pair.context if side == "context" else pair.target
-        present = {t.text for t in tokens}
-        clash = present & set(mapping.values())
+    for side, tokens, mapping in (("context", context, ctx_mask), ("target", target, tgt_mask)):
+        clash = {t.text for t in tokens} & set(mapping.values())
         if clash:
             raise AliasCollision(f"alias {sorted(clash)} already occurs in {side}")
-    meta = replace(pair.meta, skipped_masking=False, aliases=dict(plan.alias_map))
-    return ContextTargetPair(
-        pair.pair_id, pair.language,
-        _mask_side(pair.context, ctx_mask),
-        _mask_side(pair.target, tgt_mask),
-        meta,
-    )
+    return _mask_side(context, ctx_mask), _mask_side(target, tgt_mask)
 
 
 # --------------------------------------------------------------------------

@@ -21,14 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .deleak import (
-    ContextTargetPair,
-    PairMeta,
-    apply_masking,
-    dedent_target,
-    mutual_identifiers,
-    plan_masking,
-)
+from .deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking
 from .errors import CodegapError, EmptyTree, SchemaError
 from .languages import Language, get_language, language_for_path
 from .spans import SpanSelection, select_span, select_span_with_retry, split
@@ -224,8 +217,8 @@ class PairRecord:
 
 
 def generate_pairs_for_source(source: str, language: Language, *, seed: int,
-                              source_name: str, pair_id_prefix: str,
-                              config: PipelineConfig) -> list[ContextTargetPair]:
+                              source_name: str, pair_id_prefix: str, split_name: str = TRAIN,
+                              config: PipelineConfig) -> list[PairRecord]:
     """All pairs for one file: truncate if oversized, then split each input."""
     rng = random.Random(seed)
     tree = parse(source, language)
@@ -233,7 +226,7 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
         return []
     trunc = truncate_file(tree, rng, config)
     inputs = [trunc.shortened, *trunc.segments]
-    pairs: list[ContextTargetPair] = []
+    records: list[PairRecord] = []
     for input_idx, input_tree in enumerate(inputs):
         for copy_idx in range(config.pairs_per_input):
             span = select_span_with_retry(
@@ -244,28 +237,27 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
             if span is None:
                 log.info("no content-bearing span for %s input %d", source_name, input_idx)
                 continue
-            result = split(input_tree, span, language)
-            meta = PairMeta(source=source_name, span_start=span.leaf_start,
-                            span_len=span.leaf_count, seed=seed)
-            suffix = f":{copy_idx}" if config.pairs_per_input > 1 else ""
-            pair = ContextTargetPair(
-                pair_id=f"{pair_id_prefix}:{input_idx}{suffix}",
-                language=language, context=result.context,
-                target=result.target, meta=meta)
+            context, target = split(input_tree, span)
+            skipped, aliases = True, {}
             if config.masking_enabled:
-                plan = plan_masking(
-                    mutual_identifiers(pair.context, pair.target), rng,
-                    config.mask_prob, config.skip_pair_prob,
-                    context=pair.context, target=pair.target)
-                pair = apply_masking(pair, plan)
-            else:
-                pair.meta.skipped_masking = True
+                plan = plan_masking(mutual_identifiers(context, target), rng,
+                                    config.mask_prob, config.skip_pair_prob,
+                                    context=context, target=target)
+                context, target = apply_masking(context, target, plan)
+                skipped, aliases = plan.skip_pair, dict(plan.alias_map)
+            dedent_cols = 0
             if config.dedent_enabled:
-                dedented, cols = dedent_target(pair.target)
-                pair.target = dedented
-                pair.meta.dedent_cols = cols
-            pairs.append(pair)
-    return pairs
+                target, dedent_cols = dedent_target(target)
+            suffix = f":{copy_idx}" if config.pairs_per_input > 1 else ""
+            records.append(PairRecord(
+                pair_id=f"{pair_id_prefix}:{input_idx}{suffix}", language=language.name,
+                context="".join(t.text for t in context),
+                target="".join(t.text for t in target),
+                meta={"source": source_name, "span_start": span.leaf_start,
+                      "span_len": span.leaf_count, "dedent_cols": dedent_cols,
+                      "skipped_masking": skipped, "aliases": aliases, "seed": seed},
+                split=split_name))
+    return records
 
 
 def _worker_generate(args: tuple) -> list[PairRecord]:
@@ -275,12 +267,9 @@ def _worker_generate(args: tuple) -> list[PairRecord]:
     except (OSError, UnicodeDecodeError) as exc:
         log.warning("skipping %s: %s", path_str, exc)
         return []
-    pairs = generate_pairs_for_source(
+    return generate_pairs_for_source(
         source, get_language(lang_name), seed=file_seed(config.seed, digest),
-        source_name=path_str, pair_id_prefix=digest[:16], config=config)
-    return [PairRecord(pair_id=p.pair_id, language=p.language.name, context=p.context_text,
-                       target=p.target_text, meta=p.meta.to_dict(), split=split_name)
-            for p in pairs]
+        source_name=path_str, pair_id_prefix=digest[:16], split_name=split_name, config=config)
 
 
 def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[PairRecord]:
@@ -303,14 +292,13 @@ def dump_record(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def write_jsonl(path: str | Path, records: Iterable[PairRecord | dict]) -> int:
+def write_jsonl(path: str | Path, records: Iterable[PairRecord]) -> int:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
-            obj = rec.to_record() if isinstance(rec, PairRecord) else rec
-            fh.write(dump_record(obj) + "\n")
+            fh.write(dump_record(rec.to_record()) + "\n")
             count += 1
     return count
 

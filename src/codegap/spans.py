@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import EmptyTree, InvalidBounds, SpanMismatch
-from .languages import Language
 from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS, Token, make_marker
 from .tree import Node, SyntaxTree
 
@@ -24,35 +23,10 @@ class SpanSelection:
     sibling_run: tuple[Node, ...]
     leaf_start: int
     leaf_count: int
-    requested_length: int
 
     @property
     def leaf_end(self) -> int:
         return self.leaf_start + self.leaf_count
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    context: list[Token]
-    target: list[Token]
-    span: SpanSelection
-    language: Language
-
-    @property
-    def context_texts(self) -> list[str]:
-        return [t.text for t in self.context]
-
-    @property
-    def target_texts(self) -> list[str]:
-        return [t.text for t in self.target]
-
-    @property
-    def context_text(self) -> str:
-        return "".join(self.context_texts)
-
-    @property
-    def target_text(self) -> str:
-        return "".join(self.target_texts)
 
 
 def sample_target_length(rng: random.Random, mean: float = 150.0, stddev: float = 90.0,
@@ -179,7 +153,7 @@ def select_span(tree: SyntaxTree, length: int, rng: random.Random) -> SpanSelect
     run = _trim_edge_whitespace(_expand(seed, length))
     leaf_start = run[0].leaf_start
     leaf_count = run[-1].leaf_end - leaf_start
-    return SpanSelection(tuple(run), leaf_start, leaf_count, length)
+    return SpanSelection(tuple(run), leaf_start, leaf_count)
 
 
 def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:
@@ -222,9 +196,9 @@ def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
         raise SpanMismatch("span leaf count does not match its nodes")
 
 
-def split(tree: SyntaxTree, span: SpanSelection, language: Language | None = None) -> SplitResult:
-    """Cut the leaves at the span: masked context and cls-prefixed target."""
-    lang = language or tree.language
+def split(tree: SyntaxTree, span: SpanSelection) -> tuple[list[Token], list[Token]]:
+    """Cut the leaves at the span: (masked context, cls-prefixed target)."""
+    lang = tree.language
     _verify_span(tree, span)
     leaves = tree.leaves
     i, j = span.leaf_start, span.leaf_end
@@ -232,12 +206,10 @@ def split(tree: SyntaxTree, span: SpanSelection, language: Language | None = Non
     cls_ctx = make_marker(lang.cls_token, "cls", at=leaves[0])
     cls_tgt = make_marker(lang.cls_token, "cls", at=anchor)
     mask = make_marker(lang.mask_token, "mask", at=anchor)
-    context = [cls_ctx, *leaves[:i], mask, *leaves[j:]]
-    target = [cls_tgt, *leaves[i:j]]
-    return SplitResult(context=context, target=target, span=span, language=lang)
+    return [cls_ctx, *leaves[:i], mask, *leaves[j:]], [cls_tgt, *leaves[i:j]]
 
 
-def splice_tokens(context: list[Token], target: list[Token], language: Language) -> list[Token]:
+def splice_tokens(context: list[Token], target: list[Token]) -> list[Token]:
     """Undo a split: drop cls markers and substitute the target at the mask."""
     body = [t for t in target if not (t.synthetic and t.kind == "cls")]
     out: list[Token] = []

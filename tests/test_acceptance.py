@@ -18,8 +18,6 @@ import codegap
 from _oracles import exhaustive_metric_comparison, tokens_balanced
 from codegap.contrastive import ToyEncoder, grad_check, info_nce
 from codegap.deleak import (
-    ContextTargetPair,
-    PairMeta,
     apply_masking,
     dedent_target,
     mutual_identifiers,
@@ -70,21 +68,17 @@ def generated_pairs(trees):
                                           min_len=8, max_len=200)
             if span is None:
                 continue
-            result = split(tree, span)
-            pair = ContextTargetPair("p", tree.language, result.context,
-                                     result.target,
-                                     PairMeta("f", span.leaf_start, span.leaf_count))
-            mutuals = mutual_identifiers(pair.context, pair.target)
-            plan = plan_masking(mutuals, rng, 1.0, 0.0,
-                                context=pair.context, target=pair.target)
-            masked = apply_masking(pair, plan)
-            dedented, cols = dedent_target(masked.target)
+            context, target = split(tree, span)
+            mutuals = mutual_identifiers(context, target)
+            plan = plan_masking(mutuals, rng, 1.0, 0.0, context=context, target=target)
+            masked_context, masked_target = apply_masking(context, target, plan)
+            dedented, cols = dedent_target(masked_target)
             rows.append({
                 "tree": tree,
-                "pre_target": result.target,
+                "pre_target": target,
                 "mutuals": mutuals,
-                "aliases": masked.meta.aliases,
-                "context": masked.context,
+                "aliases": plan.alias_map,
+                "context": masked_context,
                 "target": dedented,
                 "dedent_cols": cols,
             })
@@ -111,8 +105,8 @@ def test_round_trip_suite(corpus):
         # span splits splice back to the original token sequence
         for _ in range(3):
             span = select_span(tree, rng.randrange(8, 300), rng)
-            result = split(tree, span, lang)
-            spliced = splice_tokens(result.context, result.target, lang)
+            context, target = split(tree, span)
+            spliced = splice_tokens(context, target)
             assert [t.text for t in spliced] == [t.text for t in tree.leaves]
         # truncations splice back via fold markers
         if tree.leaf_count > config.truncation_threshold:

@@ -8,8 +8,6 @@ from codegap.deleak import (
     MASK_IN_CONTEXT,
     MASK_IN_TARGET,
     UNMASKED,
-    ContextTargetPair,
-    PairMeta,
     apply_masking,
     dedent_target,
     mutual_identifiers,
@@ -30,13 +28,7 @@ def toks(src, lang="python"):
 
 def make_pair(context_src, target_src, lang="python"):
     language = get_language(lang)
-    return ContextTargetPair(
-        pair_id="p0",
-        language=language,
-        context=tokenize(context_src, language),
-        target=tokenize(target_src, language),
-        meta=PairMeta(source="test", span_start=0, span_len=0),
-    )
+    return tokenize(context_src, language), tokenize(target_src, language)
 
 
 class ScriptedRandom(random.Random):
@@ -151,37 +143,37 @@ def test_plan_aliases_unique_and_fresh():
 # applying masks
 
 def test_apply_masking_substitution_contract():
-    pair = make_pair("bar = 1\nuse(bar)\n", "bar + bar\n")
+    ctx, tgt = make_pair("bar = 1\nuse(bar)\n", "bar + bar\n")
     plan = plan_masking({"bar"}, ScriptedRandom([0.5, 0.0, 0.9]), 0.9, 0.05,
-                        context=pair.context, target=pair.target)
+                        context=ctx, target=tgt)
     assert plan.decisions["bar"] == MASK_IN_TARGET
-    masked = apply_masking(pair, plan)
-    tgt_texts = [t.text for t in masked.target]
-    ctx_texts = [t.text for t in masked.context]
+    masked_ctx, masked_tgt = apply_masking(ctx, tgt, plan)
+    tgt_texts = [t.text for t in masked_tgt]
+    ctx_texts = [t.text for t in masked_ctx]
     assert "bar" not in tgt_texts
     assert tgt_texts.count("VAR1") == 2
     assert ctx_texts.count("bar") == 2
-    assert masked.meta.aliases == {"bar": "VAR1"}
+    assert plan.alias_map == {"bar": "VAR1"}
 
 
 def test_apply_masking_skip_pair_is_identity():
-    pair = make_pair("bar = 1\n", "bar + 2\n")
+    ctx, tgt = make_pair("bar = 1\n", "bar + 2\n")
     plan = plan_masking({"bar"}, ScriptedRandom([0.0]), 0.9, 1.0,
-                        context=pair.context, target=pair.target)
-    masked = apply_masking(pair, plan)
-    assert [t.text for t in masked.context] == [t.text for t in pair.context]
-    assert [t.text for t in masked.target] == [t.text for t in pair.target]
-    assert masked.meta.skipped_masking
+                        context=ctx, target=tgt)
+    assert plan.skip_pair and plan.alias_map == {}
+    masked_ctx, masked_tgt = apply_masking(ctx, tgt, plan)
+    assert masked_ctx == ctx and masked_ctx is not ctx
+    assert masked_tgt == tgt and masked_tgt is not tgt
 
 
 def test_apply_masking_alias_collision_detected():
     from codegap.deleak import MaskingPlan
 
-    pair = make_pair("VAR1 = bar\n", "bar + 1\n")
+    ctx, tgt = make_pair("VAR1 = bar\n", "bar + 1\n")
     bogus = MaskingPlan(frozenset({"bar"}), {"bar": MASK_IN_CONTEXT},
                         skip_pair=False, alias_map={"bar": "VAR1"})
     with pytest.raises(AliasCollision):
-        apply_masking(pair, bogus)
+        apply_masking(ctx, tgt, bogus)
 
 
 def test_occlusion_each_mutual_on_exactly_one_side():
@@ -196,14 +188,12 @@ def test_occlusion_each_mutual_on_exactly_one_side():
     tree = parse(src, "python")
     rng = random.Random(2)
     span = select_span_with_retry(tree, rng, mean=20, stddev=5, min_len=8, max_len=30)
-    result = split(tree, span)
-    pair = ContextTargetPair("p", tree.language, result.context, result.target,
-                             PairMeta("s", span.leaf_start, span.leaf_count))
-    mutuals = mutual_identifiers(pair.context, pair.target)
-    plan = plan_masking(mutuals, rng, 1.0, 0.0, context=pair.context, target=pair.target)
-    masked = apply_masking(pair, plan)
-    ctx_ids = {t.text for t in masked.context if t.is_identifier}
-    tgt_ids = {t.text for t in masked.target if t.is_identifier}
+    ctx, tgt = split(tree, span)
+    mutuals = mutual_identifiers(ctx, tgt)
+    plan = plan_masking(mutuals, rng, 1.0, 0.0, context=ctx, target=tgt)
+    masked_ctx, masked_tgt = apply_masking(ctx, tgt, plan)
+    ctx_ids = {t.text for t in masked_ctx if t.is_identifier}
+    tgt_ids = {t.text for t in masked_tgt if t.is_identifier}
     for name in mutuals:
         assert (name in ctx_ids) != (name in tgt_ids)
 
@@ -282,12 +272,12 @@ def test_dedent_then_reindent_roundtrip():
 
 
 def test_unalias_inverts_masking():
-    pair = make_pair("bar = baz\n", "bar + baz\n")
+    ctx, tgt = make_pair("bar = baz\n", "bar + baz\n")
     plan = plan_masking({"bar", "baz"}, random.Random(3), 1.0, 0.0,
-                        context=pair.context, target=pair.target)
-    masked = apply_masking(pair, plan)
-    restored = unalias(masked.target, masked.meta.aliases)
-    assert render(restored) == render(pair.target)
+                        context=ctx, target=tgt)
+    _, masked_tgt = apply_masking(ctx, tgt, plan)
+    restored = unalias(masked_tgt, plan.alias_map)
+    assert render(restored) == render(tgt)
 
 
 def test_full_inverse_recovers_pre_transform_target():
@@ -302,15 +292,12 @@ def test_full_inverse_recovers_pre_transform_target():
     tree = parse(src, "python")
     rng = random.Random(11)
     span = select_span_with_retry(tree, rng, mean=18, stddev=6, min_len=6, max_len=30)
-    result = split(tree, span)
-    original_target = render(result.target)
-    pair = ContextTargetPair("p", tree.language, result.context, result.target,
-                             PairMeta("s", span.leaf_start, span.leaf_count))
-    plan = plan_masking(mutual_identifiers(pair.context, pair.target), rng, 1.0, 0.0,
-                        context=pair.context, target=pair.target)
-    masked = apply_masking(pair, plan)
-    dedented, cols = dedent_target(masked.target)
-    recovered = render(unalias(reindent_target(dedented, cols), masked.meta.aliases))
+    ctx, tgt = split(tree, span)
+    original_target = render(tgt)
+    plan = plan_masking(mutual_identifiers(ctx, tgt), rng, 1.0, 0.0, context=ctx, target=tgt)
+    _, masked_tgt = apply_masking(ctx, tgt, plan)
+    dedented, cols = dedent_target(masked_tgt)
+    recovered = render(unalias(reindent_target(dedented, cols), plan.alias_map))
     assert recovered == original_target
 
 

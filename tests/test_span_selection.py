@@ -110,10 +110,10 @@ def test_selected_spans_respect_budget_and_structure(parsed_corpus):
 
 def test_split_degenerate_full_span(python_lang):
     tree = parse("x = 1\n", "python")
-    span = SpanSelection((tree.root,), 0, tree.leaf_count, tree.leaf_count)
-    result = split(tree, span)
-    assert result.context_texts == [python_lang.cls_token, python_lang.mask_token]
-    assert result.target_texts == [python_lang.cls_token] + [t.text for t in tree.leaves]
+    span = SpanSelection((tree.root,), 0, tree.leaf_count)
+    context, target = split(tree, span)
+    assert [t.text for t in context] == [python_lang.cls_token, python_lang.mask_token]
+    assert [t.text for t in target] == [python_lang.cls_token] + [t.text for t in tree.leaves]
 
 
 def test_split_token_count_example(python_lang):
@@ -121,11 +121,11 @@ def test_split_token_count_example(python_lang):
     tree = make_tree(("program", [("s", [7])]), python_lang)
     stmt = tree.root.children[0]
     run = stmt.children[2:5]
-    span = SpanSelection(tuple(run), 2, 3, 3)
-    result = split(tree, span)
-    assert len(result.context) == 7 - 3 + 2
-    assert len(result.target) == 3 + 1
-    assert result.context[3].kind == "mask"
+    span = SpanSelection(tuple(run), 2, 3)
+    context, target = split(tree, span)
+    assert len(context) == 7 - 3 + 2
+    assert len(target) == 3 + 1
+    assert context[3].kind == "mask"
 
 
 def test_split_reconstruction(parsed_corpus):
@@ -133,13 +133,13 @@ def test_split_reconstruction(parsed_corpus):
     lang = None
     for _, tree in parsed_corpus[:20]:
         span = select_span(tree, 60, rng)
-        result = split(tree, span)
+        context, target = split(tree, span)
         lang = tree.language
-        spliced = splice_tokens(result.context, result.target, lang)
+        spliced = splice_tokens(context, target)
         assert [t.text for t in spliced] == [t.text for t in tree.leaves]
-        assert result.context_texts.count(lang.mask_token) == 1
-        assert result.context_texts[0] == lang.cls_token
-        assert result.target_texts[0] == lang.cls_token
+        assert [t.text for t in context].count(lang.mask_token) == 1
+        assert context[0].text == lang.cls_token
+        assert target[0].text == lang.cls_token
 
 
 def test_split_rejects_foreign_span():
@@ -194,6 +194,6 @@ def test_split_splices_back_for_random_lengths(length, seed):
     )
     tree = parse(src, "python")
     span = select_span(tree, length, random.Random(seed))
-    result = split(tree, span)
-    spliced = splice_tokens(result.context, result.target, tree.language)
+    context, target = split(tree, span)
+    spliced = splice_tokens(context, target)
     assert "".join(t.text for t in spliced) == src
