@@ -176,25 +176,28 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
         for f in files:
-            fh.write(dump_record({"path": str(f.path), "language": f.language,
-                                  "hash": f.content_hash, "split": f.split}) + "\n")
+            fh.write(dump_record({"path": str(f.path), "source": f.source,
+                                  "language": f.language, "hash": f.content_hash,
+                                  "split": f.split}) + "\n")
     log.info("prepared %d files -> %s", len(files), out)
     print(f"{len(files)} files -> {out}")
     return 0
 
 
 def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusFile]:
-    if getattr(args, "manifest", None):
-        rows = read_jsonl_objects(args.manifest, ("path", "language", "hash", "split"))
-        return [CorpusFile(path=Path(obj["path"]), language=obj["language"],
-                           content_hash=obj["hash"], split=obj["split"]) for _, obj in rows
+    if args.manifest:
+        rows = read_jsonl_objects(args.manifest, ("path", "source", "language", "hash", "split"))
+        return [CorpusFile(path=Path(obj["path"]), source=obj["source"],
+                           language=obj["language"], content_hash=obj["hash"],
+                           split=obj["split"]) for _, obj in rows
                 if not config.languages or obj["language"] in config.languages]
-    if not args.roots:
-        raise UsageError("pairs needs --roots or --manifest")
     return ingest(args.roots, config, ext_map=_ext_map(args))
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
+    if args.manifest and (args.valid_repos or args.ext_map):
+        raise UsageError("--manifest rows carry each file's split and language; "
+                         "--valid-repos and --ext-map apply to --roots only")
     config = resolve_pipeline_config(args)
     _echo_config("pairs", config.to_dict())
     files = _files_for(args, config)
@@ -349,8 +352,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("pairs", help="generate context/target pair shards")
-    p.add_argument("--roots", nargs="+", type=Path, default=None)
-    p.add_argument("--manifest", type=Path, default=None)
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--roots", nargs="+", type=Path, default=None)
+    corpus.add_argument("--manifest", type=Path, default=None, help="a manifest from prepare")
     p.add_argument("--out", required=True, type=Path)
     _add_corpus_flags(p)
     _add_pair_flags(p)

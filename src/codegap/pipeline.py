@@ -4,10 +4,11 @@ Files are deduplicated by content hash and split train/valid at repository
 granularity. Long files are shortened by cutting syntactically complete
 segments (150..800 tokens) and marking the cut points with fold tokens; the
 shortened file and every segment then feed pair generation independently.
-Output shards are a pure function of (corpus bytes, config, seed): every file
-gets its own random stream derived from the master seed and its content hash,
-and shards are written in content-hash order, so worker count and filesystem
-order never change the bytes on disk.
+Output shards are a pure function of (corpus bytes, paths under the roots,
+config, seed): every file gets its own random stream derived from the master
+seed and its content hash, and shards are written in content-hash order, so
+worker count, filesystem order and the spelling of a root never change the
+bytes on disk.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class CorpusFile:
     path: Path
+    source: str  # POSIX path under the root the file was found in; meta.source
     language: str
     content_hash: str
     split: str
@@ -123,8 +125,8 @@ def ingest(roots: Iterable[str | Path], config: PipelineConfig,
                 continue
             seen.add(digest)
             split_name = VALID if repo_of(path, root) in config.valid_repos else TRAIN
-            out.append(CorpusFile(path=path, language=lang.name,
-                                  content_hash=digest, split=split_name))
+            out.append(CorpusFile(path=path, source=path.relative_to(root).as_posix(),
+                                  language=lang.name, content_hash=digest, split=split_name))
     out.sort(key=lambda f: f.content_hash)
     return out
 
@@ -260,22 +262,22 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
     return records
 
 
-def _worker_generate(args: tuple) -> list[PairRecord]:
-    path_str, lang_name, digest, split_name, config = args
+def _worker_generate(args: tuple[CorpusFile, PipelineConfig]) -> list[PairRecord]:
+    file, config = args
     try:
-        source = Path(path_str).read_bytes().decode("utf-8")
+        source = file.path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        log.warning("skipping %s: %s", path_str, exc)
+        log.warning("skipping %s: %s", file.path, exc)
         return []
     return generate_pairs_for_source(
-        source, get_language(lang_name), seed=file_seed(config.seed, digest),
-        source_name=path_str, pair_id_prefix=digest[:16], split_name=split_name, config=config)
+        source, get_language(file.language), seed=file_seed(config.seed, file.content_hash),
+        source_name=file.source, pair_id_prefix=file.content_hash[:16], split_name=file.split,
+        config=config)
 
 
 def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[PairRecord]:
     """Deterministic pair stream over deduplicated files, hash order."""
-    ordered = sorted(files, key=lambda f: f.content_hash)
-    tasks = [(str(f.path), f.language, f.content_hash, f.split, config) for f in ordered]
+    tasks = [(f, config) for f in sorted(files, key=lambda f: f.content_hash)]
     if config.jobs <= 1:
         for records in map(_worker_generate, tasks):
             yield from records

@@ -45,7 +45,7 @@ def test_prepare_writes_manifest(small_corpus, tmp_path):
     assert main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)]) == 0
     rows = [json.loads(ln) for ln in manifest.read_text().splitlines()]
     assert rows
-    assert set(rows[0]) == {"path", "language", "hash", "split"}
+    assert set(rows[0]) == {"path", "source", "language", "hash", "split"}
 
 
 def test_pairs_deterministic_across_runs_and_jobs(small_corpus, tmp_path):
@@ -62,21 +62,32 @@ def test_pairs_deterministic_across_runs_and_jobs(small_corpus, tmp_path):
 
 
 # SHA-256 of the pairs shards (relative path, then bytes, per file in path
-# order) for the mixed corpus below at --seed 0, taken from the tree code that
-# built nested tuples first; it pins tree shape and the order of RNG draws
-MIXED_PAIRS_SHA256 = "0266f789fc1458ab39f722e0c9f2f402fd1839556dad4c3b683498b3737d4af1"
+# order) for the mixed corpus below at --seed 0. It was first taken from the
+# tree code that built nested tuples, and it pins tree shape and the order of
+# RNG draws; it moved once, when meta.source became relative to the root
+MIXED_PAIRS_SHA256 = "381d03419b42dd92d13ca58f6d2436ee43b20b8f3adbab309679c1516784798b"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_pairs_match_golden_digest(tmp_path, monkeypatch, jobs):
+def test_pairs_match_golden_digest(tmp_path, jobs):
     write_mixed_corpus(tmp_path / "corpus", seed=3, files_per_lang=30)
-    monkeypatch.chdir(tmp_path)  # relative roots keep absolute paths out of "source"
-    assert main(["pairs", "--roots", "corpus", "--out", "out", "--seed", "0",
-                 "--jobs", jobs]) == 0
+    assert main(["pairs", "--roots", str(tmp_path / "corpus"), "--out", str(tmp_path / "out"),
+                 "--seed", "0", "--jobs", jobs]) == 0
     digest = hashlib.sha256()
     for name, data in shard_bytes(tmp_path / "out").items():
         digest.update(Path(name).as_posix().encode() + b"\n" + data)
     assert digest.hexdigest() == MIXED_PAIRS_SHA256
+
+
+def test_pairs_bytes_do_not_depend_on_how_roots_is_spelled(small_corpus, tmp_path, monkeypatch):
+    monkeypatch.chdir(small_corpus.parent)
+    spellings = [small_corpus.name, f"./{small_corpus.name}/", str(small_corpus.resolve())]
+    outs = []
+    for i, root in enumerate(spellings):
+        out = tmp_path / str(i)
+        assert main(["pairs", "--roots", root, "--out", str(out), "--seed", "1"]) == 0
+        outs.append(shard_bytes(out))
+    assert outs[0] and outs[0] == outs[1] == outs[2]
 
 
 def test_pairs_with_deeply_nested_file(small_corpus, tmp_path):
@@ -96,7 +107,7 @@ def test_pairs_with_deeply_nested_file(small_corpus, tmp_path):
     records = [r for path in sorted(out.rglob("*.jsonl")) for r in read_jsonl(path)]
     expected = [r for path in sorted(reference.rglob("*.jsonl")) for r in read_jsonl(path)]
     sources = {r.meta["source"] for r in records}
-    assert str(corpus / "deep.js") in sources
+    assert "deep.js" in sources
     assert ({(r.pair_id, r.context, r.target) for r in expected}
             <= {(r.pair_id, r.context, r.target) for r in records})
 
@@ -119,6 +130,52 @@ def test_pairs_from_manifest_keeps_only_langs(small_corpus, tmp_path):
     records = [r for path in sorted(out_m.rglob("*.jsonl")) for r in read_jsonl(path)]
     assert records and {r.language for r in records} == {"c"}
     assert shard_bytes(out_m) == shard_bytes(out_r)
+
+
+def test_pairs_from_manifest_without_source_column_is_data_error(small_corpus, tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    assert main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)]) == 0
+    rows = [json.loads(ln) for ln in manifest.read_text(encoding="utf-8").splitlines()]
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(json.dumps({k: v for k, v in row.items() if k != "source"}) + "\n"
+                           for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pairs", "--manifest", str(old), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "source" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--roots", "corpus"], ["--valid-repos", "valid.txt"],
+                                   ["--ext-map", "ext.txt"]])
+def test_pairs_from_manifest_with_a_roots_only_flag_is_usage_error(small_corpus, tmp_path,
+                                                                  monkeypatch, extra):
+    manifest = tmp_path / "m.jsonl"
+    assert main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)]) == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").symlink_to(small_corpus)
+    (tmp_path / "valid.txt").write_text("repo0\n", encoding="utf-8")
+    (tmp_path / "ext.txt").write_text("py=python\n", encoding="utf-8")
+    assert main(["pairs", "--manifest", str(manifest), *extra, "--out", "out"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _pair_records(small_corpus, out, *flags):
+    assert main(["pairs", "--roots", str(small_corpus), "--out", str(out), "--seed", "0",
+                 *flags]) == 0
+    records = [r for path in sorted(out.rglob("*.jsonl")) for r in read_jsonl(path)]
+    assert records
+    return records
+
+
+def test_pairs_meta_follows_the_ablation_switches(small_corpus, tmp_path):
+    for r in _pair_records(small_corpus, tmp_path / "no_masking", "--no-masking"):
+        assert r.meta["skipped_masking"] is True and r.meta["aliases"] == {}
+    for r in _pair_records(small_corpus, tmp_path / "no_dedent", "--no-dedent"):
+        assert r.meta["dedent_cols"] == 0
+    defaults = _pair_records(small_corpus, tmp_path / "defaults")
+    assert any(r.meta["aliases"] for r in defaults)
+    assert any(r.meta["dedent_cols"] > 0 for r in defaults)
 
 
 def test_pairs_with_a_file_that_is_one_error_region(small_corpus, tmp_path):
@@ -148,12 +205,12 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("bad_line", [
     '{"path": "a.py", "language": "python", "hash": ',
-    '{"path": "a.py", "language": "python", "split": "train"}',
+    '{"path": "a.py", "language": "python", "source": "a.py", "split": "train"}',
 ])
 def test_pairs_malformed_manifest_is_data_error(tmp_path, capsys, bad_line):
     manifest = tmp_path / "m.jsonl"
-    good = json.dumps({"path": "a.py", "language": "python", "hash": "0" * 64,
-                       "split": "train"})
+    good = json.dumps({"path": "a.py", "language": "python", "source": "a.py",
+                       "hash": "0" * 64, "split": "train"})
     manifest.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
     assert main(["pairs", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
     assert "line 2" in capsys.readouterr().err
