@@ -62,9 +62,8 @@ def test_pairs_deterministic_across_runs_and_jobs(small_corpus, tmp_path):
 
 
 # SHA-256 of the pairs shards (relative path, then bytes, per file in path
-# order) for the mixed corpus below at --seed 0. It was first taken from the
-# tree code that built nested tuples, and it pins tree shape and the order of
-# RNG draws; it moved once, when meta.source became relative to the root
+# order) for the mixed corpus below at --seed 0; it pins tree shape, the order
+# of RNG draws and the root-relative meta.source
 MIXED_PAIRS_SHA256 = "381d03419b42dd92d13ca58f6d2436ee43b20b8f3adbab309679c1516784798b"
 
 
