@@ -52,10 +52,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# each flag's dest is the name of the config field it sets
 def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
     """The flags that pick and split the corpus files."""
-    sub.add_argument("--langs", nargs="+", default=None)
-    sub.add_argument("--valid-repos", type=Path, default=None,
+    sub.add_argument("--langs", dest="languages", nargs="+", default=None)
+    sub.add_argument("--valid-repos", dest="valid_repos_file", type=Path, default=None,
                      help="file listing repository names reserved for validation")
     sub.add_argument("--ext-map", type=Path, default=None,
                      help="ext=grammar lines overriding the extension registry")
@@ -64,34 +65,21 @@ def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
 def _add_pair_flags(sub: argparse.ArgumentParser) -> None:
     """The flags that shape pair generation and shard writing."""
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--mean", type=float, default=None, help="mean sampled target length")
-    sub.add_argument("--stddev", type=float, default=None, help="stddev of target length")
-    sub.add_argument("--min-len", type=int, default=None)
-    sub.add_argument("--max-len", type=int, default=None)
+    sub.add_argument("--mean", dest="mean_target_len", type=float, default=None,
+                     help="mean sampled target length")
+    sub.add_argument("--stddev", dest="stddev_target_len", type=float, default=None,
+                     help="stddev of target length")
+    sub.add_argument("--min-len", dest="min_target_len", type=int, default=None)
+    sub.add_argument("--max-len", dest="max_target_len", type=int, default=None)
     sub.add_argument("--mask-prob", type=float, default=None)
-    sub.add_argument("--skip-prob", type=float, default=None)
-    sub.add_argument("--threshold", type=int, default=None, help="truncation threshold in tokens")
+    sub.add_argument("--skip-prob", dest="skip_pair_prob", type=float, default=None)
+    sub.add_argument("--threshold", dest="truncation_threshold", type=int, default=None,
+                     help="truncation threshold in tokens")
     sub.add_argument("--shard-size", type=int, default=None)
     sub.add_argument("--pairs-per-input", type=int, default=None)
     sub.add_argument("--jobs", type=int, default=None)
-    sub.add_argument("--no-masking", action="store_true")
-    sub.add_argument("--no-dedent", action="store_true")
-
-
-_FLAG_TO_FIELD = {
-    "seed": "seed",
-    "mean": "mean_target_len",
-    "stddev": "stddev_target_len",
-    "min_len": "min_target_len",
-    "max_len": "max_target_len",
-    "mask_prob": "mask_prob",
-    "skip_prob": "skip_pair_prob",
-    "threshold": "truncation_threshold",
-    "budget": "token_budget",
-    "shard_size": "shard_size",
-    "pairs_per_input": "pairs_per_input",
-    "jobs": "jobs",
-}
+    sub.add_argument("--no-masking", dest="masking_enabled", action="store_false", default=None)
+    sub.add_argument("--no-dedent", dest="dedent_enabled", action="store_false", default=None)
 
 
 def _fits_field(field: dataclasses.Field, value) -> bool:
@@ -108,7 +96,7 @@ def _fits_field(field: dataclasses.Field, value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _merge_config(cls, args: argparse.Namespace, flags: dict) -> dict:
+def _merge_config(cls, args: argparse.Namespace) -> dict:
     """Field values of `cls`: its defaults, then the --config file, then the
     flags that were given; a file value of the wrong type is a SchemaError."""
     file_config = _load_file_config(args)
@@ -121,26 +109,25 @@ def _merge_config(cls, args: argparse.Namespace, flags: dict) -> dict:
                 raise SchemaError(f"{args.config}: config key {field.name!r} "
                                   f"expects {field.type}, got {value!r}")
             values[field.name] = value
-        if flags.get(field.name) is not None:
-            values[field.name] = flags[field.name]
+        if (flag := getattr(args, field.name, None)) is not None:
+            values[field.name] = flag
     return values
 
 
 def resolve_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    flags = {field: getattr(args, flag, None) for flag, field in _FLAG_TO_FIELD.items()}
-    flags["languages"] = getattr(args, "langs", None)
-    if getattr(args, "no_masking", False):
-        flags["masking_enabled"] = False
-    if getattr(args, "no_dedent", False):
-        flags["dedent_enabled"] = False
-    if getattr(args, "valid_repos", None):
-        names = [ln.strip() for ln in Path(args.valid_repos).read_text(encoding="utf-8").splitlines()]
-        flags["valid_repos"] = [n for n in names if n and not n.startswith("#")]
-    values = _merge_config(PipelineConfig, args, flags)
+    if getattr(args, "valid_repos_file", None):
+        names = [ln.strip() for ln in args.valid_repos_file.read_text(encoding="utf-8").splitlines()]
+        args.valid_repos = [n for n in names if n and not n.startswith("#")]
+    values = _merge_config(PipelineConfig, args)
     if values["languages"] is not None:
         values["languages"] = tuple(values["languages"])
     values["valid_repos"] = frozenset(values["valid_repos"])
     return PipelineConfig(**values)
+
+
+# one config file may serve every subcommand; "subcommand" is in each echo
+_CONFIG_KEYS = frozenset(["subcommand", *(field.name for cls in (PipelineConfig, TrainConfig)
+                                          for field in dataclasses.fields(cls))])
 
 
 def _load_file_config(args: argparse.Namespace) -> dict:
@@ -153,6 +140,9 @@ def _load_file_config(args: argparse.Namespace) -> dict:
         raise SchemaError(f"{path}: invalid JSON config: {exc}") from exc
     if not isinstance(config, dict):
         raise SchemaError(f"{path}: a config file must hold one JSON object")
+    unknown = sorted(config.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise SchemaError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
     return config
 
 
@@ -195,11 +185,14 @@ def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusF
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
-    if args.manifest and (args.valid_repos or args.ext_map):
+    if args.manifest and (args.valid_repos_file or args.ext_map):
         raise UsageError("--manifest rows carry each file's split and language; "
                          "--valid-repos and --ext-map apply to --roots only")
     config = resolve_pipeline_config(args)
     _echo_config("pairs", config.to_dict())
+    if args.manifest and config.valid_repos:
+        log.warning("config key valid_repos is ignored with --manifest: "
+                    "the manifest rows carry each file's split")
     files = _files_for(args, config)
     records = make_pairs(files, config)
     written = write_shards(records, args.out, shard_size=config.shard_size)
@@ -210,7 +203,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = resolve_pipeline_config(args)
-    _echo_config("batch", {"budget": config.token_budget, "shards": str(args.shards)})
+    _echo_config("batch", {"token_budget": config.token_budget})
     train, valid = read_shard_dir(args.shards)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -264,16 +257,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAIN_FLAG_TO_FIELD = {"steps": "steps", "lr": "lr", "seed": "seed", "d": "dim", "tau": "tau",
-                        "buckets": "buckets", "budget": "token_budget",
-                        "eval_every": "eval_every", "valid_cap": "valid_cap"}
-
-
 def cmd_train_toy(args: argparse.Namespace) -> int:
-    flags = {field: getattr(args, flag, None) for flag, field in _TRAIN_FLAG_TO_FIELD.items()}
-    if args.negatives_only_denominator:
-        flags["include_positive"] = False
-    config = TrainConfig(**_merge_config(TrainConfig, args, flags))
+    config = TrainConfig(**_merge_config(TrainConfig, args))
     _echo_config("train-toy", dataclasses.asdict(config))
     train, valid = read_shard_dir(args.shards)
     if not train:
@@ -363,7 +348,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("batch", help="emit language-pure batch manifests")
     p.add_argument("--shards", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--budget", type=int, default=None, help="batch token budget")
+    p.add_argument("--budget", dest="token_budget", type=int, default=None,
+                   help="batch token budget")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("eval", help="rank candidates for every query and report metrics")
@@ -383,13 +369,15 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--d", type=int, default=None, help=f"embedding dimension (default {DEFAULT_DIM})")
+    p.add_argument("--d", dest="dim", type=int, default=None,
+                   help=f"embedding dimension (default {DEFAULT_DIM})")
     p.add_argument("--tau", type=float, default=None, help=f"temperature (default {DEFAULT_TAU})")
     p.add_argument("--buckets", type=int, default=None, help=f"hash buckets (default {DEFAULT_BUCKETS})")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", dest="token_budget", type=int, default=None)
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--valid-cap", type=int, default=None)
-    p.add_argument("--negatives-only-denominator", action="store_true",
+    p.add_argument("--negatives-only-denominator", dest="include_positive",
+                   action="store_false", default=None,
                    help="score against negatives only instead of the full softmax pool")
     p.set_defaults(func=cmd_train_toy)
 

@@ -42,37 +42,18 @@ def _is_delimiter_leaf(node: Node) -> bool:
     return node.is_leaf and node.token.text in BRACKET_TEXTS and node.kind == node.token.text
 
 
-def _eligible_nodes(tree: SyntaxTree) -> tuple[list[Node], list[Node]]:
-    """Preorder (internal, leaf) seed candidates, error subtrees excluded."""
-    internal: list[Node] = []
-    leaves: list[Node] = []
-    stack = list(reversed(tree.root.children))
-    while stack:
-        node = stack.pop()
-        if node.kind == "error":
-            continue
-        if node.is_leaf:
-            if not _is_delimiter_leaf(node) and node.token.kind not in WHITESPACE_KINDS:
-                leaves.append(node)
-        else:
-            internal.append(node)
-            stack.extend(reversed(node.children))
-    return internal, leaves
-
-
 def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> Node:
-    internal, leaves = _eligible_nodes(tree)
     lo = max(1.0, length / 2)
-    window = [n for n in internal if lo <= n.leaf_count <= length]
+    window = [n for n in tree.seed_nodes if lo <= n.leaf_count <= length]
     if window:
         return window[rng.randrange(len(window))]
-    fitting = [n for n in internal if n.leaf_count <= length]
+    fitting = [n for n in tree.seed_nodes if n.leaf_count <= length]
     if fitting:
         best = max(n.leaf_count for n in fitting)
         largest = [n for n in fitting if n.leaf_count == best]
         return largest[rng.randrange(len(largest))]
-    if leaves:
-        return leaves[rng.randrange(len(leaves))]
+    if tree.seed_leaves:
+        return tree.seed_leaves[rng.randrange(len(tree.seed_leaves))]
     raise EmptyTree("no selectable node outside error regions")
 
 

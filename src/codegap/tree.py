@@ -10,6 +10,7 @@ full grammars — they exist so spans can be cut along whole-subtree boundaries.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,6 +37,7 @@ DECLARATION_KEYWORDS = frozenset(
     "function def from using".split()
 )
 _KIND_ALIASES = {"def": "function_definition", "class": "class_definition"}
+_NO_ERROR = sys.maxsize  # error_floor when no error subtree is open
 
 
 class Node:
@@ -80,10 +82,17 @@ def _leaf(tok: Token) -> Node:
 
 @dataclass
 class SyntaxTree:
+    """A parsed file. `seed_nodes` (internal nodes below the root) and
+    `seed_leaves` (leaves that are not whitespace, newline or a bracket
+    token) are the span seed candidates, in preorder, with error subtrees
+    left out."""
+
     language: Language
     source: str
     leaves: list[Token]
     root: Node
+    seed_nodes: list[Node]
+    seed_leaves: list[Node]
 
     def walk(self) -> Iterator[Node]:
         return self.root.walk()
@@ -101,16 +110,32 @@ class SyntaxTree:
 
 def _build_tree(children: list[Node], language: Language) -> SyntaxTree:
     """Hang fresh nodes under a program root and number them in preorder:
-    leaf ranges, parent links and child indexes, collecting the leaves."""
+    leaf ranges, parent links and child indexes, collecting the leaves and
+    the span seeds."""
     root = Node("program", children)
     leaves: list[Token] = []
     internal: list[Node] = []
+    seed_nodes: list[Node] = []
+    seed_leaves: list[Node] = []
     stack = [root]
+    # an error node's descendants are popped while the stack stays at least
+    # as high as it was just after the error node itself was popped
+    error_floor = _NO_ERROR
     while stack:
         node = stack.pop()
+        tok = node.token
+        if len(stack) < error_floor:
+            error_floor = _NO_ERROR
+            if node.kind == "error":
+                error_floor = len(stack)
+            elif tok is None:
+                seed_nodes.append(node)
+            elif tok.kind not in WHITESPACE_KINDS and not (
+                    node.kind == tok.text and tok.text in BRACKET_TEXTS):
+                seed_leaves.append(node)
         node.leaf_start = len(leaves)
-        if node.token is not None:
-            leaves.append(node.token)
+        if tok is not None:
+            leaves.append(tok)
             node.leaf_count = 1
             continue
         internal.append(node)
@@ -118,10 +143,11 @@ def _build_tree(children: list[Node], language: Language) -> SyntaxTree:
             child.parent = node
             child.child_index = idx
         stack.extend(reversed(node.children))
+    del seed_nodes[0]  # the root is no seed
     for node in reversed(internal):  # children before their parents
         node.leaf_count = node.children[-1].leaf_end - node.leaf_start if node.children else 0
     source = "".join(t.text for t in leaves)
-    return SyntaxTree(language=language, source=source, leaves=leaves, root=root)
+    return SyntaxTree(language, source, leaves, root, seed_nodes, seed_leaves)
 
 
 # --------------------------------------------------------------------------

@@ -195,6 +195,36 @@ def make_tree(spec, language: Language) -> SyntaxTree:
 
 
 # --------------------------------------------------------------------------
+# reference span seeds: the per-tree walk span selection made on every attempt
+# before the numbering pass listed the seeds
+
+BRACKET_TEXTS = frozenset("()[]{}")
+WHITESPACE_KINDS = frozenset({"whitespace", "newline"})
+
+
+def _is_delimiter_leaf(node: Node) -> bool:
+    return node.is_leaf and node.token.text in BRACKET_TEXTS and node.kind == node.token.text
+
+
+def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[Node], list[Node]]:
+    """Preorder (internal, leaf) seed candidates, error subtrees excluded."""
+    internal: list[Node] = []
+    leaves: list[Node] = []
+    stack = list(reversed(tree.root.children))
+    while stack:
+        node = stack.pop()
+        if node.kind == "error":
+            continue
+        if node.is_leaf:
+            if not _is_delimiter_leaf(node) and node.token.kind not in WHITESPACE_KINDS:
+                leaves.append(node)
+        else:
+            internal.append(node)
+            stack.extend(reversed(node.children))
+    return internal, leaves
+
+
+# --------------------------------------------------------------------------
 # reference lexer: a per-character scanner that shares no code with the
 # compiled patterns of codegap.tokenizer; its records also carry UTF-8 byte
 # offsets

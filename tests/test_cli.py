@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,27 @@ def test_pairs_from_manifest_with_a_roots_only_flag_is_usage_error(small_corpus,
     assert not (tmp_path / "out").exists()
 
 
+def test_pairs_from_manifest_warns_that_config_valid_repos_is_ignored(small_corpus, tmp_path,
+                                                                      caplog):
+    manifest = tmp_path / "m.jsonl"
+    assert main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)]) == 0
+    plain = tmp_path / "plain"
+    assert main(["pairs", "--manifest", str(manifest), "--out", str(plain)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"valid_repos": ["python_repo1"]}), encoding="utf-8")
+    out = tmp_path / "out"
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="codegap"):
+        assert main(["--config", str(cfg), "pairs", "--manifest", str(manifest),
+                     "--out", str(out)]) == 0
+    records = [r for r in caplog.records if r.name == "codegap"]
+    assert records[0].getMessage().startswith("config ")
+    warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "valid_repos" in warnings[0] and "split" in warnings[0]
+    assert shard_bytes(out) == shard_bytes(plain)
+
+
 def _pair_records(small_corpus, out, *flags):
     assert main(["pairs", "--roots", str(small_corpus), "--out", str(out), "--seed", "0",
                  *flags]) == 0
@@ -282,6 +304,67 @@ def test_config_file_flag_precedence(small_corpus, tmp_path, capsys):
     main(["pairs", "--roots", str(small_corpus), "--out", str(reference),
           "--seed", "9", "--mask-prob", "0.5"])
     assert shard_bytes(out_file) == shard_bytes(reference)
+
+
+def test_unknown_config_key_is_data_error(small_corpus, tmp_path, capsys):
+    cfg = tmp_path / "typo_cfg.json"
+    cfg.write_text(json.dumps({"mask_prb": 0.1, "sed": 5}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "pairs", "--roots", str(small_corpus),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "typo_cfg.json" in err and "'mask_prb'" in err and "'sed'" in err
+    assert not out.exists()
+
+
+def test_one_config_file_serves_every_subcommand(small_corpus, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "pairs", "seed": 3, "mask_prob": 0.5,
+                               "token_budget": 3000, "steps": 5, "dim": 16}),
+                   encoding="utf-8")
+    shards = tmp_path / "shards"
+    assert main(["--config", str(cfg), "pairs", "--roots", str(small_corpus),
+                 "--out", str(shards)]) == 0
+    assert main(["--config", str(cfg), "batch", "--shards", str(shards),
+                 "--out", str(tmp_path / "b.jsonl")]) == 0
+    assert main(["--config", str(cfg), "train-toy", "--shards", str(shards),
+                 "--out", str(tmp_path / "m")]) == 0
+    assert "trained 5 steps" in capsys.readouterr().out
+    assert ToyEncoder.load(tmp_path / "m").dim == 16
+
+
+_REPLAY_FLAGS = {
+    "prepare": ["--valid-repos", "valid.txt"],
+    "pairs": ["--mean", "60", "--no-masking"],
+    "batch": ["--budget", "300"],
+    "train-toy": ["--steps", "8", "--d", "16", "--buckets", "512",
+                  "--negatives-only-denominator"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_REPLAY_FLAGS))
+def test_echoed_config_replays_to_the_same_output(small_corpus, tmp_path, monkeypatch, caplog,
+                                                  subcommand):
+    monkeypatch.chdir(tmp_path)
+    Path("valid.txt").write_text("python_repo1\n", encoding="utf-8")
+    assert main(["pairs", "--roots", str(small_corpus), "--out", "shards", "--seed", "2"]) == 0
+    source = ["--shards", "shards"] if subcommand in ("batch", "train-toy") else \
+        ["--roots", str(small_corpus)]
+    outputs = {}
+    for run in ("flags", "replay"):
+        Path(run).mkdir()
+        caplog.clear()
+        config = [] if run == "flags" else ["--config", "echo.json"]
+        flags = _REPLAY_FLAGS[subcommand] if run == "flags" else []
+        with caplog.at_level(logging.INFO, logger="codegap"):
+            assert main([*config, subcommand, *source, "--out", f"{run}/out", *flags]) == 0
+        if run == "flags":
+            echo = next(r.getMessage() for r in caplog.records if r.name == "codegap")
+            Path("echo.json").write_text(echo[len("config "):], encoding="utf-8")
+        outputs[run] = {str(p.relative_to(run)): p.read_bytes()
+                        for p in sorted(Path(run).rglob("*")) if p.is_file()}
+    assert outputs["flags"]
+    assert outputs["replay"] == outputs["flags"]
 
 
 def test_batch_manifest(small_corpus, tmp_path):
@@ -443,8 +526,6 @@ def test_inspect_without_inputs_is_usage_error():
 
 
 def test_config_echo_is_first_log_line(small_corpus, tmp_path, caplog):
-    import logging
-
     with caplog.at_level(logging.INFO, logger="codegap"):
         main(["prepare", "--roots", str(small_corpus),
               "--out", str(tmp_path / "m.jsonl")])

@@ -5,7 +5,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codegap.errors import EncodingError, IndexOutOfRange, UnsupportedLanguage
@@ -21,7 +21,7 @@ from codegap.spans import select_span
 from codegap.tokenizer import tokenize
 from codegap.tree import identifier_occurrences, indentation_of, parse
 
-from _oracles import oracle_tokenize
+from _oracles import oracle_eligible_nodes, oracle_tokenize
 
 
 def roundtrip(tree, source):
@@ -291,3 +291,52 @@ def _depths(tree):
         if node.parent is not None:
             depth[id(node)] = depth[id(node.parent)] + 1
     return depth.values()
+
+
+_SEED_TEXT = st.lists(st.sampled_from([
+    "(", ")", "[", "]", "{", "}", "\n", "    ", "\t", " ", ":", ";", "'", '"', "x", "f(", "1",
+    "if ", "else", "elif ", "def ", "class ", "for ", "while ", "do ", "try", "return ",
+]), max_size=80).map("".join)
+
+
+def _assert_seeds_match_reference(tree):
+    internal, leaves = oracle_eligible_nodes(tree)
+    for listed, reference in ((tree.seed_nodes, internal), (tree.seed_leaves, leaves)):
+        assert len(listed) == len(reference)
+        assert all(a is b for a, b in zip(listed, reference))
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=300, deadline=None)
+@given(text=_SEED_TEXT)
+@example(text="f(x, (1 ] ;\n{ if x: (\n  y) } }")
+def test_seed_lists_match_reference_walk(lang, text):
+    _assert_seeds_match_reference(parse(text, lang))
+
+
+def _seed_test_trees(tree_set, parsed_corpus):
+    if tree_set == "corpus":
+        return [tree for _, tree in parsed_corpus]
+    if tree_set == "deep":
+        return [parse(src, name.split("_")[0]) for name, src in DEEP_SOURCES.items()]
+    sources = _real_sources(str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), 30)
+    if len(sources) < 30:
+        pytest.skip("fewer than 30 stdlib files here")
+    cfg = PipelineConfig(truncation_threshold=200, segment_min_len=20, segment_max_len=120)
+    rng = random.Random(0)
+    trees = []
+    for source in sources:
+        for lang in ("python", "c"):
+            result = truncate_file(parse(source, lang), rng, cfg)
+            trees += [result.shortened, *result.segments]
+    return trees
+
+
+@pytest.mark.parametrize("tree_set", ["corpus", "deep", "truncated"])
+def test_seed_lists_match_reference_walk_on_real_trees(tree_set, parsed_corpus):
+    trees = _seed_test_trees(tree_set, parsed_corpus)
+    for tree in trees:
+        _assert_seeds_match_reference(tree)
+    if tree_set == "truncated":  # shortened files and segments, some with error nodes
+        assert any(tok.kind == "fold" for tree in trees for tok in tree.leaves)
+        assert any(node.kind == "error" for tree in trees for node in tree.walk())
