@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .contrastive import DEFAULT_BUCKETS, DEFAULT_DIM, DEFAULT_TAU, ToyEncoder, TrainConfig, train_toy
-from .errors import CodegapError, SchemaError, UsageError
+from .errors import CodegapError, InvalidBounds, SchemaError, UsageError
 from .languages import DEFAULT_EXTENSIONS, load_extension_map, supported_languages
 from .pipeline import (
     CorpusFile,
@@ -122,6 +122,9 @@ def resolve_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if values["languages"] is not None:
         values["languages"] = tuple(values["languages"])
     values["valid_repos"] = frozenset(values["valid_repos"])
+    for key in ("shard_size", "jobs"):
+        if values[key] < 1:
+            raise InvalidBounds(f"config key {key!r} must be at least 1, got {values[key]}")
     return PipelineConfig(**values)
 
 
@@ -263,6 +266,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     train, valid = read_shard_dir(args.shards)
     if not train:
         raise CodegapError(f"no training records under {args.shards}")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     encoder, report = train_toy(train, valid, config)
     encoder.save(args.out)
     if valid:

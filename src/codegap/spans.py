@@ -57,30 +57,28 @@ def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> Node:
     raise EmptyTree("no selectable node outside error regions")
 
 
-def _sibling(run: list[Node], following: bool) -> Node | None:
+def _sibling(tree: SyntaxTree, run: list[Node], following: bool) -> Node | None:
     edge = run[-1] if following else run[0]
-    parent = edge.parent
-    if parent is None:
-        return None
+    parent = tree.parents.get(edge)
     idx = edge.child_index + (1 if following else -1)
-    if 0 <= idx < len(parent.children):
+    if parent is not None and 0 <= idx < len(parent.children):
         return parent.children[idx]
     return None
 
 
-def _expand(seed: Node, length: int) -> list[Node]:
+def _expand(tree: SyntaxTree, seed: Node, length: int) -> list[Node]:
     run: list[Node] = [seed]
     count = seed.leaf_count
     follow_first = True
     while True:
-        parent = run[0].parent
+        parent = tree.parents.get(run[0])
         if parent is not None and parent.kind != "error" and parent.leaf_count <= length:
             run = [parent]
             count = parent.leaf_count
             continue
         placed = None
         for following in (follow_first, not follow_first):
-            sib = _sibling(run, following)
+            sib = _sibling(tree, run, following)
             if sib is None or sib.kind == "error" or _is_delimiter_leaf(sib):
                 continue
             if count + sib.leaf_count <= length:
@@ -131,10 +129,9 @@ def select_span(tree: SyntaxTree, length: int, rng: random.Random) -> SpanSelect
     if length < 1:
         raise InvalidBounds("target length must be >= 1")
     seed = _pick_seed(tree, length, rng)
-    run = _trim_edge_whitespace(_expand(seed, length))
-    leaf_start = run[0].leaf_start
-    leaf_count = run[-1].leaf_end - leaf_start
-    return SpanSelection(tuple(run), leaf_start, leaf_count)
+    run = _trim_edge_whitespace(_expand(tree, seed, length))
+    start = run[0].leaf_start
+    return SpanSelection(tuple(run), start, run[-1].leaf_end - start)
 
 
 def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:
@@ -158,15 +155,14 @@ def select_span_with_retry(tree: SyntaxTree, rng: random.Random, *, mean: float 
 
 
 def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
-    node = span.sibling_run[0]
-    while node.parent is not None:
-        node = node.parent
-    if node is not tree.root:
+    parents = tree.parents
+    first = span.sibling_run[0]
+    if first is not tree.root and first not in parents:
         raise SpanMismatch("span does not belong to this tree")
     pos = span.leaf_start
     prev = None
     for n in span.sibling_run:
-        if prev is not None and (n.parent is not prev.parent
+        if prev is not None and (parents.get(n) is not parents.get(prev)
                                  or n.child_index != prev.child_index + 1):
             raise SpanMismatch("sibling run is not a consecutive run")
         if n.leaf_start != pos:

@@ -41,10 +41,10 @@ _NO_ERROR = sys.maxsize  # error_floor when no error subtree is open
 
 
 class Node:
-    """One tree node; leaves carry their token, internals carry children."""
+    """One tree node; leaves carry their token, internals carry children.
+    Parents live in `SyntaxTree.parents`, so a tree holds no reference cycle."""
 
-    __slots__ = ("kind", "children", "token", "leaf_start", "leaf_count",
-                 "parent", "child_index")
+    __slots__ = ("kind", "children", "token", "leaf_start", "leaf_count", "child_index")
 
     def __init__(self, kind: str, children: Sequence["Node"] = (), token: Token | None = None):
         self.kind = kind
@@ -52,7 +52,6 @@ class Node:
         self.token = token
         self.leaf_start = 0
         self.leaf_count = 0
-        self.parent: Node | None = None
         self.child_index = 0
 
     @property
@@ -82,26 +81,27 @@ def _leaf(tok: Token) -> Node:
 
 @dataclass
 class SyntaxTree:
-    """A parsed file. `seed_nodes` (internal nodes below the root) and
-    `seed_leaves` (leaves that are not whitespace, newline or a bracket
-    token) are the span seed candidates, in preorder, with error subtrees
-    left out."""
+    """A parsed file. `parents` maps every node but the root to its parent.
+    `seed_nodes` (internal nodes below the root) and `seed_leaves` (leaves
+    that are not whitespace, newline or a bracket token) are the span seed
+    candidates, in preorder, with error subtrees left out."""
 
     language: Language
-    source: str
     leaves: list[Token]
     root: Node
+    parents: dict[Node, Node]
     seed_nodes: list[Node]
     seed_leaves: list[Node]
 
     def walk(self) -> Iterator[Node]:
         return self.root.walk()
 
-    def text_of(self, start: int, count: int) -> str:
-        return "".join(t.text for t in self.leaves[start:start + count])
+    @property
+    def source(self) -> str:
+        return self.node_text(self.root)
 
     def node_text(self, node: Node) -> str:
-        return self.text_of(node.leaf_start, node.leaf_count)
+        return "".join(t.text for t in self.leaves[node.leaf_start:node.leaf_end])
 
     @property
     def leaf_count(self) -> int:
@@ -110,10 +110,11 @@ class SyntaxTree:
 
 def _build_tree(children: list[Node], language: Language) -> SyntaxTree:
     """Hang fresh nodes under a program root and number them in preorder:
-    leaf ranges, parent links and child indexes, collecting the leaves and
-    the span seeds."""
+    leaf ranges, parent map and child indexes, collecting the leaves and the
+    span seeds."""
     root = Node("program", children)
     leaves: list[Token] = []
+    parents: dict[Node, Node] = {}
     internal: list[Node] = []
     seed_nodes: list[Node] = []
     seed_leaves: list[Node] = []
@@ -140,14 +141,13 @@ def _build_tree(children: list[Node], language: Language) -> SyntaxTree:
             continue
         internal.append(node)
         for idx, child in enumerate(node.children):
-            child.parent = node
+            parents[child] = node
             child.child_index = idx
         stack.extend(reversed(node.children))
     del seed_nodes[0]  # the root is no seed
     for node in reversed(internal):  # children before their parents
         node.leaf_count = node.children[-1].leaf_end - node.leaf_start if node.children else 0
-    source = "".join(t.text for t in leaves)
-    return SyntaxTree(language, source, leaves, root, seed_nodes, seed_leaves)
+    return SyntaxTree(language, leaves, root, parents, seed_nodes, seed_leaves)
 
 
 # --------------------------------------------------------------------------

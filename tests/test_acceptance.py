@@ -134,7 +134,7 @@ def test_syntactic_completeness(trees):
         prev = None
         for node in span.sibling_run:
             if prev is not None:
-                assert node.parent is prev.parent
+                assert tree.parents[node] is tree.parents[prev]
                 assert node.child_index == prev.child_index + 1
             prev = node
         assert span.sibling_run[0].leaf_start == span.leaf_start

@@ -493,6 +493,30 @@ def test_train_toy_and_eval_model(small_corpus, tmp_path, capsys):
     assert ckpt.read_bytes() != ckpt3.read_bytes()
 
 
+def test_train_toy_creates_missing_out_dir(small_corpus, tmp_path):
+    shards = tmp_path / "shards"
+    assert main(["pairs", "--roots", str(small_corpus), "--out", str(shards)]) == 0
+    ckpt = tmp_path / "new" / "m.ckpt"
+    assert main(["train-toy", "--shards", str(shards), "--out", str(ckpt),
+                 "--steps", "2", "--d", "16", "--buckets", "512"]) == 0
+    assert ckpt.is_file() and Path(str(ckpt) + ".json").is_file()
+
+
+@pytest.mark.parametrize("key,flag", [("shard_size", "--shard-size"), ("jobs", "--jobs")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_count_below_one_is_data_error(small_corpus, tmp_path, capsys, key, flag, source):
+    args = ["pairs", "--roots", str(small_corpus), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        args += [flag, "0"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}), encoding="utf-8")
+        args = ["--config", str(cfg), *args]
+    assert main(args) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_inspect_shows_occlusion(small_corpus, tmp_path, capsys):
     shards = tmp_path / "shards"
     main(["pairs", "--roots", str(small_corpus), "--out", str(shards),

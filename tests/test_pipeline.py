@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from dataclasses import replace
@@ -12,6 +13,7 @@ from codegap.pipeline import (
     batch_by_language,
     content_hash,
     file_seed,
+    generate_pairs_for_source,
     ingest,
     make_pairs,
     read_jsonl,
@@ -97,8 +99,8 @@ def test_truncate_long_file_reconstructs(parsed_corpus):
 
 
 def _preorder_shape(tree):
-    return [(id(n), n.kind, n.leaf_start, n.leaf_count, n.child_index, id(n.parent), n.token)
-            for n in tree.walk()]
+    return [(id(n), n.kind, n.leaf_start, n.leaf_count, n.child_index, id(tree.parents.get(n)),
+             n.token) for n in tree.walk()]
 
 
 def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):
@@ -112,6 +114,26 @@ def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):
         assert result.was_truncated
         assert _preorder_shape(tree) == before
         assert tree.leaves == leaves
+
+
+def test_pair_generation_leaves_no_cyclic_garbage(parsed_corpus):
+    # trees hold no reference cycles, so each one is freed by reference
+    # counting when the pipeline drops it and the cyclic collector finds none
+    cfg = PipelineConfig()
+    path, tree = next((p, t) for p, t in parsed_corpus
+                      if t.leaf_count > cfg.truncation_threshold)
+    source = path.read_text(encoding="utf-8")
+    gc.collect()
+    gc.disable()
+    try:
+        records = generate_pairs_for_source(source, tree.language, seed=1, source_name=path.name,
+                                            pair_id_prefix="p", config=cfg)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len({r.pair_id for r in records}) > 1  # the file was truncated
+    assert unreachable == 0
+
 
 def test_make_pairs_deterministic_and_parallel_stable(tmp_path, mixed_corpus):
     root, _ = mixed_corpus

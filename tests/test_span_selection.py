@@ -55,7 +55,7 @@ def test_expansion_example_three_siblings(python_lang):
     #  preceding sibling A gives 8 -> accepted; then no move fits.
     tree = make_tree(("program", [("A", [3]), ("B", [5]), ("C", [4])]), python_lang)
     a, b, c = tree.root.children
-    run = _expand(b, 8)
+    run = _expand(tree, b, 8)
     assert run == [a, b]
     assert run[-1].leaf_end - run[0].leaf_start == 8
 
@@ -63,7 +63,7 @@ def test_expansion_example_three_siblings(python_lang):
 def test_expansion_collapses_to_parent_when_it_fits(python_lang):
     tree = make_tree(("program", [("A", [3]), ("B", [5]), ("C", [4])]), python_lang)
     b = tree.root.children[1]
-    run = _expand(b, 12)
+    run = _expand(tree, b, 12)
     assert run == [tree.root]
     assert run[0].leaf_count == 12
 
@@ -102,7 +102,7 @@ def test_selected_spans_respect_budget_and_structure(parsed_corpus):
             for node in span.sibling_run:
                 assert node.kind != "error"
                 if prev is not None:
-                    assert node.parent is prev.parent
+                    assert tree.parents[node] is tree.parents[prev]
                     assert node.child_index == prev.child_index + 1
                 prev = node
             assert tokens_balanced(tree.leaves[span.leaf_start:span.leaf_end])

@@ -288,8 +288,8 @@ def test_deep_nesting_parses_splits_and_truncates(name):
 def _depths(tree):
     depth = {id(tree.root): 0}
     for node in tree.walk():
-        if node.parent is not None:
-            depth[id(node)] = depth[id(node.parent)] + 1
+        if node in tree.parents:
+            depth[id(node)] = depth[id(tree.parents[node])] + 1
     return depth.values()
 
 
@@ -312,6 +312,22 @@ def _assert_seeds_match_reference(tree):
 @example(text="f(x, (1 ] ;\n{ if x: (\n  y) } }")
 def test_seed_lists_match_reference_walk(lang, text):
     _assert_seeds_match_reference(parse(text, lang))
+
+
+def _assert_parent_map_is_exact(tree):
+    nodes = list(tree.walk())
+    assert tree.root not in tree.parents
+    assert len(tree.parents) == len(nodes) - 1
+    for node in nodes[1:]:
+        assert tree.parents[node].children[node.child_index] is node
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=300, deadline=None)
+@given(text=_SEED_TEXT)
+@example(text="f(x, (1 ] ;\n{ if x: (\n  y) } }")
+def test_parent_map_matches_children(lang, text):
+    _assert_parent_map_is_exact(parse(text, lang))
 
 
 def _seed_test_trees(tree_set, parsed_corpus):
@@ -340,3 +356,8 @@ def test_seed_lists_match_reference_walk_on_real_trees(tree_set, parsed_corpus):
     if tree_set == "truncated":  # shortened files and segments, some with error nodes
         assert any(tok.kind == "fold" for tree in trees for tok in tree.leaves)
         assert any(node.kind == "error" for tree in trees for node in tree.walk())
+
+
+def test_parent_map_matches_children_on_truncated_trees(parsed_corpus):
+    for tree in _seed_test_trees("truncated", parsed_corpus):
+        _assert_parent_map_is_exact(tree)
