@@ -18,7 +18,13 @@ from pathlib import Path
 from . import __version__
 from .contrastive import DEFAULT_BUCKETS, DEFAULT_DIM, DEFAULT_TAU, ToyEncoder, TrainConfig, train_toy
 from .errors import CodegapError, InvalidBounds, SchemaError, UsageError
-from .languages import DEFAULT_EXTENSIONS, load_extension_map, supported_languages
+from .languages import (
+    DEFAULT_EXTENSIONS,
+    MASK_TOKEN,
+    get_language,
+    load_extension_map,
+    supported_languages,
+)
 from .pipeline import (
     CorpusFile,
     PipelineConfig,
@@ -96,9 +102,20 @@ def _fits_field(field: dataclasses.Field, value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+# config key -> (what it must be, test); a resolved value that fails is a data error
+_BOUNDS = {
+    **dict.fromkeys(("shard_size", "jobs", "pairs_per_input", "dim", "buckets"),
+                    ("at least 1", lambda v: v >= 1)),
+    **dict.fromkeys(("mask_prob", "skip_pair_prob"), ("between 0 and 1", lambda v: 0 <= v <= 1)),
+    "tau": ("greater than 0", lambda v: v > 0),
+    "valid_cap": ("at least 0", lambda v: v >= 0),
+}
+
+
 def _merge_config(cls, args: argparse.Namespace) -> dict:
     """Field values of `cls`: its defaults, then the --config file, then the
-    flags that were given; a file value of the wrong type is a SchemaError."""
+    flags that were given; a file value of the wrong type is a SchemaError,
+    and a value outside its _BOUNDS is InvalidBounds."""
     file_config = _load_file_config(args)
     values = {}
     for field in dataclasses.fields(cls):
@@ -111,6 +128,11 @@ def _merge_config(cls, args: argparse.Namespace) -> dict:
             values[field.name] = value
         if (flag := getattr(args, field.name, None)) is not None:
             values[field.name] = flag
+        if field.name in _BOUNDS:
+            must, test = _BOUNDS[field.name]
+            if not test(values[field.name]):
+                raise InvalidBounds(f"config key {field.name!r} must be {must}, "
+                                    f"got {values[field.name]}")
     return values
 
 
@@ -120,11 +142,8 @@ def resolve_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         args.valid_repos = [n for n in names if n and not n.startswith("#")]
     values = _merge_config(PipelineConfig, args)
     if values["languages"] is not None:
-        values["languages"] = tuple(values["languages"])
+        values["languages"] = tuple(get_language(name).name for name in values["languages"])
     values["valid_repos"] = frozenset(values["valid_repos"])
-    for key in ("shard_size", "jobs"):
-        if values[key] < 1:
-            raise InvalidBounds(f"config key {key!r} must be at least 1, got {values[key]}")
     return PipelineConfig(**values)
 
 
@@ -243,7 +262,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         qvecs = {qid: encoder.encode(q["context"]) for qid, q in queries.items()}
         cvecs = {tid: encoder.encode(c["text"]) for tid, c in candidates.items()}
         report = evaluate(qvecs, cvecs, judgments)
-    elif args.embeddings:
+    else:
         vectors = load_embeddings(args.embeddings)
         missing = [i for i in list(queries) + list(candidates) if i not in vectors]
         if missing:
@@ -251,8 +270,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         qvecs = {qid: vectors[qid] for qid in queries}
         cvecs = {tid: vectors[tid] for tid in candidates}
         report = evaluate(qvecs, cvecs, judgments)
-    else:
-        raise UsageError("eval needs --embeddings, --model toy, or --lexical")
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -311,8 +328,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             side = "context" if alias in ctx_tokens else "target"
             visible = "target" if side == "context" else "context"
             print(f"  {alias} <- {name} (masked in {side}; surface visible in {visible})")
-    mask_marker = "<mask>"
-    highlighted = record.context.replace(mask_marker, f">>> {mask_marker} <<<")
+    highlighted = record.context.replace(MASK_TOKEN, f">>> {MASK_TOKEN} <<<")
     print("context:")
     for line in highlighted.splitlines() or [highlighted]:
         print(f"  | {line}")
@@ -360,10 +376,12 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", required=True, type=Path)
     p.add_argument("--candidates", required=True, type=Path)
     p.add_argument("--qrels", required=True, type=Path)
-    p.add_argument("--embeddings", type=Path, default=None)
-    p.add_argument("--model", choices=["toy"], default=None)
+    scorer = p.add_mutually_exclusive_group(required=True)
+    scorer.add_argument("--embeddings", type=Path, default=None)
+    scorer.add_argument("--model", choices=["toy"], default=None)
+    scorer.add_argument("--lexical", action="store_true",
+                        help="token-overlap baseline instead of embeddings")
     p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--lexical", action="store_true", help="token-overlap baseline instead of embeddings")
     p.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_eval)
 

@@ -166,7 +166,7 @@ def dedent_target(target: list[Token]) -> tuple[list[Token], int]:
     for group in groups:
         first_idx = group[0]
         first = target[first_idx]
-        if first.column != 0:
+        if first.column_expanded != 0:
             continue  # only the first line can start mid-line; nothing to shift
         if first.kind != "whitespace":
             continue  # no leading indentation (content or empty line)
@@ -187,7 +187,7 @@ def reindent_target(target: list[Token], dedent_cols: int) -> list[Token]:
     for group in _line_groups(target):
         first_idx = group[0]
         first = target[first_idx]
-        if first.column != 0:
+        if first.column_expanded != 0:
             continue
         if first.kind == "whitespace":
             out[first_idx] = first.with_text(" " * dedent_cols + first.text)

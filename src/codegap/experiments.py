@@ -36,23 +36,18 @@ from .synth import CloneCorpus, write_clone_corpus
 
 log = logging.getLogger(__name__)
 
+LEXICAL_QUERY_CAP = 300  # training pairs probed by the token-overlap retriever
+
 
 @dataclass
 class AblationConfig:
     workdir: Path
     seed: int = 7
-    functionalities: int = 20
-    variants: int = 15
-    train_variants: int = 10
-    valid_variants: int = 2
     pairs_per_input: int = 2
     steps: int = 1200
     lr: float = 1.0
     dim: int = 64
     buckets: int = 4096
-    tau: float = 0.1
-    token_budget: int = 7000
-    lexical_query_cap: int = 300
 
 
 @dataclass
@@ -65,8 +60,6 @@ class AblationResult:
     deleak_report: EvalReport
     plain_report: EvalReport
     seconds: float
-    train_pairs_deleak: int = 0
-    train_pairs_plain: int = 0
 
     @property
     def trained_mrr(self) -> float:
@@ -130,17 +123,10 @@ def _evaluate_encoder(encoder: ToyEncoder, corpus: CloneCorpus) -> EvalReport:
 def run_ablation(config: AblationConfig) -> AblationResult:
     started = time.monotonic()
     workdir = Path(config.workdir)
-    corpus = write_clone_corpus(
-        workdir / "clone", seed=config.seed,
-        functionalities=config.functionalities, variants=config.variants,
-        train_variants=config.train_variants, valid_variants=config.valid_variants)
+    corpus = write_clone_corpus(workdir / "clone", seed=config.seed)
 
-    base = PipelineConfig(
-        seed=config.seed,
-        pairs_per_input=config.pairs_per_input,
-        valid_repos=frozenset(corpus.valid_repos),
-        token_budget=config.token_budget,
-    )
+    base = PipelineConfig(seed=config.seed, pairs_per_input=config.pairs_per_input,
+                          valid_repos=frozenset(corpus.valid_repos))
     files = ingest([corpus.corpus_dir], base)
     log.info("clone corpus: %d files (%d for validation repos)",
              len(files), sum(1 for f in files if f.split == "valid"))
@@ -154,12 +140,11 @@ def run_ablation(config: AblationConfig) -> AblationResult:
     plain_train = [r for r in plain_all if r.split == "train"]
     plain_valid = [r for r in plain_all if r.split == "valid"]
 
-    lex_deleak = lexical_training_map(deleak_train, config.lexical_query_cap)
-    lex_plain = lexical_training_map(plain_train, config.lexical_query_cap)
+    lex_deleak = lexical_training_map(deleak_train, LEXICAL_QUERY_CAP)
+    lex_plain = lexical_training_map(plain_train, LEXICAL_QUERY_CAP)
 
     tcfg = TrainConfig(steps=config.steps, lr=config.lr, seed=config.seed,
-                       dim=config.dim, buckets=config.buckets, tau=config.tau,
-                       token_budget=config.token_budget)
+                       dim=config.dim, buckets=config.buckets)
     enc_deleak, rep_deleak = train_toy(deleak_train, deleak_valid, tcfg)
     enc_plain, rep_plain = train_toy(plain_train, plain_valid, tcfg)
     log.info("trained: deleak best-mrr %.4f @ %d; plain best-mrr %.4f @ %d",
@@ -178,6 +163,4 @@ def run_ablation(config: AblationConfig) -> AblationResult:
         deleak_report=report_deleak,
         plain_report=report_plain,
         seconds=time.monotonic() - started,
-        train_pairs_deleak=len(deleak_train),
-        train_pairs_plain=len(plain_train),
     )

@@ -21,9 +21,6 @@ FOLD_TOKEN = "<fold>"
 @dataclass(frozen=True)
 class Language:
     name: str
-    cls_token: str
-    mask_token: str
-    fold_token: str
     keywords: frozenset[str]
     operators: tuple[str, ...]
     line_comment: str | None = None
@@ -35,6 +32,10 @@ class Language:
     preprocessor: bool = False
     dollar_identifiers: bool = False
     indent_blocks: bool = False
+
+    @property
+    def cls_token(self) -> str:
+        return f"<cls_{self.name}>"
 
     def __str__(self) -> str:
         return self.name
@@ -50,9 +51,6 @@ _C_FAMILY_OPS = "<<= >>= -> ++ -- << >> <= >= == != && || += -= *= /= %= &= ^= |
 
 _PYTHON = Language(
     name="python",
-    cls_token="<cls_python>",
-    mask_token=MASK_TOKEN,
-    fold_token=FOLD_TOKEN,
     keywords=frozenset(_python_keyword.kwlist),
     operators=_ops("** // << >> <= >= == != -> := ... **= //= <<= >>= += -= *= /= %= &= |= ^= @="),
     line_comment="#",
@@ -68,9 +66,6 @@ _PYTHON = Language(
 
 _JAVA = Language(
     name="java",
-    cls_token="<cls_java>",
-    mask_token=MASK_TOKEN,
-    fold_token=FOLD_TOKEN,
     keywords=frozenset(
         """abstract assert boolean break byte case catch char class const continue
         default do double else enum extends final finally float for goto if implements
@@ -86,9 +81,6 @@ _JAVA = Language(
 
 _C = Language(
     name="c",
-    cls_token="<cls_c>",
-    mask_token=MASK_TOKEN,
-    fold_token=FOLD_TOKEN,
     keywords=frozenset(
         """auto break case char const continue default do double else enum extern float
         for goto if inline int long register restrict return short signed sizeof static
@@ -103,9 +95,6 @@ _C = Language(
 
 _JAVASCRIPT = Language(
     name="javascript",
-    cls_token="<cls_javascript>",
-    mask_token=MASK_TOKEN,
-    fold_token=FOLD_TOKEN,
     keywords=frozenset(
         """break case catch class const continue debugger default delete do else export
         extends finally for function if import in instanceof let new of return static

@@ -137,19 +137,14 @@ def ingest(roots: Iterable[str | Path], config: PipelineConfig,
 @dataclass
 class TruncationResult:
     shortened: SyntaxTree
-    segments: list[SyntaxTree]
-    spans: list[SpanSelection]
-
-    @property
-    def was_truncated(self) -> bool:
-        return bool(self.segments)
+    segments: list[SyntaxTree]  # in file order, one per fold marker; empty if not truncated
 
 
 def truncate_file(tree: SyntaxTree, rng: random.Random, config: PipelineConfig) -> TruncationResult:
     """Cut 150..800-token segments out of an oversized file, marking folds."""
     total = tree.leaf_count
     if total <= config.truncation_threshold:
-        return TruncationResult(shortened=tree, segments=[], spans=[])
+        return TruncationResult(shortened=tree, segments=[])
     chosen: list[SpanSelection] = []
     remaining = total
     for _ in range(config.max_extractions):
@@ -161,7 +156,7 @@ def truncate_file(tree: SyntaxTree, rng: random.Random, config: PipelineConfig) 
             try:
                 span = select_span(tree, want, rng)
             except EmptyTree:  # every node lies in an error region: keep the file whole
-                return TruncationResult(shortened=tree, segments=[], spans=[])
+                return TruncationResult(shortened=tree, segments=[])
             if span.leaf_count < config.segment_min_len:
                 continue
             if any(not (span.leaf_end <= s.leaf_start or s.leaf_end <= span.leaf_start)
@@ -174,20 +169,20 @@ def truncate_file(tree: SyntaxTree, rng: random.Random, config: PipelineConfig) 
         chosen.append(placed)
         remaining -= placed.leaf_count - 1  # the fold marker takes one slot
     if not chosen:
-        return TruncationResult(shortened=tree, segments=[], spans=[])
+        return TruncationResult(shortened=tree, segments=[])
     chosen.sort(key=lambda s: s.leaf_start)
     runs = [s.sibling_run for s in chosen]
     shortened = tree_with_runs_folded(tree, runs)
     segments = [tree_from_run(tree, run) for run in runs]
-    return TruncationResult(shortened=shortened, segments=segments, spans=chosen)
+    return TruncationResult(shortened=shortened, segments=segments)
 
 
-def splice_truncation(result: TruncationResult, fold_token: str) -> list[str]:
+def splice_truncation(result: TruncationResult) -> list[str]:
     """Token texts with each fold marker replaced by its segment, in order."""
     out: list[str] = []
     seg_iter = iter(result.segments)
     for tok in result.shortened.leaves:
-        if tok.synthetic and tok.kind == "fold" and tok.text == fold_token:
+        if tok.synthetic and tok.kind == "fold":
             out.extend(t.text for t in next(seg_iter).leaves)
         else:
             out.append(tok.text)

@@ -61,49 +61,11 @@ def rank(scores: np.ndarray, ids: Sequence[str], exclude: str | None = None,
 # --------------------------------------------------------------------------
 # metrics, all read off the 1-based positions of the relevant candidates
 
-def _hit_positions(ranked: RankedList, relevant: set[str]) -> list[int]:
-    return [pos for pos, (tid, _) in enumerate(ranked.ranking, start=1) if tid in relevant]
-
-
-def _found(ranked: RankedList, relevant: set[str]) -> list[int]:
-    hits = _hit_positions(ranked, relevant)
-    if not hits:
-        raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
-    return hits
-
-
-def _precision(hits: list[int], pool: int, k: int) -> float:
-    return sum(1 for pos in hits if pos <= k) / min(k, pool) if pool else 0.0
-
-
-def _average_precision(hits: list[int]) -> float:
-    return sum(found / pos for found, pos in enumerate(hits, start=1)) / len(hits)
-
-
 def _ndcg(hits: list[int]) -> float:
+    """Binary-gain NDCG with a log2(rank + 1) discount."""
     dcg = sum(1.0 / np.log2(pos + 1) for pos in hits)
     ideal = sum(1.0 / np.log2(pos + 1) for pos in range(1, len(hits) + 1))
     return float(dcg / ideal)
-
-
-def precision_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
-    """Relevant fraction of the top k; pools smaller than k cap the denominator."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _precision(_hit_positions(ranked, relevant), len(ranked.ranking), k)
-
-
-def average_precision(ranked: RankedList, relevant: set[str]) -> float:
-    return _average_precision(_found(ranked, relevant))
-
-
-def ndcg(ranked: RankedList, relevant: set[str]) -> float:
-    """Binary-gain NDCG with a log2(rank + 1) discount."""
-    return _ndcg(_found(ranked, relevant))
-
-
-def reciprocal_rank(ranked: RankedList, relevant: set[str]) -> float:
-    return 1.0 / _found(ranked, relevant)[0]
 
 
 @dataclass
@@ -138,14 +100,18 @@ def evaluate_rankings(lists: list[RankedList], judgments: Judgments) -> EvalRepo
         raise NoRelevant("no queries to evaluate")
     per_query = []
     for ranked in lists:
-        hits = _found(ranked, judgments.relevant_for(ranked.query_id))
-        pool = len(ranked.ranking)
+        relevant = judgments.relevant_for(ranked.query_id)
+        hits = [pos for pos, (tid, _) in enumerate(ranked.ranking, start=1) if tid in relevant]
+        if not hits:
+            raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
+        pool = len(ranked.ranking)  # pools smaller than k cap the P@k denominator
         per_query.append({
             "query_id": ranked.query_id,
-            "ap": _average_precision(hits),
+            "ap": sum(found / pos for found, pos in enumerate(hits, start=1)) / len(hits),
             "ndcg": _ndcg(hits),
             "rr": 1.0 / hits[0],
-            "p_at": {str(k): _precision(hits, pool, k) for k in PRECISION_KS},
+            "p_at": {str(k): sum(1 for pos in hits if pos <= k) / min(k, pool)
+                     for k in PRECISION_KS},
         })
     n = len(per_query)
     return EvalReport(

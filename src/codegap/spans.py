@@ -14,19 +14,28 @@ import random
 from dataclasses import dataclass
 
 from .errors import EmptyTree, InvalidBounds, SpanMismatch
+from .languages import MASK_TOKEN
 from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS, Token, make_marker
 from .tree import Node, SyntaxTree
 
 
 @dataclass(frozen=True)
 class SpanSelection:
+    """A run of consecutive siblings; its leaf range is read off its ends."""
+
     sibling_run: tuple[Node, ...]
-    leaf_start: int
-    leaf_count: int
+
+    @property
+    def leaf_start(self) -> int:
+        return self.sibling_run[0].leaf_start
 
     @property
     def leaf_end(self) -> int:
-        return self.leaf_start + self.leaf_count
+        return self.sibling_run[-1].leaf_end
+
+    @property
+    def leaf_count(self) -> int:
+        return self.leaf_end - self.leaf_start
 
 
 def sample_target_length(rng: random.Random, mean: float = 150.0, stddev: float = 90.0,
@@ -129,9 +138,7 @@ def select_span(tree: SyntaxTree, length: int, rng: random.Random) -> SpanSelect
     if length < 1:
         raise InvalidBounds("target length must be >= 1")
     seed = _pick_seed(tree, length, rng)
-    run = _trim_edge_whitespace(_expand(tree, seed, length))
-    start = run[0].leaf_start
-    return SpanSelection(tuple(run), start, run[-1].leaf_end - start)
+    return SpanSelection(tuple(_trim_edge_whitespace(_expand(tree, seed, length))))
 
 
 def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:
@@ -159,18 +166,9 @@ def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
     first = span.sibling_run[0]
     if first is not tree.root and first not in parents:
         raise SpanMismatch("span does not belong to this tree")
-    pos = span.leaf_start
-    prev = None
-    for n in span.sibling_run:
-        if prev is not None and (parents.get(n) is not parents.get(prev)
-                                 or n.child_index != prev.child_index + 1):
+    for prev, n in zip(span.sibling_run, span.sibling_run[1:]):
+        if parents.get(n) is not parents.get(prev) or n.child_index != prev.child_index + 1:
             raise SpanMismatch("sibling run is not a consecutive run")
-        if n.leaf_start != pos:
-            raise SpanMismatch("span leaf range does not match its nodes")
-        pos = n.leaf_end
-        prev = n
-    if pos != span.leaf_end:
-        raise SpanMismatch("span leaf count does not match its nodes")
 
 
 def split(tree: SyntaxTree, span: SpanSelection) -> tuple[list[Token], list[Token]]:
@@ -182,7 +180,7 @@ def split(tree: SyntaxTree, span: SpanSelection) -> tuple[list[Token], list[Toke
     anchor = leaves[i]
     cls_ctx = make_marker(lang.cls_token, "cls", at=leaves[0])
     cls_tgt = make_marker(lang.cls_token, "cls", at=anchor)
-    mask = make_marker(lang.mask_token, "mask", at=anchor)
+    mask = make_marker(MASK_TOKEN, "mask", at=anchor)
     return [cls_ctx, *leaves[:i], mask, *leaves[j:]], [cls_tgt, *leaves[i:j]]
 
 

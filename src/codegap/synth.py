@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .languages import get_language
+from .languages import MASK_TOKEN, get_language
 
 _SLOT_RE = re.compile(r"@([a-z][a-z0-9_]*)@")
 
@@ -351,7 +351,7 @@ def build_clone_variant(template: CloneTemplate, variant: int, rng: random.Rando
     suffix = "\n".join(suffix_lines) + "\n"
 
     file_text = prefix + core_in_file + suffix
-    masked_context = lang.cls_token + prefix + lang.mask_token + "\n" + suffix
+    masked_context = lang.cls_token + prefix + MASK_TOKEN + "\n" + suffix
     dedented_core = lang.cls_token + core0 + "\n"
     return CloneVariant(
         functionality=template.name,

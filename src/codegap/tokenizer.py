@@ -44,7 +44,6 @@ class Token(NamedTuple):
     text: str
     kind: str
     line: int
-    column: int
     column_expanded: int
     synthetic: bool = False
 
@@ -59,8 +58,8 @@ class Token(NamedTuple):
 def make_marker(text: str, kind: str, at: Token | None = None) -> Token:
     """Synthetic zero-width marker token (cls/mask/fold), anchored at `at`."""
     if at is None:
-        return Token(text, kind, 0, 0, 0, synthetic=True)
-    return Token(text, kind, at.line, at.column, at.column_expanded, synthetic=True)
+        return Token(text, kind, 0, 0, synthetic=True)
+    return Token(text, kind, at.line, at.column_expanded, synthetic=True)
 
 
 def expanded_width(text: str, start: int = 0) -> int:
@@ -114,7 +113,7 @@ def tokenize(source: str, lang: Language) -> list[Token]:
     keywords = lang.keywords
     tokens: list[Token] = []
     prev: Token | None = None  # last token that is not trivia
-    pos = line = col = colx = 0
+    pos = line = line_start = colx = 0
     n = len(source)
     while pos < n:
         m = match(source, pos)
@@ -122,7 +121,7 @@ def tokenize(source: str, lang: Language) -> list[Token]:
         text = source[pos:end]
         if kind == "word":
             kind = "keyword" if text in keywords else "identifier"
-        elif kind == "preproc" and source[pos - col:pos].strip(" \t"):
+        elif kind == "preproc" and source[line_start:pos].strip(" \t"):
             kind = text = "#"  # not first on its line: a plain '#'
             end = pos + 1
         elif kind == "op" or kind == "char":
@@ -134,18 +133,17 @@ def tokenize(source: str, lang: Language) -> list[Token]:
                 if regex:
                     kind, end = "regex", regex.end()
                     text = source[pos:end]
-        tok = Token(text, kind, line, col, colx)
+        tok = Token(text, kind, line, colx)
         tokens.append(tok)
         if kind not in TRIVIA_KINDS:
             prev = tok
         if kind == "newline":
-            line, col, colx = line + 1, 0, 0
+            line, line_start, colx = line + 1, end, 0
         elif "\n" in text or "\r" in text:
             line += text.count("\n") + text.count("\r") - text.count("\r\n")
-            tail = text[max(text.rfind("\n"), text.rfind("\r")) + 1:]
-            col, colx = len(tail), expanded_width(tail)
+            line_start = pos + max(text.rfind("\n"), text.rfind("\r")) + 1
+            colx = expanded_width(source[line_start:end])
         else:
-            col += len(text)
             colx += expanded_width(text, colx) if "\t" in text else len(text)
         pos = end
     return tokens

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EncodingError, IndexOutOfRange
-from .languages import Language, get_language
+from .languages import FOLD_TOKEN, Language, get_language
 from .tokenizer import (
     BRACKET_TEXTS,
     MATCHING_BRACKET,
@@ -466,6 +466,6 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[Node, ...]]) -> Syn
     for run in runs:
         for node in run:
             swap[id(node)] = None
-        swap[id(run[0])] = _leaf(make_marker(tree.language.fold_token, "fold",
+        swap[id(run[0])] = _leaf(make_marker(FOLD_TOKEN, "fold",
                                              at=tree.leaves[run[0].leaf_start]))
     return _build_tree(_copy_subtrees(tree.root.children, swap), tree.language)

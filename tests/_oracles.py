@@ -62,13 +62,7 @@ def oracle_reciprocal_rank(ranking: list[str], relevant: set[str]) -> float:
 def exhaustive_metric_comparison() -> float:
     """Worst absolute deviation from the oracles over every ranking of pools
     with up to six candidates and up to three relevant ones."""
-    from codegap.retrieval import (
-        RankedList,
-        average_precision,
-        ndcg,
-        precision_at_k,
-        reciprocal_rank,
-    )
+    from codegap.retrieval import Judgments, RankedList, evaluate_rankings
 
     worst = 0.0
     for n in range(1, 7):
@@ -83,14 +77,15 @@ def exhaustive_metric_comparison() -> float:
             scored = tuple((tid, float(n - i)) for i, tid in enumerate(ranking))
             rl = RankedList(query_id="q", ranking=scored)
             for relevant in relevant_sets:
+                row = evaluate_rankings([rl], Judgments(relevant={"q": relevant})).per_query[0]
                 for k in (1, 3, 10):
-                    worst = max(worst, abs(precision_at_k(rl, relevant, k)
+                    worst = max(worst, abs(row["p_at"][str(k)]
                                            - oracle_precision_at_k(ranking, relevant, k)))
-                worst = max(worst, abs(average_precision(rl, relevant)
+                worst = max(worst, abs(row["ap"]
                                        - oracle_average_precision(ranking, relevant)))
-                worst = max(worst, abs(ndcg(rl, relevant)
+                worst = max(worst, abs(row["ndcg"]
                                        - oracle_ndcg(ranking, relevant)))
-                worst = max(worst, abs(reciprocal_rank(rl, relevant)
+                worst = max(worst, abs(row["rr"]
                                        - oracle_reciprocal_rank(ranking, relevant)))
     return worst
 
@@ -168,8 +163,7 @@ def tokens_balanced(tokens: list[Token]) -> bool:
 
 def make_leaf_tokens(n: int, text: str = "t") -> list[Token]:
     return [
-        Token(text=f"{text}{i} ", kind="identifier", line=0, column=i * 4,
-              column_expanded=i * 4)
+        Token(text=f"{text}{i} ", kind="identifier", line=0, column_expanded=i * 4)
         for i in range(n)
     ]
 
@@ -184,8 +178,7 @@ def make_tree(spec, language: Language) -> SyntaxTree:
             for _ in range(node_spec):
                 i = next(counter)
                 leaves.append(Node("identifier", token=Token(
-                    text=f"x{i} ", kind="identifier", line=0, column=i * 4,
-                    column_expanded=i * 4)))
+                    text=f"x{i} ", kind="identifier", line=0, column_expanded=i * 4)))
             return leaves
         kind, children = node_spec
         return [Node(kind, [node for child in children for node in nodes(child)])]

@@ -111,9 +111,9 @@ def test_round_trip_suite(corpus):
         # truncations splice back via fold markers
         if tree.leaf_count > config.truncation_threshold:
             trunc = truncate_file(tree, rng, config)
-            if trunc.was_truncated:
+            if trunc.segments:
                 truncated += 1
-                assert splice_truncation(trunc, lang.fold_token) == [
+                assert splice_truncation(trunc) == [
                     t.text for t in tree.leaves]
     elapsed = time.monotonic() - started
     assert len(grammars) >= 3
@@ -206,7 +206,7 @@ def test_dedent(generated_pairs):
         # relative indentation is preserved: rendered pre-transform lines
         # shift uniformly by dedent_cols (first line owns no leading blanks)
         pre_tokens = [t for t in row["pre_target"] if not t.synthetic]
-        first_owned = bool(pre_tokens) and pre_tokens[0].column == 0
+        first_owned = bool(pre_tokens) and pre_tokens[0].column_expanded == 0
         pre_body = "".join(t.text for t in pre_tokens)
         pre_lines = pre_body.splitlines()
         post_lines = body.splitlines()

@@ -459,6 +459,19 @@ def test_eval_usage_error_without_scorer(tmp_path):
                  "--qrels", str(empty)]) == 1
 
 
+@pytest.mark.parametrize("scorers", [
+    ["--lexical", "--model", "toy"],
+    ["--lexical", "--embeddings", "e.jsonl"],
+    ["--model", "toy", "--embeddings", "e.jsonl"],
+])
+def test_eval_takes_exactly_one_scorer(tmp_path, capsys, scorers):
+    empty = tmp_path / "x.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert main(["eval", "--queries", str(empty), "--candidates", str(empty),
+                 "--qrels", str(empty), "--checkpoint", str(tmp_path / "c"), *scorers]) == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_eval_missing_file_is_data_error(tmp_path):
     missing = tmp_path / "nope.jsonl"
     assert main(["eval", "--queries", str(missing), "--candidates", str(missing),
@@ -515,6 +528,51 @@ def test_count_below_one_is_data_error(small_corpus, tmp_path, capsys, key, flag
     assert main(args) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def small_shards(small_corpus, tmp_path_factory):
+    shards = tmp_path_factory.mktemp("cli_shards")
+    assert main(["pairs", "--roots", str(small_corpus), "--out", str(shards)]) == 0
+    return shards
+
+
+@pytest.mark.parametrize("key,flag,value", [
+    ("pairs_per_input", "--pairs-per-input", -1),
+    ("mask_prob", "--mask-prob", 1.5),
+    ("skip_pair_prob", "--skip-prob", -1),
+    ("dim", "--d", 0),
+    ("buckets", "--buckets", 0),
+    ("tau", "--tau", -0.1),
+    ("valid_cap", "--valid-cap", -1),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys,
+                                          key, flag, value, source):
+    out = tmp_path / "out"
+    if key in ("dim", "buckets", "tau", "valid_cap"):
+        args = ["train-toy", "--shards", str(small_shards), "--out", str(out), "--steps", "2"]
+    else:
+        args = ["pairs", "--roots", str(small_corpus), "--out", str(out)]
+    if source == "flag":
+        args += [flag, str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        args = ["--config", str(cfg), *args]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["prepare", "pairs"])
+def test_unknown_langs_name_is_data_error(small_corpus, tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
+    assert main([subcommand, "--roots", str(small_corpus), "--out", str(out),
+                 "--langs", "python", "pyhton"]) == 2
+    assert "'pyhton'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_inspect_shows_occlusion(small_corpus, tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_truncate_below_threshold_is_identity(parsed_corpus):
     _, tree = parsed_corpus[1]
     cfg = PipelineConfig(truncation_threshold=tree.leaf_count + 100)
     result = truncate_file(tree, random.Random(0), cfg)
-    assert not result.was_truncated
+    assert not result.segments
     assert result.shortened is tree
 
 
@@ -86,10 +86,10 @@ def test_truncate_long_file_reconstructs(parsed_corpus):
     assert long_trees
     for tree in long_trees[:6]:
         result = truncate_file(tree, random.Random(5), cfg)
-        assert result.was_truncated
-        for span in result.spans:
-            assert cfg.segment_min_len <= span.leaf_count <= cfg.segment_max_len
-        spliced = splice_truncation(result, tree.language.fold_token)
+        assert result.segments
+        for segment in result.segments:
+            assert cfg.segment_min_len <= segment.leaf_count <= cfg.segment_max_len
+        spliced = splice_truncation(result)
         assert spliced == [t.text for t in tree.leaves]
         folds = [t for t in result.shortened.leaves if t.kind == "fold"]
         assert len(folds) == len(result.segments)
@@ -111,7 +111,7 @@ def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):
         before = _preorder_shape(tree)
         leaves = list(tree.leaves)
         result = truncate_file(tree, random.Random(5), cfg)
-        assert result.was_truncated
+        assert result.segments
         assert _preorder_shape(tree) == before
         assert tree.leaves == leaves
 

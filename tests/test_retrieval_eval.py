@@ -4,17 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import (
-    oracle_average_precision,
-    oracle_ndcg,
-    oracle_precision_at_k,
-    oracle_reciprocal_rank,
-)
+from _oracles import exhaustive_metric_comparison
 from codegap.errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
 from codegap.retrieval import (
     Judgments,
     RankedList,
-    average_precision,
     evaluate,
     evaluate_rankings,
     lexical_overlap,
@@ -23,12 +17,9 @@ from codegap.retrieval import (
     load_embeddings,
     load_qrels,
     load_queries,
-    ndcg,
     overlap_coefficient,
-    precision_at_k,
     rank,
     rank_lexical,
-    reciprocal_rank,
     token_set,
 )
 from codegap.texttok import text_tokens
@@ -37,6 +28,11 @@ from codegap.texttok import text_tokens
 def ranked(ids, query_id="q"):
     scores = [(tid, float(len(ids) - i)) for i, tid in enumerate(ids)]
     return RankedList(query_id=query_id, ranking=tuple(scores))
+
+
+def metrics(ids, relevant):
+    """The per-query report row of one ranking: ap, ndcg, rr and p_at."""
+    return evaluate_rankings([ranked(ids)], Judgments(relevant={"q": relevant})).per_query[0]
 
 
 # --------------------------------------------------------------------------
@@ -102,29 +98,29 @@ def test_evaluate_vector_errors():
 # single metrics against the worked examples
 
 def test_precision_at_k_cases():
-    assert precision_at_k(ranked(["A", "B"]), {"A"}, 1) == 1.0
-    assert precision_at_k(ranked(["B", "A", "C"]), {"A"}, 3) == pytest.approx(1 / 3)
-    assert precision_at_k(ranked(["A", "B", "C", "D"]), {"A", "C"}, 3) == pytest.approx(2 / 3)
+    assert metrics(["A", "B"], {"A"})["p_at"]["1"] == 1.0
+    assert metrics(["B", "A", "C"], {"A"})["p_at"]["3"] == pytest.approx(1 / 3)
+    assert metrics(["A", "B", "C", "D"], {"A", "C"})["p_at"]["3"] == pytest.approx(2 / 3)
     # pool smaller than k: denominator capped at the pool size
-    assert precision_at_k(ranked(["A", "B"]), {"A", "B"}, 10) == 1.0
+    assert metrics(["A", "B"], {"A", "B"})["p_at"]["10"] == 1.0
 
 
 def test_average_precision_cases():
-    assert average_precision(ranked(["A", "B", "C"]), {"A", "C"}) == pytest.approx(5 / 6)
-    assert average_precision(ranked(["A", "B"]), {"A"}) == 1.0
-    assert average_precision(ranked(["B", "C", "D", "A"]), {"A"}) == 0.25
+    assert metrics(["A", "B", "C"], {"A", "C"})["ap"] == pytest.approx(5 / 6)
+    assert metrics(["A", "B"], {"A"})["ap"] == 1.0
+    assert metrics(["B", "C", "D", "A"], {"A"})["ap"] == 0.25
 
 
 def test_ndcg_cases():
-    assert ndcg(ranked(["A", "B"]), {"A"}) == 1.0
-    assert ndcg(ranked(["B", "A"]), {"A"}) == pytest.approx(1 / np.log2(3))
-    assert ndcg(ranked(["A", "B", "C"]), {"A", "B"}) == 1.0
-    assert ndcg(ranked(["B", "A", "C"]), {"A", "B"}) == 1.0
+    assert metrics(["A", "B"], {"A"})["ndcg"] == 1.0
+    assert metrics(["B", "A"], {"A"})["ndcg"] == pytest.approx(1 / np.log2(3))
+    assert metrics(["A", "B", "C"], {"A", "B"})["ndcg"] == 1.0
+    assert metrics(["B", "A", "C"], {"A", "B"})["ndcg"] == 1.0
 
 
 def test_mrr_cases():
-    assert reciprocal_rank(ranked(["A", "B"]), {"A"}) == 1.0
-    assert reciprocal_rank(ranked(["B", "A"]), {"A"}) == 0.5
+    assert metrics(["A", "B"], {"A"})["rr"] == 1.0
+    assert metrics(["B", "A"], {"A"})["rr"] == 0.5
     lists = [ranked(["A", "B", "C", "D"], "q1"), ranked(["B", "C", "D", "A"], "q2")]
     judgments = Judgments(relevant={"q1": {"A"}, "q2": {"A"}})
     assert evaluate_rankings(lists, judgments).mrr == pytest.approx((1 + 0.25) / 2)
@@ -132,48 +128,27 @@ def test_mrr_cases():
 
 def test_no_relevant_raises():
     with pytest.raises(NoRelevant):
-        average_precision(ranked(["A", "B"]), set())
+        metrics(["A", "B"], set())
     with pytest.raises(NoRelevant):
-        ndcg(ranked(["A"]), {"Z"})
+        metrics(["A"], {"Z"})
     with pytest.raises(NoRelevant):
-        reciprocal_rank(ranked(["A"]), set())
+        evaluate_rankings([ranked(["A"]), ranked(["A"], "q2")], Judgments(relevant={"q": {"A"}}))
 
 
 # --------------------------------------------------------------------------
 # exhaustive equivalence with the brute-force oracles
 
 def test_metrics_match_oracle_on_all_small_rankings():
-    worst = 0.0
-    for n in range(1, 7):
-        ids = [chr(ord("a") + i) for i in range(n)]
-        relevant_sets = [
-            set(combo)
-            for r in range(1, min(3, n) + 1)
-            for combo in itertools.combinations(ids, r)
-        ]
-        for perm in itertools.permutations(ids):
-            rl = ranked(list(perm))
-            for relevant in relevant_sets:
-                for k in (1, 3, 10):
-                    got = precision_at_k(rl, relevant, k)
-                    want = oracle_precision_at_k(list(perm), relevant, k)
-                    worst = max(worst, abs(got - want))
-                worst = max(worst, abs(average_precision(rl, relevant)
-                                       - oracle_average_precision(list(perm), relevant)))
-                worst = max(worst, abs(ndcg(rl, relevant)
-                                       - oracle_ndcg(list(perm), relevant)))
-                worst = max(worst, abs(reciprocal_rank(rl, relevant)
-                                       - oracle_reciprocal_rank(list(perm), relevant)))
-    assert worst <= 1e-12
+    assert exhaustive_metric_comparison() <= 1e-12
 
 
 def test_metrics_invariant_below_deepest_relevant():
-    rl1 = ranked(["A", "B", "C", "D", "E"])
-    rl2 = ranked(["A", "B", "E", "D", "C"])  # shuffled below the relevant depth
     relevant = {"A", "B"}
-    assert average_precision(rl1, relevant) == average_precision(rl2, relevant)
-    assert ndcg(rl1, relevant) == ndcg(rl2, relevant)
-    assert reciprocal_rank(rl1, relevant) == reciprocal_rank(rl2, relevant)
+    row1 = metrics(["A", "B", "C", "D", "E"], relevant)
+    row2 = metrics(["A", "B", "E", "D", "C"], relevant)  # shuffled below the relevant depth
+    assert row1["ap"] == row2["ap"]
+    assert row1["ndcg"] == row2["ndcg"]
+    assert row1["rr"] == row2["rr"]
 
 
 # --------------------------------------------------------------------------

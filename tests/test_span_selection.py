@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from _oracles import make_tree, tokens_balanced
 from codegap.errors import EmptyTree, InvalidBounds, SpanMismatch
+from codegap.languages import MASK_TOKEN
 from codegap.spans import (
     SpanSelection,
     _expand,
@@ -110,9 +111,10 @@ def test_selected_spans_respect_budget_and_structure(parsed_corpus):
 
 def test_split_degenerate_full_span(python_lang):
     tree = parse("x = 1\n", "python")
-    span = SpanSelection((tree.root,), 0, tree.leaf_count)
+    span = SpanSelection((tree.root,))
+    assert (span.leaf_start, span.leaf_count) == (0, tree.leaf_count)
     context, target = split(tree, span)
-    assert [t.text for t in context] == [python_lang.cls_token, python_lang.mask_token]
+    assert [t.text for t in context] == [python_lang.cls_token, MASK_TOKEN]
     assert [t.text for t in target] == [python_lang.cls_token] + [t.text for t in tree.leaves]
 
 
@@ -121,7 +123,8 @@ def test_split_token_count_example(python_lang):
     tree = make_tree(("program", [("s", [7])]), python_lang)
     stmt = tree.root.children[0]
     run = stmt.children[2:5]
-    span = SpanSelection(tuple(run), 2, 3)
+    span = SpanSelection(tuple(run))
+    assert (span.leaf_start, span.leaf_end, span.leaf_count) == (2, 5, 3)
     context, target = split(tree, span)
     assert len(context) == 7 - 3 + 2
     assert len(target) == 3 + 1
@@ -137,7 +140,7 @@ def test_split_reconstruction(parsed_corpus):
         lang = tree.language
         spliced = splice_tokens(context, target)
         assert [t.text for t in spliced] == [t.text for t in tree.leaves]
-        assert [t.text for t in context].count(lang.mask_token) == 1
+        assert [t.text for t in context].count(MASK_TOKEN) == 1
         assert context[0].text == lang.cls_token
         assert target[0].text == lang.cls_token
 
