@@ -108,7 +108,9 @@ _BOUNDS = {
                     ("at least 1", lambda v: v >= 1)),
     **dict.fromkeys(("mask_prob", "skip_pair_prob"), ("between 0 and 1", lambda v: 0 <= v <= 1)),
     "tau": ("greater than 0", lambda v: v > 0),
-    "valid_cap": ("at least 0", lambda v: v >= 0),
+    **dict.fromkeys(("valid_cap", "steps"), ("at least 0", lambda v: v >= 0)),
+    # an oversized pair keeps budget // 2 tokens a side, at least one each
+    "token_budget": ("at least 2", lambda v: v >= 2),
 }
 
 
@@ -246,6 +248,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _echo_config("eval", {k: str(v) for k, v in vars(args).items() if k != "func"})
+    if args.checkpoint and args.model != "toy":
+        raise UsageError("--checkpoint is read only with --model toy")
     queries = load_queries(args.queries)
     candidates = load_candidates(args.candidates)
     judgments = load_qrels(args.qrels)

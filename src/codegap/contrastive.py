@@ -25,10 +25,8 @@ import numpy as np
 from .errors import (
     BatchTooSmall,
     CodegapError,
-    DimensionMismatch,
     Diverged,
     EmptyInput,
-    InvalidTemperature,
     ZeroVector,
 )
 from .texttok import text_tokens
@@ -41,39 +39,6 @@ DEFAULT_TAU = 0.1
 CHECKPOINT_FORMAT = 1
 
 _GRAM_SEP = "\x1f"
-
-
-# --------------------------------------------------------------------------
-# similarities and the pairwise loss
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
-def info_nce(query: np.ndarray, positive: np.ndarray, negatives: list[np.ndarray],
-             tau: float = DEFAULT_TAU, include_positive: bool = True) -> float:
-    """Contrastive loss of one query against its positive and negatives."""
-    if tau <= 0:
-        raise InvalidTemperature(f"temperature must be positive, got {tau}")
-    if not negatives:
-        raise ValueError("at least one negative is required")
-    pos = cosine(query, positive) / tau
-    negs = np.array([cosine(query, n) for n in negatives], dtype=np.float64) / tau
-    pool = np.concatenate(([pos], negs)) if include_positive else negs
-    return _logsumexp(pool) - pos
 
 
 # --------------------------------------------------------------------------
@@ -209,20 +174,6 @@ def _unit_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / norms[:, None], norms
 
 
-def batch_loss(encoder: ToyEncoder, contexts: list[str], targets: list[str],
-               tau: float | None = None, include_positive: bool = True) -> float:
-    """Mean contrastive loss over a batch; other pairs' targets are negatives."""
-    if len(contexts) != len(targets):
-        raise DimensionMismatch("context and target counts differ")
-    if len(contexts) < 2:
-        raise BatchTooSmall("a batch needs at least two pairs to have negatives")
-    tau = encoder.tau if tau is None else tau
-    if tau <= 0:
-        raise InvalidTemperature(f"temperature must be positive, got {tau}")
-    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
-    return batch_loss_and_grads(encoder.params, packed, tau, include_positive)[0]
-
-
 def batch_loss_and_grads(params: np.ndarray, packed: PackedCounts, tau: float,
                          include_positive: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss of a packed batch (k contexts, then their k targets), its distinct
@@ -241,60 +192,6 @@ def batch_loss_and_grads(params: np.ndarray, packed: PackedCounts, tau: float,
     # backprop through the L2 normalization
     d_raw = (d_e - np.sum(d_e * e, axis=1, keepdims=True) * e) / norms[:, None]
     return float(np.mean(lse - diag)), packed.buckets, counts.T @ d_raw
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    checked: int
-    zero_grad_checked: int
-    eps: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_rel_error < 1e-3
-
-
-def grad_check(encoder: ToyEncoder, contexts: list[str], targets: list[str],
-               eps: float = 1e-5, samples: int = 120,
-               rng: random.Random | None = None,
-               include_positive: bool = True) -> GradCheckReport:
-    """Compare analytic row gradients against central finite differences."""
-    if not 1e-6 <= eps <= 1e-3:
-        raise ValueError("eps outside the supported range [1e-6, 1e-3]")
-    rng = rng or random.Random(0)
-    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
-    tau = encoder.tau
-    _, buckets, rows = batch_loss_and_grads(encoder.params, packed, tau, include_positive)
-    touched = buckets.tolist()
-    grads = dict(zip(touched, rows))
-    untouched = []
-    while len(untouched) < max(4, samples // 8):
-        b = rng.randrange(encoder.buckets)
-        if b not in grads:
-            untouched.append(b)
-    coords: list[tuple[int, int]] = []
-    for _ in range(samples):
-        bucket = touched[rng.randrange(len(touched))]
-        coords.append((bucket, rng.randrange(encoder.dim)))
-    zero_coords = [(b, rng.randrange(encoder.dim)) for b in untouched]
-
-    params = encoder.params.copy()
-    max_rel = 0.0
-    for bucket, col in coords + zero_coords:
-        analytic = float(grads.get(bucket, np.zeros(encoder.dim))[col])
-        saved = params[bucket, col]
-        params[bucket, col] = saved + eps
-        up = batch_loss_and_grads(params, packed, tau, include_positive)[0]
-        params[bucket, col] = saved - eps
-        down = batch_loss_and_grads(params, packed, tau, include_positive)[0]
-        params[bucket, col] = saved
-        numeric = (up - down) / (2 * eps)
-        scale = max(abs(analytic), abs(numeric))
-        if scale > 1e-8:
-            max_rel = max(max_rel, abs(analytic - numeric) / scale)
-    return GradCheckReport(max_rel_error=max_rel, checked=len(coords),
-                           zero_grad_checked=len(zero_coords), eps=eps)
 
 
 # --------------------------------------------------------------------------

@@ -11,27 +11,30 @@ block is allowed, taking its braces requires taking the whole block node.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptyTree, InvalidBounds, SpanMismatch
 from .languages import MASK_TOKEN
 from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS, Token, make_marker
-from .tree import Node, SyntaxTree
+from .tree import SyntaxTree
 
 
 @dataclass(frozen=True)
 class SpanSelection:
-    """A run of consecutive siblings; its leaf range is read off its ends."""
+    """A run of consecutive sibling rows of `tree`; its leaf range is read
+    off the tree at the run's ends."""
 
-    sibling_run: tuple[Node, ...]
+    tree: SyntaxTree = field(repr=False)
+    sibling_run: tuple[int, ...]
 
     @property
     def leaf_start(self) -> int:
-        return self.sibling_run[0].leaf_start
+        return self.tree.first_leaf[self.sibling_run[0]]
 
     @property
     def leaf_end(self) -> int:
-        return self.sibling_run[-1].leaf_end
+        last = self.sibling_run[-1]
+        return self.tree.first_leaf[last] + self.tree.leaf_counts[last]
 
     @property
     def leaf_count(self) -> int:
@@ -47,50 +50,49 @@ def sample_target_length(rng: random.Random, mean: float = 150.0, stddev: float 
     return max(min_len, min(max_len, round(draw)))
 
 
-def _is_delimiter_leaf(node: Node) -> bool:
-    return node.is_leaf and node.token.text in BRACKET_TEXTS and node.kind == node.token.text
-
-
-def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> Node:
+def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
+    counts = tree.leaf_counts
     lo = max(1.0, length / 2)
-    window = [n for n in tree.seed_nodes if lo <= n.leaf_count <= length]
+    window = [r for r in tree.seed_nodes if lo <= counts[r] <= length]
     if window:
         return window[rng.randrange(len(window))]
-    fitting = [n for n in tree.seed_nodes if n.leaf_count <= length]
+    fitting = [r for r in tree.seed_nodes if counts[r] <= length]
     if fitting:
-        best = max(n.leaf_count for n in fitting)
-        largest = [n for n in fitting if n.leaf_count == best]
+        best = max(counts[r] for r in fitting)
+        largest = [r for r in fitting if counts[r] == best]
         return largest[rng.randrange(len(largest))]
     if tree.seed_leaves:
         return tree.seed_leaves[rng.randrange(len(tree.seed_leaves))]
     raise EmptyTree("no selectable node outside error regions")
 
 
-def _sibling(tree: SyntaxTree, run: list[Node], following: bool) -> Node | None:
-    edge = run[-1] if following else run[0]
-    parent = tree.parents.get(edge)
-    idx = edge.child_index + (1 if following else -1)
-    if parent is not None and 0 <= idx < len(parent.children):
-        return parent.children[idx]
-    return None
+def _sibling(tree: SyntaxTree, run: list[int], following: bool) -> int:
+    """The row beside the run in the given direction, or -1."""
+    if not following:
+        return tree.prev_sibling[run[0]]
+    up = tree.parent[run[0]]
+    after = tree.subtree_end[run[-1]]
+    return after if up >= 0 and after < tree.subtree_end[up] else -1
 
 
-def _expand(tree: SyntaxTree, seed: Node, length: int) -> list[Node]:
-    run: list[Node] = [seed]
-    count = seed.leaf_count
+def _expand(tree: SyntaxTree, seed: int, length: int) -> list[int]:
+    kinds, counts = tree.kinds, tree.leaf_counts
+    run = [seed]
+    count = counts[seed]
     follow_first = True
     while True:
-        parent = tree.parents.get(run[0])
-        if parent is not None and parent.kind != "error" and parent.leaf_count <= length:
-            run = [parent]
-            count = parent.leaf_count
+        up = tree.parent[run[0]]
+        if up >= 0 and kinds[up] != "error" and counts[up] <= length:
+            run = [up]
+            count = counts[up]
             continue
         placed = None
         for following in (follow_first, not follow_first):
             sib = _sibling(tree, run, following)
-            if sib is None or sib.kind == "error" or _is_delimiter_leaf(sib):
+            # a bracket leaf's kind is its text
+            if sib < 0 or kinds[sib] == "error" or kinds[sib] in BRACKET_TEXTS:
                 continue
-            if count + sib.leaf_count <= length:
+            if count + counts[sib] <= length:
                 placed = (sib, following)
                 break
         if placed is None:
@@ -100,12 +102,13 @@ def _expand(tree: SyntaxTree, seed: Node, length: int) -> list[Node]:
             run.append(sib)
         else:
             run.insert(0, sib)
-        count += sib.leaf_count
+        count += counts[sib]
         follow_first = not follow_first
-        if parent is not None and len(run) == len(parent.children):
-            if parent.leaf_count <= length:
-                run = [parent]
-                count = parent.leaf_count
+        if (up >= 0 and tree.prev_sibling[run[0]] < 0
+                and tree.subtree_end[run[-1]] == tree.subtree_end[up]):
+            if counts[up] <= length:
+                run = [up]
+                count = counts[up]
             else:
                 # a run of every child would re-create the block without its
                 # delimiters; roll the last addition back and stop
@@ -116,17 +119,19 @@ def _expand(tree: SyntaxTree, seed: Node, length: int) -> list[Node]:
                 return run
 
 
-def _trim_edge_whitespace(run: list[Node]) -> list[Node]:
+def _trim_edge_whitespace(tree: SyntaxTree, run: list[int]) -> list[int]:
     """Drop bare whitespace leaves from the run edges; interior ones stay.
 
     A target beginning at a mid-line blank would render with phantom
     indentation that dedentation must not touch; trailing newlines are kept
-    so multi-line targets stay line-complete.
+    so multi-line targets stay line-complete. A leaf row's kind is its
+    token's kind, and no group row has a whitespace kind.
     """
+    kinds = tree.kinds
     start, end = 0, len(run)
-    while start < end and run[start].is_leaf and run[start].token.kind in WHITESPACE_KINDS:
+    while start < end and kinds[run[start]] in WHITESPACE_KINDS:
         start += 1
-    while end - start > 1 and run[end - 1].is_leaf and run[end - 1].token.kind == "whitespace":
+    while end - start > 1 and kinds[run[end - 1]] == "whitespace":
         end -= 1
     return run[start:end] if end > start else run
 
@@ -138,7 +143,7 @@ def select_span(tree: SyntaxTree, length: int, rng: random.Random) -> SpanSelect
     if length < 1:
         raise InvalidBounds("target length must be >= 1")
     seed = _pick_seed(tree, length, rng)
-    return SpanSelection(tuple(_trim_edge_whitespace(_expand(tree, seed, length))))
+    return SpanSelection(tree, tuple(_trim_edge_whitespace(tree, _expand(tree, seed, length))))
 
 
 def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:
@@ -162,12 +167,11 @@ def select_span_with_retry(tree: SyntaxTree, rng: random.Random, *, mean: float 
 
 
 def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
-    parents = tree.parents
-    first = span.sibling_run[0]
-    if first is not tree.root and first not in parents:
+    # a row number fits any tree with that many rows, so ask for this tree
+    if span.tree is not tree:
         raise SpanMismatch("span does not belong to this tree")
-    for prev, n in zip(span.sibling_run, span.sibling_run[1:]):
-        if parents.get(n) is not parents.get(prev) or n.child_index != prev.child_index + 1:
+    for prev, row in zip(span.sibling_run, span.sibling_run[1:]):
+        if tree.prev_sibling[row] != prev:
             raise SpanMismatch("sibling run is not a consecutive run")
 
 

@@ -10,9 +10,8 @@ full grammars — they exist so spans can be cut along whole-subtree boundaries.
 from __future__ import annotations
 
 import bisect
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EncodingError, IndexOutOfRange
 from .languages import FOLD_TOKEN, Language, get_language
@@ -37,162 +36,156 @@ DECLARATION_KEYWORDS = frozenset(
     "function def from using".split()
 )
 _KIND_ALIASES = {"def": "function_definition", "class": "class_definition"}
-_NO_ERROR = sys.maxsize  # error_floor when no error subtree is open
-
-
-class Node:
-    """One tree node; leaves carry their token, internals carry children.
-    Parents live in `SyntaxTree.parents`, so a tree holds no reference cycle."""
-
-    __slots__ = ("kind", "children", "token", "leaf_start", "leaf_count", "child_index")
-
-    def __init__(self, kind: str, children: Sequence["Node"] = (), token: Token | None = None):
-        self.kind = kind
-        self.children = children
-        self.token = token
-        self.leaf_start = 0
-        self.leaf_count = 0
-        self.child_index = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
-    @property
-    def leaf_end(self) -> int:
-        return self.leaf_start + self.leaf_count
-
-    def walk(self) -> Iterator["Node"]:
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_leaf:
-            return f"Leaf({self.kind!r}, {self.token.text!r})"
-        return f"Node({self.kind!r}, leaves[{self.leaf_start}:{self.leaf_end}])"
-
-
-def _leaf(tok: Token) -> Node:
-    return Node(tok.kind, token=tok)
+# leaf kinds that never seed a span: blanks and bare brackets (a bracket
+# token's kind is its text)
+_NO_SEED_LEAF_KINDS = WHITESPACE_KINDS | BRACKET_TEXTS
 
 
 @dataclass
 class SyntaxTree:
-    """A parsed file. `parents` maps every node but the root to its parent.
-    `seed_nodes` (internal nodes below the root) and `seed_leaves` (leaves
-    that are not whitespace, newline or a bracket token) are the span seed
-    candidates, in preorder, with error subtrees left out."""
+    """A parsed file as preorder rows in parallel lists; row 0 is the
+    program root. The subtree of row r is rows r:subtree_end[r] and covers
+    leaves[first_leaf[r]:][:leaf_counts[r]]. `parent` and `prev_sibling`
+    hold -1 where there is none. `seed_nodes` (group rows below the root) and
+    `seed_leaves` (leaf rows that are not whitespace, newline or a bracket
+    token) are the span seed candidates, in preorder, with error subtrees
+    left out. Rows are plain ints, so a tree holds no reference cycle."""
 
     language: Language
     leaves: list[Token]
-    root: Node
-    parents: dict[Node, Node]
-    seed_nodes: list[Node]
-    seed_leaves: list[Node]
+    kinds: list[str]
+    first_leaf: list[int]
+    leaf_counts: list[int]
+    subtree_end: list[int]
+    parent: list[int]
+    prev_sibling: list[int]
+    seed_nodes: list[int]
+    seed_leaves: list[int]
 
-    def walk(self) -> Iterator[Node]:
-        return self.root.walk()
+    def walk(self) -> range:
+        return range(len(self.kinds))
+
+    def is_leaf(self, row: int) -> bool:
+        return self.subtree_end[row] == row + 1 and self.leaf_counts[row] == 1
 
     @property
     def source(self) -> str:
-        return self.node_text(self.root)
-
-    def node_text(self, node: Node) -> str:
-        return "".join(t.text for t in self.leaves[node.leaf_start:node.leaf_end])
+        return "".join(t.text for t in self.leaves)
 
     @property
     def leaf_count(self) -> int:
         return len(self.leaves)
 
 
-def _build_tree(children: list[Node], language: Language) -> SyntaxTree:
-    """Hang fresh nodes under a program root and number them in preorder:
-    leaf ranges, parent map and child indexes, collecting the leaves and the
-    span seeds."""
-    root = Node("program", children)
+def _number_rows(language: Language, rows: Iterable[tuple[str, Token | None, int]]) -> SyntaxTree:
+    """Number (kind, token, parent row) rows, given in preorder below a
+    program root that is row 0; a group row has no token. One pass fills the
+    leaf ranges, subtree ends, sibling links and span seeds."""
     leaves: list[Token] = []
-    parents: dict[Node, Node] = {}
-    internal: list[Node] = []
-    seed_nodes: list[Node] = []
-    seed_leaves: list[Node] = []
-    stack = [root]
-    # an error node's descendants are popped while the stack stays at least
-    # as high as it was just after the error node itself was popped
-    error_floor = _NO_ERROR
-    while stack:
-        node = stack.pop()
-        tok = node.token
-        if len(stack) < error_floor:
-            error_floor = _NO_ERROR
-            if node.kind == "error":
-                error_floor = len(stack)
+    kinds, first, counts, end, parent, prev = ["program"], [0], [0], [0], [-1], [-1]
+    seed_nodes: list[int] = []
+    seed_leaves: list[int] = []
+    open_rows = [0]  # the path from the root to the last row
+    error_row = -1  # the open error row that no other error row encloses
+    for kind, tok, up in rows:
+        row = len(kinds)
+        before = -1
+        while open_rows[-1] != up:  # close the rows that do not enclose this one
+            before = open_rows.pop()
+            end[before] = row
+            counts[before] = len(leaves) - first[before]
+            if before == error_row:
+                error_row = -1
+        kinds.append(kind)
+        first.append(len(leaves))
+        counts.append(0)
+        end.append(0)
+        parent.append(up)
+        prev.append(before)
+        open_rows.append(row)
+        if error_row < 0:
+            if kind == "error":
+                error_row = row
             elif tok is None:
-                seed_nodes.append(node)
-            elif tok.kind not in WHITESPACE_KINDS and not (
-                    node.kind == tok.text and tok.text in BRACKET_TEXTS):
-                seed_leaves.append(node)
-        node.leaf_start = len(leaves)
+                seed_nodes.append(row)
+            elif kind not in _NO_SEED_LEAF_KINDS:
+                seed_leaves.append(row)
         if tok is not None:
             leaves.append(tok)
-            node.leaf_count = 1
-            continue
-        internal.append(node)
-        for idx, child in enumerate(node.children):
-            parents[child] = node
-            child.child_index = idx
-        stack.extend(reversed(node.children))
-    del seed_nodes[0]  # the root is no seed
-    for node in reversed(internal):  # children before their parents
-        node.leaf_count = node.children[-1].leaf_end - node.leaf_start if node.children else 0
-    return SyntaxTree(language, leaves, root, parents, seed_nodes, seed_leaves)
+    for row in open_rows:
+        end[row] = len(kinds)
+        counts[row] = len(leaves) - first[row]
+    return SyntaxTree(language, leaves, kinds, first, counts, end, parent, prev,
+                      seed_nodes, seed_leaves)
+
+
+class _Group(NamedTuple):
+    """A group under construction; its children are groups and tokens."""
+
+    kind: str
+    children: list[_Item]
+
+
+_Item = Token | _Group
+
+
+def _nesting_rows(items: list[_Item]) -> Iterator[tuple[str, Token | None, int]]:
+    """Preorder rows of the builders' nesting, hung under row 0."""
+    stack = [(item, 0) for item in reversed(items)]
+    row = 0
+    while stack:
+        item, up = stack.pop()
+        row += 1
+        if type(item) is _Group:
+            yield item.kind, None, up
+            stack.extend([(child, row) for child in reversed(item.children)])
+        else:
+            yield item.kind, item, up
 
 
 # --------------------------------------------------------------------------
 # bracket grouping (shared by both block styles)
 
-def _group_brackets(tokens: list[Token]) -> list[Node]:
-    """Nest bracket pairs; unmatched delimiters end up inside error nodes."""
-    groups: list[list[Node]] = [[]]  # items of each open group, outermost first
+def _group_brackets(tokens: list[Token]) -> list[_Item]:
+    """Nest bracket pairs; unmatched delimiters end up inside error groups."""
+    groups: list[list[_Item]] = [[]]  # items of each open group, outermost first
     for tok in tokens:
         if tok.kind == tok.text and tok.text in BRACKET_TEXTS:
             if tok.text in OPEN_BRACKETS:
-                groups.append([_leaf(tok)])
+                groups.append([tok])
                 continue
-            if len(groups) > 1 and tok.text == MATCHING_BRACKET[groups[-1][0].token.text]:
+            if len(groups) > 1 and tok.text == MATCHING_BRACKET[groups[-1][0].text]:
                 items = groups.pop()
-                items.append(_leaf(tok))
-                groups[-1].append(Node(OPEN_BRACKETS[items[0].token.text], items))
+                items.append(tok)
+                groups[-1].append(_Group(OPEN_BRACKETS[items[0].text], items))
             else:
-                groups[-1].append(Node("error", [_leaf(tok)]))  # stray closer
+                groups[-1].append(_Group("error", [tok]))  # stray closer
             continue
-        groups[-1].append(_leaf(tok))
+        groups[-1].append(tok)
     while len(groups) > 1:  # still open at the end of input
         items = groups.pop()
-        groups[-1].append(Node("error", items))
+        groups[-1].append(_Group("error", items))
     return groups[0]
 
 
-def _is_trivia(node: Node) -> bool:
-    return node.token is not None and node.kind in TRIVIA_KINDS
+def _is_trivia(item: _Item) -> bool:
+    return type(item) is Token and item.kind in TRIVIA_KINDS
 
 
-def _first_leaf_token(node: Node) -> Token:
-    while node.token is None:
-        node = node.children[0]
-    return node.token
+def _first_leaf_token(item: _Item) -> Token:
+    while type(item) is _Group:
+        item = item.children[0]
+    return item
 
 
-def _is_text(node: Node, text: str) -> bool:
-    return node.token is not None and node.token.text == text
+def _is_text(item: _Item, text: str) -> bool:
+    return type(item) is Token and item.text == text
 
 
 # --------------------------------------------------------------------------
 # brace-language statement grouping
 
-def _statement_kind(first_kw: str | None, parts: list[Node]) -> str:
+def _statement_kind(first_kw: str | None, parts: list[_Item]) -> str:
     if first_kw in CONTROL_KEYWORDS:
         return f"{first_kw}_statement"
     if first_kw in DECLARATION_KEYWORDS:
@@ -202,20 +195,20 @@ def _statement_kind(first_kw: str | None, parts: list[Node]) -> str:
     return "statement"
 
 
-def _skip_trivia(items: list[Node], i: int) -> int:
+def _skip_trivia(items: list[_Item], i: int) -> int:
     while i < len(items) and _is_trivia(items[i]):
         i += 1
     return i
 
 
-def _continues_statement(first_kw: str | None, node: Node) -> bool:
-    text = node.token.text if node.token is not None else None
+def _continues_statement(first_kw: str | None, item: _Item) -> bool:
+    text = item.text if type(item) is Token else None
     return text in ("else", "catch", "finally", ";") or (text == "while" and first_kw == "do")
 
 
-def _group_statements(items: list[Node], lang: Language) -> list[Node]:
-    """Group one block interior (or the top level) into statement nodes."""
-    out: list[Node] = []
+def _group_statements(items: list[_Item], lang: Language) -> list[_Item]:
+    """Group one block interior (or the top level) into statement groups."""
+    out: list[_Item] = []
     i = 0
     n = len(items)
     while i < n:
@@ -227,7 +220,7 @@ def _group_statements(items: list[Node], lang: Language) -> list[Node]:
         first = _first_leaf_token(item)
         first_kw = first.text if first.kind == "keyword" else None
         consume_to_semi = lang.name == "c" and first_kw == "typedef"
-        parts: list[Node] = [item]
+        parts: list[_Item] = [item]
         ended = _is_text(item, ";")
         i += 1
         while not ended and i < n:
@@ -247,24 +240,24 @@ def _group_statements(items: list[Node], lang: Language) -> list[Node]:
                         break
                     continue
                 break
-        if len(parts) == 1 and parts[0].token is None:
+        if len(parts) == 1 and type(parts[0]) is _Group:
             out.append(parts[0])
         else:
-            out.append(Node(_statement_kind(first_kw, parts), parts))
+            out.append(_Group(_statement_kind(first_kw, parts), parts))
     return out
 
 
-def _build_brace_items(tokens: list[Token], lang: Language) -> list[Node]:
+def _build_brace_items(tokens: list[Token], lang: Language) -> list[_Item]:
     """Bracket groups, with statements grouped at the top level and inside
     every closed block. Each block's grouping depends on no other block's,
     so the blocks are visited in any order."""
     items = _group_brackets(tokens)
-    stack = list(items)
+    stack = [item for item in items if type(item) is _Group]
     while stack:
-        node = stack.pop()
-        if node.kind == "block":
-            node.children[1:-1] = _group_statements(node.children[1:-1], lang)
-        stack.extend(node.children)
+        group = stack.pop()
+        if group.kind == "block":
+            group.children[1:-1] = _group_statements(group.children[1:-1], lang)
+        stack.extend(item for item in group.children if type(item) is _Group)
     return _group_statements(items, lang)
 
 
@@ -311,7 +304,7 @@ _CLAUSE_OWNERS = {
 }
 
 
-def _items_end_with_colon(items: list[Node]) -> bool:
+def _items_end_with_colon(items: list[_Item]) -> bool:
     for item in reversed(items):
         if _is_trivia(item):
             continue
@@ -338,18 +331,18 @@ class _Statement:
         self.parts = list(line.items)
         self.leading = [self.parts.pop(0)] if self.parts[0].kind == "whitespace" else []
 
-    def node(self) -> Node:
+    def node(self) -> _Item:
         parts = self.parts
-        if self.keyword is None and len(parts) == 1 and parts[0].token is None:
+        if self.keyword is None and len(parts) == 1 and type(parts[0]) is _Group:
             return parts[0]
-        return Node(_statement_kind(self.keyword, parts), parts)
+        return _Group(_statement_kind(self.keyword, parts), parts)
 
 
-def _build_indent_items(tokens: list[Token]) -> list[Node]:
+def _build_indent_items(tokens: list[Token]) -> list[_Item]:
     """Nest python suites under the statements whose header ends in a colon,
     with an explicit stack of open suites."""
     lines = _split_logical_lines(tokens)
-    suites: list[tuple[list[Node], int]] = [([], 0)]  # items and indent of each open suite
+    suites: list[tuple[list[_Item], int]] = [([], 0)]  # items and indent of each open suite
     owners: list[_Statement] = []  # the statement owning each suite but the outermost
     pos = 0
     while True:
@@ -367,7 +360,7 @@ def _build_indent_items(tokens: list[Token]) -> list[Node]:
                 return items
             suites.pop()
             stmt = owners.pop()
-            stmt.parts.append(Node("block", items))
+            stmt.parts.append(_Group("block", items))
             cand = lines[k] if k is not None else None
             if (cand is None or cand.indent != stmt.indent
                     or cand.significant[0].kind != "keyword"
@@ -399,9 +392,8 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
     tokens = tokenize(source, lang)
-    if lang.indent_blocks:
-        return _build_tree(_build_indent_items(tokens), lang)
-    return _build_tree(_build_brace_items(tokens, lang), lang)
+    items = _build_indent_items(tokens) if lang.indent_blocks else _build_brace_items(tokens, lang)
+    return _number_rows(lang, _nesting_rows(items))
 
 
 def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:
@@ -431,41 +423,43 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# structural rebuilds used by file truncation
+# structural rebuilds used by file truncation: renumber kept rows
 
-def _copy_subtrees(nodes: Iterable[Node], swap: dict[int, Node | None]) -> list[Node]:
-    """Fresh copies of the given subtrees, iteratively; a node whose id is in
-    `swap` is replaced by the node it maps to, or dropped if that is None."""
-    copies: list[Node] = []
-    pending = [(nodes, copies)]
-    while pending:
-        originals, siblings = pending.pop()
-        for node in originals:
-            if id(node) in swap:
-                if swap[id(node)] is not None:
-                    siblings.append(swap[id(node)])
-            elif node.token is not None:
-                siblings.append(_leaf(node.token))
-            else:
-                copy = Node(node.kind, [])
-                siblings.append(copy)
-                pending.append((node.children, copy.children))
-    return copies
+def _renumbered_rows(tree: SyntaxTree, pieces: list[tuple[int, int, Token | None]]
+                     ) -> Iterator[tuple[str, Token | None, int]]:
+    """Rows for `_number_rows`: each (start, stop, marker) piece keeps old
+    rows start:stop, then puts a fold leaf with the marker, if any, in the
+    place of row stop. An old parent outside the kept rows becomes the root."""
+    kinds, first, parent, leaves = tree.kinds, tree.first_leaf, tree.parent, tree.leaves
+    new_row = [0] * (len(kinds) + 1)  # the extra last slot is the root's parent, -1
+    row = 0
+    for start, stop, marker in pieces:
+        for old in range(start, stop):
+            row += 1
+            up = new_row[parent[old]]
+            new_row[old] = row
+            yield kinds[old], leaves[first[old]] if tree.is_leaf(old) else None, up
+        if marker is not None:
+            row += 1
+            yield "fold", marker, new_row[parent[stop]]
 
 
-def tree_from_run(tree: SyntaxTree, run: tuple[Node, ...] | list[Node]) -> SyntaxTree:
+def tree_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> SyntaxTree:
     """A standalone tree viewing a sibling run as its own program."""
-    return _build_tree(_copy_subtrees(run, {}), tree.language)
+    return _number_rows(tree.language,
+                        _renumbered_rows(tree, [(run[0], tree.subtree_end[run[-1]], None)]))
 
 
-def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[Node, ...]]) -> SyntaxTree:
-    """Rebuild the tree with each sibling run replaced by one fold marker."""
-    if not runs:
-        return tree
-    swap: dict[int, Node | None] = {}
+def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> SyntaxTree:
+    """Renumber the tree with each sibling run, given in file order, replaced
+    by one fold marker. The root has no place to fold into, so a run of the
+    root alone leaves the tree whole."""
+    pieces = []
+    kept = 1
     for run in runs:
-        for node in run:
-            swap[id(node)] = None
-        swap[id(run[0])] = _leaf(make_marker(FOLD_TOKEN, "fold",
-                                             at=tree.leaves[run[0].leaf_start]))
-    return _build_tree(_copy_subtrees(tree.root.children, swap), tree.language)
+        if run[0] > 0:
+            at = tree.leaves[tree.first_leaf[run[0]]]
+            pieces.append((kept, run[0], make_marker(FOLD_TOKEN, "fold", at=at)))
+            kept = tree.subtree_end[run[-1]]
+    pieces.append((kept, len(tree.kinds), None))
+    return _number_rows(tree.language, _renumbered_rows(tree, pieces))

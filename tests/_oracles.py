@@ -1,18 +1,32 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here is deliberately written from the metric definitions with
-plain loops, not shared with package code.
+Everything here is deliberately written from the definitions with plain
+loops, not shared with package code. The one exception is the loss-function
+section at the end: single-query and whole-batch loss helpers and the finite
+difference gradient check, which only tests call, built on the training
+kernel they check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
-from codegap.languages import Language
-from codegap.tokenizer import Token
-from codegap.tree import Node, SyntaxTree, _build_tree
+import numpy as np
+
+from codegap.contrastive import (
+    DEFAULT_TAU,
+    ToyEncoder,
+    batch_loss_and_grads,
+    count_entries,
+    pack_counts,
+)
+from codegap.errors import BatchTooSmall, DimensionMismatch, InvalidTemperature, ZeroVector
+from codegap.languages import FOLD_TOKEN, Language
+from codegap.tokenizer import Token, make_marker
+from codegap.tree import SyntaxTree, _number_rows
 
 
 # --------------------------------------------------------------------------
@@ -171,50 +185,137 @@ def make_leaf_tokens(n: int, text: str = "t") -> list[Token]:
 def make_tree(spec, language: Language) -> SyntaxTree:
     """Build a tree from ("kind", [children]) / int (leaf count) nesting."""
     counter = itertools.count()
+    rows: list[tuple[str, Token | None, int]] = []
 
-    def nodes(node_spec) -> list[Node]:
+    def add(node_spec, up: int) -> None:
         if isinstance(node_spec, int):
-            leaves = []
             for _ in range(node_spec):
                 i = next(counter)
-                leaves.append(Node("identifier", token=Token(
-                    text=f"x{i} ", kind="identifier", line=0, column_expanded=i * 4)))
-            return leaves
+                rows.append(("identifier", Token(text=f"x{i} ", kind="identifier", line=0,
+                                                 column_expanded=i * 4), up))
+            return
         kind, children = node_spec
-        return [Node(kind, [node for child in children for node in nodes(child)])]
+        rows.append((kind, None, up))
+        row = len(rows)  # row 0 is the program root
+        for child in children:
+            add(child, row)
 
-    top = nodes(spec)
-    return _build_tree(top if isinstance(spec, int) else top[0].children, language)
+    for child in [spec] if isinstance(spec, int) else spec[1]:
+        add(child, 0)
+    return _number_rows(language, rows)
+
+
+def child_rows(tree: SyntaxTree) -> list[list[int]]:
+    """Every row's child rows, in row order, read off the parent column."""
+    kids: list[list[int]] = [[] for _ in tree.kinds]
+    for row in range(1, len(kids)):
+        kids[tree.parent[row]].append(row)
+    return kids
 
 
 # --------------------------------------------------------------------------
-# reference span seeds: the per-tree walk span selection made on every attempt
-# before the numbering pass listed the seeds
+# reference trees: rows turned into nested (kind, children) / (kind, token)
+# tuples, rebuilt there, and numbered by a walk that shares no code with
+# codegap.tree; it lists the span seeds the way span selection once walked
+# for them on every attempt
 
 BRACKET_TEXTS = frozenset("()[]{}")
 WHITESPACE_KINDS = frozenset({"whitespace", "newline"})
 
 
-def _is_delimiter_leaf(node: Node) -> bool:
-    return node.is_leaf and node.token.text in BRACKET_TEXTS and node.kind == node.token.text
+def _first_token(node: tuple) -> Token:
+    while isinstance(node[1], list):
+        node = node[1][0]
+    return node[1]
 
 
-def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[Node], list[Node]]:
-    """Preorder (internal, leaf) seed candidates, error subtrees excluded."""
-    internal: list[Node] = []
-    leaves: list[Node] = []
-    stack = list(reversed(tree.root.children))
-    while stack:
-        node = stack.pop()
-        if node.kind == "error":
+def oracle_nesting(tree: SyntaxTree, runs: list[tuple[int, ...]] = ()) -> list[tuple]:
+    """Each row's subtree as nested tuples, built from the parent column
+    alone: a row without children is a leaf and takes the next token. Each
+    run is replaced by one fold leaf in its parent; a run of the root itself
+    has no parent to fold into and changes nothing."""
+    n = len(tree.kinds)
+    kids = child_rows(tree)
+    tokens = iter(tree.leaves)
+    token_of = {row: next(tokens) for row in range(1, n) if not kids[row]}
+    folded = {run[0] for run in runs if run[0] != 0}
+    dropped = {row for run in runs if run[0] != 0 for row in run[1:]}
+    built: list[tuple] = [()] * n
+    for row in reversed(range(n)):  # children before their parents
+        if row in token_of:
+            built[row] = (tree.kinds[row], token_of[row])
             continue
-        if node.is_leaf:
-            if not _is_delimiter_leaf(node) and node.token.kind not in WHITESPACE_KINDS:
-                leaves.append(node)
+        body = []
+        for child in kids[row]:
+            if child in folded:
+                marker = make_marker(FOLD_TOKEN, "fold", at=_first_token(built[child]))
+                body.append(("fold", marker))
+            elif child not in dropped:
+                body.append(built[child])
+        built[row] = (tree.kinds[row], body)
+    return built
+
+
+def oracle_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> tuple:
+    built = oracle_nesting(tree)
+    return ("program", [built[row] for row in run])
+
+
+def oracle_columns(root: tuple) -> dict[str, list]:
+    """Preorder columns of a nesting, the root as row 0: kind, first leaf,
+    leaf count, subtree end, parent, previous sibling, the leaves, and the
+    seed rows (groups below the root; leaves that are no blank or bracket
+    token), with error subtrees left out of the seeds."""
+    cols: dict[str, list] = {key: [] for key in (
+        "kinds", "first_leaf", "leaf_counts", "subtree_end", "parent", "prev_sibling",
+        "leaves", "seed_nodes", "seed_leaves")}
+    frames: list[list] = []  # per open group: children iterator, row, last child row, blocked
+
+    def enter(node: tuple, up: int, before: int, blocked: bool) -> int:
+        row = len(cols["kinds"])
+        kind, body = node
+        for key, value in (("kinds", kind), ("first_leaf", len(cols["leaves"])),
+                           ("leaf_counts", 1), ("subtree_end", row + 1), ("parent", up),
+                           ("prev_sibling", before)):
+            cols[key].append(value)
+        blocked = blocked or kind == "error"
+        if isinstance(body, list):
+            if row > 0 and not blocked:
+                cols["seed_nodes"].append(row)
+            frames.append([iter(body), row, -1, blocked])
         else:
-            internal.append(node)
-            stack.extend(reversed(node.children))
-    return internal, leaves
+            cols["leaves"].append(body)
+            delimiter = body.text in BRACKET_TEXTS and kind == body.text
+            if not blocked and not delimiter and body.kind not in WHITESPACE_KINDS:
+                cols["seed_leaves"].append(row)
+        return row
+
+    enter(root, -1, -1, False)
+    while frames:
+        frame = frames[-1]
+        child = next(frame[0], None)
+        if child is None:
+            frames.pop()
+            row = frame[1]
+            cols["leaf_counts"][row] = len(cols["leaves"]) - cols["first_leaf"][row]
+            cols["subtree_end"][row] = len(cols["kinds"])
+            continue
+        frame[2] = enter(child, frame[1], frame[2], frame[3])
+    return cols
+
+
+def tree_columns(tree: SyntaxTree) -> dict[str, list]:
+    """The same columns read off a SyntaxTree."""
+    return {"kinds": tree.kinds, "first_leaf": tree.first_leaf,
+            "leaf_counts": tree.leaf_counts, "subtree_end": tree.subtree_end,
+            "parent": tree.parent, "prev_sibling": tree.prev_sibling, "leaves": tree.leaves,
+            "seed_nodes": tree.seed_nodes, "seed_leaves": tree.seed_leaves}
+
+
+def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[int], list[int]]:
+    """Preorder (group, leaf) seed rows, error subtrees excluded."""
+    cols = oracle_columns(oracle_nesting(tree)[0])
+    return cols["seed_nodes"], cols["seed_leaves"]
 
 
 # --------------------------------------------------------------------------
@@ -476,3 +577,105 @@ class _Scanner:
                 continue
             self.emit(i + 1, ch)
         return self.tokens
+
+
+# --------------------------------------------------------------------------
+# loss functions: cosine similarity, the single-query loss, the mean batch
+# loss and a finite-difference check of the batch gradient
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    return float(np.dot(a, b) / (na * nb))
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    m = float(np.max(values))
+    return m + math.log(float(np.sum(np.exp(values - m))))
+
+
+def info_nce(query: np.ndarray, positive: np.ndarray, negatives: list[np.ndarray],
+             tau: float = DEFAULT_TAU, include_positive: bool = True) -> float:
+    """Contrastive loss of one query against its positive and negatives."""
+    if tau <= 0:
+        raise InvalidTemperature(f"temperature must be positive, got {tau}")
+    if not negatives:
+        raise ValueError("at least one negative is required")
+    pos = cosine(query, positive) / tau
+    negs = np.array([cosine(query, n) for n in negatives], dtype=np.float64) / tau
+    pool = np.concatenate(([pos], negs)) if include_positive else negs
+    return _logsumexp(pool) - pos
+
+
+def batch_loss(encoder: ToyEncoder, contexts: list[str], targets: list[str],
+               tau: float | None = None, include_positive: bool = True) -> float:
+    """Mean contrastive loss over a batch; other pairs' targets are negatives."""
+    if len(contexts) != len(targets):
+        raise DimensionMismatch("context and target counts differ")
+    if len(contexts) < 2:
+        raise BatchTooSmall("a batch needs at least two pairs to have negatives")
+    tau = encoder.tau if tau is None else tau
+    if tau <= 0:
+        raise InvalidTemperature(f"temperature must be positive, got {tau}")
+    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
+    return batch_loss_and_grads(encoder.params, packed, tau, include_positive)[0]
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    checked: int
+    zero_grad_checked: int
+    eps: float
+
+    @property
+    def ok(self) -> bool:
+        return self.max_rel_error < 1e-3
+
+
+def grad_check(encoder: ToyEncoder, contexts: list[str], targets: list[str],
+               eps: float = 1e-5, samples: int = 120,
+               rng: random.Random | None = None,
+               include_positive: bool = True) -> GradCheckReport:
+    """Compare analytic row gradients against central finite differences."""
+    if not 1e-6 <= eps <= 1e-3:
+        raise ValueError("eps outside the supported range [1e-6, 1e-3]")
+    rng = rng or random.Random(0)
+    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
+    tau = encoder.tau
+    _, buckets, rows = batch_loss_and_grads(encoder.params, packed, tau, include_positive)
+    touched = buckets.tolist()
+    grads = dict(zip(touched, rows))
+    untouched = []
+    while len(untouched) < max(4, samples // 8):
+        b = rng.randrange(encoder.buckets)
+        if b not in grads:
+            untouched.append(b)
+    coords: list[tuple[int, int]] = []
+    for _ in range(samples):
+        bucket = touched[rng.randrange(len(touched))]
+        coords.append((bucket, rng.randrange(encoder.dim)))
+    zero_coords = [(b, rng.randrange(encoder.dim)) for b in untouched]
+
+    params = encoder.params.copy()
+    max_rel = 0.0
+    for bucket, col in coords + zero_coords:
+        analytic = float(grads.get(bucket, np.zeros(encoder.dim))[col])
+        saved = params[bucket, col]
+        params[bucket, col] = saved + eps
+        up = batch_loss_and_grads(params, packed, tau, include_positive)[0]
+        params[bucket, col] = saved - eps
+        down = batch_loss_and_grads(params, packed, tau, include_positive)[0]
+        params[bucket, col] = saved
+        numeric = (up - down) / (2 * eps)
+        scale = max(abs(analytic), abs(numeric))
+        if scale > 1e-8:
+            max_rel = max(max_rel, abs(analytic - numeric) / scale)
+    return GradCheckReport(max_rel_error=max_rel, checked=len(coords),
+                           zero_grad_checked=len(zero_coords), eps=eps)

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import codegap
-from _oracles import exhaustive_metric_comparison, tokens_balanced
-from codegap.contrastive import ToyEncoder, grad_check, info_nce
+from _oracles import exhaustive_metric_comparison, grad_check, info_nce, tokens_balanced
+from codegap.contrastive import ToyEncoder
 from codegap.deleak import (
     apply_masking,
     dedent_target,
@@ -132,13 +132,14 @@ def test_syntactic_completeness(trees):
         span = select_span(tree, length, rng)
         # whole-subtree sibling run
         prev = None
-        for node in span.sibling_run:
+        for row in span.sibling_run:
             if prev is not None:
-                assert tree.parents[node] is tree.parents[prev]
-                assert node.child_index == prev.child_index + 1
-            prev = node
-        assert span.sibling_run[0].leaf_start == span.leaf_start
-        assert span.sibling_run[-1].leaf_end == span.leaf_start + span.leaf_count
+                assert tree.parent[row] == tree.parent[prev]
+                assert tree.prev_sibling[row] == prev
+            prev = row
+        first, last = span.sibling_run[0], span.sibling_run[-1]
+        assert tree.first_leaf[first] == span.leaf_start
+        assert tree.first_leaf[last] + tree.leaf_counts[last] == span.leaf_start + span.leaf_count
         # balanced grammar delimiters over the target tokens
         assert tokens_balanced(tree.leaves[span.leaf_start:span.leaf_end])
         checked += 1

@@ -472,6 +472,16 @@ def test_eval_takes_exactly_one_scorer(tmp_path, capsys, scorers):
     assert "not allowed with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scorer", ["lexical", "embeddings"])
+def test_eval_checkpoint_needs_toy_model(tmp_path, capsys, scorer):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                            "t2": [0.0, 1.0]})
+    if scorer == "lexical":
+        args = [*args[:7], "--lexical"]
+    assert main([*args, "--checkpoint", str(tmp_path / "nonexistent.ckpt")]) == 1
+    assert "--checkpoint" in capsys.readouterr().err
+
+
 def test_eval_missing_file_is_data_error(tmp_path):
     missing = tmp_path / "nope.jsonl"
     assert main(["eval", "--queries", str(missing), "--candidates", str(missing),
@@ -545,13 +555,19 @@ def small_shards(small_corpus, tmp_path_factory):
     ("buckets", "--buckets", 0),
     ("tau", "--tau", -0.1),
     ("valid_cap", "--valid-cap", -1),
+    ("steps", "--steps", -1),
+    ("token_budget", "--budget", 1),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys,
                                           key, flag, value, source):
     out = tmp_path / "out"
-    if key in ("dim", "buckets", "tau", "valid_cap"):
-        args = ["train-toy", "--shards", str(small_shards), "--out", str(out), "--steps", "2"]
+    if key in ("dim", "buckets", "tau", "valid_cap", "steps"):
+        args = ["train-toy", "--shards", str(small_shards), "--out", str(out)]
+        if key != "steps":
+            args += ["--steps", "2"]
+    elif key == "token_budget":
+        args = ["batch", "--shards", str(small_shards), "--out", str(out)]
     else:
         args = ["pairs", "--roots", str(small_corpus), "--out", str(out)]
     if source == "flag":

@@ -99,8 +99,10 @@ def test_truncate_long_file_reconstructs(parsed_corpus):
 
 
 def _preorder_shape(tree):
-    return [(id(n), n.kind, n.leaf_start, n.leaf_count, n.child_index, id(tree.parents.get(n)),
-             n.token) for n in tree.walk()]
+    return [(row, tree.kinds[row], tree.first_leaf[row], tree.leaf_counts[row],
+             tree.subtree_end[row], tree.parent[row], tree.prev_sibling[row],
+             tree.leaves[tree.first_leaf[row]] if tree.is_leaf(row) else None)
+            for row in tree.walk()] + [tree.seed_nodes[:], tree.seed_leaves[:]]
 
 
 def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import make_tree, tokens_balanced
+from _oracles import child_rows, make_tree, tokens_balanced
 from codegap.errors import EmptyTree, InvalidBounds, SpanMismatch
 from codegap.languages import MASK_TOKEN
 from codegap.spans import (
@@ -55,25 +55,25 @@ def test_expansion_example_three_siblings(python_lang):
     #  parent (12) exceeds 8; following sibling C gives 9 -> rejected;
     #  preceding sibling A gives 8 -> accepted; then no move fits.
     tree = make_tree(("program", [("A", [3]), ("B", [5]), ("C", [4])]), python_lang)
-    a, b, c = tree.root.children
+    a, b, c = child_rows(tree)[0]
     run = _expand(tree, b, 8)
     assert run == [a, b]
-    assert run[-1].leaf_end - run[0].leaf_start == 8
+    assert tree.first_leaf[run[-1]] + tree.leaf_counts[run[-1]] - tree.first_leaf[run[0]] == 8
 
 
 def test_expansion_collapses_to_parent_when_it_fits(python_lang):
     tree = make_tree(("program", [("A", [3]), ("B", [5]), ("C", [4])]), python_lang)
-    b = tree.root.children[1]
+    b = child_rows(tree)[0][1]
     run = _expand(tree, b, 12)
-    assert run == [tree.root]
-    assert run[0].leaf_count == 12
+    assert run == [0]
+    assert tree.leaf_counts[0] == 12
 
 
 def test_single_leaf_tree_selects_root():
     tree = parse("x", "python")
     span = select_span(tree, 5, random.Random(0))
     assert span.leaf_count == 1
-    assert span.sibling_run[0] is tree.root
+    assert span.sibling_run == (0,)
 
 
 def test_select_span_empty_tree():
@@ -100,18 +100,18 @@ def test_selected_spans_respect_budget_and_structure(parsed_corpus):
             span = select_span(tree, length, rng)
             assert 1 <= span.leaf_count <= max(length, 1)
             prev = None
-            for node in span.sibling_run:
-                assert node.kind != "error"
+            for row in span.sibling_run:
+                assert tree.kinds[row] != "error"
                 if prev is not None:
-                    assert tree.parents[node] is tree.parents[prev]
-                    assert node.child_index == prev.child_index + 1
-                prev = node
+                    assert tree.parent[row] == tree.parent[prev]
+                    assert tree.prev_sibling[row] == prev
+                prev = row
             assert tokens_balanced(tree.leaves[span.leaf_start:span.leaf_end])
 
 
 def test_split_degenerate_full_span(python_lang):
     tree = parse("x = 1\n", "python")
-    span = SpanSelection((tree.root,))
+    span = SpanSelection(tree, (0,))
     assert (span.leaf_start, span.leaf_count) == (0, tree.leaf_count)
     context, target = split(tree, span)
     assert [t.text for t in context] == [python_lang.cls_token, MASK_TOKEN]
@@ -121,9 +121,9 @@ def test_split_degenerate_full_span(python_lang):
 def test_split_token_count_example(python_lang):
     # seven leaves, span [2, 5) -> context = CLS + 2 prefix + MASK + 2 suffix
     tree = make_tree(("program", [("s", [7])]), python_lang)
-    stmt = tree.root.children[0]
-    run = stmt.children[2:5]
-    span = SpanSelection(tuple(run))
+    kids = child_rows(tree)
+    run = kids[kids[0][0]][2:5]
+    span = SpanSelection(tree, tuple(run))
     assert (span.leaf_start, span.leaf_end, span.leaf_count) == (2, 5, 3)
     context, target = split(tree, span)
     assert len(context) == 7 - 3 + 2
@@ -168,16 +168,16 @@ def test_retry_returns_content(parsed_corpus):
 def test_spans_avoid_error_node_endpoints():
     src = "int ok(void) { return 1; }\nint broken(void { return 2;\n"
     tree = parse(src, "c")
-    error_ids = set()
-    for node in tree.walk():
-        if node.kind == "error":
-            error_ids.update(id(n) for n in node.walk())
-    assert error_ids
+    error_rows = set()
+    for row in tree.walk():
+        if tree.kinds[row] == "error":
+            error_rows.update(range(row, tree.subtree_end[row]))
+    assert error_rows
     rng = random.Random(0)
     for _ in range(50):
         span = select_span(tree, 12, rng)
-        assert id(span.sibling_run[0]) not in error_ids
-        assert id(span.sibling_run[-1]) not in error_ids
+        assert span.sibling_run[0] not in error_rows
+        assert span.sibling_run[-1] not in error_rows
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,9 +21,25 @@ from codegap.languages import (
 from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
 from codegap.spans import select_span
 from codegap.tokenizer import tokenize
-from codegap.tree import identifier_occurrences, indentation_of, parse
+from codegap.errors import EmptyTree
+from codegap.tree import (
+    identifier_occurrences,
+    indentation_of,
+    parse,
+    tree_from_run,
+    tree_with_runs_folded,
+)
 
-from _oracles import OracleToken, oracle_eligible_nodes, oracle_tokenize
+from _oracles import (
+    OracleToken,
+    child_rows,
+    oracle_columns,
+    oracle_eligible_nodes,
+    oracle_from_run,
+    oracle_nesting,
+    oracle_tokenize,
+    tree_columns,
+)
 
 
 def roundtrip(tree, source):
@@ -33,7 +49,7 @@ def roundtrip(tree, source):
 def test_empty_input_has_zero_leaves():
     tree = parse("", "java")
     assert tree.leaf_count == 0
-    assert tree.root.leaf_count == 0
+    assert tree.leaf_counts[0] == 0
 
 
 def test_simple_python_roundtrip():
@@ -48,15 +64,16 @@ def test_corpus_roundtrip_and_ranges(lang, parsed_corpus):
     assert trees
     for tree in trees:
         assert roundtrip(tree, tree.source)
-        for node in tree.walk():
-            if node.is_leaf:
-                assert node.leaf_count == 1
+        kids = child_rows(tree)
+        for row in tree.walk():
+            if tree.is_leaf(row):
+                assert tree.leaf_counts[row] == 1
                 continue
-            pos = node.leaf_start
-            for child in node.children:
-                assert child.leaf_start == pos
-                pos = child.leaf_end
-            assert pos == node.leaf_end
+            pos = tree.first_leaf[row]
+            for child in kids[row]:
+                assert tree.first_leaf[child] == pos
+                pos += tree.leaf_counts[child]
+            assert pos == tree.first_leaf[row] + tree.leaf_counts[row]
 
 
 def test_byte_ranges_tile_the_source(parsed_corpus):
@@ -137,11 +154,12 @@ def test_roundtrip_on_arbitrary_text(text, lang):
 def test_c_for_statement_covers_whole_statement():
     src = "for(i=0;i<n;i++){f(i);}"
     tree = parse(src, "c")
-    fors = [n for n in tree.walk() if n.kind == "for_statement"]
+    fors = [row for row in tree.walk() if tree.kinds[row] == "for_statement"]
     assert len(fors) == 1
-    node = fors[0]
-    assert tree.node_text(node) == src
-    assert node.leaf_count == tree.leaf_count
+    row = fors[0]
+    start = tree.first_leaf[row]
+    assert "".join(t.text for t in tree.leaves[start:start + tree.leaf_counts[row]]) == src
+    assert tree.leaf_counts[row] == tree.leaf_count
 
 
 def test_identifier_occurrences_matches_brute_force(parsed_corpus):
@@ -200,11 +218,11 @@ def test_parse_accepts_utf8_bytes():
 def test_error_nodes_are_retained():
     tree = parse("f(a, b\nint g;\n", "c")
     assert roundtrip(tree, tree.source)
-    assert any(n.kind == "error" for n in tree.walk())
+    assert any(tree.kinds[row] == "error" for row in tree.walk())
 
     tree = parse(") x = 1\n", "python")
     assert roundtrip(tree, tree.source)
-    assert any(n.kind == "error" for n in tree.walk())
+    assert any(tree.kinds[row] == "error" for row in tree.walk())
 
 
 def test_marker_texts_never_lex_as_single_tokens():
@@ -257,8 +275,9 @@ CORPUS_TREE_SHAPES_SHA256 = "3e282d5b4cbe3a84301c27d1296dd6ea597cba4cbb0a670e8cf
 def test_corpus_tree_shapes_match_golden_digest(parsed_corpus):
     digest = hashlib.sha256()
     for _, tree in parsed_corpus:
-        for node in tree.walk():
-            digest.update(f"{node.kind} {node.leaf_start} {node.leaf_count}\n".encode())
+        for row in tree.walk():
+            digest.update(f"{tree.kinds[row]} {tree.first_leaf[row]} {tree.leaf_counts[row]}\n"
+                          .encode())
         digest.update(b"\n")
     assert digest.hexdigest() == CORPUS_TREE_SHAPES_SHA256
 
@@ -282,7 +301,9 @@ def test_deep_nesting_parses_splits_and_truncates(name):
 
     span = select_span(tree, 64, random.Random(0))
     assert 0 < span.leaf_count <= 64
-    assert span.sibling_run[-1].leaf_end - span.sibling_run[0].leaf_start == span.leaf_count
+    first, last = span.sibling_run[0], span.sibling_run[-1]
+    assert (tree.first_leaf[last] + tree.leaf_counts[last] - tree.first_leaf[first]
+            == span.leaf_count)
 
     cfg = PipelineConfig()
     assert tree.leaf_count > cfg.truncation_threshold
@@ -292,11 +313,11 @@ def test_deep_nesting_parses_splits_and_truncates(name):
 
 
 def _depths(tree):
-    depth = {id(tree.root): 0}
-    for node in tree.walk():
-        if node in tree.parents:
-            depth[id(node)] = depth[id(tree.parents[node])] + 1
-    return depth.values()
+    depth = [0] * len(tree.kinds)
+    for row in tree.walk():
+        if row > 0:
+            depth[row] = depth[tree.parent[row]] + 1
+    return depth
 
 
 _SEED_TEXT = st.lists(st.sampled_from([
@@ -307,9 +328,8 @@ _SEED_TEXT = st.lists(st.sampled_from([
 
 def _assert_seeds_match_reference(tree):
     internal, leaves = oracle_eligible_nodes(tree)
-    for listed, reference in ((tree.seed_nodes, internal), (tree.seed_leaves, leaves)):
-        assert len(listed) == len(reference)
-        assert all(a is b for a, b in zip(listed, reference))
+    assert tree.seed_nodes == internal
+    assert tree.seed_leaves == leaves
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
@@ -321,11 +341,15 @@ def test_seed_lists_match_reference_walk(lang, text):
 
 
 def _assert_parent_map_is_exact(tree):
-    nodes = list(tree.walk())
-    assert tree.root not in tree.parents
-    assert len(tree.parents) == len(nodes) - 1
-    for node in nodes[1:]:
-        assert tree.parents[node].children[node.child_index] is node
+    rows = list(tree.walk())
+    assert tree.parent[0] == -1 and tree.prev_sibling[0] == -1
+    assert len(tree.parent) == len(tree.prev_sibling) == len(rows)
+    kids = child_rows(tree)
+    for row in rows[1:]:
+        assert tree.parent[row] < row < tree.subtree_end[tree.parent[row]]
+        siblings = kids[tree.parent[row]]
+        index = siblings.index(row)
+        assert tree.prev_sibling[row] == (siblings[index - 1] if index else -1)
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
@@ -361,9 +385,46 @@ def test_seed_lists_match_reference_walk_on_real_trees(tree_set, parsed_corpus):
         _assert_seeds_match_reference(tree)
     if tree_set == "truncated":  # shortened files and segments, some with error nodes
         assert any(tok.kind == "fold" for tree in trees for tok in tree.leaves)
-        assert any(node.kind == "error" for tree in trees for node in tree.walk())
+        assert any(kind == "error" for tree in trees for kind in tree.kinds)
 
 
 def test_parent_map_matches_children_on_truncated_trees(parsed_corpus):
     for tree in _seed_test_trees("truncated", parsed_corpus):
         _assert_parent_map_is_exact(tree)
+
+
+def _disjoint_runs(tree, rng, tries=4):
+    """Up to `tries` selected sibling runs with disjoint leaf ranges, in file order."""
+    spans = []
+    for _ in range(tries):
+        try:
+            span = select_span(tree, rng.randint(1, 80), rng)
+        except EmptyTree:
+            return []
+        if all(span.leaf_end <= s.leaf_start or s.leaf_end <= span.leaf_start for s in spans):
+            spans.append(span)
+    return [s.sibling_run for s in sorted(spans, key=lambda s: s.leaf_start)]
+
+
+def _assert_rebuilds_match_reference(tree, rng):
+    assert tree_columns(tree) == oracle_columns(oracle_nesting(tree)[0])
+    runs = _disjoint_runs(tree, rng)
+    for run in runs:
+        assert tree_columns(tree_from_run(tree, run)) == oracle_columns(oracle_from_run(tree, run))
+    folded = tree_with_runs_folded(tree, runs)
+    assert tree_columns(folded) == oracle_columns(oracle_nesting(tree, runs)[0])
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=200, deadline=None)
+@given(text=_SEED_TEXT, seed=st.integers(min_value=0, max_value=999))
+@example(text="f(x, (1 ] ;\n{ if x: (\n  y) } }", seed=0)
+def test_rebuilds_match_reference(lang, text, seed):
+    _assert_rebuilds_match_reference(parse(text, lang), random.Random(seed))
+
+
+@pytest.mark.parametrize("tree_set", ["corpus", "deep", "truncated"])
+def test_rebuilds_match_reference_on_real_trees(tree_set, parsed_corpus):
+    rng = random.Random(1)
+    for tree in _seed_test_trees(tree_set, parsed_corpus):
+        _assert_rebuilds_match_reference(tree, rng)
