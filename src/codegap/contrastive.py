@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -49,16 +50,20 @@ def stable_bucket(gram: str, buckets: int) -> int:
     return int.from_bytes(digest, "little") % buckets
 
 
-def ngram_bucket_counts(tokens: list[str], buckets: int) -> dict[int, int]:
-    """Unigram and bigram feature buckets with multiplicities."""
-    counts: dict[int, int] = {}
-    for i, tok in enumerate(tokens):
-        b = stable_bucket(tok, buckets)
-        counts[b] = counts.get(b, 0) + 1
-        if i + 1 < len(tokens):
-            b2 = stable_bucket(tok + _GRAM_SEP + tokens[i + 1], buckets)
-            counts[b2] = counts.get(b2, 0) + 1
-    return counts
+class BucketTable(dict):
+    """gram -> stable_bucket(gram, buckets), hashing each distinct gram once."""
+
+    def __init__(self, buckets: int):
+        self.buckets = buckets
+
+    def __missing__(self, gram: str) -> int:
+        return self.setdefault(gram, stable_bucket(gram, self.buckets))
+
+
+def ngram_bucket_counts(tokens: list[str], table: BucketTable) -> Counter[int]:
+    """Unigram and bigram feature buckets of `table` with multiplicities."""
+    grams = tokens + [a + _GRAM_SEP + b for a, b in zip(tokens, tokens[1:])]
+    return Counter(map(table.__getitem__, grams))
 
 
 @dataclass
@@ -67,6 +72,10 @@ class ToyEncoder:
 
     params: np.ndarray
     tau: float = DEFAULT_TAU
+    table: BucketTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.table = BucketTable(self.buckets)
 
     @property
     def buckets(self) -> int:
@@ -87,7 +96,7 @@ class ToyEncoder:
         tokens = text_tokens(text)
         if not tokens:
             raise EmptyInput("cannot encode an empty token sequence")
-        return ngram_bucket_counts(tokens, self.buckets)
+        return ngram_bucket_counts(tokens, self.table)
 
     def encode(self, text: str) -> np.ndarray:
         buckets, mult = count_entries(self.bucket_counts(text))

@@ -157,7 +157,7 @@ def truncate_file(tree: SyntaxTree, rng: random.Random, config: PipelineConfig) 
                 span = select_span(tree, want, rng)
             except EmptyTree:  # every node lies in an error region: keep the file whole
                 return TruncationResult(shortened=tree, segments=[])
-            if span.leaf_count < config.segment_min_len:
+            if not config.segment_min_len <= span.leaf_count < total:  # all leaves: no fold
                 continue
             if any(not (span.leaf_end <= s.leaf_start or s.leaf_end <= span.leaf_start)
                    for s in chosen):

@@ -8,6 +8,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,16 +22,18 @@ from .texttok import text_tokens
 
 PRECISION_KS = (1, 3, 10)
 QUERY_BLOCK = 64  # queries per score matrix: memory stays O(block x pool)
+_discount = functools.cache(lambda pos: 1.0 / np.log2(pos + 1))  # NDCG discount at a 1-based rank
 
 
-@dataclass(frozen=True)
+@dataclass
 class RankedList:
     query_id: str
-    ranking: tuple[tuple[str, float], ...]  # (target_id, score), best first
+    ids: list[str]  # target ids, best first
+    scores: list[float]  # their scores
 
     @property
-    def ids(self) -> list[str]:
-        return [tid for tid, _ in self.ranking]
+    def ranking(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.ids, self.scores))
 
 
 @dataclass
@@ -39,9 +42,7 @@ class Judgments:
     original: dict[str, str] = field(default_factory=dict)
 
     def relevant_for(self, query_id: str) -> set[str]:
-        rel = self.relevant.get(query_id, set())
-        orig = self.original.get(query_id)
-        return rel - {orig} if orig is not None else set(rel)
+        return self.relevant.get(query_id, set()) - {self.original.get(query_id)}
 
 
 def rank(scores: np.ndarray, ids: Sequence[str], exclude: str | None = None,
@@ -52,10 +53,10 @@ def rank(scores: np.ndarray, ids: Sequence[str], exclude: str | None = None,
     so a stable sort on the negated scores keeps ties in ascending-id order.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable").tolist()
-    ranking = tuple((ids[i], s) for i, s in zip(order, scores[order].tolist())
-                    if ids[i] != exclude)
-    return RankedList(query_id=query_id, ranking=ranking)
+    order = np.argsort(-scores, kind="stable")
+    if exclude in ids:  # ids are distinct
+        order = order[order != ids.index(exclude)]
+    return RankedList(query_id, list(map(ids.__getitem__, order.tolist())), scores[order].tolist())
 
 
 # --------------------------------------------------------------------------
@@ -63,9 +64,7 @@ def rank(scores: np.ndarray, ids: Sequence[str], exclude: str | None = None,
 
 def _ndcg(hits: list[int]) -> float:
     """Binary-gain NDCG with a log2(rank + 1) discount."""
-    dcg = sum(1.0 / np.log2(pos + 1) for pos in hits)
-    ideal = sum(1.0 / np.log2(pos + 1) for pos in range(1, len(hits) + 1))
-    return float(dcg / ideal)
+    return float(sum(map(_discount, hits)) / sum(map(_discount, range(1, len(hits) + 1))))
 
 
 @dataclass
@@ -101,10 +100,10 @@ def evaluate_rankings(lists: list[RankedList], judgments: Judgments) -> EvalRepo
     per_query = []
     for ranked in lists:
         relevant = judgments.relevant_for(ranked.query_id)
-        hits = [pos for pos, (tid, _) in enumerate(ranked.ranking, start=1) if tid in relevant]
+        hits = [pos for pos, tid in enumerate(ranked.ids, start=1) if tid in relevant]
         if not hits:
             raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
-        pool = len(ranked.ranking)  # pools smaller than k cap the P@k denominator
+        pool = len(ranked.ids)  # pools smaller than k cap the P@k denominator
         per_query.append({
             "query_id": ranked.query_id,
             "ap": sum(found / pos for found, pos in enumerate(hits, start=1)) / len(hits),

@@ -88,8 +88,7 @@ def exhaustive_metric_comparison() -> float:
         ]
         for perm in itertools.permutations(ids):
             ranking = list(perm)
-            scored = tuple((tid, float(n - i)) for i, tid in enumerate(ranking))
-            rl = RankedList(query_id="q", ranking=scored)
+            rl = RankedList("q", ranking, [float(n - i) for i in range(n)])
             for relevant in relevant_sets:
                 row = evaluate_rankings([rl], Judgments(relevant={"q": relevant})).per_query[0]
                 for k in (1, 3, 10):
@@ -102,6 +101,36 @@ def exhaustive_metric_comparison() -> float:
                 worst = max(worst, abs(row["rr"]
                                        - oracle_reciprocal_rank(ranking, relevant)))
     return worst
+
+
+# --------------------------------------------------------------------------
+# reference ranking and hashed features: one tuple and one hash per item
+
+def reference_rank(scores, ids, exclude=None, query_id=""):
+    """Candidates best first as (id, score) tuples from one stable sort on the
+    negated scores, every id equal to `exclude` filtered out on the way."""
+    from codegap.retrieval import RankedList
+
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable").tolist()
+    ranking = tuple((ids[i], s) for i, s in zip(order, scores[order].tolist())
+                    if ids[i] != exclude)
+    return RankedList(query_id, [tid for tid, _ in ranking], [s for _, s in ranking])
+
+
+def reference_bucket_counts(tokens: list[str], buckets: int) -> dict[int, int]:
+    """Unigram and bigram buckets with multiplicities, hashing every gram
+    occurrence with stable_bucket as it is met."""
+    from codegap.contrastive import _GRAM_SEP, stable_bucket
+
+    counts: dict[int, int] = {}
+    for i, tok in enumerate(tokens):
+        b = stable_bucket(tok, buckets)
+        counts[b] = counts.get(b, 0) + 1
+        if i + 1 < len(tokens):
+            b2 = stable_bucket(tok + _GRAM_SEP + tokens[i + 1], buckets)
+            counts[b2] = counts.get(b2, 0) + 1
+    return counts
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from codegap.cli import main
 from codegap.contrastive import ToyEncoder
 from codegap.languages import get_language
 from codegap.pipeline import read_jsonl
-from codegap.synth import write_mixed_corpus
+from codegap.synth import write_clone_corpus, write_mixed_corpus
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +486,30 @@ def test_eval_missing_file_is_data_error(tmp_path):
     missing = tmp_path / "nope.jsonl"
     assert main(["eval", "--queries", str(missing), "--candidates", str(missing),
                  "--qrels", str(missing), "--lexical"]) == 2
+
+
+# SHA-256 of the eval report bytes on the seed-5 clone corpus's held-out pool:
+# the toy one with a seed-3 random-init checkpoint (d=64, 4,096 buckets), the
+# lexical one with the default Jaccard scorer; they pin hashed features,
+# ranking, tie order and every metric to the last bit
+TOY_REPORT_SHA256 = "7fee1abe9d98177212cf6311da125984707d830850668b0abd7071504dc84b35"
+LEXICAL_REPORT_SHA256 = "acec5a627f2b759940bad07a91bba13a7905cbb050744914eb0dc1d3e7ed7605"
+
+
+@pytest.mark.parametrize("scorer", ["toy", "lexical"])
+def test_eval_report_matches_golden_digest(tmp_path, scorer):
+    corpus = write_clone_corpus(tmp_path / "clone", seed=5)
+    args = ["eval", "--queries", str(corpus.queries_path),
+            "--candidates", str(corpus.candidates_path), "--qrels", str(corpus.qrels_path),
+            "--out", str(tmp_path / "report.json")]
+    if scorer == "toy":
+        ToyEncoder.create(seed=3, dim=64, buckets=4096).save(tmp_path / "toy.ckpt")
+        args += ["--model", "toy", "--checkpoint", str(tmp_path / "toy.ckpt")]
+    else:
+        args.append("--lexical")
+    assert main(args) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == {"toy": TOY_REPORT_SHA256, "lexical": LEXICAL_REPORT_SHA256}[scorer]
 
 
 def test_train_toy_and_eval_model(small_corpus, tmp_path, capsys):

@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codegap.contrastive import (
+    BucketTable,
     ToyEncoder,
     TrainConfig,
     batch_loss_and_grads,
@@ -29,7 +30,14 @@ from codegap.errors import (
 )
 from codegap.pipeline import PairRecord
 
-from _oracles import batch_loss, cosine, grad_check, info_nce, oracle_batch_loss_and_grads
+from _oracles import (
+    batch_loss,
+    cosine,
+    grad_check,
+    info_nce,
+    oracle_batch_loss_and_grads,
+    reference_bucket_counts,
+)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -129,8 +137,34 @@ def test_loss_increases_as_negative_improves(neg_sim, bump):
 
 def test_stable_bucket_is_deterministic():
     assert stable_bucket("token", 1024) == stable_bucket("token", 1024)
-    counts = ngram_bucket_counts(["a", "b", "a"], 4096)
+    counts = ngram_bucket_counts(["a", "b", "a"], BucketTable(4096))
     assert sum(counts.values()) == 3 + 2  # three unigrams, two bigrams
+
+
+_GRAM_TOKENS = st.lists(st.one_of(st.sampled_from(["a", "b", "\x1f", "a\x1fb", "é", "名前", ""]),
+                                  st.text(max_size=4)), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_GRAM_TOKENS, min_size=1, max_size=8))
+@example([[], ["solo"], ["\x1f", "\x1f"], ["solo", "\x1f"]])
+def test_bucket_counts_through_a_warm_table_match_reference(token_lists):
+    # one table per encoder, shared by every list: later lists hash some grams
+    # an earlier one left in the table and some they meet first
+    for enc in (small_encoder(buckets=64), small_encoder(buckets=4096)):
+        ngram_bucket_counts(["alpha", "beta", "\x1f", "é", "alpha"], enc.table)
+        for tokens in token_lists:
+            want = reference_bucket_counts(tokens, enc.buckets)
+            assert dict(ngram_bucket_counts(tokens, enc.table)) == want
+            assert dict(ngram_bucket_counts(tokens, BucketTable(enc.buckets))) == want
+        assert all(bucket == stable_bucket(gram, enc.buckets) for gram, bucket in enc.table.items())
+
+
+def test_encode_fills_its_own_table():
+    for enc in (small_encoder(buckets=64), small_encoder(buckets=4096)):
+        enc.encode("alpha beta")
+        assert enc.table == {gram: stable_bucket(gram, enc.buckets)
+                             for gram in ("alpha", "beta", "alpha\x1fbeta")}
 
 
 def test_encode_deterministic_unit_norm():

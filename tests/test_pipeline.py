@@ -24,6 +24,7 @@ from codegap.pipeline import (
     write_shards,
 )
 from codegap.texttok import count_text_tokens
+from codegap.tree import parse
 
 
 def test_dedup_by_content(tmp_path):
@@ -96,6 +97,20 @@ def test_truncate_long_file_reconstructs(parsed_corpus):
         for segment in result.segments:
             assert tokens_balanced(segment.leaves)
 
+
+@pytest.mark.parametrize("seed", range(12))
+def test_truncation_never_folds_the_whole_file(python_lang, seed):
+    # with a threshold below segment_max_len, a span over every leaf (the
+    # root alone) fits the requested length; folding it would fold nothing
+    source = "".join(f"value_{i} = compute(alpha, beta) + other(gamma)\n" for i in range(30))
+    tree = parse(source, python_lang)
+    cfg = PipelineConfig(truncation_threshold=100, segment_min_len=20, segment_max_len=800)
+    result = truncate_file(tree, random.Random(seed), cfg)
+    assert result.segments
+    assert all(segment.leaf_count < tree.leaf_count for segment in result.segments)
+    folds = [t for t in result.shortened.leaves if t.kind == "fold"]
+    assert len(folds) == len(result.segments)
+    assert splice_truncation(result) == [t.text for t in tree.leaves]
 
 
 def _preorder_shape(tree):

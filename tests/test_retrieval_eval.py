@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import exhaustive_metric_comparison
+from _oracles import exhaustive_metric_comparison, reference_rank
 from codegap.errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
 from codegap.retrieval import (
     Judgments,
@@ -26,8 +28,7 @@ from codegap.texttok import text_tokens
 
 
 def ranked(ids, query_id="q"):
-    scores = [(tid, float(len(ids) - i)) for i, tid in enumerate(ids)]
-    return RankedList(query_id=query_id, ranking=tuple(scores))
+    return RankedList(query_id, list(ids), [float(len(ids) - i) for i in range(len(ids))])
 
 
 def metrics(ids, relevant):
@@ -47,6 +48,28 @@ def test_rank_tie_break_ascending_id():
 def test_rank_excludes_original():
     assert rank(np.array([1.0, 0.0]), ["A", "B"], exclude="A").ids == ["B"]
     assert rank(np.array([1.0, 0.0]), ["A", "B"], exclude="Z").ids == ["A", "B"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=12))
+def test_rank_matches_reference_under_forced_ties(data, n):
+    ids = [f"t{i:02d}" for i in range(n)]
+    scores = np.array(data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.75]), min_size=n,
+                                         max_size=n)))
+    exclude = data.draw(st.sampled_from([None, "absent", *ids]))
+    relevant = set(data.draw(st.lists(st.sampled_from(ids), min_size=1)))
+    got = rank(scores, ids, exclude=exclude, query_id="q")
+    want = reference_rank(scores, ids, exclude=exclude, query_id="q")
+    assert got == want
+    assert got.ranking == want.ranking
+    judgments = Judgments(relevant={"q": relevant}, original={} if exclude is None else {"q": exclude})
+    if relevant - {exclude}:
+        assert (evaluate_rankings([got], judgments).to_json()
+                == evaluate_rankings([want], judgments).to_json())
+    else:  # the only relevant candidate is the excluded original
+        for ranked_list in (got, want):
+            with pytest.raises(NoRelevant):
+                evaluate_rankings([ranked_list], judgments)
 
 
 def test_evaluate_self_similarity_first():
