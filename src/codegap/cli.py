@@ -26,6 +26,8 @@ from .languages import (
     supported_languages,
 )
 from .pipeline import (
+    TRAIN,
+    VALID,
     CorpusFile,
     PipelineConfig,
     batch_by_language,
@@ -200,7 +202,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusFile]:
     if args.manifest:
-        rows = read_jsonl_objects(args.manifest, ("path", "source", "language", "hash", "split"))
+        fields = ("path", "source", "language", "hash", "split")
+        rows = read_jsonl_objects(args.manifest, fields, dict.fromkeys(fields, str))
+        for lineno, obj in rows:
+            if obj["split"] not in (TRAIN, VALID):
+                raise SchemaError(f"'split' must be {TRAIN!r} or {VALID!r}", line=lineno)
         return [CorpusFile(path=Path(obj["path"]), source=obj["source"],
                            language=obj["language"], content_hash=obj["hash"],
                            split=obj["split"]) for _, obj in rows

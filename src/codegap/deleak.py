@@ -20,9 +20,6 @@ MASK_IN_CONTEXT = "mask_in_context"
 MASK_IN_TARGET = "mask_in_target"
 UNMASKED = "unmasked"
 
-DEFAULT_MASK_PROB = 0.9
-DEFAULT_SKIP_PAIR_PROB = 0.05
-
 
 @dataclass(frozen=True)
 class MaskingPlan:
@@ -30,13 +27,6 @@ class MaskingPlan:
     decisions: dict[str, str]
     skip_pair: bool
     alias_map: dict[str, str]
-
-
-def mutual_identifiers(context: list[Token], target: list[Token]) -> set[str]:
-    """Identifier texts present on both sides."""
-    ctx = {t.text for t in context if t.is_identifier}
-    tgt = {t.text for t in target if t.is_identifier}
-    return ctx & tgt
 
 
 def _first_occurrence(tokens: list[Token]) -> dict[str, int]:
@@ -47,61 +37,62 @@ def _first_occurrence(tokens: list[Token]) -> dict[str, int]:
     return seen
 
 
-def plan_masking(mutuals: set[str], rng: random.Random,
-                 mask_prob: float = DEFAULT_MASK_PROB,
-                 skip_pair_prob: float = DEFAULT_SKIP_PAIR_PROB,
-                 *, context: list[Token] | None = None,
-                 target: list[Token] | None = None) -> MaskingPlan:
+def mutual_identifiers(context: list[Token], target: list[Token]) -> set[str]:
+    """Identifier texts present on both sides."""
+    return _first_occurrence(context).keys() & _first_occurrence(target).keys()
+
+
+def plan_masking(context: list[Token], target: list[Token], rng: random.Random,
+                 mask_prob: float, skip_pair_prob: float) -> MaskingPlan:
     """Decide which mutual identifiers get hidden, on which side, and as what.
 
     The whole pair is exempted with probability skip_pair_prob; otherwise each
     identifier is hidden with probability mask_prob on a uniformly chosen
     side. Aliases are numbered by first occurrence in the sequence being
     masked (context-side ones first), skipping numbers whose VARk text already
-    occurs as a token in either sequence.
+    occurs on either side. Only a word token can spell VARk, so the one
+    identifier scan per side that finds the mutuals also finds those texts.
     """
     if not 0 <= mask_prob <= 1 or not 0 <= skip_pair_prob <= 1:
         raise ValueError("probabilities must lie in [0, 1]")
-    mutuals_frozen = frozenset(mutuals)
+    ctx_order, tgt_order = _first_occurrence(context), _first_occurrence(target)
+    mutuals = sorted(ctx_order.keys() & tgt_order.keys())
     if rng.random() < skip_pair_prob:
-        return MaskingPlan(mutuals_frozen, {m: UNMASKED for m in sorted(mutuals_frozen)},
+        return MaskingPlan(frozenset(mutuals), dict.fromkeys(mutuals, UNMASKED),
                            skip_pair=True, alias_map={})
 
     decisions: dict[str, str] = {}
-    for name in sorted(mutuals_frozen):
+    for name in mutuals:
         if rng.random() < mask_prob:
             decisions[name] = MASK_IN_CONTEXT if rng.random() < 0.5 else MASK_IN_TARGET
         else:
             decisions[name] = UNMASKED
 
-    forbidden: set[str] = set()
-    ctx_order = _first_occurrence(context) if context is not None else {}
-    tgt_order = _first_occurrence(target) if target is not None else {}
-    if context is not None:
-        forbidden.update(t.text for t in context)
-    if target is not None:
-        forbidden.update(t.text for t in target)
-
-    def order_key(name: str) -> tuple:
-        if decisions[name] == MASK_IN_CONTEXT:
-            return (0, ctx_order.get(name, 0), name)
-        return (1, tgt_order.get(name, 0), name)
-
+    masked = [n for n, d in decisions.items() if d != UNMASKED]
+    masked.sort(key=lambda n: (0, ctx_order[n]) if decisions[n] == MASK_IN_CONTEXT
+                else (1, tgt_order[n]))
     alias_map: dict[str, str] = {}
     k = 1
-    for name in sorted((n for n, d in decisions.items() if d != UNMASKED), key=order_key):
-        while f"VAR{k}" in forbidden:
+    for name in masked:
+        while f"VAR{k}" in ctx_order or f"VAR{k}" in tgt_order:
             k += 1
         alias_map[name] = f"VAR{k}"
         k += 1
-    return MaskingPlan(mutuals_frozen, decisions, skip_pair=False, alias_map=alias_map)
+    return MaskingPlan(frozenset(mutuals), decisions, skip_pair=False, alias_map=alias_map)
 
 
-def _mask_side(tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
+def _mask_side(side: str, tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
+    """Substitute aliases in one pass that also rejects an alias already present."""
     if not to_mask:
         return list(tokens)
-    return [tok.with_text(to_mask[tok.text]) if tok.is_identifier and tok.text in to_mask
-            else tok for tok in tokens]
+    aliases = set(to_mask.values())
+    out = []
+    for tok in tokens:
+        if tok.text in aliases:
+            raise AliasCollision(f"alias {tok.text!r} already occurs in {side}")
+        out.append(tok.with_text(to_mask[tok.text])
+                   if tok.is_identifier and tok.text in to_mask else tok)
+    return out
 
 
 def apply_masking(context: list[Token], target: list[Token],
@@ -111,11 +102,7 @@ def apply_masking(context: list[Token], target: list[Token],
         return list(context), list(target)
     ctx_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_CONTEXT}
     tgt_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_TARGET}
-    for side, tokens, mapping in (("context", context, ctx_mask), ("target", target, tgt_mask)):
-        clash = {t.text for t in tokens} & set(mapping.values())
-        if clash:
-            raise AliasCollision(f"alias {sorted(clash)} already occurs in {side}")
-    return _mask_side(context, ctx_mask), _mask_side(target, tgt_mask)
+    return _mask_side("context", context, ctx_mask), _mask_side("target", target, tgt_mask)
 
 
 # --------------------------------------------------------------------------

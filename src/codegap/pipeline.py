@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking
+# mutual_identifiers is not called here; perfbench's layer tracer patches this name (ROADMAP item 4)
+from .deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking  # noqa: F401
 from .errors import CodegapError, EmptyTree, SchemaError
 from .languages import Language, get_language, language_for_path
 from .spans import SpanSelection, select_span, select_span_with_retry, split
@@ -237,9 +238,7 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
             context, target = split(input_tree, span)
             skipped, aliases = True, {}
             if config.masking_enabled:
-                plan = plan_masking(mutual_identifiers(context, target), rng,
-                                    config.mask_prob, config.skip_pair_prob,
-                                    context=context, target=target)
+                plan = plan_masking(context, target, rng, config.mask_prob, config.skip_pair_prob)
                 context, target = apply_masking(context, target, plan)
                 skipped, aliases = plan.skip_pair, dict(plan.alias_map)
             dedent_cols = 0
@@ -300,9 +299,10 @@ def write_jsonl(path: str | Path, records: Iterable[PairRecord]) -> int:
     return count
 
 
-def read_jsonl_objects(path: str | Path,
-                       required: tuple[str, ...] = ()) -> list[tuple[int, dict]]:
-    """(line number, object) per non-blank line; SchemaError names a bad line."""
+def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
+                       types: dict[str, type] | None = None) -> list[tuple[int, dict]]:
+    """(line number, object) per non-blank line; SchemaError names a bad line: one
+    that lacks a `required` key or holds a `types` key of another type."""
     rows = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -318,17 +318,18 @@ def read_jsonl_objects(path: str | Path,
             for key in required:
                 if key not in obj:
                     raise SchemaError(f"missing {key!r} field", line=lineno)
+            for key, kind in (types or {}).items():
+                if key in obj and not isinstance(obj[key], kind):
+                    raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)
             rows.append((lineno, obj))
     return rows
 
 
 def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:
-    rows = read_jsonl_objects(path, ("id", "language", "context", "target", "meta"))
-    for lineno, obj in rows:
-        if not isinstance(obj["meta"], dict):
-            raise SchemaError("'meta' must be an object", line=lineno)
-    return [PairRecord(pair_id=str(obj["id"]), language=str(obj["language"]),
-                       context=str(obj["context"]), target=str(obj["target"]),
+    rows = read_jsonl_objects(path, ("id", "language", "context", "target", "meta"),
+                              {"language": str, "context": str, "target": str, "meta": dict})
+    return [PairRecord(pair_id=str(obj["id"]), language=obj["language"],
+                       context=obj["context"], target=obj["target"],
                        meta=obj["meta"], split=split or TRAIN) for _, obj in rows]
 
 

@@ -206,23 +206,25 @@ def rank_lexical(query_tokens: frozenset[str],
 
 def load_queries(path: str | Path) -> dict[str, dict]:
     return {str(obj["query_id"]): {"language": obj["language"], "context": obj["context"]}
-            for _, obj in read_jsonl_objects(path, ("query_id", "language", "context"))}
+            for _, obj in read_jsonl_objects(path, ("query_id", "language", "context"),
+                                             {"language": str, "context": str})}
 
 
 def load_candidates(path: str | Path) -> dict[str, dict]:
     return {str(obj["target_id"]): {"language": obj["language"], "text": obj["text"]}
-            for _, obj in read_jsonl_objects(path, ("target_id", "language", "text"))}
+            for _, obj in read_jsonl_objects(path, ("target_id", "language", "text"),
+                                             {"language": str, "text": str})}
 
 
 def load_qrels(path: str | Path) -> Judgments:
     relevant: dict[str, set[str]] = {}
     original: dict[str, str] = {}
-    for _, obj in read_jsonl_objects(path, ("query_id", "target_id")):
+    for _, obj in read_jsonl_objects(path, ("query_id", "target_id"),
+                                     {"relevance": int, "is_original": int}):
         qid, tid = str(obj["query_id"]), str(obj["target_id"])
-        rel = int(obj.get("relevance", 0))
-        if int(obj.get("is_original", 0)):
+        if obj.get("is_original", 0):
             original[qid] = tid
-        elif rel > 0:
+        elif obj.get("relevance", 0) > 0:
             relevant.setdefault(qid, set()).add(tid)
     return Judgments(relevant=relevant, original=original)
 

@@ -41,8 +41,8 @@ class SpanSelection:
         return self.leaf_end - self.leaf_start
 
 
-def sample_target_length(rng: random.Random, mean: float = 150.0, stddev: float = 90.0,
-                         min_len: int = 16, max_len: int = 512) -> int:
+def sample_target_length(rng: random.Random, mean: float, stddev: float,
+                         min_len: int, max_len: int) -> int:
     """One target length: a rounded normal draw clamped into [min_len, max_len]."""
     if min_len < 1 or max_len < min_len or stddev < 0:
         raise InvalidBounds(f"bad length bounds: min={min_len} max={max_len} stddev={stddev}")
@@ -151,9 +151,9 @@ def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:
                for t in tree.leaves[span.leaf_start:span.leaf_end])
 
 
-def select_span_with_retry(tree: SyntaxTree, rng: random.Random, *, mean: float = 150.0,
-                           stddev: float = 90.0, min_len: int = 16, max_len: int = 512,
-                           max_attempts: int = 8) -> SpanSelection | None:
+def select_span_with_retry(tree: SyntaxTree, rng: random.Random, *, mean: float,
+                           stddev: float, min_len: int, max_len: int,
+                           max_attempts: int) -> SpanSelection | None:
     """Sample lengths and spans until a target contains real content."""
     for _ in range(max_attempts):
         length = sample_target_length(rng, mean, stddev, min_len, max_len)

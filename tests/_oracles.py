@@ -23,7 +23,14 @@ from codegap.contrastive import (
     count_entries,
     pack_counts,
 )
-from codegap.errors import BatchTooSmall, DimensionMismatch, InvalidTemperature, ZeroVector
+from codegap.deleak import MASK_IN_CONTEXT, MASK_IN_TARGET, UNMASKED, MaskingPlan
+from codegap.errors import (
+    AliasCollision,
+    BatchTooSmall,
+    DimensionMismatch,
+    InvalidTemperature,
+    ZeroVector,
+)
 from codegap.languages import FOLD_TOKEN, Language
 from codegap.tokenizer import Token, make_marker
 from codegap.tree import SyntaxTree, _number_rows
@@ -131,6 +138,99 @@ def reference_bucket_counts(tokens: list[str], buckets: int) -> dict[int, int]:
             b2 = stable_bucket(tok + _GRAM_SEP + tokens[i + 1], buckets)
             counts[b2] = counts.get(b2, 0) + 1
     return counts
+
+
+# --------------------------------------------------------------------------
+# reference masking planner: a separate scan per question asked of the tokens
+
+def identifier_tokens(names) -> list[Token]:
+    """One identifier token per name, sorted: a side holding just these names."""
+    return [Token(name, "identifier", 0, 0) for name in sorted(names)]
+
+
+def reference_mutual_identifiers(context: list[Token], target: list[Token]) -> set[str]:
+    """Identifier texts present on both sides."""
+    ctx = {t.text for t in context if t.is_identifier}
+    tgt = {t.text for t in target if t.is_identifier}
+    return ctx & tgt
+
+
+def _reference_first_occurrence(tokens: list[Token]) -> dict[str, int]:
+    seen: dict[str, int] = {}
+    for idx, tok in enumerate(tokens):
+        if tok.is_identifier and tok.text not in seen:
+            seen[tok.text] = idx
+    return seen
+
+
+def reference_plan_masking(mutuals: set[str], rng: random.Random,
+                           mask_prob: float, skip_pair_prob: float,
+                           *, context: list[Token] | None = None,
+                           target: list[Token] | None = None):
+    """Decide which mutual identifiers get hidden, on which side, and as what.
+
+    The whole pair is exempted with probability skip_pair_prob; otherwise each
+    identifier is hidden with probability mask_prob on a uniformly chosen
+    side. Aliases are numbered by first occurrence in the sequence being
+    masked (context-side ones first), skipping numbers whose VARk text already
+    occurs as a token in either sequence.
+    """
+    if not 0 <= mask_prob <= 1 or not 0 <= skip_pair_prob <= 1:
+        raise ValueError("probabilities must lie in [0, 1]")
+    mutuals_frozen = frozenset(mutuals)
+    if rng.random() < skip_pair_prob:
+        return MaskingPlan(mutuals_frozen, {m: UNMASKED for m in sorted(mutuals_frozen)},
+                           skip_pair=True, alias_map={})
+
+    decisions: dict[str, str] = {}
+    for name in sorted(mutuals_frozen):
+        if rng.random() < mask_prob:
+            decisions[name] = MASK_IN_CONTEXT if rng.random() < 0.5 else MASK_IN_TARGET
+        else:
+            decisions[name] = UNMASKED
+
+    forbidden: set[str] = set()
+    ctx_order = _reference_first_occurrence(context) if context is not None else {}
+    tgt_order = _reference_first_occurrence(target) if target is not None else {}
+    if context is not None:
+        forbidden.update(t.text for t in context)
+    if target is not None:
+        forbidden.update(t.text for t in target)
+
+    def order_key(name: str) -> tuple:
+        if decisions[name] == MASK_IN_CONTEXT:
+            return (0, ctx_order.get(name, 0), name)
+        return (1, tgt_order.get(name, 0), name)
+
+    alias_map: dict[str, str] = {}
+    k = 1
+    for name in sorted((n for n, d in decisions.items() if d != UNMASKED), key=order_key):
+        while f"VAR{k}" in forbidden:
+            k += 1
+        alias_map[name] = f"VAR{k}"
+        k += 1
+    return MaskingPlan(mutuals_frozen, decisions, skip_pair=False, alias_map=alias_map)
+
+
+def _reference_mask_side(tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
+    if not to_mask:
+        return list(tokens)
+    return [tok.with_text(to_mask[tok.text]) if tok.is_identifier and tok.text in to_mask
+            else tok for tok in tokens]
+
+
+def reference_apply_masking(context: list[Token], target: list[Token],
+                            plan: MaskingPlan) -> tuple[list[Token], list[Token]]:
+    """Substitute aliases on each identifier's masked side: (context, target)."""
+    if plan.skip_pair:
+        return list(context), list(target)
+    ctx_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_CONTEXT}
+    tgt_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_TARGET}
+    for side, tokens, mapping in (("context", context, ctx_mask), ("target", target, tgt_mask)):
+        clash = {t.text for t in tokens} & set(mapping.values())
+        if clash:
+            raise AliasCollision(f"alias {sorted(clash)} already occurs in {side}")
+    return _reference_mask_side(context, ctx_mask), _reference_mask_side(target, tgt_mask)
 
 
 # --------------------------------------------------------------------------

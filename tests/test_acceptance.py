@@ -15,7 +15,13 @@ from pathlib import Path
 import pytest
 
 import codegap
-from _oracles import exhaustive_metric_comparison, grad_check, info_nce, tokens_balanced
+from _oracles import (
+    exhaustive_metric_comparison,
+    grad_check,
+    identifier_tokens,
+    info_nce,
+    tokens_balanced,
+)
 from codegap.contrastive import ToyEncoder
 from codegap.deleak import (
     apply_masking,
@@ -65,12 +71,12 @@ def generated_pairs(trees):
     while len(rows) < 1000:
         for tree in trees:
             span = select_span_with_retry(tree, rng, mean=60, stddev=40,
-                                          min_len=8, max_len=200)
+                                          min_len=8, max_len=200, max_attempts=8)
             if span is None:
                 continue
             context, target = split(tree, span)
             mutuals = mutual_identifiers(context, target)
-            plan = plan_masking(mutuals, rng, 1.0, 0.0, context=context, target=target)
+            plan = plan_masking(context, target, rng, 1.0, 0.0)
             masked_context, masked_target = apply_masking(context, target, plan)
             dedented, cols = dedent_target(masked_target)
             rows.append({
@@ -168,10 +174,12 @@ def test_deleak_occlusion(generated_pairs):
 
     # Monte-Carlo schedule at paper defaults over 10,000 draws
     rng = random.Random(2024)
-    mutual_sets = [row["mutuals"] for row in generated_pairs if row["mutuals"]]
+    config = PipelineConfig()
+    name_sides = [identifier_tokens(row["mutuals"]) for row in generated_pairs if row["mutuals"]]
     skips = masked = decided = 0
     for i in range(10_000):
-        plan = plan_masking(mutual_sets[i % len(mutual_sets)], rng)
+        names = name_sides[i % len(name_sides)]
+        plan = plan_masking(names, names, rng, config.mask_prob, config.skip_pair_prob)
         if plan.skip_pair:
             skips += 1
             continue

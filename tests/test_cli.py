@@ -224,14 +224,20 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
+_MANIFEST_ROW = {"path": "a.py", "language": "python", "source": "a.py",
+                 "hash": "0" * 64, "split": "train"}
+
+
 @pytest.mark.parametrize("bad_line", [
     '{"path": "a.py", "language": "python", "hash": ',
     '{"path": "a.py", "language": "python", "source": "a.py", "split": "train"}',
+    *(json.dumps({**_MANIFEST_ROW, key: value}) for key, value in [
+        ("path", 5), ("source", 5), ("language", 5), ("hash", 5), ("split", "test"),
+        ("split", None)]),
 ])
 def test_pairs_malformed_manifest_is_data_error(tmp_path, capsys, bad_line):
     manifest = tmp_path / "m.jsonl"
-    good = json.dumps({"path": "a.py", "language": "python", "source": "a.py",
-                       "hash": "0" * 64, "split": "train"})
+    good = json.dumps(_MANIFEST_ROW)
     manifest.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
     assert main(["pairs", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
     assert "line 2" in capsys.readouterr().err
@@ -423,6 +429,22 @@ def test_eval_malformed_vector_is_data_error(tmp_path, capsys, vector):
                                             "t2": vector})
     assert main(args) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,field,value", [
+    ("qrels", "relevance", "high"), ("qrels", "relevance", None), ("qrels", "relevance", 1.0),
+    ("qrels", "is_original", "yes"), ("queries", "context", 5),
+    ("queries", "language", ["python"]), ("candidates", "text", 5),
+])
+def test_eval_field_of_wrong_type_is_data_error(tmp_path, capsys, name, field, value):
+    args = [*_embedding_eval_files(tmp_path, {})[:7], "--lexical"]
+    path = Path(args[args.index(f"--{name}") + 1])
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rows.append({**rows[0], field: value})
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(rows)}" in err and repr(field) in err
 
 
 def test_eval_unsupported_checkpoint_is_data_error(tmp_path, capsys):

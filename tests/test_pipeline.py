@@ -217,6 +217,19 @@ def test_jsonl_schema_error_reports_line(tmp_path):
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("field,value", [("context", None), ("target", 5), ("language", 5),
+                                         ("meta", [])])
+def test_jsonl_field_of_wrong_type_reports_line(tmp_path, field, value):
+    row = {"id": "a", "language": "python", "context": "c", "target": "t", "meta": {}}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        read_jsonl(path)
+    assert info.value.line == 2
+    assert repr(field) in str(info.value)
+
+
 def test_empty_shard_roundtrip(tmp_path):
     path = tmp_path / "empty.jsonl"
     assert write_jsonl(path, []) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from _oracles import child_rows, make_tree, tokens_balanced
 from codegap.errors import EmptyTree, InvalidBounds, SpanMismatch
 from codegap.languages import MASK_TOKEN
+from codegap.pipeline import PipelineConfig
 from codegap.spans import (
     SpanSelection,
     _expand,
@@ -18,6 +19,11 @@ from codegap.spans import (
     split,
 )
 from codegap.tree import parse
+
+_CONFIG = PipelineConfig()
+_TARGET_LENGTHS = dict(mean=_CONFIG.mean_target_len, stddev=_CONFIG.stddev_target_len,
+                       min_len=_CONFIG.min_target_len, max_len=_CONFIG.max_target_len,
+                       max_attempts=_CONFIG.max_span_attempts)
 
 
 def test_sample_length_zero_variance():
@@ -33,11 +39,13 @@ def test_sample_length_always_clamped(seed):
 def test_sample_length_defaults_match_training_distribution():
     import inspect
 
+    assert _CONFIG.mean_target_len == 150.0
+    assert _CONFIG.stddev_target_len == 90.0
+    assert _CONFIG.min_target_len == 16
+    assert _CONFIG.max_target_len == 512
+    # the config is the schedule's only home: the sampler has no defaults
     sig = inspect.signature(sample_target_length)
-    assert sig.parameters["mean"].default == 150.0
-    assert sig.parameters["stddev"].default == 90.0
-    assert sig.parameters["min_len"].default == 16
-    assert sig.parameters["max_len"].default == 512
+    assert all(p.default is inspect.Parameter.empty for p in sig.parameters.values())
 
 
 def test_sample_length_invalid_bounds():
@@ -155,12 +163,12 @@ def test_split_rejects_foreign_span():
 
 def test_retry_gives_up_on_whitespace_only_file():
     tree = parse("\n\n    \n\n", "python")
-    assert select_span_with_retry(tree, random.Random(0)) is None
+    assert select_span_with_retry(tree, random.Random(0), **_TARGET_LENGTHS) is None
 
 
 def test_retry_returns_content(parsed_corpus):
     _, tree = parsed_corpus[0]
-    span = select_span_with_retry(tree, random.Random(1))
+    span = select_span_with_retry(tree, random.Random(1), **_TARGET_LENGTHS)
     assert span is not None
     assert span_has_content(tree, span)
 
