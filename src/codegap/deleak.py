@@ -30,11 +30,9 @@ class MaskingPlan:
 
 
 def _first_occurrence(tokens: list[Token]) -> dict[str, int]:
-    seen: dict[str, int] = {}
-    for idx, tok in enumerate(tokens):
-        if tok.is_identifier and tok.text not in seen:
-            seen[tok.text] = idx
-    return seen
+    """Each identifier text's rank among the side's first occurrences."""
+    names = dict.fromkeys([tok.text for tok in tokens if tok.kind == "identifier"])
+    return dict(zip(names, range(len(names))))
 
 
 def mutual_identifiers(context: list[Token], target: list[Token]) -> set[str]:
@@ -82,17 +80,16 @@ def plan_masking(context: list[Token], target: list[Token], rng: random.Random,
 
 
 def _mask_side(side: str, tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
-    """Substitute aliases in one pass that also rejects an alias already present."""
+    """Substitute aliases, after rejecting an alias already present."""
     if not to_mask:
         return list(tokens)
     aliases = set(to_mask.values())
-    out = []
-    for tok in tokens:
-        if tok.text in aliases:
-            raise AliasCollision(f"alias {tok.text!r} already occurs in {side}")
-        out.append(tok.with_text(to_mask[tok.text])
-                   if tok.is_identifier and tok.text in to_mask else tok)
-    return out
+    texts = [tok.text for tok in tokens]
+    if not aliases.isdisjoint(texts):
+        clash = next(text for text in texts if text in aliases)
+        raise AliasCollision(f"alias {clash!r} already occurs in {side}")
+    return [tok.with_text(to_mask[text]) if text in to_mask and tok.kind == "identifier" else tok
+            for tok, text in zip(tokens, texts)]
 
 
 def apply_masking(context: list[Token], target: list[Token],

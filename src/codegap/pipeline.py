@@ -125,8 +125,15 @@ def ingest(roots: Iterable[str | Path], config: PipelineConfig,
             if digest in seen:
                 continue
             seen.add(digest)
-            split_name = VALID if repo_of(path, root) in config.valid_repos else TRAIN
-            out.append(CorpusFile(path=path, source=path.relative_to(root).as_posix(),
+            rel = path.relative_to(root)
+            # rglob does not enter linked directories, so only a linked file
+            # can resolve outside the repository its path names
+            if path.is_symlink():
+                repo = repo_of(path, root)
+            else:
+                repo = rel.parts[0] if len(rel.parts) > 1 else root.name
+            split_name = VALID if repo in config.valid_repos else TRAIN
+            out.append(CorpusFile(path=path, source=rel.as_posix(),
                                   language=lang.name, content_hash=digest, split=split_name))
     out.sort(key=lambda f: f.content_hash)
     return out
@@ -247,8 +254,8 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
             suffix = f":{copy_idx}" if config.pairs_per_input > 1 else ""
             records.append(PairRecord(
                 pair_id=f"{pair_id_prefix}:{input_idx}{suffix}", language=language.name,
-                context="".join(t.text for t in context),
-                target="".join(t.text for t in target),
+                context="".join([t.text for t in context]),
+                target="".join([t.text for t in target]),
                 meta={"source": source_name, "span_start": span.leaf_start,
                       "span_len": span.leaf_count, "dedent_cols": dedent_cols,
                       "skipped_masking": skipped, "aliases": aliases, "seed": seed},

@@ -31,6 +31,8 @@ BRACKET_TEXTS = frozenset("()[]{}")
 # tokens after which a '/' in javascript is a division, not a regex start
 _NO_REGEX_AFTER_KINDS = frozenset({"identifier", "number", "string", "regex", "template_string"})
 _NO_REGEX_AFTER_TEXTS = frozenset({")", "]", "}", "++", "--", "this", "super", "true", "false", "null"})
+# the only kinds whose text can hold a line break
+_MULTILINE_KINDS = frozenset({"comment", "preproc", "string", "template_string", "regex"})
 
 # body, optional character class runs, closing slash, then flags; an escape
 # may swallow a line break, an unescaped one means this '/' is not a regex
@@ -108,42 +110,46 @@ def _pattern(lang: Language) -> re.Pattern[str]:
     return re.compile("|".join(f"(?P<{name}>{body})" for name, body in groups if body), re.DOTALL)
 
 
+def _regex_may_start(tokens: list[Token]) -> bool:
+    """Whether a javascript '/' after these tokens opens a regex literal."""
+    for tok in reversed(tokens):
+        if tok.kind not in TRIVIA_KINDS:
+            return tok.kind not in _NO_REGEX_AFTER_KINDS and tok.text not in _NO_REGEX_AFTER_TEXTS
+    return True
+
+
 def tokenize(source: str, lang: Language) -> list[Token]:
-    match = _pattern(lang).match
+    """One `finditer` scan, restarted only where a context rule moves a
+    token's end: a '#' that is not first on its line, or a regex literal."""
+    finditer = _pattern(lang).finditer
     keywords = lang.keywords
     tokens: list[Token] = []
-    prev: Token | None = None  # last token that is not trivia
+    new = tuple.__new__  # skips the namedtuple's Python-level __new__
     pos = line = line_start = colx = 0
-    n = len(source)
-    while pos < n:
-        m = match(source, pos)
-        kind, end = m.lastgroup, m.end()
-        text = source[pos:end]
-        if kind == "word":
-            kind = "keyword" if text in keywords else "identifier"
-        elif kind == "preproc" and source[line_start:pos].strip(" \t"):
-            kind = text = "#"  # not first on its line: a plain '#'
-            end = pos + 1
-        elif kind == "op" or kind == "char":
-            kind = text
-            if (text[0] == "/" and lang.regex_literals
-                    and (prev is None or (prev.kind not in _NO_REGEX_AFTER_KINDS
-                                          and prev.text not in _NO_REGEX_AFTER_TEXTS))):
-                regex = _JS_REGEX.match(source, pos)
-                if regex:
-                    kind, end = "regex", regex.end()
-                    text = source[pos:end]
-        tok = Token(text, kind, line, colx)
-        tokens.append(tok)
-        if kind not in TRIVIA_KINDS:
-            prev = tok
-        if kind == "newline":
-            line, line_start, colx = line + 1, end, 0
-        elif "\n" in text or "\r" in text:
-            line += text.count("\n") + text.count("\r") - text.count("\r\n")
-            line_start = pos + max(text.rfind("\n"), text.rfind("\r")) + 1
-            colx = expanded_width(source[line_start:end])
-        else:
-            colx += expanded_width(text, colx) if "\t" in text else len(text)
-        pos = end
+    while pos < len(source):
+        for m in finditer(source, pos):
+            kind, text = m.lastgroup, m.group()
+            if kind == "word":
+                kind = "keyword" if text in keywords else "identifier"
+            elif kind == "op" or kind == "char":
+                kind = text
+                if text[0] == "/" and lang.regex_literals and _regex_may_start(tokens):
+                    regex = _JS_REGEX.match(source, pos)
+                    if regex:
+                        kind, text = "regex", regex.group()
+            elif kind == "preproc" and source[line_start:pos].strip(" \t"):
+                kind = text = "#"  # not first on its line: a plain '#'
+            tokens.append(new(Token, (text, kind, line, colx, False)))
+            end = pos + len(text)
+            if kind == "newline":
+                line, line_start, colx = line + 1, end, 0
+            elif kind in _MULTILINE_KINDS and ("\n" in text or "\r" in text):
+                line += text.count("\n") + text.count("\r") - text.count("\r\n")
+                line_start = pos + max(text.rfind("\n"), text.rfind("\r")) + 1
+                colx = expanded_width(source[line_start:end])
+            else:
+                colx += expanded_width(text, colx) if "\t" in text else len(text)
+            pos = end
+            if end != m.end():
+                break  # a context rule moved the end: scan again from there
     return tokens

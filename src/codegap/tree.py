@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import EncodingError, IndexOutOfRange
 from .languages import FOLD_TOKEN, Language, get_language
@@ -77,50 +79,58 @@ class SyntaxTree:
         return len(self.leaves)
 
 
-def _number_rows(language: Language, rows: Iterable[tuple[str, Token | None, int]]) -> SyntaxTree:
-    """Number (kind, token, parent row) rows, given in preorder below a
-    program root that is row 0; a group row has no token. One pass fills the
-    leaf ranges, subtree ends, sibling links and span seeds."""
-    leaves: list[Token] = []
-    kinds, first, counts, end, parent, prev = ["program"], [0], [0], [0], [-1], [-1]
+def _number_rows(language: Language, kinds: list[str], tokens: list[Token | None],
+                 parents: list[int]) -> SyntaxTree:
+    """Number rows given in preorder as parallel columns, row 0 being the
+    program root; a group row has no token. One pass fills the subtree ends,
+    leaf counts, sibling links and span seeds; the tree keeps `kinds` and
+    `parents` as its columns."""
+    n = len(kinds)
+    leaves = [tok for tok in tokens if tok is not None]
+    first = list(accumulate([tok is not None for tok in tokens], initial=0))
+    first.pop()
+    # one int object per row number, shared by every column that names rows
+    ids = list(range(-1, n + 1))
+    # a leaf closes itself, and a row's previous sibling is the row before
+    # it unless the loop finds otherwise
+    end, counts, prev = ids[2:], [1] * n, ids[:n]
     seed_nodes: list[int] = []
     seed_leaves: list[int] = []
-    open_rows = [0]  # the path from the root to the last row
+    open_rows = [0]  # the groups on the path from the root to the last row
     error_row = -1  # the open error row that no other error row encloses
-    for kind, tok, up in rows:
-        row = len(kinds)
-        before = -1
-        while open_rows[-1] != up:  # close the rows that do not enclose this one
-            before = open_rows.pop()
-            end[before] = row
-            counts[before] = len(leaves) - first[before]
-            if before == error_row:
-                error_row = -1
-        kinds.append(kind)
-        first.append(len(leaves))
-        counts.append(0)
-        end.append(0)
-        parent.append(up)
-        prev.append(before)
+    for row in ids[2:n + 1]:  # rows 1 to n - 1
+        up = parents[row]
+        if open_rows[-1] != up:
+            while open_rows[-1] != up:  # close the groups that do not enclose this row
+                before = open_rows.pop()
+                end[before] = row
+                counts[before] = first[row] - first[before]
+                if before == error_row:
+                    error_row = -1
+            prev[row] = before
+        elif row - 1 == up:
+            prev[row] = -1
+        if tokens[row] is not None:
+            if error_row < 0 and kinds[row] not in _NO_SEED_LEAF_KINDS:
+                seed_leaves.append(row)
+            continue
         open_rows.append(row)
         if error_row < 0:
-            if kind == "error":
+            if kinds[row] == "error":
                 error_row = row
-            elif tok is None:
+            else:
                 seed_nodes.append(row)
-            elif kind not in _NO_SEED_LEAF_KINDS:
-                seed_leaves.append(row)
-        if tok is not None:
-            leaves.append(tok)
     for row in open_rows:
-        end[row] = len(kinds)
+        end[row] = n
         counts[row] = len(leaves) - first[row]
-    return SyntaxTree(language, leaves, kinds, first, counts, end, parent, prev,
+    return SyntaxTree(language, leaves, kinds, first, counts, end, parents, prev,
                       seed_nodes, seed_leaves)
 
 
 class _Group(NamedTuple):
-    """A group under construction; its children are groups and tokens."""
+    """A group under construction; its children are groups and tokens. No
+    group kind is a token kind, so a kind test alone tells a bracket,
+    ';', ':' or trivia token from a group."""
 
     kind: str
     children: list[_Item]
@@ -129,18 +139,26 @@ class _Group(NamedTuple):
 _Item = Token | _Group
 
 
-def _nesting_rows(items: list[_Item]) -> Iterator[tuple[str, Token | None, int]]:
-    """Preorder rows of the builders' nesting, hung under row 0."""
-    stack = [(item, 0) for item in reversed(items)]
-    row = 0
+def _nesting_rows(items: list[_Item]) -> tuple[list[str], list[Token | None], list[int]]:
+    """Preorder (kinds, tokens, parents) columns of the builders' nesting,
+    hung under a program root that is row 0."""
+    kinds: list[str] = ["program"]
+    tokens: list[Token | None] = [None]
+    parents = [-1]
+    stack = [(iter(items), 0)]  # the unvisited children of each open group
     while stack:
-        item, up = stack.pop()
-        row += 1
-        if type(item) is _Group:
-            yield item.kind, None, up
-            stack.extend([(child, row) for child in reversed(item.children)])
+        children, up = stack[-1]
+        for item in children:
+            kinds.append(item.kind)
+            parents.append(up)
+            if type(item) is _Group:
+                tokens.append(None)
+                stack.append((iter(item.children), len(kinds) - 1))
+                break
+            tokens.append(item)
         else:
-            yield item.kind, item, up
+            stack.pop()
+    return kinds, tokens, parents
 
 
 # --------------------------------------------------------------------------
@@ -150,8 +168,8 @@ def _group_brackets(tokens: list[Token]) -> list[_Item]:
     """Nest bracket pairs; unmatched delimiters end up inside error groups."""
     groups: list[list[_Item]] = [[]]  # items of each open group, outermost first
     for tok in tokens:
-        if tok.kind == tok.text and tok.text in BRACKET_TEXTS:
-            if tok.text in OPEN_BRACKETS:
+        if tok.kind in BRACKET_TEXTS:
+            if tok.kind in OPEN_BRACKETS:
                 groups.append([tok])
                 continue
             if len(groups) > 1 and tok.text == MATCHING_BRACKET[groups[-1][0].text]:
@@ -168,18 +186,10 @@ def _group_brackets(tokens: list[Token]) -> list[_Item]:
     return groups[0]
 
 
-def _is_trivia(item: _Item) -> bool:
-    return type(item) is Token and item.kind in TRIVIA_KINDS
-
-
 def _first_leaf_token(item: _Item) -> Token:
     while type(item) is _Group:
         item = item.children[0]
     return item
-
-
-def _is_text(item: _Item, text: str) -> bool:
-    return type(item) is Token and item.text == text
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +206,7 @@ def _statement_kind(first_kw: str | None, parts: list[_Item]) -> str:
 
 
 def _skip_trivia(items: list[_Item], i: int) -> int:
-    while i < len(items) and _is_trivia(items[i]):
+    while i < len(items) and items[i].kind in TRIVIA_KINDS:
         i += 1
     return i
 
@@ -213,7 +223,7 @@ def _group_statements(items: list[_Item], lang: Language) -> list[_Item]:
     n = len(items)
     while i < n:
         item = items[i]
-        if _is_trivia(item) or item.kind == "error":
+        if item.kind in TRIVIA_KINDS or item.kind == "error":
             out.append(item)
             i += 1
             continue
@@ -221,7 +231,7 @@ def _group_statements(items: list[_Item], lang: Language) -> list[_Item]:
         first_kw = first.text if first.kind == "keyword" else None
         consume_to_semi = lang.name == "c" and first_kw == "typedef"
         parts: list[_Item] = [item]
-        ended = _is_text(item, ";")
+        ended = item.kind == ";"
         i += 1
         while not ended and i < n:
             nxt = items[i]
@@ -229,14 +239,14 @@ def _group_statements(items: list[_Item], lang: Language) -> list[_Item]:
                 break
             parts.append(nxt)
             i += 1
-            if _is_text(nxt, ";"):
+            if nxt.kind == ";":
                 break
             if nxt.kind == "block" and not consume_to_semi:
                 j = _skip_trivia(items, i)
                 if j < n and _continues_statement(first_kw, items[j]):
                     parts.extend(items[i:j + 1])
                     i = j + 1
-                    if _is_text(items[j], ";"):
+                    if items[j].kind == ";":
                         break
                     continue
                 break
@@ -281,9 +291,9 @@ def _split_logical_lines(tokens: list[Token]) -> list[_LogicalLine]:
     depth = 0
     for tok in tokens:
         current.append(tok)
-        if tok.kind == tok.text and tok.text in "([{":
+        if tok.kind in OPEN_BRACKETS:
             depth += 1
-        elif tok.kind == tok.text and tok.text in ")]}":
+        elif tok.kind in BRACKET_TEXTS:
             depth = max(0, depth - 1)
         elif tok.kind == "newline" and depth == 0:
             prev = current[-2] if len(current) >= 2 else None
@@ -306,9 +316,8 @@ _CLAUSE_OWNERS = {
 
 def _items_end_with_colon(items: list[_Item]) -> bool:
     for item in reversed(items):
-        if _is_trivia(item):
-            continue
-        return _is_text(item, ":")
+        if item.kind not in TRIVIA_KINDS:
+            return item.kind == ":"
     return False
 
 
@@ -393,7 +402,7 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
     tokens = tokenize(source, lang)
     items = _build_indent_items(tokens) if lang.indent_blocks else _build_brace_items(tokens, lang)
-    return _number_rows(lang, _nesting_rows(items))
+    return _number_rows(lang, *_nesting_rows(items))
 
 
 def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:
@@ -410,8 +419,7 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
     if not 0 <= leaf_index < len(tree.leaves):
         raise IndexOutOfRange(f"leaf index {leaf_index} out of range 0..{len(tree.leaves) - 1}")
     line = tree.leaves[leaf_index].line
-    lines = [t.line for t in tree.leaves]
-    start = bisect.bisect_left(lines, line)
+    start = bisect.bisect_left(tree.leaves, line, hi=leaf_index, key=attrgetter("line"))
     width = 0
     for tok in tree.leaves[start:]:
         if tok.line != line:
@@ -426,28 +434,31 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
 # structural rebuilds used by file truncation: renumber kept rows
 
 def _renumbered_rows(tree: SyntaxTree, pieces: list[tuple[int, int, Token | None]]
-                     ) -> Iterator[tuple[str, Token | None, int]]:
-    """Rows for `_number_rows`: each (start, stop, marker) piece keeps old
+                     ) -> tuple[list[str], list[Token | None], list[int]]:
+    """Columns for `_number_rows`: each (start, stop, marker) piece keeps old
     rows start:stop, then puts a fold leaf with the marker, if any, in the
     place of row stop. An old parent outside the kept rows becomes the root."""
-    kinds, first, parent, leaves = tree.kinds, tree.first_leaf, tree.parent, tree.leaves
-    new_row = [0] * (len(kinds) + 1)  # the extra last slot is the root's parent, -1
-    row = 0
+    kinds: list[str] = ["program"]
+    tokens: list[Token | None] = [None]
+    parents = [-1]
+    leaves, first, is_leaf = tree.leaves, tree.first_leaf, tree.is_leaf
+    new_row = [0] * (len(tree.kinds) + 1)  # the extra last slot is the root's parent, -1
     for start, stop, marker in pieces:
-        for old in range(start, stop):
-            row += 1
-            up = new_row[parent[old]]
-            new_row[old] = row
-            yield kinds[old], leaves[first[old]] if tree.is_leaf(old) else None, up
+        new_row[start:stop] = range(len(kinds), len(kinds) + stop - start)
+        kinds += tree.kinds[start:stop]
+        tokens += [leaves[first[old]] if is_leaf(old) else None for old in range(start, stop)]
+        parents += [new_row[up] for up in tree.parent[start:stop]]
         if marker is not None:
-            row += 1
-            yield "fold", marker, new_row[parent[stop]]
+            kinds.append("fold")
+            tokens.append(marker)
+            parents.append(new_row[tree.parent[stop]])
+    return kinds, tokens, parents
 
 
 def tree_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> SyntaxTree:
     """A standalone tree viewing a sibling run as its own program."""
     return _number_rows(tree.language,
-                        _renumbered_rows(tree, [(run[0], tree.subtree_end[run[-1]], None)]))
+                        *_renumbered_rows(tree, [(run[0], tree.subtree_end[run[-1]], None)]))
 
 
 def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> SyntaxTree:
@@ -462,4 +473,4 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> Synt
             pieces.append((kept, run[0], make_marker(FOLD_TOKEN, "fold", at=at)))
             kept = tree.subtree_end[run[-1]]
     pieces.append((kept, len(tree.kinds), None))
-    return _number_rows(tree.language, _renumbered_rows(tree, pieces))
+    return _number_rows(tree.language, *_renumbered_rows(tree, pieces))

@@ -9,6 +9,7 @@ kernel they check.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -331,7 +332,8 @@ def make_tree(spec, language: Language) -> SyntaxTree:
 
     for child in [spec] if isinstance(spec, int) else spec[1]:
         add(child, 0)
-    return _number_rows(language, rows)
+    kinds, tokens, parents = map(list, zip(("program", None, -1), *rows))
+    return _number_rows(language, kinds, tokens, parents)
 
 
 def child_rows(tree: SyntaxTree) -> list[list[int]]:
@@ -445,6 +447,22 @@ def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[int], list[int]]:
     """Preorder (group, leaf) seed rows, error subtrees excluded."""
     cols = oracle_columns(oracle_nesting(tree)[0])
     return cols["seed_nodes"], cols["seed_leaves"]
+
+
+def reference_indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
+    """`indentation_of` as it was before it bisected the leaves by key: a
+    bisect over a list of every leaf's line, built on each call."""
+    line = tree.leaves[leaf_index].line
+    lines = [t.line for t in tree.leaves]
+    start = bisect.bisect_left(lines, line)
+    width = 0
+    for tok in tree.leaves[start:]:
+        if tok.line != line:
+            break
+        if tok.kind not in WHITESPACE_KINDS:
+            return tok.column_expanded
+        width = tok.column_expanded + expanded_width(tok.text, tok.column_expanded)
+    return width
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from codegap.pipeline import (
     make_pairs,
     read_jsonl,
     read_shard_dir,
+    repo_of,
     splice_truncation,
     truncate_file,
     write_jsonl,
@@ -60,6 +61,31 @@ def test_repo_level_split(tmp_path):
     files = ingest([tmp_path], PipelineConfig(valid_repos=frozenset({"r2"})))
     by_split = {f.path.name: f.split for f in files}
     assert by_split == {"a.py": "train", "b.py": "valid", "c.py": "valid"}
+
+
+@pytest.mark.parametrize("spelling", ["plain", "linked root", "root with .."])
+def test_ingest_split_matches_repo_of(tmp_path, spelling):
+    """Linked files, one into another repo and one outside the root, take
+    their split from where they resolve, however the root is spelled."""
+    corpus = tmp_path / "corpus"
+    for rel, body in (("r1/a.py", "a = 1\n"), ("r2/b.py", "b = 2\n"), ("r2/c.py", "c = 3\n"),
+                      ("top.py", "t = 0\n")):
+        (corpus / rel).parent.mkdir(parents=True, exist_ok=True)
+        (corpus / rel).write_text(body, encoding="utf-8")
+    (tmp_path / "outside.py").write_text("o = 4\n", encoding="utf-8")
+    (corpus / "r1" / "in.py").symlink_to(corpus / "r2" / "c.py")  # r2/c.py is then a duplicate
+    (corpus / "r1" / "out.py").symlink_to(tmp_path / "outside.py")
+    root = {"plain": corpus, "linked root": tmp_path / "alias",
+            "root with ..": corpus / "r1" / ".."}[spelling]
+    if spelling == "linked root":
+        root.symlink_to(corpus, target_is_directory=True)
+    valid = frozenset({"r2", root.name})
+    files = ingest([root], PipelineConfig(valid_repos=valid))
+    splits = {f.source: f.split for f in files}
+    assert splits == {f.source: "valid" if repo_of(f.path, root) in valid else "train"
+                      for f in files}
+    assert splits == {"r1/a.py": "train", "r1/in.py": "valid", "r1/out.py": "valid",
+                      "r2/b.py": "valid", "top.py": "valid"}
 
 
 def test_validation_isolation(tmp_path):

@@ -38,6 +38,7 @@ from _oracles import (
     oracle_from_run,
     oracle_nesting,
     oracle_tokenize,
+    reference_indentation_of,
     tree_columns,
 )
 
@@ -108,6 +109,25 @@ _LEXER_HOSTILE = st.text(
 @settings(max_examples=300, deadline=None)
 @given(text=_LEXER_HOSTILE)
 def test_tokenize_matches_reference_scanner(lang, text):
+    grammar = get_language(lang)
+    assert _stream(tokenize(text, grammar)) == _stream(oracle_tokenize(text, grammar))
+
+
+# whole fragments where the lexer's two restarts happen: a '/' after a word,
+# ')' or 'this' (regex or division), a '#' after code or first on its line
+# (plain '#' or directive), and tokens that span line breaks, across CRLF
+# and tabs
+_RESTART_FRAGMENTS = ["return", "this", ")", "x", "/", "/[/]x/g", "/\\\n/", "/=", "a # b", "#",
+                      "#define A \\\n 1", "#if X \\\r\n", "'a\\\nb'", '"""a\r\nb"""',
+                      "/* c\n */", "// c", "`t\n`", " ", "\t", "\n", "\r\n", "\r"]
+_RESTART_TEXT = st.lists(st.sampled_from(_RESTART_FRAGMENTS), max_size=24).map("".join)
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=300, deadline=None)
+@given(text=_RESTART_TEXT)
+@example(text="return /[/]x/g\n\t#define A \\\n 1 a # b")
+def test_tokenize_restarts_match_reference_scanner(lang, text):
     grammar = get_language(lang)
     assert _stream(tokenize(text, grammar)) == _stream(oracle_tokenize(text, grammar))
 
@@ -190,6 +210,17 @@ def test_indentation_levels():
     tree = parse("\tx = 1\n", "python")
     xi = next(i for i, t in enumerate(tree.leaves) if t.text == "x")
     assert indentation_of(tree, xi) == 4
+
+
+def test_indentation_of_matches_reference_on_every_leaf(parsed_corpus):
+    sources = [(tree.source, tree.language) for _, tree in parsed_corpus[::12]]
+    stdlib = str(Path(sysconfig.get_paths()["stdlib"]) / "*.py")
+    sources += [(source, get_language("python")) for source in _real_sources(stdlib, 2)]
+    sources += [(source, get_language("c")) for source in _real_sources("/usr/include/*.h", 2)]
+    for source, grammar in sources:
+        tree = parse(source, grammar)
+        for i in range(tree.leaf_count):
+            assert indentation_of(tree, i) == reference_indentation_of(tree, i)
 
 
 def test_indentation_out_of_range():
