@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -34,6 +35,8 @@ log = logging.getLogger(__name__)
 
 TRAIN = "train"
 VALID = "valid"
+# enough chunks that a worker left with a slow chunk does not hold up the rest
+CHUNKS_PER_WORKER = 8
 
 
 @dataclass
@@ -277,14 +280,16 @@ def _worker_generate(args: tuple[CorpusFile, PipelineConfig]) -> list[PairRecord
 
 
 def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[PairRecord]:
-    """Deterministic pair stream over deduplicated files, hash order."""
+    """Deterministic pair stream over deduplicated files, hash order. The
+    pool gets about CHUNKS_PER_WORKER chunks of files per worker."""
     tasks = [(f, config) for f in sorted(files, key=lambda f: f.content_hash)]
     if config.jobs <= 1:
         for records in map(_worker_generate, tasks):
             yield from records
         return
+    chunksize = max(1, math.ceil(len(tasks) / (CHUNKS_PER_WORKER * config.jobs)))
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for records in pool.map(_worker_generate, tasks, chunksize=4):
+        for records in pool.map(_worker_generate, tasks, chunksize=chunksize):
             yield from records
 
 
@@ -306,25 +311,34 @@ def write_jsonl(path: str | Path, records: Iterable[PairRecord]) -> int:
     return count
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
                        types: dict[str, type] | None = None) -> list[tuple[int, dict]]:
     """(line number, object) per non-blank line; SchemaError names a bad line: one
     that lacks a `required` key or holds a `types` key of another type."""
     rows = []
+    needed = frozenset(required)
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                obj, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):  # json.loads words the error, a leading BOM included
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(obj, dict):
                 raise SchemaError("expected a JSON object", line=lineno)
-            for key in required:
-                if key not in obj:
-                    raise SchemaError(f"missing {key!r} field", line=lineno)
+            if not obj.keys() >= needed:
+                missing = next(key for key in required if key not in obj)
+                raise SchemaError(f"missing {missing!r} field", line=lineno)
             for key, kind in (types or {}).items():
                 if key in obj and not isinstance(obj[key], kind):
                     raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)

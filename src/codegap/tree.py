@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import attrgetter
-from typing import NamedTuple
+from itertools import accumulate, compress
+from operator import attrgetter, itemgetter
 
 from .errors import EncodingError, IndexOutOfRange
 from .languages import FOLD_TOKEN, Language, get_language
@@ -127,266 +126,268 @@ def _number_rows(language: Language, kinds: list[str], tokens: list[Token | None
                       seed_nodes, seed_leaves)
 
 
-class _Group(NamedTuple):
-    """A group under construction; its children are groups and tokens. No
-    group kind is a token kind, so a kind test alone tells a bracket,
-    ';', ':' or trivia token from a group."""
-
-    kind: str
-    children: list[_Item]
-
-
-_Item = Token | _Group
-
-
-def _nesting_rows(items: list[_Item]) -> tuple[list[str], list[Token | None], list[int]]:
-    """Preorder (kinds, tokens, parents) columns of the builders' nesting,
-    hung under a program root that is row 0."""
-    kinds: list[str] = ["program"]
-    tokens: list[Token | None] = [None]
-    parents = [-1]
-    stack = [(iter(items), 0)]  # the unvisited children of each open group
-    while stack:
-        children, up = stack[-1]
-        for item in children:
-            kinds.append(item.kind)
-            parents.append(up)
-            if type(item) is _Group:
-                tokens.append(None)
-                stack.append((iter(item.children), len(kinds) - 1))
-                break
-            tokens.append(item)
-        else:
-            stack.pop()
-    return kinds, tokens, parents
-
-
 # --------------------------------------------------------------------------
-# bracket grouping (shared by both block styles)
+# grammar builders: rows written in token order. An item starts at each
+# token index: an open bracket starts a group that runs to its matching
+# closer, or, left unclosed, an error group to the end of input (python: of
+# its logical line); a stray closer is an error group of its own; any other
+# token is an item alone.
 
-def _group_brackets(tokens: list[Token]) -> list[_Item]:
-    """Nest bracket pairs; unmatched delimiters end up inside error groups."""
-    groups: list[list[_Item]] = [[]]  # items of each open group, outermost first
-    for tok in tokens:
-        if tok.kind in BRACKET_TEXTS:
-            if tok.kind in OPEN_BRACKETS:
-                groups.append([tok])
-                continue
-            if len(groups) > 1 and tok.text == MATCHING_BRACKET[groups[-1][0].text]:
-                items = groups.pop()
-                items.append(tok)
-                groups[-1].append(_Group(OPEN_BRACKETS[items[0].text], items))
-            else:
-                groups[-1].append(_Group("error", [tok]))  # stray closer
-            continue
-        groups[-1].append(tok)
-    while len(groups) > 1:  # still open at the end of input
-        items = groups.pop()
-        groups[-1].append(_Group("error", items))
-    return groups[0]
+_STOPS = {True: BRACKET_TEXTS | {"newline"}, False: BRACKET_TEXTS | {";"}}
+_token_kind = itemgetter(Token._fields.index("kind"))
+_CLOSERS = frozenset(MATCHING_BRACKET.values())
+# items a statement stops before: an error group, or the closer of its block
+_STATEMENT_BREAKS = _CLOSERS | {"error"}
 
 
-def _first_leaf_token(item: _Item) -> Token:
-    while type(item) is _Group:
-        item = item.children[0]
-    return item
-
-
-# --------------------------------------------------------------------------
-# brace-language statement grouping
-
-def _statement_kind(first_kw: str | None, parts: list[_Item]) -> str:
+def _statement_kind(first_kw: str | None, has_block: bool) -> str:
     if first_kw in CONTROL_KEYWORDS:
         return f"{first_kw}_statement"
     if first_kw in DECLARATION_KEYWORDS:
         return _KIND_ALIASES.get(first_kw, f"{first_kw}_declaration")
-    if any(p.kind == "block" for p in parts):
-        return "definition"
-    return "statement"
+    return "definition" if has_block else "statement"
 
 
-def _skip_trivia(items: list[_Item], i: int) -> int:
-    while i < len(items) and items[i].kind in TRIVIA_KINDS:
-        i += 1
-    return i
+class _Rows:
+    """Preorder (kinds, tokens, parents) columns under a program root, row
+    0, written over one file's items."""
 
-
-def _continues_statement(first_kw: str | None, item: _Item) -> bool:
-    text = item.text if type(item) is Token else None
-    return text in ("else", "catch", "finally", ";") or (text == "while" and first_kw == "do")
-
-
-def _group_statements(items: list[_Item], lang: Language) -> list[_Item]:
-    """Group one block interior (or the top level) into statement groups."""
-    out: list[_Item] = []
-    i = 0
-    n = len(items)
-    while i < n:
-        item = items[i]
-        if item.kind in TRIVIA_KINDS or item.kind == "error":
-            out.append(item)
-            i += 1
-            continue
-        first = _first_leaf_token(item)
-        first_kw = first.text if first.kind == "keyword" else None
-        consume_to_semi = lang.name == "c" and first_kw == "typedef"
-        parts: list[_Item] = [item]
-        ended = item.kind == ";"
-        i += 1
-        while not ended and i < n:
-            nxt = items[i]
-            if nxt.kind == "error":
-                break
-            parts.append(nxt)
-            i += 1
-            if nxt.kind == ";":
-                break
-            if nxt.kind == "block" and not consume_to_semi:
-                j = _skip_trivia(items, i)
-                if j < n and _continues_statement(first_kw, items[j]):
-                    parts.extend(items[i:j + 1])
-                    i = j + 1
-                    if items[j].kind == ";":
-                        break
+    def __init__(self, tokens: list[Token], lang: Language):
+        """Match the brackets. Python's newlines outside brackets end its
+        logical lines, unless a backslash continues them, and reset the
+        stack of open brackets."""
+        self.source, self.lang = tokens, lang
+        self.items = items = list(map(_token_kind, tokens))  # kinds, until matched
+        n = len(items)
+        # the brackets, with python's newlines or brace grammars' semicolons
+        stops = list(compress(range(n), map(_STOPS[lang.indent_blocks].__contains__, items)))
+        brackets = [i for i in stops if items[i] in BRACKET_TEXTS]
+        self.brackets, self.stops = brackets + [n], stops + [n]
+        self.ends = ends = list(range(1, n + 1))  # one past the item that starts at each index
+        self.line_ends: list[int] = []
+        opened: list[int] = []
+        depth = 0  # as opened, but a closer of either shape takes one off
+        for i in stops if lang.indent_blocks else brackets:
+            kind = items[i]
+            if kind in OPEN_BRACKETS:
+                opened.append(i)
+                depth += 1
+            elif kind == "newline":
+                if depth or (i and items[i - 1] == "\\"):
                     continue
-                break
-        if len(parts) == 1 and type(parts[0]) is _Group:
-            out.append(parts[0])
-        else:
-            out.append(_Group(_statement_kind(first_kw, parts), parts))
-    return out
+                for start in opened:
+                    items[start], ends[start] = "error", i + 1
+                opened.clear()
+                self.line_ends.append(i + 1)
+            else:
+                depth = max(0, depth - 1)
+                if opened and MATCHING_BRACKET[items[opened[-1]]] == kind:
+                    start = opened.pop()
+                    items[start], ends[start] = OPEN_BRACKETS[items[start]], i + 1
+                else:
+                    items[i] = "error"
+        for start in opened:
+            items[start], ends[start] = "error", n
+        self.cursor = 0  # rows are written in token order: the first bracket not yet written
+        self.kinds, self.tokens, self.parents = ["program"], [None], [-1]
 
+    def group(self, kind: str, up: int) -> int:
+        self.kinds.append(kind)
+        self.tokens.append(None)
+        self.parents.append(up)
+        return len(self.kinds) - 1
 
-def _build_brace_items(tokens: list[Token], lang: Language) -> list[_Item]:
-    """Bracket groups, with statements grouped at the top level and inside
-    every closed block. Each block's grouping depends on no other block's,
-    so the blocks are visited in any order."""
-    items = _group_brackets(tokens)
-    stack = [item for item in items if type(item) is _Group]
-    while stack:
-        group = stack.pop()
-        if group.kind == "block":
-            group.children[1:-1] = _group_statements(group.children[1:-1], lang)
-        stack.extend(item for item in group.children if type(item) is _Group)
-    return _group_statements(items, lang)
-
-
-# --------------------------------------------------------------------------
-# indentation-language (python) suite grouping
-
-class _LogicalLine:
-    __slots__ = ("items", "indent", "blank", "significant")
-
-    def __init__(self, tokens: list[Token]):
-        self.items = _group_brackets(tokens)
-        self.significant = [t for t in tokens if t.kind not in TRIVIA_KINDS]
-        self.blank = not self.significant
-        first = tokens[0]
-        self.indent = expanded_width(first.text) if first.kind == "whitespace" else 0
-
-
-def _split_logical_lines(tokens: list[Token]) -> list[_LogicalLine]:
-    lines: list[_LogicalLine] = []
-    current: list[Token] = []
-    depth = 0
-    for tok in tokens:
-        current.append(tok)
-        if tok.kind in OPEN_BRACKETS:
-            depth += 1
-        elif tok.kind in BRACKET_TEXTS:
-            depth = max(0, depth - 1)
-        elif tok.kind == "newline" and depth == 0:
-            prev = current[-2] if len(current) >= 2 else None
-            if prev is not None and prev.text == "\\" and not prev.synthetic:
-                continue
-            lines.append(_LogicalLine(current))
-            current = []
-    if current:
-        lines.append(_LogicalLine(current))
-    return lines
-
-
-_CLAUSE_OWNERS = {
-    "else": {"if", "for", "while", "try"},
-    "elif": {"if"},
-    "except": {"try"},
-    "finally": {"try"},
-}
-
-
-def _items_end_with_colon(items: list[_Item]) -> bool:
-    for item in reversed(items):
-        if item.kind not in TRIVIA_KINDS:
-            return item.kind == ":"
-    return False
-
-
-def _next_real_index(lines: list[_LogicalLine], pos: int) -> int | None:
-    for k in range(pos, len(lines)):
-        if not lines[k].blank:
-            return k
-    return None
-
-
-class _Statement:
-    """A statement being built: its header line, then suites and clauses."""
-
-    __slots__ = ("keyword", "indent", "leading", "parts")
-
-    def __init__(self, line: _LogicalLine):
-        first_sig = line.significant[0]
-        self.keyword = first_sig.text if first_sig.kind == "keyword" else None
-        self.indent = line.indent
-        self.parts = list(line.items)
-        self.leading = [self.parts.pop(0)] if self.parts[0].kind == "whitespace" else []
-
-    def node(self) -> _Item:
-        parts = self.parts
-        if self.keyword is None and len(parts) == 1 and type(parts[0]) is _Group:
-            return parts[0]
-        return _Group(_statement_kind(self.keyword, parts), parts)
-
-
-def _build_indent_items(tokens: list[Token]) -> list[_Item]:
-    """Nest python suites under the statements whose header ends in a colon,
-    with an explicit stack of open suites."""
-    lines = _split_logical_lines(tokens)
-    suites: list[tuple[list[_Item], int]] = [([], 0)]  # items and indent of each open suite
-    owners: list[_Statement] = []  # the statement owning each suite but the outermost
-    pos = 0
-    while True:
-        items, level = suites[-1]
-        k = _next_real_index(lines, pos)
-        if pos < len(lines) and (k is None or lines[k].indent >= level):
-            if lines[pos].blank:
-                items.extend(lines[pos].items)
+    def write(self, pos: int, stop: int, up: int, grouped: bool) -> None:
+        """Rows for the items in pos:stop under row `up`, with statements
+        grouped there when `grouped` and inside every closed block of a
+        brace grammar. A row closes once the writing reaches its end."""
+        cursor = self.cursor
+        if not grouped and self.brackets[cursor] >= stop:  # leaves alone
+            self.kinds += self.items[pos:stop]
+            self.tokens += self.source[pos:stop]
+            self.parents += [up] * (stop - pos)
+            return
+        items, ends, source, brackets = self.items, self.ends, self.source, self.brackets
+        kinds, tokens, parents = self.kinds, self.tokens, self.parents
+        group_blocks = not self.lang.indent_blocks
+        outer: list[tuple[int, int, bool]] = []  # (row, end, grouped) of the rows that enclose `up`
+        while True:
+            while pos == stop:
+                if not outer:
+                    self.cursor = cursor
+                    return
+                up, stop, grouped = outer.pop()
+            item = items[pos]
+            if not grouped:  # leaves up to the next bracket
+                end = brackets[cursor]
+                if end > stop:
+                    end = stop
+            elif item in TRIVIA_KINDS:  # blanks and comments between statements
+                end = pos + 1
+                while end < stop and items[end] in TRIVIA_KINDS:
+                    end += 1
+            elif item in _STATEMENT_BREAKS:
+                end = pos
+            else:
+                end, kind = self._statement(pos, stop)
+                if kind is not None:
+                    outer.append((up, stop, grouped))
+                    kinds.append(kind)
+                    tokens.append(None)
+                    parents.append(up)
+                    up, stop, grouped = len(kinds) - 1, end, False
+                    continue
+                end = pos
+            if pos < end:
+                if end - pos == 1:
+                    kinds.append(item)
+                    tokens.append(source[pos])
+                    parents.append(up)
+                else:
+                    kinds += items[pos:end]
+                    tokens += source[pos:end]
+                    parents += [up] * (end - pos)
+                pos = end
+                if pos == stop or grouped:
+                    continue
+                item = items[pos]
+            cursor += 1  # a bracket at pos
+            tok = source[pos]
+            if item in _CLOSERS:  # the last leaf of the innermost row
+                kinds.append(item)
+                tokens.append(tok)
+                parents.append(up)
                 pos += 1
                 continue
-            stmt = _Statement(lines[pos])
+            row = len(kinds)
+            kinds += (item, tok.kind)
+            tokens += (None, tok)
+            parents += (up, row)
+            outer.append((up, stop, grouped))
+            up, stop, grouped = row, ends[pos], group_blocks and item == "block"
             pos += 1
+
+    def _statement(self, pos: int, stop: int) -> tuple[int, str | None]:
+        """The end and kind of the brace statement that starts at pos; the
+        kind is None when the statement is one bracket group alone. The scan
+        jumps from one semicolon or bracket group to the next."""
+        items, ends, source, stops = self.items, self.ends, self.source, self.stops
+        first = source[pos]
+        first_kw = first.text if first.kind == "keyword" else None
+        to_semi = first_kw == "typedef" and self.lang.name == "c"
+        has_block = items[pos] == "block"
+        end = ends[pos]
+        while items[pos] != ";":  # a ';' alone is a statement
+            at = stops[bisect.bisect_left(stops, end)]
+            if at >= stop:
+                end = stop
+                break
+            item = items[at]
+            if item in _STATEMENT_BREAKS:
+                end = at
+                break
+            end = ends[at]
+            if item == ";":
+                break
+            if item == "block":
+                has_block = True
+                if to_semi:
+                    continue
+                while end < stop and items[end] in TRIVIA_KINDS:
+                    end += 1
+                text = source[end].text if end < stop else None
+                if text in ("else", "catch", "finally", ";") or (text == "while" and first_kw == "do"):
+                    end += 1
+                    if text != ";":
+                        continue
+                else:
+                    end = ends[at]
+                break
+        alone = end == ends[pos] and items[pos] != first.kind
+        return end, None if alone else _statement_kind(first_kw, has_block)
+
+
+_CLAUSE_OWNERS = {"else": {"if", "for", "while", "try"}, "elif": {"if"}, "except": {"try"},
+                  "finally": {"try"}}
+
+
+def _indent_rows(rows: _Rows) -> None:
+    """Nest python suites under the statements whose header ends in a
+    colon, with explicit stacks of open suites and their owners."""
+    items, ends, source = rows.items, rows.ends, rows.source
+    bounds = [0, *rows.line_ends]
+    if bounds[-1] < len(items):
+        bounds.append(len(items))
+    n_lines = len(bounds) - 1
+    first_sig: list[Token | None] = []  # each line's first token that is no trivia
+    indents = []
+    for start, stop in zip(bounds, bounds[1:]):
+        pos = start
+        while pos < stop and items[pos] in TRIVIA_KINDS:
+            pos += 1
+        first_sig.append(source[pos] if pos < stop else None)
+        indents.append(expanded_width(source[start].text) if items[start] == "whitespace" else 0)
+    real = [n_lines] * (n_lines + 1)  # the first line at or after each that is not blank
+    for k in reversed(range(n_lines)):
+        real[k] = k if first_sig[k] is not None else real[k + 1]
+
+    suites = [(0, 0)]  # (indent, block row) of each open suite; the outermost is the root
+    owners: list[list] = []  # [row, keyword, indent, has block] of each suite's statement
+    line = 0
+    while True:
+        level, up = suites[-1]
+        k = real[line]
+        if line < n_lines and (k == n_lines or indents[k] >= level):
+            start, stop = bounds[line], bounds[line + 1]
+            line += 1
+            if k != line - 1:  # a blank line
+                rows.write(start, stop, up, False)
+                continue
+            if items[start] == "whitespace":  # the indent stays outside the statement
+                rows.write(start, start + 1, up, False)
+                start += 1
+            sig = first_sig[k]
+            keyword = sig.text if sig.kind == "keyword" else None
+            if keyword is None and ends[start] == stop and items[start] != source[start].kind:
+                rows.write(start, stop, up, False)  # one bracket group alone
+                continue
+            stmt = [rows.group("statement", up), keyword, indents[k], False]
+            rows.write(start, stop, stmt[0], False)
         else:  # the innermost suite ends here
             if not owners:
-                return items
+                return
             suites.pop()
             stmt = owners.pop()
-            stmt.parts.append(_Group("block", items))
-            cand = lines[k] if k is not None else None
-            if (cand is None or cand.indent != stmt.indent
-                    or cand.significant[0].kind != "keyword"
-                    or stmt.keyword not in _CLAUSE_OWNERS.get(cand.significant[0].text, ())):
-                suites[-1][0].extend([*stmt.leading, stmt.node()])
+            sig = first_sig[k] if k < n_lines else None
+            if (sig is None or indents[k] != stmt[2] or sig.kind != "keyword"
+                    or stmt[1] not in _CLAUSE_OWNERS.get(sig.text, ())):
+                rows.kinds[stmt[0]] = _statement_kind(stmt[1], stmt[3])
                 continue
-            for blank in lines[pos:k]:
-                stmt.parts.extend(blank.items)
-            stmt.parts.extend(cand.items)  # clause line, leading ws included
-            pos = k + 1
-        if _items_end_with_colon(stmt.parts):
-            k = _next_real_index(lines, pos)
-            if k is not None and lines[k].indent > stmt.indent:
-                owners.append(stmt)
-                suites.append(([], lines[k].indent))
-                continue
-        suites[-1][0].extend([*stmt.leading, stmt.node()])
+            rows.write(bounds[line], bounds[k + 1], stmt[0], False)  # blank lines, then the clause
+            line = k + 1
+        pos, last = bounds[line - 1], None  # the last line's last top-level item, trivia aside
+        while pos < bounds[line]:
+            if items[pos] not in TRIVIA_KINDS:
+                last = items[pos]
+                stmt[3] = stmt[3] or last == "block"
+            pos = ends[pos]
+        k = real[line]
+        if last == ":" and k < n_lines and indents[k] > stmt[2]:
+            stmt[3] = True
+            owners.append(stmt)
+            suites.append((indents[k], rows.group("block", stmt[0])))
+            continue
+        rows.kinds[stmt[0]] = _statement_kind(stmt[1], stmt[3])
+
+
+def _build_rows(tokens: list[Token], lang: Language) -> tuple[list[str], list[Token | None], list[int]]:
+    """The (kinds, tokens, parents) columns of a file's tree, in preorder."""
+    rows = _Rows(tokens, lang)
+    if lang.indent_blocks:
+        _indent_rows(rows)
+    else:
+        rows.write(0, len(tokens), 0, True)
+    return rows.kinds, rows.tokens, rows.parents
 
 
 # --------------------------------------------------------------------------
@@ -401,8 +402,7 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
     tokens = tokenize(source, lang)
-    items = _build_indent_items(tokens) if lang.indent_blocks else _build_brace_items(tokens, lang)
-    return _number_rows(lang, *_nesting_rows(items))
+    return _number_rows(lang, *_build_rows(tokens, lang))
 
 
 def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +33,18 @@ from codegap.errors import (
     BatchTooSmall,
     DimensionMismatch,
     InvalidTemperature,
+    SchemaError,
     ZeroVector,
 )
 from codegap.languages import FOLD_TOKEN, Language
-from codegap.tokenizer import Token, make_marker
-from codegap.tree import SyntaxTree, _number_rows
+from codegap.tokenizer import MATCHING_BRACKET, OPEN_BRACKETS, Token, make_marker
+from codegap.tree import (
+    _KIND_ALIASES,
+    CONTROL_KEYWORDS,
+    DECLARATION_KEYWORDS,
+    SyntaxTree,
+    _number_rows,
+)
 
 
 # --------------------------------------------------------------------------
@@ -466,6 +476,282 @@ def reference_indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
 
 
 # --------------------------------------------------------------------------
+# reference builders: the grammar builders as they were before parse wrote
+# rows in token order. They build a nesting of groups and tokens, which a
+# stack walk turns into the (kinds, tokens, parents) columns that
+# `_number_rows` takes
+
+class _Group(NamedTuple):
+    """A group under construction; its children are groups and tokens. No
+    group kind is a token kind, so a kind test alone tells a bracket,
+    ';', ':' or trivia token from a group."""
+
+    kind: str
+    children: list[_Item]
+
+
+_Item = Token | _Group
+
+
+def _nesting_rows(items: list[_Item]) -> tuple[list[str], list[Token | None], list[int]]:
+    """Preorder (kinds, tokens, parents) columns of the builders' nesting,
+    hung under a program root that is row 0."""
+    kinds: list[str] = ["program"]
+    tokens: list[Token | None] = [None]
+    parents = [-1]
+    stack = [(iter(items), 0)]  # the unvisited children of each open group
+    while stack:
+        children, up = stack[-1]
+        for item in children:
+            kinds.append(item.kind)
+            parents.append(up)
+            if type(item) is _Group:
+                tokens.append(None)
+                stack.append((iter(item.children), len(kinds) - 1))
+                break
+            tokens.append(item)
+        else:
+            stack.pop()
+    return kinds, tokens, parents
+
+
+# --------------------------------------------------------------------------
+# bracket grouping (shared by both block styles)
+
+def _group_brackets(tokens: list[Token]) -> list[_Item]:
+    """Nest bracket pairs; unmatched delimiters end up inside error groups."""
+    groups: list[list[_Item]] = [[]]  # items of each open group, outermost first
+    for tok in tokens:
+        if tok.kind in BRACKET_TEXTS:
+            if tok.kind in OPEN_BRACKETS:
+                groups.append([tok])
+                continue
+            if len(groups) > 1 and tok.text == MATCHING_BRACKET[groups[-1][0].text]:
+                items = groups.pop()
+                items.append(tok)
+                groups[-1].append(_Group(OPEN_BRACKETS[items[0].text], items))
+            else:
+                groups[-1].append(_Group("error", [tok]))  # stray closer
+            continue
+        groups[-1].append(tok)
+    while len(groups) > 1:  # still open at the end of input
+        items = groups.pop()
+        groups[-1].append(_Group("error", items))
+    return groups[0]
+
+
+def _first_leaf_token(item: _Item) -> Token:
+    while type(item) is _Group:
+        item = item.children[0]
+    return item
+
+
+# --------------------------------------------------------------------------
+# brace-language statement grouping
+
+def _statement_kind(first_kw: str | None, parts: list[_Item]) -> str:
+    if first_kw in CONTROL_KEYWORDS:
+        return f"{first_kw}_statement"
+    if first_kw in DECLARATION_KEYWORDS:
+        return _KIND_ALIASES.get(first_kw, f"{first_kw}_declaration")
+    if any(p.kind == "block" for p in parts):
+        return "definition"
+    return "statement"
+
+
+def _skip_trivia(items: list[_Item], i: int) -> int:
+    while i < len(items) and items[i].kind in TRIVIA_KINDS:
+        i += 1
+    return i
+
+
+def _continues_statement(first_kw: str | None, item: _Item) -> bool:
+    text = item.text if type(item) is Token else None
+    return text in ("else", "catch", "finally", ";") or (text == "while" and first_kw == "do")
+
+
+def _group_statements(items: list[_Item], lang: Language) -> list[_Item]:
+    """Group one block interior (or the top level) into statement groups."""
+    out: list[_Item] = []
+    i = 0
+    n = len(items)
+    while i < n:
+        item = items[i]
+        if item.kind in TRIVIA_KINDS or item.kind == "error":
+            out.append(item)
+            i += 1
+            continue
+        first = _first_leaf_token(item)
+        first_kw = first.text if first.kind == "keyword" else None
+        consume_to_semi = lang.name == "c" and first_kw == "typedef"
+        parts: list[_Item] = [item]
+        ended = item.kind == ";"
+        i += 1
+        while not ended and i < n:
+            nxt = items[i]
+            if nxt.kind == "error":
+                break
+            parts.append(nxt)
+            i += 1
+            if nxt.kind == ";":
+                break
+            if nxt.kind == "block" and not consume_to_semi:
+                j = _skip_trivia(items, i)
+                if j < n and _continues_statement(first_kw, items[j]):
+                    parts.extend(items[i:j + 1])
+                    i = j + 1
+                    if items[j].kind == ";":
+                        break
+                    continue
+                break
+        if len(parts) == 1 and type(parts[0]) is _Group:
+            out.append(parts[0])
+        else:
+            out.append(_Group(_statement_kind(first_kw, parts), parts))
+    return out
+
+
+def _build_brace_items(tokens: list[Token], lang: Language) -> list[_Item]:
+    """Bracket groups, with statements grouped at the top level and inside
+    every closed block. Each block's grouping depends on no other block's,
+    so the blocks are visited in any order."""
+    items = _group_brackets(tokens)
+    stack = [item for item in items if type(item) is _Group]
+    while stack:
+        group = stack.pop()
+        if group.kind == "block":
+            group.children[1:-1] = _group_statements(group.children[1:-1], lang)
+        stack.extend(item for item in group.children if type(item) is _Group)
+    return _group_statements(items, lang)
+
+
+# --------------------------------------------------------------------------
+# indentation-language (python) suite grouping
+
+class _LogicalLine:
+    __slots__ = ("items", "indent", "blank", "significant")
+
+    def __init__(self, tokens: list[Token]):
+        self.items = _group_brackets(tokens)
+        self.significant = [t for t in tokens if t.kind not in TRIVIA_KINDS]
+        self.blank = not self.significant
+        first = tokens[0]
+        self.indent = expanded_width(first.text) if first.kind == "whitespace" else 0
+
+
+def _split_logical_lines(tokens: list[Token]) -> list[_LogicalLine]:
+    lines: list[_LogicalLine] = []
+    current: list[Token] = []
+    depth = 0
+    for tok in tokens:
+        current.append(tok)
+        if tok.kind in OPEN_BRACKETS:
+            depth += 1
+        elif tok.kind in BRACKET_TEXTS:
+            depth = max(0, depth - 1)
+        elif tok.kind == "newline" and depth == 0:
+            prev = current[-2] if len(current) >= 2 else None
+            if prev is not None and prev.text == "\\" and not prev.synthetic:
+                continue
+            lines.append(_LogicalLine(current))
+            current = []
+    if current:
+        lines.append(_LogicalLine(current))
+    return lines
+
+
+_CLAUSE_OWNERS = {
+    "else": {"if", "for", "while", "try"},
+    "elif": {"if"},
+    "except": {"try"},
+    "finally": {"try"},
+}
+
+
+def _items_end_with_colon(items: list[_Item]) -> bool:
+    for item in reversed(items):
+        if item.kind not in TRIVIA_KINDS:
+            return item.kind == ":"
+    return False
+
+
+def _next_real_index(lines: list[_LogicalLine], pos: int) -> int | None:
+    for k in range(pos, len(lines)):
+        if not lines[k].blank:
+            return k
+    return None
+
+
+class _Statement:
+    """A statement being built: its header line, then suites and clauses."""
+
+    __slots__ = ("keyword", "indent", "leading", "parts")
+
+    def __init__(self, line: _LogicalLine):
+        first_sig = line.significant[0]
+        self.keyword = first_sig.text if first_sig.kind == "keyword" else None
+        self.indent = line.indent
+        self.parts = list(line.items)
+        self.leading = [self.parts.pop(0)] if self.parts[0].kind == "whitespace" else []
+
+    def node(self) -> _Item:
+        parts = self.parts
+        if self.keyword is None and len(parts) == 1 and type(parts[0]) is _Group:
+            return parts[0]
+        return _Group(_statement_kind(self.keyword, parts), parts)
+
+
+def _build_indent_items(tokens: list[Token]) -> list[_Item]:
+    """Nest python suites under the statements whose header ends in a colon,
+    with an explicit stack of open suites."""
+    lines = _split_logical_lines(tokens)
+    suites: list[tuple[list[_Item], int]] = [([], 0)]  # items and indent of each open suite
+    owners: list[_Statement] = []  # the statement owning each suite but the outermost
+    pos = 0
+    while True:
+        items, level = suites[-1]
+        k = _next_real_index(lines, pos)
+        if pos < len(lines) and (k is None or lines[k].indent >= level):
+            if lines[pos].blank:
+                items.extend(lines[pos].items)
+                pos += 1
+                continue
+            stmt = _Statement(lines[pos])
+            pos += 1
+        else:  # the innermost suite ends here
+            if not owners:
+                return items
+            suites.pop()
+            stmt = owners.pop()
+            stmt.parts.append(_Group("block", items))
+            cand = lines[k] if k is not None else None
+            if (cand is None or cand.indent != stmt.indent
+                    or cand.significant[0].kind != "keyword"
+                    or stmt.keyword not in _CLAUSE_OWNERS.get(cand.significant[0].text, ())):
+                suites[-1][0].extend([*stmt.leading, stmt.node()])
+                continue
+            for blank in lines[pos:k]:
+                stmt.parts.extend(blank.items)
+            stmt.parts.extend(cand.items)  # clause line, leading ws included
+            pos = k + 1
+        if _items_end_with_colon(stmt.parts):
+            k = _next_real_index(lines, pos)
+            if k is not None and lines[k].indent > stmt.indent:
+                owners.append(stmt)
+                suites.append(([], lines[k].indent))
+                continue
+        suites[-1][0].extend([*stmt.leading, stmt.node()])
+
+
+def reference_nesting_columns(tokens: list[Token], lang: Language
+                              ) -> tuple[list[str], list[Token | None], list[int]]:
+    """The (kinds, tokens, parents) columns that parse numbered before it
+    wrote rows in token order."""
+    items = _build_indent_items(tokens) if lang.indent_blocks else _build_brace_items(tokens, lang)
+    return _nesting_rows(items)
+
+
+# --------------------------------------------------------------------------
 # reference lexer: a per-character scanner that shares no code with the
 # compiled patterns of codegap.tokenizer; its records also carry UTF-8 byte
 # offsets
@@ -724,6 +1010,35 @@ class _Scanner:
                 continue
             self.emit(i + 1, ch)
         return self.tokens
+
+
+# --------------------------------------------------------------------------
+# reference JSONL reader: `json.loads` on every line and one membership test
+# per required key, as the schema-checked reader was before it decoded with
+# `raw_decode` and tested the keys as one subset
+
+def reference_read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
+                                 types: dict[str, type] | None = None) -> list[tuple[int, dict]]:
+    rows = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            if not isinstance(obj, dict):
+                raise SchemaError("expected a JSON object", line=lineno)
+            for key in required:
+                if key not in obj:
+                    raise SchemaError(f"missing {key!r} field", line=lineno)
+            for key, kind in (types or {}).items():
+                if key in obj and not isinstance(obj[key], kind):
+                    raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)
+            rows.append((lineno, obj))
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_pairs_deterministic_across_runs_and_jobs(small_corpus, tmp_path):
 MIXED_PAIRS_SHA256 = "381d03419b42dd92d13ca58f6d2436ee43b20b8f3adbab309679c1516784798b"
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])  # each worker count chunks the files anew
 def test_pairs_match_golden_digest(tmp_path, jobs):
     write_mixed_corpus(tmp_path / "corpus", seed=3, files_per_lang=30)
     assert main(["pairs", "--roots", str(tmp_path / "corpus"), "--out", str(tmp_path / "out"),

@@ -1,11 +1,15 @@
 import gc
 import json
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import tokens_balanced
+from _oracles import reference_read_jsonl_objects, tokens_balanced
 from codegap.errors import SchemaError
 from codegap.pipeline import (
     PairRecord,
@@ -17,6 +21,7 @@ from codegap.pipeline import (
     ingest,
     make_pairs,
     read_jsonl,
+    read_jsonl_objects,
     read_shard_dir,
     repo_of,
     splice_truncation,
@@ -181,11 +186,12 @@ def test_pair_generation_leaves_no_cyclic_garbage(parsed_corpus):
 def test_make_pairs_deterministic_and_parallel_stable(tmp_path, mixed_corpus):
     root, _ = mixed_corpus
     cfg = PipelineConfig(seed=13)
-    files = ingest([root], cfg)[:20]
+    files = ingest([root], cfg)[:37]  # the pool's last chunk is short at 2 and 3 workers
     one = [json.dumps(r.to_record()) for r in make_pairs(files, cfg)]
     two = [json.dumps(r.to_record()) for r in make_pairs(files, cfg)]
-    par = [json.dumps(r.to_record()) for r in make_pairs(files, replace(cfg, jobs=2))]
-    assert one == two == par
+    for jobs in (2, 3):
+        assert [json.dumps(r.to_record()) for r in make_pairs(files, replace(cfg, jobs=jobs))] == one
+    assert one == two
     assert one
 
 
@@ -330,3 +336,37 @@ def test_file_seed_depends_on_master_seed_and_hash():
     assert file_seed(1, digest) != file_seed(2, digest)
     assert file_seed(1, digest) == file_seed(1, digest)
     assert file_seed(1, digest) != file_seed(1, content_hash(b"other"))
+
+
+# lines that reach every branch of the reader: blanks (Unicode ones too),
+# objects with keys missing or of the wrong type, other JSON values,
+# trailing data, a byte order mark and NaN
+_JSONL_LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\u3000", "\x1c", "\ufeff{}", "NaN",
+                     "[]", "1", '"s"', "null", "{", "{}{}", "{} x", '{"id": "a"} 1', "{'id': 1}",
+                     '{"id": NaN, "vector": []}', '{"id": "a", "vector": Infinity}']),
+    st.fixed_dictionaries({}, optional={"id": st.sampled_from(["a", 1, None]),
+                                        "vector": st.sampled_from([[], [1.0], "v"]),
+                                        "extra": st.just(True)}).map(json.dumps),
+).flatmap(lambda line: st.sampled_from([line, " " + line, line + "\u2003", "\ufeff" + line]))
+
+
+def _read_outcome(reader, path, required, types):
+    try:
+        return reader(path, required, types)
+    except SchemaError as exc:
+        return exc.line, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_JSONL_LINES, max_size=6),
+       required=st.sampled_from([(), ("id",), ("vector", "id"), ("id", "vector", "extra")]),
+       types=st.sampled_from([None, {"id": str}, {"vector": list, "id": str}]))
+def test_read_jsonl_objects_matches_reference(lines, required, types):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outcome = _read_outcome(read_jsonl_objects, path, required, types)
+        # reprs, so that a NaN value compares equal to itself
+        assert repr(outcome) == repr(_read_outcome(reference_read_jsonl_objects, path,
+                                                   required, types))

@@ -23,6 +23,8 @@ from codegap.spans import select_span
 from codegap.tokenizer import tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
+    _build_rows,
+    _number_rows,
     identifier_occurrences,
     indentation_of,
     parse,
@@ -39,6 +41,7 @@ from _oracles import (
     oracle_nesting,
     oracle_tokenize,
     reference_indentation_of,
+    reference_nesting_columns,
     tree_columns,
 )
 
@@ -459,3 +462,53 @@ def test_rebuilds_match_reference_on_real_trees(tree_set, parsed_corpus):
     rng = random.Random(1)
     for tree in _seed_test_trees(tree_set, parsed_corpus):
         _assert_rebuilds_match_reference(tree, rng)
+
+
+# lines of words, brackets and separators at mixed indents, so that the
+# inputs hold stray, mismatched and unclosed brackets (at the end of input
+# and at a python line end), brace clauses, typedefs, python suites with
+# clauses after blank lines and dedents to an outer suite, and backslash
+# continuations; the file may end without a line break
+_BUILDER_PIECES = st.sampled_from([
+    "if ", "else ", "elif ", "for ", "while ", "do ", "try", "catch ", "except ", "finally",
+    "def ", "class ", "typedef ", "struct ", "return ", "x ", "f", "name", "1",
+    "(", ")", "[", "]", "{", "}", ";", ":", ",", " = ", "\\", "# c", "// c", "/* c */", "'s'", " ",
+])
+_BUILDER_LINE = st.tuples(st.sampled_from(["", "", "  ", "    ", "\t", "        "]),
+                          st.lists(_BUILDER_PIECES, max_size=8).map("".join)).map("".join)
+_BUILDER_TEXT = st.tuples(st.lists(_BUILDER_LINE, max_size=12), st.sampled_from(["\n", "\r\n"]),
+                          st.booleans()).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+def _assert_matches_reference_builders(text, grammar):
+    tokens = tokenize(text, grammar)
+    reference = reference_nesting_columns(tokens, grammar)
+    assert _build_rows(tokens, grammar) == reference
+    assert tree_columns(parse(text, grammar)) == tree_columns(_number_rows(grammar, *reference))
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=300, deadline=None)
+@given(text=_BUILDER_TEXT)
+@example(text="f(x, (1 ] ;\n{ if x: (\n  y) } }")
+@example(text="x = (]\ny = [1,\n  2\nz = f(1")
+@example(text="do { x(); } while (y);\nif (a) { b; }\nelse { c; }\n"
+              "try { t(); } catch (e) { } finally { }\n")
+@example(text="typedef struct {\n  int a;\n} name;\nstruct s { int b; };\n")
+@example(text="if x:\n    y\n\n\nelif z:\n    w\n\nelse:\n    v\n")
+@example(text="def f():\n    if x:\n        y\n    z\nw = 1 + \\\n    2\nclass A:\n  pass")
+@example(text="try:\n  a\nexcept E:\n  b\nfinally:\n  c\nx = {1: 2}\n{1: 2}")
+def test_parse_matches_reference_builders(lang, text):
+    _assert_matches_reference_builders(text, get_language(lang))
+
+
+@pytest.mark.parametrize("source_set", ["stdlib", "headers"])
+def test_parse_matches_reference_builders_on_real_files(source_set):
+    pattern = (str(Path(sysconfig.get_paths()["stdlib"]) / "*.py") if source_set == "stdlib"
+               else "/usr/include/*.h")
+    sources = _real_sources(pattern, 30)
+    if len(sources) < 30:
+        pytest.skip(f"fewer than 30 {source_set} files here")
+    for source in sources:
+        for lang in supported_languages():
+            _assert_matches_reference_builders(source, get_language(lang))
