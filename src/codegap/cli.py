@@ -269,8 +269,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not args.checkpoint:
             raise UsageError("--model toy needs --checkpoint")
         encoder = ToyEncoder.load(args.checkpoint)
-        qvecs = {qid: encoder.encode(q["context"]) for qid, q in queries.items()}
-        cvecs = {tid: encoder.encode(c["text"]) for tid, c in candidates.items()}
+        qvecs = dict(zip(queries, encoder.encode([q["context"] for q in queries.values()])))
+        cvecs = dict(zip(candidates, encoder.encode([c["text"] for c in candidates.values()])))
         report = evaluate(qvecs, cvecs, judgments)
     else:
         vectors = load_embeddings(args.embeddings)

@@ -98,13 +98,25 @@ class ToyEncoder:
             raise EmptyInput("cannot encode an empty token sequence")
         return ngram_bucket_counts(tokens, self.table)
 
-    def encode(self, text: str) -> np.ndarray:
-        buckets, mult = count_entries(self.bucket_counts(text))
-        raw = mult @ self.params[buckets]
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            raise ZeroVector("degenerate embedding with zero norm")
-        return raw / norm
+    def encode(self, texts: list[str]) -> np.ndarray:
+        """One unit row per text: all grams through the table and one unique count,
+        then each row its own product over ascending buckets, as if encoded alone."""
+        tokens = [text_tokens(text) for text in texts]
+        if not all(tokens):
+            raise EmptyInput("cannot encode an empty token sequence")
+        grams = [g for t in tokens for g in t + [a + _GRAM_SEP + b for a, b in zip(t, t[1:])]]
+        keys = np.fromiter(map(self.table.__getitem__, grams), dtype=np.int64, count=len(grams))
+        keys += np.repeat(np.arange(len(texts)) * self.buckets, [2 * len(t) - 1 for t in tokens])
+        keys, mult = np.unique(keys, return_counts=True)
+        bounds = np.searchsorted(keys, np.arange(len(texts) + 1) * self.buckets).tolist()
+        rows = np.empty((len(texts), self.dim))
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            rows[i] = mult[start:stop] @ self.params[keys[start:stop] % self.buckets]
+            norm = np.linalg.norm(rows[i])
+            if norm == 0.0:
+                raise ZeroVector("degenerate embedding with zero norm")
+            rows[i] /= norm
+        return rows
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

@@ -28,7 +28,6 @@ from .retrieval import (
     load_candidates,
     load_qrels,
     load_queries,
-    overlap_coefficient,
     rank_lexical,
     token_set,
 )
@@ -107,7 +106,7 @@ def lexical_training_map(records: list[PairRecord], cap: int) -> float:
     pool = lexical_pool({f"t:{r.pair_id}": r.target for r in sample})
     judgments = _own_target_judgments(sample)
     lists = [rank_lexical(token_set(r.context), pool, query_id=f"q:{r.pair_id}",
-                          scorer=overlap_coefficient) for r in sample]
+                          coefficient=True) for r in sample]
     return evaluate_rankings(lists, judgments).map
 
 
@@ -115,8 +114,8 @@ def _evaluate_encoder(encoder: ToyEncoder, corpus: CloneCorpus) -> EvalReport:
     queries = load_queries(corpus.queries_path)
     candidates = load_candidates(corpus.candidates_path)
     judgments = load_qrels(corpus.qrels_path)
-    qvecs = {qid: encoder.encode(q["context"]) for qid, q in queries.items()}
-    cvecs = {tid: encoder.encode(c["text"]) for tid, c in candidates.items()}
+    qvecs = dict(zip(queries, encoder.encode([q["context"] for q in queries.values()])))
+    cvecs = dict(zip(candidates, encoder.encode([c["text"] for c in candidates.values()])))
     return evaluate(qvecs, cvecs, judgments)
 
 

@@ -37,6 +37,7 @@ TRAIN = "train"
 VALID = "valid"
 # enough chunks that a worker left with a slow chunk does not hold up the rest
 CHUNKS_PER_WORKER = 8
+MAX_CHUNK_FILES = 32  # a worker holds a chunk's records until it returns them
 
 
 @dataclass
@@ -279,17 +280,24 @@ def _worker_generate(args: tuple[CorpusFile, PipelineConfig]) -> list[PairRecord
         config=config)
 
 
+def chunk_size(files: int, jobs: int) -> int:
+    """Files per pool chunk: CHUNKS_PER_WORKER chunks per worker, or more once
+    a chunk would pass MAX_CHUNK_FILES, as many for every worker."""
+    per_worker = max(CHUNKS_PER_WORKER, math.ceil(files / (jobs * MAX_CHUNK_FILES)))
+    return max(1, math.ceil(files / (per_worker * jobs)))
+
+
 def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[PairRecord]:
     """Deterministic pair stream over deduplicated files, hash order. The
-    pool gets about CHUNKS_PER_WORKER chunks of files per worker."""
+    pool gets chunks of chunk_size files."""
     tasks = [(f, config) for f in sorted(files, key=lambda f: f.content_hash)]
     if config.jobs <= 1:
         for records in map(_worker_generate, tasks):
             yield from records
         return
-    chunksize = max(1, math.ceil(len(tasks) / (CHUNKS_PER_WORKER * config.jobs)))
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for records in pool.map(_worker_generate, tasks, chunksize=chunksize):
+        for records in pool.map(_worker_generate, tasks,
+                                chunksize=chunk_size(len(tasks), config.jobs)):
             yield from records
 
 

@@ -12,7 +12,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,15 +25,31 @@ QUERY_BLOCK = 64  # queries per score matrix: memory stays O(block x pool)
 _discount = functools.cache(lambda pos: 1.0 / np.log2(pos + 1))  # NDCG discount at a 1-based rank
 
 
-@dataclass
+class Pool:
+    """Distinct candidate ids in ascending order, and the column of each id."""
+
+    def __init__(self, ids: Iterable[str]):
+        self.ids = sorted(ids)
+        self.column = {tid: col for col, tid in enumerate(self.ids)}
+
+
+@dataclass(eq=False)
 class RankedList:
+    """One query's ranking: columns of `pool`, best first, and the score row
+    over all columns. `ids` and `ranking` are built only when read."""
+
     query_id: str
-    ids: list[str]  # target ids, best first
-    scores: list[float]  # their scores
+    order: np.ndarray
+    row: np.ndarray
+    pool: Pool
+
+    @property
+    def ids(self) -> list[str]:
+        return list(map(self.pool.ids.__getitem__, self.order.tolist()))
 
     @property
     def ranking(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self.ids, self.scores))
+        return tuple(zip(self.ids, self.row[self.order].tolist()))
 
 
 @dataclass
@@ -45,18 +61,16 @@ class Judgments:
         return self.relevant.get(query_id, set()) - {self.original.get(query_id)}
 
 
-def rank(scores: np.ndarray, ids: Sequence[str], exclude: str | None = None,
+def rank(scores: np.ndarray, pool: Pool, exclude: str | None = None,
          query_id: str = "") -> RankedList:
-    """Candidates best first; the only sorter of every ranking path.
-
-    `ids` are ascending and `scores` is the row of scores aligned with them,
-    so a stable sort on the negated scores keeps ties in ascending-id order.
-    """
+    """Candidates best first; the only sorter of every ranking path. `scores`
+    follows the pool's ascending ids, so a stable sort on the negated scores
+    keeps ties in ascending-id order."""
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    if exclude in ids:  # ids are distinct
-        order = order[order != ids.index(exclude)]
-    return RankedList(query_id, list(map(ids.__getitem__, order.tolist())), scores[order].tolist())
+    if exclude in pool.column:
+        order = order[order != pool.column[exclude]]
+    return RankedList(query_id, order, scores, pool)
 
 
 # --------------------------------------------------------------------------
@@ -99,11 +113,13 @@ def evaluate_rankings(lists: list[RankedList], judgments: Judgments) -> EvalRepo
         raise NoRelevant("no queries to evaluate")
     per_query = []
     for ranked in lists:
-        relevant = judgments.relevant_for(ranked.query_id)
-        hits = [pos for pos, tid in enumerate(ranked.ids, start=1) if tid in relevant]
+        column = ranked.pool.column
+        relevant = np.zeros(len(column), dtype=bool)
+        relevant[[column[t] for t in judgments.relevant_for(ranked.query_id) if t in column]] = True
+        hits = (np.flatnonzero(relevant[ranked.order]) + 1).tolist()
         if not hits:
             raise NoRelevant(f"query {ranked.query_id!r} has no relevant candidate")
-        pool = len(ranked.ids)  # pools smaller than k cap the P@k denominator
+        pool = len(ranked.order)  # pools smaller than k cap the P@k denominator
         per_query.append({
             "query_id": ranked.query_id,
             "ap": sum(found / pos for found, pos in enumerate(hits, start=1)) / len(hits),
@@ -142,12 +158,12 @@ def evaluate(queries: dict[str, np.ndarray], candidates: dict[str, np.ndarray],
     a time. Identical candidate vectors share one column, so their scores are
     bitwise equal and only the id decides their order.
     """
-    qids, tids = sorted(queries), sorted(candidates)
+    qids, pool = sorted(queries), Pool(candidates)
     if not qids:
         return evaluate_rankings([], judgments)
     dim = np.asarray(queries[qids[0]]).size
     q_rows = _unit_rows([queries[q] for q in qids], dim)
-    c_rows = _unit_rows([candidates[t] for t in tids], dim)
+    c_rows = _unit_rows([candidates[t] for t in pool.ids], dim)
     first: dict[bytes, int] = {}
     column = np.array([first.setdefault(row.tobytes(), len(first)) for row in c_rows],
                       dtype=np.intp)
@@ -157,7 +173,7 @@ def evaluate(queries: dict[str, np.ndarray], candidates: dict[str, np.ndarray],
     for start in range(0, len(qids), QUERY_BLOCK):
         block = slice(start, start + QUERY_BLOCK)
         scores = (q_rows[block] @ distinct.T)[:, column]
-        lists.extend(rank(row, tids, exclude=judgments.original.get(qid), query_id=qid)
+        lists.extend(rank(row, pool, exclude=judgments.original.get(qid), query_id=qid)
                      for qid, row in zip(qids[block], scores))
     return evaluate_rankings(lists, judgments)
 
@@ -169,51 +185,53 @@ def token_set(text: str) -> frozenset[str]:
     return frozenset(text_tokens(text))
 
 
-def lexical_pool(texts: Mapping[str, str]) -> tuple[list[str], list[frozenset[str]]]:
-    """Ascending candidate ids and their token sets, each text tokenized once."""
-    ids = sorted(texts)
-    return ids, [token_set(texts[tid]) for tid in ids]
+def lexical_pool(texts: Mapping[str, str]) -> tuple[Pool, dict[str, np.ndarray], np.ndarray]:
+    """The candidates, each token's ascending columns (an inverted index of the
+    token sets, each text tokenized once) and each column's set size."""
+    pool = Pool(texts)
+    sets = [token_set(texts[tid]) for tid in pool.ids]
+    columns: dict[str, list[int]] = {}
+    for col, tokens in enumerate(sets):
+        for token in tokens:
+            columns.setdefault(token, []).append(col)
+    postings = {token: np.array(cols, dtype=np.intp) for token, cols in columns.items()}
+    return pool, postings, np.array([len(tokens) for tokens in sets], dtype=np.int64)
 
 
-def lexical_overlap(a: frozenset[str], b: frozenset[str]) -> float:
-    """Jaccard similarity of two token sets."""
-    if not a or not b:
-        return 0.0
-    shared = len(a & b)
-    return shared / (len(a) + len(b) - shared)
-
-
-def overlap_coefficient(a: frozenset[str], b: frozenset[str]) -> float:
-    """Shared-token fraction of the smaller set; length-robust overlap."""
-    if not a or not b:
-        return 0.0
-    return len(a & b) / min(len(a), len(b))
-
-
-def rank_lexical(query_tokens: frozenset[str],
-                 pool: tuple[list[str], list[frozenset[str]]],
-                 exclude: str | None = None, query_id: str = "",
-                 scorer: Callable[[frozenset, frozenset], float] = lexical_overlap) -> RankedList:
-    """Score one query's token set against a pool from `lexical_pool`, then rank."""
-    ids, token_sets = pool
-    scores = np.fromiter((scorer(query_tokens, tokens) for tokens in token_sets),
-                         dtype=np.float64, count=len(token_sets))
-    return rank(scores, ids, exclude=exclude, query_id=query_id)
+def rank_lexical(query_tokens: frozenset[str], pool: tuple, exclude: str | None = None,
+                 query_id: str = "", coefficient: bool = False) -> RankedList:
+    """Rank a `lexical_pool` by Jaccard similarity of token sets, or with `coefficient`
+    by shared tokens over the smaller set's size; 0 where either set is empty. One bincount
+    of postings counts shared tokens; one division of exact integers equals int / int."""
+    candidates, postings, sizes = pool
+    hit = [postings[token] for token in query_tokens if token in postings]
+    shared = np.bincount(np.concatenate([np.empty(0, np.intp), *hit]), minlength=len(sizes))
+    size = len(query_tokens)
+    denominator = np.minimum(sizes, size) if coefficient else sizes + size - shared
+    scores = np.divide(shared, denominator, out=np.zeros(len(sizes)), where=denominator > 0)
+    return rank(scores, candidates, exclude=exclude, query_id=query_id)
 
 
 # --------------------------------------------------------------------------
 # file formats: queries / candidates / qrels / embeddings
 
+def _by_id(path: str | Path, key: str, fields: dict[str, type]) -> dict[str, dict]:
+    """Each row's `fields` under its `key` read as a string; a repeated id is a data error."""
+    out: dict[str, dict] = {}
+    for lineno, obj in read_jsonl_objects(path, (key, *fields), fields):
+        rid = str(obj[key])
+        if rid in out:
+            raise SchemaError(f"repeated {key} {rid!r}", line=lineno)
+        out[rid] = {name: obj[name] for name in fields}
+    return out
+
+
 def load_queries(path: str | Path) -> dict[str, dict]:
-    return {str(obj["query_id"]): {"language": obj["language"], "context": obj["context"]}
-            for _, obj in read_jsonl_objects(path, ("query_id", "language", "context"),
-                                             {"language": str, "context": str})}
+    return _by_id(path, "query_id", {"language": str, "context": str})
 
 
 def load_candidates(path: str | Path) -> dict[str, dict]:
-    return {str(obj["target_id"]): {"language": obj["language"], "text": obj["text"]}
-            for _, obj in read_jsonl_objects(path, ("target_id", "language", "text"),
-                                             {"language": str, "text": str})}
+    return _by_id(path, "target_id", {"language": str, "text": str})
 
 
 def load_qrels(path: str | Path) -> Judgments:
@@ -232,7 +250,9 @@ def load_qrels(path: str | Path) -> Judgments:
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     out = {}
     for lineno, obj in read_jsonl_objects(path, ("id", "vector")):
-        vec = obj["vector"]
+        rid, vec = str(obj["id"]), obj["vector"]
+        if rid in out:
+            raise SchemaError(f"repeated id {rid!r}", line=lineno)
         if not isinstance(vec, list) or not vec:
             raise SchemaError("'vector' must be a non-empty list", line=lineno)
         bad = "'vector' must be a flat list of finite numbers"
@@ -242,5 +262,5 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             raise SchemaError(bad, line=lineno) from exc
         if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise SchemaError(bad, line=lineno)
-        out[str(obj["id"])] = arr.astype(np.float64)
+        out[rid] = arr.astype(np.float64)
     return out

@@ -91,10 +91,22 @@ def oracle_reciprocal_rank(ranking: list[str], relevant: set[str]) -> float:
     raise AssertionError("no relevant item in ranking")
 
 
+def ranked_list(query_id: str, ids: list[str], scores: list[float]):
+    """A RankedList over a pool of just `ids`, ranking them in the given
+    order with the given scores."""
+    from codegap.retrieval import Pool, RankedList
+
+    pool = Pool(ids)
+    order = np.array([pool.column[tid] for tid in ids], dtype=np.intp)
+    row = np.empty(len(ids))
+    row[order] = scores
+    return RankedList(query_id, order, row, pool)
+
+
 def exhaustive_metric_comparison() -> float:
     """Worst absolute deviation from the oracles over every ranking of pools
     with up to six candidates and up to three relevant ones."""
-    from codegap.retrieval import Judgments, RankedList, evaluate_rankings
+    from codegap.retrieval import Judgments, evaluate_rankings
 
     worst = 0.0
     for n in range(1, 7):
@@ -106,7 +118,7 @@ def exhaustive_metric_comparison() -> float:
         ]
         for perm in itertools.permutations(ids):
             ranking = list(perm)
-            rl = RankedList("q", ranking, [float(n - i) for i in range(n)])
+            rl = ranked_list("q", ranking, [float(n - i) for i in range(n)])
             for relevant in relevant_sets:
                 row = evaluate_rankings([rl], Judgments(relevant={"q": relevant})).per_query[0]
                 for k in (1, 3, 10):
@@ -122,18 +134,63 @@ def exhaustive_metric_comparison() -> float:
 
 
 # --------------------------------------------------------------------------
-# reference ranking and hashed features: one tuple and one hash per item
+# reference ranking, metrics, lexical scores and hashed features: one tuple,
+# one set lookup and one hash per item
 
-def reference_rank(scores, ids, exclude=None, query_id=""):
+def reference_rank(scores, ids, exclude=None) -> tuple[tuple[str, float], ...]:
     """Candidates best first as (id, score) tuples from one stable sort on the
     negated scores, every id equal to `exclude` filtered out on the way."""
-    from codegap.retrieval import RankedList
-
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable").tolist()
-    ranking = tuple((ids[i], s) for i, s in zip(order, scores[order].tolist())
-                    if ids[i] != exclude)
-    return RankedList(query_id, [tid for tid, _ in ranking], [s for _, s in ranking])
+    return tuple((ids[i], s) for i, s in zip(order, scores[order].tolist()) if ids[i] != exclude)
+
+
+def reference_evaluate_rankings(rankings: list[tuple[str, list[str]]], judgments):
+    """The metric report of (query id, ids best first) rankings, each hit
+    found by a set lookup per ranked id."""
+    from codegap.errors import NoRelevant
+    from codegap.retrieval import PRECISION_KS, EvalReport
+
+    if not rankings:
+        raise NoRelevant("no queries to evaluate")
+    per_query = []
+    for query_id, ids in rankings:
+        relevant = judgments.relevant_for(query_id)
+        hits = [pos for pos, tid in enumerate(ids, start=1) if tid in relevant]
+        if not hits:
+            raise NoRelevant(f"query {query_id!r} has no relevant candidate")
+        ideal = sum(1.0 / np.log2(pos + 1) for pos in range(1, len(hits) + 1))
+        per_query.append({
+            "query_id": query_id,
+            "ap": sum(found / pos for found, pos in enumerate(hits, start=1)) / len(hits),
+            "ndcg": float(sum(1.0 / np.log2(pos + 1) for pos in hits) / ideal),
+            "rr": 1.0 / hits[0],
+            "p_at": {str(k): sum(1 for pos in hits if pos <= k) / min(k, len(ids))
+                     for k in PRECISION_KS},
+        })
+    n = len(per_query)
+    return EvalReport(
+        map=sum(row["ap"] for row in per_query) / n,
+        ndcg=sum(row["ndcg"] for row in per_query) / n,
+        p_at={k: sum(row["p_at"][str(k)] for row in per_query) / n for k in PRECISION_KS},
+        mrr=sum(row["rr"] for row in per_query) / n,
+        per_query=per_query,
+    )
+
+
+def lexical_overlap(a: frozenset[str], b: frozenset[str]) -> float:
+    """Jaccard similarity of two token sets."""
+    if not a or not b:
+        return 0.0
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
+
+
+def overlap_coefficient(a: frozenset[str], b: frozenset[str]) -> float:
+    """Shared-token fraction of the smaller set; length-robust overlap."""
+    if not a or not b:
+        return 0.0
+    return len(a & b) / min(len(a), len(b))
 
 
 def reference_bucket_counts(tokens: list[str], buckets: int) -> dict[int, int]:
@@ -149,6 +206,20 @@ def reference_bucket_counts(tokens: list[str], buckets: int) -> dict[int, int]:
             b2 = stable_bucket(tok + _GRAM_SEP + tokens[i + 1], buckets)
             counts[b2] = counts.get(b2, 0) + 1
     return counts
+
+
+def reference_encode(encoder: ToyEncoder, text: str) -> np.ndarray:
+    """One text's unit row, encoded alone: its bucket counts in ascending
+    bucket order times the parameter rows, over the norm."""
+    from codegap.texttok import text_tokens
+
+    counts = reference_bucket_counts(text_tokens(text), encoder.buckets)
+    buckets = sorted(counts)
+    raw = np.array([counts[b] for b in buckets], dtype=np.int32) @ encoder.params[buckets]
+    norm = np.linalg.norm(raw)
+    if norm == 0.0:
+        raise ZeroVector("degenerate embedding with zero norm")
+    return raw / norm
 
 
 # --------------------------------------------------------------------------

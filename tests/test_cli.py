@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from codegap import pipeline
 from codegap.cli import main
 from codegap.contrastive import ToyEncoder
 from codegap.languages import get_language
@@ -75,6 +76,34 @@ def test_pairs_match_golden_digest(tmp_path, jobs):
                  "--seed", "0", "--jobs", jobs]) == 0
     digest = hashlib.sha256()
     for name, data in shard_bytes(tmp_path / "out").items():
+        digest.update(Path(name).as_posix().encode() + b"\n" + data)
+    assert digest.hexdigest() == MIXED_PAIRS_SHA256
+
+
+def test_pool_chunks_are_capped(mixed_corpus, tmp_path, monkeypatch):
+    for jobs in (1, 2, 3, 8):
+        assert 1 <= pipeline.chunk_size(6000, jobs) <= pipeline.MAX_CHUNK_FILES
+    # a cap that binds on these 120 files: the pool gets capped chunks, and
+    # the shards equal the serial run's and the golden digest
+    chunk_sizes = []
+
+    class RecordingPool(pipeline.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            chunk_sizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "MAX_CHUNK_FILES", 3)
+    root, _ = mixed_corpus
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(["pairs", "--roots", str(root), "--out", str(tmp_path / jobs),
+                     "--seed", "0", "--jobs", jobs]) == 0
+        outs.append(shard_bytes(tmp_path / jobs))
+    assert chunk_sizes == [3]
+    assert outs[0] == outs[1]
+    digest = hashlib.sha256()
+    for name, data in outs[1].items():
         digest.update(Path(name).as_posix().encode() + b"\n" + data)
     assert digest.hexdigest() == MIXED_PAIRS_SHA256
 
@@ -429,6 +458,19 @@ def test_eval_malformed_vector_is_data_error(tmp_path, capsys, vector):
                                             "t2": vector})
     assert main(args) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["queries", "candidates", "embeddings"])
+def test_eval_repeated_id_is_data_error(tmp_path, capsys, name):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                            "t2": [0.0, 1.0]})
+    path = Path(args[args.index(f"--{name}") + 1])
+    rows = path.read_text(encoding="utf-8").splitlines()
+    rows.append(rows[0])
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(rows)}: repeated" in err
 
 
 @pytest.mark.parametrize("name,field,value", [

@@ -37,6 +37,7 @@ from _oracles import (
     info_nce,
     oracle_batch_loss_and_grads,
     reference_bucket_counts,
+    reference_encode,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -162,15 +163,15 @@ def test_bucket_counts_through_a_warm_table_match_reference(token_lists):
 
 def test_encode_fills_its_own_table():
     for enc in (small_encoder(buckets=64), small_encoder(buckets=4096)):
-        enc.encode("alpha beta")
+        enc.encode(["alpha beta"])
         assert enc.table == {gram: stable_bucket(gram, enc.buckets)
                              for gram in ("alpha", "beta", "alpha\x1fbeta")}
 
 
 def test_encode_deterministic_unit_norm():
     enc = small_encoder()
-    one = enc.encode("alpha beta gamma")
-    two = enc.encode("alpha beta gamma")
+    one = enc.encode(["alpha beta gamma"])[0]
+    two = enc.encode(["alpha beta gamma"])[0]
     assert np.array_equal(one, two)
     assert np.linalg.norm(one) == pytest.approx(1.0)
 
@@ -180,12 +181,32 @@ def test_encode_single_token_is_normalized_row():
     bucket = stable_bucket("solo", enc.buckets)
     row = enc.params[bucket]
     expected = row / np.linalg.norm(row)
-    assert np.allclose(enc.encode("solo"), expected)
+    assert np.allclose(enc.encode(["solo"])[0], expected)
 
 
 def test_encode_empty_input():
     with pytest.raises(EmptyInput):
-        small_encoder().encode("   ")
+        small_encoder().encode(["   "])
+    with pytest.raises(EmptyInput):
+        small_encoder().encode(["alpha", "   "])
+
+
+_ENCODE_WORDS = ["alpha", "beta", "gamma", "_", "é", "<mask>", "(", "x1"]
+
+
+@settings(max_examples=150, deadline=None)
+@example([["alpha", "alpha", "alpha"], ["alpha", "beta", "alpha", "beta", "alpha"], ["solo"]])
+@given(st.lists(st.lists(st.sampled_from(_ENCODE_WORDS), min_size=1, max_size=12),
+                max_size=6))
+def test_batched_encode_matches_one_text_reference(word_lists):
+    # repeated words repeat unigrams and bigrams within a text and across texts
+    texts = [" ".join(words) for words in word_lists]
+    for enc in (small_encoder(buckets=64), small_encoder(buckets=4096)):
+        rows = enc.encode(texts)
+        assert rows.shape == (len(texts), enc.dim)
+        for text, row in zip(texts, rows):
+            assert row.tobytes() == reference_encode(enc, text).tobytes()
+            assert row.tobytes() == enc.encode([text])[0].tobytes()
 
 
 def test_orthogonal_unit_rows_reproduce_closed_form():
@@ -372,8 +393,8 @@ def test_validation_mrr_perfect_and_chance():
 def _brute_force_mrr(enc, contexts, targets, tie_key=lambda j: j) -> float:
     """Mean reciprocal rank from one dot product per (context, target) pair;
     identical target texts give identical vectors and so equal scores."""
-    queries = [enc.encode(t) for t in contexts]
-    keys = [enc.encode(t) for t in targets]
+    queries = enc.encode(list(contexts))
+    keys = enc.encode(list(targets))
     total = 0.0
     for i, q in enumerate(queries):
         row = [float(np.dot(q, k)) for k in keys]

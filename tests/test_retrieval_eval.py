@@ -6,20 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import exhaustive_metric_comparison, reference_rank
+from _oracles import (
+    exhaustive_metric_comparison,
+    lexical_overlap,
+    overlap_coefficient,
+    ranked_list,
+    reference_evaluate_rankings,
+    reference_rank,
+)
 from codegap.errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
 from codegap.retrieval import (
     Judgments,
-    RankedList,
+    Pool,
     evaluate,
     evaluate_rankings,
-    lexical_overlap,
     lexical_pool,
     load_candidates,
     load_embeddings,
     load_qrels,
     load_queries,
-    overlap_coefficient,
     rank,
     rank_lexical,
     token_set,
@@ -28,7 +33,7 @@ from codegap.texttok import text_tokens
 
 
 def ranked(ids, query_id="q"):
-    return RankedList(query_id, list(ids), [float(len(ids) - i) for i in range(len(ids))])
+    return ranked_list(query_id, list(ids), [float(len(ids) - i) for i in range(len(ids))])
 
 
 def metrics(ids, relevant):
@@ -40,14 +45,14 @@ def metrics(ids, relevant):
 # ranking
 
 def test_rank_tie_break_ascending_id():
-    result = rank(np.array([0.5, 0.9, 0.5, 0.5]), ["alpha", "beta", "mid", "zeta"])
+    result = rank(np.array([0.5, 0.9, 0.5, 0.5]), Pool(["alpha", "beta", "mid", "zeta"]))
     assert result.ids == ["beta", "alpha", "mid", "zeta"]
     assert result.ranking[0] == ("beta", 0.9)
 
 
 def test_rank_excludes_original():
-    assert rank(np.array([1.0, 0.0]), ["A", "B"], exclude="A").ids == ["B"]
-    assert rank(np.array([1.0, 0.0]), ["A", "B"], exclude="Z").ids == ["A", "B"]
+    assert rank(np.array([1.0, 0.0]), Pool(["A", "B"]), exclude="A").ids == ["B"]
+    assert rank(np.array([1.0, 0.0]), Pool(["A", "B"]), exclude="Z").ids == ["A", "B"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -58,18 +63,51 @@ def test_rank_matches_reference_under_forced_ties(data, n):
                                          max_size=n)))
     exclude = data.draw(st.sampled_from([None, "absent", *ids]))
     relevant = set(data.draw(st.lists(st.sampled_from(ids), min_size=1)))
-    got = rank(scores, ids, exclude=exclude, query_id="q")
-    want = reference_rank(scores, ids, exclude=exclude, query_id="q")
-    assert got == want
-    assert got.ranking == want.ranking
+    got = rank(scores, Pool(ids), exclude=exclude, query_id="q")
+    want = reference_rank(scores, ids, exclude=exclude)
+    assert got.query_id == "q"
+    assert got.ranking == want
+    assert got.ids == [tid for tid, _ in want]
     judgments = Judgments(relevant={"q": relevant}, original={} if exclude is None else {"q": exclude})
+    rankings = [("q", got.ids)]
     if relevant - {exclude}:
         assert (evaluate_rankings([got], judgments).to_json()
-                == evaluate_rankings([want], judgments).to_json())
+                == reference_evaluate_rankings(rankings, judgments).to_json())
     else:  # the only relevant candidate is the excluded original
-        for ranked_list in (got, want):
-            with pytest.raises(NoRelevant):
-                evaluate_rankings([ranked_list], judgments)
+        with pytest.raises(NoRelevant):
+            evaluate_rankings([got], judgments)
+        with pytest.raises(NoRelevant):
+            reference_evaluate_rankings(rankings, judgments)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
+def test_mask_hits_match_id_scan_reference(data, n, queries):
+    # forced ties, an excluded original that may also be listed as relevant,
+    # and relevant ids the pool does not hold; one report over all queries
+    ids = [f"t{i:02d}" for i in range(n)]
+    pool = Pool(ids)
+    judgments = Judgments(relevant={}, original={})
+    lists = []
+    for q in range(queries):
+        qid = f"q{q}"
+        scores = np.array(data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.75]),
+                                             min_size=n, max_size=n)))
+        exclude = data.draw(st.sampled_from([None, "absent", *ids]))
+        if exclude is not None:
+            judgments.original[qid] = exclude
+        judgments.relevant[qid] = set(data.draw(st.lists(st.sampled_from([*ids, "gone"]),
+                                                         min_size=1)))
+        lists.append(rank(scores, pool, exclude=exclude, query_id=qid))
+    rankings = [(r.query_id, r.ids) for r in lists]
+    try:
+        want = reference_evaluate_rankings(rankings, judgments).to_json()
+    except NoRelevant as exc:
+        with pytest.raises(NoRelevant) as info:
+            evaluate_rankings(lists, judgments)
+        assert str(info.value) == str(exc)
+    else:
+        assert evaluate_rankings(lists, judgments).to_json() == want
 
 
 def test_evaluate_self_similarity_first():
@@ -242,13 +280,19 @@ def test_report_schema_and_table():
 # --------------------------------------------------------------------------
 # lexical baseline + loaders
 
+def lexical_score(query: str, candidate: str, coefficient: bool = False) -> float:
+    """The score rank_lexical gives one candidate text for one query text."""
+    pool = lexical_pool({"t": candidate})
+    return rank_lexical(token_set(query), pool, coefficient=coefficient).ranking[0][1]
+
+
 def test_lexical_overlap_bounds():
-    assert lexical_overlap(token_set("a b c"), token_set("a b c")) == 1.0
-    assert lexical_overlap(token_set("a b"), token_set("c d")) == 0.0
-    assert 0.0 < lexical_overlap(token_set("a b c d"), token_set("a x y z")) < 1.0
-    assert lexical_overlap(token_set(""), token_set("a")) == 0.0
-    assert overlap_coefficient(token_set("a b"), token_set("a b c d e f")) == 1.0
-    assert overlap_coefficient(token_set("a"), token_set("")) == 0.0
+    assert lexical_score("a b c", "a b c") == 1.0
+    assert lexical_score("a b", "c d") == 0.0
+    assert 0.0 < lexical_score("a b c d", "a x y z") < 1.0
+    assert lexical_score("", "a") == 0.0
+    assert lexical_score("a b", "a b c d e f", coefficient=True) == 1.0
+    assert lexical_score("a", "", coefficient=True) == 0.0
 
 
 _SAMPLE_TEXTS = [
@@ -282,18 +326,39 @@ def test_set_scorers_match_brute_force_counts():
         coefficient = shared / min(na, nb) if na and nb else 0.0
         assert lexical_overlap(token_set(a), token_set(b)) == jaccard
         assert overlap_coefficient(token_set(a), token_set(b)) == coefficient
+        assert lexical_score(a, b) == jaccard
+        assert lexical_score(a, b, coefficient=True) == coefficient
 
 
 def test_rank_lexical_matches_per_pair_sort():
     texts = {f"t{i}": text for i, text in enumerate(_SAMPLE_TEXTS)}
     pool = lexical_pool(texts)
-    for scorer in (lexical_overlap, overlap_coefficient):
+    for coefficient, scorer in ((False, lexical_overlap), (True, overlap_coefficient)):
         for query in _SAMPLE_TEXTS:
-            got = rank_lexical(token_set(query), pool, exclude="t1", query_id="q", scorer=scorer)
+            got = rank_lexical(token_set(query), pool, exclude="t1", query_id="q",
+                               coefficient=coefficient)
             want = sorted(((tid, scorer(token_set(query), token_set(text)))
                            for tid, text in texts.items() if tid != "t1"),
                           key=lambda pair: (-pair[1], pair[0]))
             assert got.ranking == tuple(want)
+
+
+_LEXICAL_WORDS = ["a", "b", "c", "x1", "<mask>", "(", "é", "_"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_LEXICAL_WORDS), max_size=6), max_size=8),
+       st.lists(st.lists(st.sampled_from(_LEXICAL_WORDS), max_size=6), min_size=1, max_size=4))
+def test_inverted_index_scores_match_set_arithmetic(candidates, queries):
+    # empty queries and empty candidate sets included; the pool may be empty
+    texts = {f"t{i}": " ".join(words) for i, words in enumerate(candidates)}
+    pool = lexical_pool(texts)
+    for words in queries:
+        query = token_set(" ".join(words))
+        for coefficient, scorer in ((False, lexical_overlap), (True, overlap_coefficient)):
+            got = rank_lexical(query, pool, coefficient=coefficient)
+            want = np.array([scorer(query, token_set(texts[tid])) for tid in pool[0].ids])
+            assert got.row.tobytes() == want.tobytes()  # bitwise, signs of zero too
 
 
 def test_loaders_roundtrip(tmp_path):
