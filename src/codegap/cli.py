@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -106,8 +107,10 @@ def _fits_field(field: dataclasses.Field, value) -> bool:
 
 # config key -> (what it must be, test); a resolved value that fails is a data error
 _BOUNDS = {
-    **dict.fromkeys(("shard_size", "jobs", "pairs_per_input", "dim", "buckets"),
-                    ("at least 1", lambda v: v >= 1)),
+    **dict.fromkeys(("shard_size", "jobs", "pairs_per_input", "dim", "buckets", "segment_min_len",
+                     "max_span_attempts"), ("at least 1", lambda v: v >= 1)),
+    "mean_target_len": ("finite", math.isfinite),
+    "stddev_target_len": ("finite and at least 0", lambda v: math.isfinite(v) and v >= 0),
     **dict.fromkeys(("mask_prob", "skip_pair_prob"), ("between 0 and 1", lambda v: 0 <= v <= 1)),
     "tau": ("greater than 0", lambda v: v > 0),
     **dict.fromkeys(("valid_cap", "steps"), ("at least 0", lambda v: v >= 0)),
@@ -145,6 +148,9 @@ def resolve_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         names = [ln.strip() for ln in args.valid_repos_file.read_text(encoding="utf-8").splitlines()]
         args.valid_repos = [n for n in names if n and not n.startswith("#")]
     values = _merge_config(PipelineConfig, args)
+    if values["segment_max_len"] < values["segment_min_len"]:
+        raise InvalidBounds(f"config key 'segment_max_len' must be at least 'segment_min_len' "
+                            f"({values['segment_min_len']}), got {values['segment_max_len']}")
     if values["languages"] is not None:
         values["languages"] = tuple(get_language(name).name for name in values["languages"])
     values["valid_repos"] = frozenset(values["valid_repos"])

@@ -10,6 +10,8 @@ block is allowed, taking its braces requires taking the whole block node.
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -44,23 +46,24 @@ class SpanSelection:
 def sample_target_length(rng: random.Random, mean: float, stddev: float,
                          min_len: int, max_len: int) -> int:
     """One target length: a rounded normal draw clamped into [min_len, max_len]."""
-    if min_len < 1 or max_len < min_len or stddev < 0:
-        raise InvalidBounds(f"bad length bounds: min={min_len} max={max_len} stddev={stddev}")
+    if min_len < 1 or max_len < min_len or not (0 <= stddev < math.inf and math.isfinite(mean)):
+        raise InvalidBounds(f"bad length bounds: min={min_len} max={max_len} mean={mean} stddev={stddev}")
     draw = rng.gauss(mean, stddev) if stddev > 0 else mean
     return max(min_len, min(max_len, round(draw)))
 
 
 def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
-    counts = tree.leaf_counts
-    lo = max(1.0, length / 2)
-    window = [r for r in tree.seed_nodes if lo <= counts[r] <= length]
-    if window:
+    """A seed node of leaf count in [length / 2, length], else of the largest
+    count that fits (bisected out of the count order, then drawn from in
+    preorder), else a seed leaf."""
+    order, count = tree.seed_order, tree.leaf_counts.__getitem__
+    fits = bisect.bisect_right(order, length, key=count)
+    start = bisect.bisect_left(order, max(1.0, length / 2), hi=fits, key=count)
+    if start == fits and fits:  # ties of the largest count that fits
+        start = bisect.bisect_left(order, count(order[fits - 1]), hi=fits, key=count)
+    if start < fits:
+        window = sorted(order[start:fits])
         return window[rng.randrange(len(window))]
-    fitting = [r for r in tree.seed_nodes if counts[r] <= length]
-    if fitting:
-        best = max(counts[r] for r in fitting)
-        largest = [r for r in fitting if counts[r] == best]
-        return largest[rng.randrange(len(largest))]
     if tree.seed_leaves:
         return tree.seed_leaves[rng.randrange(len(tree.seed_leaves))]
     raise EmptyTree("no selectable node outside error regions")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
 from operator import attrgetter, itemgetter
 
@@ -50,7 +51,9 @@ class SyntaxTree:
     hold -1 where there is none. `seed_nodes` (group rows below the root) and
     `seed_leaves` (leaf rows that are not whitespace, newline or a bracket
     token) are the span seed candidates, in preorder, with error subtrees
-    left out. Rows are plain ints, so a tree holds no reference cycle."""
+    left out; `seed_order` ranks the seed nodes by leaf count. Parse numbers
+    the rows in one pass, and truncation slices them out of the parsed
+    tree's. Rows are plain ints, so a tree holds no reference cycle."""
 
     language: Language
     leaves: list[Token]
@@ -68,6 +71,11 @@ class SyntaxTree:
 
     def is_leaf(self, row: int) -> bool:
         return self.subtree_end[row] == row + 1 and self.leaf_counts[row] == 1
+
+    @cached_property
+    def seed_order(self) -> list[int]:
+        """`seed_nodes` by (leaf count, preorder), sorted on first use."""
+        return sorted(self.seed_nodes, key=self.leaf_counts.__getitem__)
 
     @property
     def source(self) -> str:
@@ -431,46 +439,76 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# structural rebuilds used by file truncation: renumber kept rows
+# structural rebuilds used by file truncation: kept rows are slices of the
+# tree's columns, with row and leaf numbers shifted by a constant per slice
 
-def _renumbered_rows(tree: SyntaxTree, pieces: list[tuple[int, int, Token | None]]
-                     ) -> tuple[list[str], list[Token | None], list[int]]:
-    """Columns for `_number_rows`: each (start, stop, marker) piece keeps old
-    rows start:stop, then puts a fold leaf with the marker, if any, in the
-    place of row stop. An old parent outside the kept rows becomes the root."""
-    kinds: list[str] = ["program"]
-    tokens: list[Token | None] = [None]
-    parents = [-1]
-    leaves, first, is_leaf = tree.leaves, tree.first_leaf, tree.is_leaf
-    new_row = [0] * (len(tree.kinds) + 1)  # the extra last slot is the root's parent, -1
-    for start, stop, marker in pieces:
-        new_row[start:stop] = range(len(kinds), len(kinds) + stop - start)
-        kinds += tree.kinds[start:stop]
-        tokens += [leaves[first[old]] if is_leaf(old) else None for old in range(start, stop)]
-        parents += [new_row[up] for up in tree.parent[start:stop]]
-        if marker is not None:
-            kinds.append("fold")
-            tokens.append(marker)
-            parents.append(new_row[tree.parent[stop]])
-    return kinds, tokens, parents
+def _seeds_in(seeds: list[int], start: int, stop: int, shift: int) -> list[int]:
+    """The seed rows in start:stop, shifted."""
+    return [r + shift for r in seeds[bisect.bisect_left(seeds, start):bisect.bisect_left(seeds, stop)]]
 
 
 def tree_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> SyntaxTree:
-    """A standalone tree viewing a sibling run as its own program."""
-    return _number_rows(tree.language,
-                        *_renumbered_rows(tree, [(run[0], tree.subtree_end[run[-1]], None)]))
+    """A standalone tree viewing a sibling run as its own program. The rows
+    under the run are one range, so each column is a slice of the tree's
+    shifted by a constant, and the seeds are bisected out of its seed lists
+    (a selected run lies outside error subtrees)."""
+    start, last = run[0], run[-1]
+    stop, lo = tree.subtree_end[last], tree.first_leaf[start]
+    hi = tree.first_leaf[last] + tree.leaf_counts[last]
+    shift = 1 - start  # old row r is new row r + shift
+    first, counts, ends, parent, prev = [0], [hi - lo], [stop + shift], [-1], [-1, -1]
+    first += [i - lo for i in tree.first_leaf[start:stop]]
+    counts += tree.leaf_counts[start:stop]
+    ends += [r + shift for r in tree.subtree_end[start:stop]]
+    parent += [r + shift for r in tree.parent[start:stop]]
+    for row in run:
+        parent[row + shift] = 0
+    prev += [r + shift if r >= 0 else -1 for r in tree.prev_sibling[start + 1:stop]]
+    seed_nodes = [1] if start == 0 else []  # the old root is now a group below the root
+    seed_nodes += _seeds_in(tree.seed_nodes, start, stop, shift)
+    return SyntaxTree(tree.language, tree.leaves[lo:hi], ["program", *tree.kinds[start:stop]],
+                      first, counts, ends, parent, prev, seed_nodes,
+                      _seeds_in(tree.seed_leaves, start, stop, shift))
 
 
 def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> SyntaxTree:
-    """Renumber the tree with each sibling run, given in file order, replaced
-    by one fold marker. The root has no place to fold into, so a run of the
-    root alone leaves the tree whole."""
-    pieces = []
-    kept = 1
-    for run in runs:
-        if run[0] > 0:
-            at = tree.leaves[tree.first_leaf[run[0]]]
-            pieces.append((kept, run[0], make_marker(FOLD_TOKEN, "fold", at=at)))
-            kept = tree.subtree_end[run[-1]]
-    pieces.append((kept, len(tree.kinds), None))
-    return _number_rows(tree.language, *_renumbered_rows(tree, pieces))
+    """The tree with each sibling run, given in file order, replaced by one
+    fold leaf in the row of its first member. Kept rows are slices shifted
+    by the rows and leaves that earlier folds removed, parents and previous
+    siblings map through one old -> new row list, and only a fold's
+    ancestors have their subtree ends and leaf counts cut. The root has no
+    place to fold into, so a run of the root alone leaves the tree whole."""
+    n = len(tree.kinds)
+    new_row = [-1] * (n + 1)  # the extra last slot maps "no row", -1, to itself
+    kinds, leaves, first, counts, ends, parent, prev, seed_nodes, seed_leaves = [[] for _ in range(9)]
+    start = leaf = 0  # the first row and leaf of the piece kept next
+    for run in [*(run for run in runs if run[0] > 0), (n,)]:
+        cut, stop = run[0], min(run[0] + 1, n)
+        cut_leaf = tree.first_leaf[cut] if cut < n else len(tree.leaves)
+        shift, leaf_shift = len(kinds) - start, len(leaves) - leaf
+        new_row[start:stop] = range(start + shift, stop + shift)
+        kinds += tree.kinds[start:stop]
+        first += [i + leaf_shift for i in tree.first_leaf[start:stop]]
+        leaves += tree.leaves[leaf:cut_leaf]
+        counts += tree.leaf_counts[start:stop]
+        ends += [r + shift for r in tree.subtree_end[start:stop]]
+        parent += map(new_row.__getitem__, tree.parent[start:stop])
+        prev += map(new_row.__getitem__, tree.prev_sibling[start:stop])
+        seed_nodes += _seeds_in(tree.seed_nodes, start, cut, shift)
+        seed_leaves += _seeds_in(tree.seed_leaves, start, cut, shift)
+        if cut == n:
+            break
+        row = new_row[run[-1]] = cut + shift
+        kinds[row], counts[row], ends[row] = "fold", 1, row + 1
+        leaves.append(make_marker(FOLD_TOKEN, "fold", at=tree.leaves[cut_leaf]))
+        start = tree.subtree_end[run[-1]]
+        leaf = tree.first_leaf[run[-1]] + tree.leaf_counts[run[-1]]
+        seed, up = True, row  # a seed leaf unless it lies in an error subtree
+        while (up := parent[up]) >= 0:
+            ends[up] -= start - cut - 1
+            counts[up] -= leaf - cut_leaf - 1
+            seed = seed and kinds[up] != "error"
+        if seed:
+            seed_leaves.append(row)
+    return SyntaxTree(tree.language, leaves, kinds, first, counts, ends, parent, prev,
+                      seed_nodes, seed_leaves)

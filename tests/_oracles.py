@@ -32,6 +32,7 @@ from codegap.errors import (
     AliasCollision,
     BatchTooSmall,
     DimensionMismatch,
+    EmptyTree,
     InvalidTemperature,
     SchemaError,
     ZeroVector,
@@ -528,6 +529,24 @@ def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[int], list[int]]:
     """Preorder (group, leaf) seed rows, error subtrees excluded."""
     cols = oracle_columns(oracle_nesting(tree)[0])
     return cols["seed_nodes"], cols["seed_leaves"]
+
+
+def reference_pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
+    """The span seed as it was picked before the count order: scans of the
+    seed lists on every call, drawing from the same lists in preorder."""
+    counts = tree.leaf_counts
+    lo = max(1.0, length / 2)
+    window = [r for r in tree.seed_nodes if lo <= counts[r] <= length]
+    if window:
+        return window[rng.randrange(len(window))]
+    fitting = [r for r in tree.seed_nodes if counts[r] <= length]
+    if fitting:
+        best = max(counts[r] for r in fitting)
+        largest = [r for r in fitting if counts[r] == best]
+        return largest[rng.randrange(len(largest))]
+    if tree.seed_leaves:
+        return tree.seed_leaves[rng.randrange(len(tree.seed_leaves))]
+    raise EmptyTree("no selectable node outside error regions")
 
 
 def reference_indentation_of(tree: SyntaxTree, leaf_index: int) -> int:

@@ -645,6 +645,10 @@ def small_shards(small_corpus, tmp_path_factory):
     ("valid_cap", "--valid-cap", -1),
     ("steps", "--steps", -1),
     ("token_budget", "--budget", 1),
+    ("mean_target_len", "--mean", float("nan")),
+    ("mean_target_len", "--mean", float("inf")),
+    ("stddev_target_len", "--stddev", float("inf")),
+    ("stddev_target_len", "--stddev", float("nan")),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys,
@@ -667,6 +671,26 @@ def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, 
     capsys.readouterr()
     assert main(args) == 2
     assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,keys", [
+    ({"segment_min_len": 0}, ["segment_min_len"]),
+    ({"segment_min_len": 900}, ["segment_min_len", "segment_max_len"]),
+    ({"segment_min_len": 300, "segment_max_len": 200}, ["segment_min_len", "segment_max_len"]),
+    ({"max_span_attempts": 0}, ["max_span_attempts"]),
+])
+def test_config_only_value_out_of_range_is_data_error(small_corpus, tmp_path, capsys, config,
+                                                      keys):
+    # these keys have no flag; segment lengths are drawn only once a file
+    # passes the truncation threshold, so a low threshold would reach them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"truncation_threshold": 50, **config}), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "pairs", "--roots", str(small_corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(key) in err for key in keys)
     assert not out.exists()
 
 

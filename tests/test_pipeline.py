@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_read_jsonl_objects, tokens_balanced
+from _oracles import reference_read_jsonl_objects, tokens_balanced, tree_columns
 from codegap.errors import SchemaError
 from codegap.pipeline import (
     PairRecord,
@@ -162,6 +162,13 @@ def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):
         assert result.segments
         assert _preorder_shape(tree) == before
         assert tree.leaves == leaves
+        # the rebuilt trees share no column list, nor the seed order cached
+        # on the input while truncation picked from it
+        assert "seed_order" in vars(tree)
+        inputs = {id(column) for column in tree_columns(tree).values()}
+        for rebuilt in (result.shortened, *result.segments):
+            assert not any(id(column) in inputs for column in tree_columns(rebuilt).values())
+            assert "seed_order" not in vars(rebuilt)
 
 
 def test_pair_generation_leaves_no_cyclic_garbage(parsed_corpus):

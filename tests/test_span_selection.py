@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -56,6 +57,10 @@ def test_sample_length_invalid_bounds():
         sample_target_length(rng, 150, 90, 16, 8)
     with pytest.raises(InvalidBounds):
         sample_target_length(rng, 150, -1, 16, 512)
+    for mean, stddev in ((math.nan, 90), (math.inf, 90), (-math.inf, 0), (150, math.inf),
+                         (150, math.nan)):
+        with pytest.raises(InvalidBounds):
+            sample_target_length(rng, mean, stddev, 16, 512)
 
 
 def test_expansion_example_three_siblings(python_lang):

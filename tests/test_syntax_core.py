@@ -19,7 +19,7 @@ from codegap.languages import (
     supported_languages,
 )
 from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
-from codegap.spans import select_span
+from codegap.spans import _pick_seed, select_span
 from codegap.tokenizer import tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
@@ -42,6 +42,7 @@ from _oracles import (
     oracle_tokenize,
     reference_indentation_of,
     reference_nesting_columns,
+    reference_pick_seed,
     tree_columns,
 )
 
@@ -440,13 +441,28 @@ def _disjoint_runs(tree, rng, tries=4):
     return [s.sibling_run for s in sorted(spans, key=lambda s: s.leaf_start)]
 
 
+def _assert_shares_nothing(rebuilt, tree):
+    """No column list of a rebuilt tree is one of its input's, and the
+    input's cached seed order did not come along."""
+    inputs = {id(column) for column in tree_columns(tree).values()}
+    assert not any(id(column) in inputs for column in tree_columns(rebuilt).values())
+    assert "seed_order" not in vars(rebuilt)
+
+
 def _assert_rebuilds_match_reference(tree, rng):
     assert tree_columns(tree) == oracle_columns(oracle_nesting(tree)[0])
     runs = _disjoint_runs(tree, rng)
+    assert tree.seed_order is not None  # cached on the input before it is rebuilt
     for run in runs:
-        assert tree_columns(tree_from_run(tree, run)) == oracle_columns(oracle_from_run(tree, run))
+        segment = tree_from_run(tree, run)
+        assert tree_columns(segment) == oracle_columns(oracle_from_run(tree, run))
+        _assert_shares_nothing(segment, tree)
     folded = tree_with_runs_folded(tree, runs)
     assert tree_columns(folded) == oracle_columns(oracle_nesting(tree, runs)[0])
+    _assert_shares_nothing(folded, tree)
+    whole = tree_with_runs_folded(tree, [(0,)])  # no column changes
+    assert tree_columns(whole) == tree_columns(tree)
+    _assert_shares_nothing(whole, tree)
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
@@ -462,6 +478,60 @@ def test_rebuilds_match_reference_on_real_trees(tree_set, parsed_corpus):
     rng = random.Random(1)
     for tree in _seed_test_trees(tree_set, parsed_corpus):
         _assert_rebuilds_match_reference(tree, rng)
+
+
+def _pick_branch(tree, length):
+    """Which list the reference seed pick draws from at this length."""
+    counts = [tree.leaf_counts[row] for row in tree.seed_nodes]
+    if any(max(1.0, length / 2) <= count <= length for count in counts):
+        return "window"
+    if any(count <= length for count in counts):
+        return "largest"
+    return "leaf" if tree.seed_leaves else "empty"
+
+
+def _assert_pick_matches_reference(tree, length, seed):
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    try:
+        expected = reference_pick_seed(tree, length, reference_rng)
+    except EmptyTree:
+        with pytest.raises(EmptyTree):
+            _pick_seed(tree, length, rng)
+    else:
+        assert _pick_seed(tree, length, rng) == expected
+    assert rng.getstate() == reference_rng.getstate()
+    return _pick_branch(tree, length)
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=200, deadline=None)
+@given(text=_SEED_TEXT, lengths=st.lists(st.integers(min_value=1, max_value=60), min_size=1,
+                                         max_size=4), seed=st.integers(min_value=0, max_value=999))
+@example(text="f(x, (1 ] ;\n{ if x: (\n  y) } }", lengths=[1, 3, 7, 40], seed=0)
+@example(text="   \n(", lengths=[1], seed=0)  # no seed outside the error region
+@example(text="x y z", lengths=[2], seed=0)  # every group too long: a seed leaf
+@example(text="(x) y y y y y", lengths=[7], seed=0)  # only a short group fits
+def test_seed_pick_matches_reference(lang, text, lengths, seed):
+    tree = parse(text, lang)
+    for length in lengths:  # later picks read the cached count order
+        _assert_pick_matches_reference(tree, length, seed)
+
+
+@pytest.mark.parametrize("tree_set", ["corpus", "deep", "truncated"])
+def test_seed_pick_matches_reference_on_real_trees(tree_set, parsed_corpus):
+    trees = _seed_test_trees(tree_set, parsed_corpus)
+    branches = set()
+    for i, tree in enumerate(trees):
+        lengths = {1, 2, 3, 5, 8, 13, 40, 150, 400, 800, tree.leaf_count}
+        counts = sorted({tree.leaf_counts[row] for row in tree.seed_nodes})
+        lengths |= set(counts[:3])
+        # past twice a count and short of the next: no window, a largest fit
+        lengths |= {2 * a + 1 for a, b in zip(counts, counts[1:]) if b > 2 * a + 1}
+        for length in sorted(lengths - {0}):
+            branches.add(_assert_pick_matches_reference(tree, length, i))
+    assert {"window", "largest", "leaf"} <= branches
+    empty = parse("   \n(", "python")
+    assert _assert_pick_matches_reference(empty, 5, 0) == "empty"
 
 
 # lines of words, brackets and separators at mixed indents, so that the
