@@ -23,10 +23,13 @@ UNMASKED = "unmasked"
 
 @dataclass(frozen=True)
 class MaskingPlan:
-    mutual_identifiers: frozenset[str]
-    decisions: dict[str, str]
+    decisions: dict[str, str]  # one per mutual identifier
     skip_pair: bool
     alias_map: dict[str, str]
+
+    @property
+    def mutual_identifiers(self) -> frozenset[str]:
+        return frozenset(self.decisions)
 
 
 def _first_occurrence(tokens: list[Token]) -> dict[str, int]:
@@ -56,8 +59,7 @@ def plan_masking(context: list[Token], target: list[Token], rng: random.Random,
     ctx_order, tgt_order = _first_occurrence(context), _first_occurrence(target)
     mutuals = sorted(ctx_order.keys() & tgt_order.keys())
     if rng.random() < skip_pair_prob:
-        return MaskingPlan(frozenset(mutuals), dict.fromkeys(mutuals, UNMASKED),
-                           skip_pair=True, alias_map={})
+        return MaskingPlan(dict.fromkeys(mutuals, UNMASKED), skip_pair=True, alias_map={})
 
     decisions: dict[str, str] = {}
     for name in mutuals:
@@ -76,7 +78,7 @@ def plan_masking(context: list[Token], target: list[Token], rng: random.Random,
             k += 1
         alias_map[name] = f"VAR{k}"
         k += 1
-    return MaskingPlan(frozenset(mutuals), decisions, skip_pair=False, alias_map=alias_map)
+    return MaskingPlan(decisions, skip_pair=False, alias_map=alias_map)
 
 
 def _mask_side(side: str, tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:

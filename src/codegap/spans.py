@@ -35,8 +35,7 @@ class SpanSelection:
 
     @property
     def leaf_end(self) -> int:
-        last = self.sibling_run[-1]
-        return self.tree.first_leaf[last] + self.tree.leaf_counts[last]
+        return self.tree.first_leaf[self.tree.subtree_end[self.sibling_run[-1]]]
 
     @property
     def leaf_count(self) -> int:
@@ -56,7 +55,11 @@ def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
     """A seed node of leaf count in [length / 2, length], else of the largest
     count that fits (bisected out of the count order, then drawn from in
     preorder), else a seed leaf."""
-    order, count = tree.seed_order, tree.leaf_counts.__getitem__
+    order, first, end = tree.seed_order, tree.first_leaf, tree.subtree_end
+
+    def count(row: int) -> int:
+        return first[end[row]] - first[row]
+
     fits = bisect.bisect_right(order, length, key=count)
     start = bisect.bisect_left(order, max(1.0, length / 2), hi=fits, key=count)
     if start == fits and fits:  # ties of the largest count that fits
@@ -70,24 +73,30 @@ def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
 
 
 def _sibling(tree: SyntaxTree, run: list[int], following: bool) -> int:
-    """The row beside the run in the given direction, or -1."""
-    if not following:
-        return tree.prev_sibling[run[0]]
-    up = tree.parent[run[0]]
-    after = tree.subtree_end[run[-1]]
-    return after if up >= 0 and after < tree.subtree_end[up] else -1
+    """The row beside the run in the given direction, or -1. Unless the run
+    starts its parent's children, the row before it lies under the sibling."""
+    parent = tree.parent
+    up = parent[run[0]]
+    if following:
+        after = tree.subtree_end[run[-1]]
+        return after if up >= 0 and after < tree.subtree_end[up] else -1
+    if run[0] == up + 1:  # the first child, or the root
+        return -1
+    row = run[0] - 1
+    while parent[row] != up:
+        row = parent[row]
+    return row
 
 
 def _expand(tree: SyntaxTree, seed: int, length: int) -> list[int]:
-    kinds, counts = tree.kinds, tree.leaf_counts
+    kinds, parent = tree.kinds, tree.parent
+    first, end = tree.first_leaf, tree.subtree_end
     run = [seed]
-    count = counts[seed]
     follow_first = True
     while True:
-        up = tree.parent[run[0]]
-        if up >= 0 and kinds[up] != "error" and counts[up] <= length:
+        up = parent[run[0]]
+        if up >= 0 and kinds[up] != "error" and first[end[up]] - first[up] <= length:
             run = [up]
-            count = counts[up]
             continue
         placed = None
         for following in (follow_first, not follow_first):
@@ -95,7 +104,8 @@ def _expand(tree: SyntaxTree, seed: int, length: int) -> list[int]:
             # a bracket leaf's kind is its text
             if sib < 0 or kinds[sib] == "error" or kinds[sib] in BRACKET_TEXTS:
                 continue
-            if count + counts[sib] <= length:
+            lo, hi = (run[0], sib) if following else (sib, run[-1])
+            if first[end[hi]] - first[lo] <= length:  # the leaves of the run and sib
                 placed = (sib, following)
                 break
         if placed is None:
@@ -105,20 +115,14 @@ def _expand(tree: SyntaxTree, seed: int, length: int) -> list[int]:
             run.append(sib)
         else:
             run.insert(0, sib)
-        count += counts[sib]
         follow_first = not follow_first
-        if (up >= 0 and tree.prev_sibling[run[0]] < 0
-                and tree.subtree_end[run[-1]] == tree.subtree_end[up]):
-            if counts[up] <= length:
+        if up >= 0 and run[0] == up + 1 and end[run[-1]] == end[up]:
+            if first[end[up]] - first[up] <= length:
                 run = [up]
-                count = counts[up]
             else:
                 # a run of every child would re-create the block without its
                 # delimiters; roll the last addition back and stop
-                if following:
-                    run.pop()
-                else:
-                    run.pop(0)
+                del run[-1 if following else 0]
                 return run
 
 
@@ -174,7 +178,7 @@ def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
     if span.tree is not tree:
         raise SpanMismatch("span does not belong to this tree")
     for prev, row in zip(span.sibling_run, span.sibling_run[1:]):
-        if tree.prev_sibling[row] != prev:
+        if tree.subtree_end[prev] != row or tree.parent[prev] != tree.parent[row]:
             raise SpanMismatch("sibling run is not a consecutive run")
 
 

@@ -47,22 +47,21 @@ _NO_SEED_LEAF_KINDS = WHITESPACE_KINDS | BRACKET_TEXTS
 class SyntaxTree:
     """A parsed file as preorder rows in parallel lists; row 0 is the
     program root. The subtree of row r is rows r:subtree_end[r] and covers
-    leaves[first_leaf[r]:][:leaf_counts[r]]. `parent` and `prev_sibling`
-    hold -1 where there is none. `seed_nodes` (group rows below the root) and
-    `seed_leaves` (leaf rows that are not whitespace, newline or a bracket
-    token) are the span seed candidates, in preorder, with error subtrees
-    left out; `seed_order` ranks the seed nodes by leaf count. Parse numbers
-    the rows in one pass, and truncation slices them out of the parsed
-    tree's. Rows are plain ints, so a tree holds no reference cycle."""
+    leaves[first_leaf[r]:first_leaf[subtree_end[r]]]; `first_leaf` ends in
+    one extra entry, len(leaves). The root's `parent` is -1. `seed_nodes`
+    (group rows below the root) and `seed_leaves` (leaf rows that are not
+    whitespace, newline or a bracket token) are the span seed candidates,
+    in preorder, with error subtrees left out; `seed_order` ranks the seed
+    nodes by leaf count. Parse numbers the rows in one pass, and truncation
+    slices them out of the parsed tree's. Rows are plain ints, so a tree
+    holds no reference cycle."""
 
     language: Language
     leaves: list[Token]
     kinds: list[str]
     first_leaf: list[int]
-    leaf_counts: list[int]
     subtree_end: list[int]
     parent: list[int]
-    prev_sibling: list[int]
     seed_nodes: list[int]
     seed_leaves: list[int]
 
@@ -70,12 +69,13 @@ class SyntaxTree:
         return range(len(self.kinds))
 
     def is_leaf(self, row: int) -> bool:
-        return self.subtree_end[row] == row + 1 and self.leaf_counts[row] == 1
+        return self.first_leaf[row + 1] > self.first_leaf[row]  # only a leaf row takes a leaf
 
     @cached_property
     def seed_order(self) -> list[int]:
         """`seed_nodes` by (leaf count, preorder), sorted on first use."""
-        return sorted(self.seed_nodes, key=self.leaf_counts.__getitem__)
+        first, end = self.first_leaf, self.subtree_end
+        return sorted(self.seed_nodes, key=lambda r: first[end[r]] - first[r])
 
     @property
     def source(self) -> str:
@@ -89,34 +89,26 @@ class SyntaxTree:
 def _number_rows(language: Language, kinds: list[str], tokens: list[Token | None],
                  parents: list[int]) -> SyntaxTree:
     """Number rows given in preorder as parallel columns, row 0 being the
-    program root; a group row has no token. One pass fills the subtree ends,
-    leaf counts, sibling links and span seeds; the tree keeps `kinds` and
-    `parents` as its columns."""
+    program root; a group row has no token. One pass closes the subtree ends
+    and lists the span seeds; the tree keeps `kinds` and `parents` as its
+    columns."""
     n = len(kinds)
     leaves = [tok for tok in tokens if tok is not None]
     first = list(accumulate([tok is not None for tok in tokens], initial=0))
-    first.pop()
     # one int object per row number, shared by every column that names rows
-    ids = list(range(-1, n + 1))
-    # a leaf closes itself, and a row's previous sibling is the row before
-    # it unless the loop finds otherwise
-    end, counts, prev = ids[2:], [1] * n, ids[:n]
+    ids = list(range(n + 1))
+    end = ids[1:]  # a leaf closes itself
     seed_nodes: list[int] = []
     seed_leaves: list[int] = []
     open_rows = [0]  # the groups on the path from the root to the last row
     error_row = -1  # the open error row that no other error row encloses
-    for row in ids[2:n + 1]:  # rows 1 to n - 1
+    for row in ids[1:n]:
         up = parents[row]
-        if open_rows[-1] != up:
-            while open_rows[-1] != up:  # close the groups that do not enclose this row
-                before = open_rows.pop()
-                end[before] = row
-                counts[before] = first[row] - first[before]
-                if before == error_row:
-                    error_row = -1
-            prev[row] = before
-        elif row - 1 == up:
-            prev[row] = -1
+        while open_rows[-1] != up:  # close the groups that do not enclose this row
+            before = open_rows.pop()
+            end[before] = row
+            if before == error_row:
+                error_row = -1
         if tokens[row] is not None:
             if error_row < 0 and kinds[row] not in _NO_SEED_LEAF_KINDS:
                 seed_leaves.append(row)
@@ -129,9 +121,7 @@ def _number_rows(language: Language, kinds: list[str], tokens: list[Token | None
                 seed_nodes.append(row)
     for row in open_rows:
         end[row] = n
-        counts[row] = len(leaves) - first[row]
-    return SyntaxTree(language, leaves, kinds, first, counts, end, parents, prev,
-                      seed_nodes, seed_leaves)
+    return SyntaxTree(language, leaves, kinds, first, end, parents, seed_nodes, seed_leaves)
 
 
 # --------------------------------------------------------------------------
@@ -452,63 +442,57 @@ def tree_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> SyntaxTree:
     under the run are one range, so each column is a slice of the tree's
     shifted by a constant, and the seeds are bisected out of its seed lists
     (a selected run lies outside error subtrees)."""
-    start, last = run[0], run[-1]
-    stop, lo = tree.subtree_end[last], tree.first_leaf[start]
-    hi = tree.first_leaf[last] + tree.leaf_counts[last]
+    start, stop = run[0], tree.subtree_end[run[-1]]
+    lo, hi = tree.first_leaf[start], tree.first_leaf[stop]
     shift = 1 - start  # old row r is new row r + shift
-    first, counts, ends, parent, prev = [0], [hi - lo], [stop + shift], [-1], [-1, -1]
-    first += [i - lo for i in tree.first_leaf[start:stop]]
-    counts += tree.leaf_counts[start:stop]
+    first, ends, parent = [0], [stop + shift], [-1]
+    first += [i - lo for i in tree.first_leaf[start:stop + 1]]  # stop's entry, hi, is the sentinel
     ends += [r + shift for r in tree.subtree_end[start:stop]]
     parent += [r + shift for r in tree.parent[start:stop]]
     for row in run:
         parent[row + shift] = 0
-    prev += [r + shift if r >= 0 else -1 for r in tree.prev_sibling[start + 1:stop]]
     seed_nodes = [1] if start == 0 else []  # the old root is now a group below the root
     seed_nodes += _seeds_in(tree.seed_nodes, start, stop, shift)
     return SyntaxTree(tree.language, tree.leaves[lo:hi], ["program", *tree.kinds[start:stop]],
-                      first, counts, ends, parent, prev, seed_nodes,
+                      first, ends, parent, seed_nodes,
                       _seeds_in(tree.seed_leaves, start, stop, shift))
 
 
 def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> SyntaxTree:
     """The tree with each sibling run, given in file order, replaced by one
     fold leaf in the row of its first member. Kept rows are slices shifted
-    by the rows and leaves that earlier folds removed, parents and previous
-    siblings map through one old -> new row list, and only a fold's
-    ancestors have their subtree ends and leaf counts cut. The root has no
-    place to fold into, so a run of the root alone leaves the tree whole."""
+    by the rows and leaves that earlier folds removed, parents map through
+    one old -> new row list, and only a fold's ancestors have their subtree
+    ends cut. The root has no place to fold into, so a run of the root alone
+    leaves the tree whole."""
     n = len(tree.kinds)
     new_row = [-1] * (n + 1)  # the extra last slot maps "no row", -1, to itself
-    kinds, leaves, first, counts, ends, parent, prev, seed_nodes, seed_leaves = [[] for _ in range(9)]
+    kinds, leaves, first, ends, parent, seed_nodes, seed_leaves = [[] for _ in range(7)]
     start = leaf = 0  # the first row and leaf of the piece kept next
     for run in [*(run for run in runs if run[0] > 0), (n,)]:
         cut, stop = run[0], min(run[0] + 1, n)
-        cut_leaf = tree.first_leaf[cut] if cut < n else len(tree.leaves)
+        cut_leaf = tree.first_leaf[cut]
         shift, leaf_shift = len(kinds) - start, len(leaves) - leaf
         new_row[start:stop] = range(start + shift, stop + shift)
         kinds += tree.kinds[start:stop]
         first += [i + leaf_shift for i in tree.first_leaf[start:stop]]
         leaves += tree.leaves[leaf:cut_leaf]
-        counts += tree.leaf_counts[start:stop]
         ends += [r + shift for r in tree.subtree_end[start:stop]]
         parent += map(new_row.__getitem__, tree.parent[start:stop])
-        prev += map(new_row.__getitem__, tree.prev_sibling[start:stop])
         seed_nodes += _seeds_in(tree.seed_nodes, start, cut, shift)
         seed_leaves += _seeds_in(tree.seed_leaves, start, cut, shift)
         if cut == n:
             break
-        row = new_row[run[-1]] = cut + shift
-        kinds[row], counts[row], ends[row] = "fold", 1, row + 1
+        row = cut + shift
+        kinds[row], ends[row] = "fold", row + 1
         leaves.append(make_marker(FOLD_TOKEN, "fold", at=tree.leaves[cut_leaf]))
         start = tree.subtree_end[run[-1]]
-        leaf = tree.first_leaf[run[-1]] + tree.leaf_counts[run[-1]]
+        leaf = tree.first_leaf[start]
         seed, up = True, row  # a seed leaf unless it lies in an error subtree
         while (up := parent[up]) >= 0:
             ends[up] -= start - cut - 1
-            counts[up] -= leaf - cut_leaf - 1
             seed = seed and kinds[up] != "error"
         if seed:
             seed_leaves.append(row)
-    return SyntaxTree(tree.language, leaves, kinds, first, counts, ends, parent, prev,
-                      seed_nodes, seed_leaves)
+    first.append(len(leaves))
+    return SyntaxTree(tree.language, leaves, kinds, first, ends, parent, seed_nodes, seed_leaves)

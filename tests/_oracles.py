@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +38,7 @@ from codegap.errors import (
     ZeroVector,
 )
 from codegap.languages import FOLD_TOKEN, Language
+from codegap.spans import _sibling
 from codegap.tokenizer import MATCHING_BRACKET, OPEN_BRACKETS, Token, make_marker
 from codegap.tree import (
     _KIND_ALIASES,
@@ -262,8 +263,8 @@ def reference_plan_masking(mutuals: set[str], rng: random.Random,
         raise ValueError("probabilities must lie in [0, 1]")
     mutuals_frozen = frozenset(mutuals)
     if rng.random() < skip_pair_prob:
-        return MaskingPlan(mutuals_frozen, {m: UNMASKED for m in sorted(mutuals_frozen)},
-                           skip_pair=True, alias_map={})
+        return MaskingPlan({m: UNMASKED for m in sorted(mutuals_frozen)}, skip_pair=True,
+                           alias_map={})
 
     decisions: dict[str, str] = {}
     for name in sorted(mutuals_frozen):
@@ -292,7 +293,7 @@ def reference_plan_masking(mutuals: set[str], rng: random.Random,
             k += 1
         alias_map[name] = f"VAR{k}"
         k += 1
-    return MaskingPlan(mutuals_frozen, decisions, skip_pair=False, alias_map=alias_map)
+    return MaskingPlan(decisions, skip_pair=False, alias_map=alias_map)
 
 
 def _reference_mask_side(tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
@@ -475,13 +476,14 @@ def oracle_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> tuple:
 
 
 def oracle_columns(root: tuple) -> dict[str, list]:
-    """Preorder columns of a nesting, the root as row 0: kind, first leaf,
-    leaf count, subtree end, parent, previous sibling, the leaves, and the
-    seed rows (groups below the root; leaves that are no blank or bracket
-    token), with error subtrees left out of the seeds."""
+    """Preorder columns of a nesting, the root as row 0: kind, first leaf
+    (with one more entry, the leaf total), leaf count, subtree end, parent,
+    previous and next sibling, the leaves, and the seed rows (groups below
+    the root; leaves that are no blank or bracket token), with error
+    subtrees left out of the seeds."""
     cols: dict[str, list] = {key: [] for key in (
         "kinds", "first_leaf", "leaf_counts", "subtree_end", "parent", "prev_sibling",
-        "leaves", "seed_nodes", "seed_leaves")}
+        "next_sibling", "leaves", "seed_nodes", "seed_leaves")}
     frames: list[list] = []  # per open group: children iterator, row, last child row, blocked
 
     def enter(node: tuple, up: int, before: int, blocked: bool) -> int:
@@ -489,8 +491,10 @@ def oracle_columns(root: tuple) -> dict[str, list]:
         kind, body = node
         for key, value in (("kinds", kind), ("first_leaf", len(cols["leaves"])),
                            ("leaf_counts", 1), ("subtree_end", row + 1), ("parent", up),
-                           ("prev_sibling", before)):
+                           ("prev_sibling", before), ("next_sibling", -1)):
             cols[key].append(value)
+        if before >= 0:
+            cols["next_sibling"][before] = row
         blocked = blocked or kind == "error"
         if isinstance(body, list):
             if row > 0 and not blocked:
@@ -514,15 +518,30 @@ def oracle_columns(root: tuple) -> dict[str, list]:
             cols["subtree_end"][row] = len(cols["kinds"])
             continue
         frame[2] = enter(child, frame[1], frame[2], frame[3])
+    cols["first_leaf"].append(len(cols["leaves"]))
     return cols
 
 
+def stored_columns(tree: SyntaxTree) -> dict[str, list]:
+    """The column lists a SyntaxTree holds."""
+    return {f.name: getattr(tree, f.name) for f in fields(tree) if f.name != "language"}
+
+
+def leaf_counts(tree: SyntaxTree) -> list[int]:
+    """Each row's leaf count, derived from the first-leaf column, whose last
+    entry closes the subtrees that end with the tree."""
+    first, end = tree.first_leaf, tree.subtree_end
+    return [first[end[row]] - first[row] for row in tree.walk()]
+
+
 def tree_columns(tree: SyntaxTree) -> dict[str, list]:
-    """The same columns read off a SyntaxTree."""
-    return {"kinds": tree.kinds, "first_leaf": tree.first_leaf,
-            "leaf_counts": tree.leaf_counts, "subtree_end": tree.subtree_end,
-            "parent": tree.parent, "prev_sibling": tree.prev_sibling, "leaves": tree.leaves,
-            "seed_nodes": tree.seed_nodes, "seed_leaves": tree.seed_leaves}
+    """The columns of `oracle_columns` read off a SyntaxTree: the stored
+    ones, the derived leaf counts, and each row's siblings by span growth's
+    own step."""
+    rows = tree.walk()
+    return {**stored_columns(tree), "leaf_counts": leaf_counts(tree),
+            "prev_sibling": [_sibling(tree, [row], False) for row in rows],
+            "next_sibling": [_sibling(tree, [row], True) for row in rows]}
 
 
 def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[int], list[int]]:
@@ -534,7 +553,7 @@ def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[int], list[int]]:
 def reference_pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
     """The span seed as it was picked before the count order: scans of the
     seed lists on every call, drawing from the same lists in preorder."""
-    counts = tree.leaf_counts
+    counts = leaf_counts(tree)
     lo = max(1.0, length / 2)
     window = [r for r in tree.seed_nodes if lo <= counts[r] <= length]
     if window:

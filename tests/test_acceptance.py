@@ -20,6 +20,7 @@ from _oracles import (
     grad_check,
     identifier_tokens,
     info_nce,
+    leaf_counts,
     tokens_balanced,
 )
 from codegap.contrastive import ToyEncoder
@@ -141,11 +142,11 @@ def test_syntactic_completeness(trees):
         for row in span.sibling_run:
             if prev is not None:
                 assert tree.parent[row] == tree.parent[prev]
-                assert tree.prev_sibling[row] == prev
+                assert tree.subtree_end[prev] == row  # the next sibling
             prev = row
         first, last = span.sibling_run[0], span.sibling_run[-1]
         assert tree.first_leaf[first] == span.leaf_start
-        assert tree.first_leaf[last] + tree.leaf_counts[last] == span.leaf_start + span.leaf_count
+        assert tree.first_leaf[last] + leaf_counts(tree)[last] == span.leaf_start + span.leaf_count
         # balanced grammar delimiters over the target tokens
         assert tokens_balanced(tree.leaves[span.leaf_start:span.leaf_end])
         checked += 1

@@ -628,6 +628,10 @@ def test_count_below_one_is_data_error(small_corpus, tmp_path, capsys, key, flag
     assert not (tmp_path / "out").exists()
 
 
+# keys that only train-toy reads
+_TRAIN_KEYS = {"dim", "buckets", "tau", "lr", "warmup_frac", "decay_power", "valid_cap", "steps"}
+
+
 @pytest.fixture(scope="module")
 def small_shards(small_corpus, tmp_path_factory):
     shards = tmp_path_factory.mktemp("cli_shards")
@@ -649,12 +653,17 @@ def small_shards(small_corpus, tmp_path_factory):
     ("mean_target_len", "--mean", float("inf")),
     ("stddev_target_len", "--stddev", float("inf")),
     ("stddev_target_len", "--stddev", float("nan")),
+    ("tau", "--tau", float("inf")),
+    ("lr", "--lr", float("nan")),
+    ("lr", "--lr", 0),
+    ("min_target_len", "--min-len", 0),
+    ("min_target_len", "--min-len", 600),  # above the default max_target_len, 512
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys,
                                           key, flag, value, source):
     out = tmp_path / "out"
-    if key in ("dim", "buckets", "tau", "valid_cap", "steps"):
+    if key in _TRAIN_KEYS:
         args = ["train-toy", "--shards", str(small_shards), "--out", str(out)]
         if key != "steps":
             args += ["--steps", "2"]
@@ -679,16 +688,26 @@ def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, 
     ({"segment_min_len": 900}, ["segment_min_len", "segment_max_len"]),
     ({"segment_min_len": 300, "segment_max_len": 200}, ["segment_min_len", "segment_max_len"]),
     ({"max_span_attempts": 0}, ["max_span_attempts"]),
+    ({"min_target_len": 40, "max_target_len": 20}, ["min_target_len", "max_target_len"]),
+    ({"warmup_frac": -5}, ["warmup_frac"]),
+    ({"warmup_frac": 1.5}, ["warmup_frac"]),
+    ({"decay_power": -3}, ["decay_power"]),
+    ({"decay_power": float("inf")}, ["decay_power"]),
 ])
-def test_config_only_value_out_of_range_is_data_error(small_corpus, tmp_path, capsys, config,
-                                                      keys):
-    # these keys have no flag; segment lengths are drawn only once a file
-    # passes the truncation threshold, so a low threshold would reach them
+def test_config_only_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys,
+                                                      config, keys):
+    # these keys have no flag, or are out of range only as a pair; segment
+    # lengths are drawn only once a file passes the truncation threshold, so
+    # a low threshold would reach them
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"truncation_threshold": 50, **config}), encoding="utf-8")
     out = tmp_path / "out"
+    if config.keys() & _TRAIN_KEYS:
+        args = ["train-toy", "--shards", str(small_shards), "--out", str(out), "--steps", "2"]
+    else:
+        args = ["pairs", "--roots", str(small_corpus), "--out", str(out)]
     capsys.readouterr()
-    assert main(["--config", str(cfg), "pairs", "--roots", str(small_corpus), "--out", str(out)]) == 2
+    assert main(["--config", str(cfg), *args]) == 2
     err = capsys.readouterr().err
     assert all(repr(key) in err for key in keys)
     assert not out.exists()

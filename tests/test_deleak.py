@@ -179,8 +179,7 @@ def test_apply_masking_skip_pair_is_identity():
 ], ids=["context", "target"])
 def test_apply_masking_alias_collision_detected(side, context_src, target_src, decision):
     ctx, tgt = make_pair(context_src, target_src)
-    bogus = MaskingPlan(frozenset({"bar"}), {"bar": decision},
-                        skip_pair=False, alias_map={"bar": "VAR1"})
+    bogus = MaskingPlan({"bar": decision}, skip_pair=False, alias_map={"bar": "VAR1"})
     with pytest.raises(AliasCollision, match=side):
         apply_masking(ctx, tgt, bogus)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_read_jsonl_objects, tokens_balanced, tree_columns
+from _oracles import reference_read_jsonl_objects, stored_columns, tokens_balanced, tree_columns
 from codegap.errors import SchemaError
 from codegap.pipeline import (
     PairRecord,
@@ -145,10 +145,8 @@ def test_truncation_never_folds_the_whole_file(python_lang, seed):
 
 
 def _preorder_shape(tree):
-    return [(row, tree.kinds[row], tree.first_leaf[row], tree.leaf_counts[row],
-             tree.subtree_end[row], tree.parent[row], tree.prev_sibling[row],
-             tree.leaves[tree.first_leaf[row]] if tree.is_leaf(row) else None)
-            for row in tree.walk()] + [tree.seed_nodes[:], tree.seed_leaves[:]]
+    """A copy of every stored and derived column."""
+    return {key: column[:] for key, column in tree_columns(tree).items()}
 
 
 def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):
@@ -165,9 +163,9 @@ def test_truncate_file_leaves_input_tree_unchanged(parsed_corpus):
         # the rebuilt trees share no column list, nor the seed order cached
         # on the input while truncation picked from it
         assert "seed_order" in vars(tree)
-        inputs = {id(column) for column in tree_columns(tree).values()}
+        inputs = {id(column) for column in stored_columns(tree).values()}
         for rebuilt in (result.shortened, *result.segments):
-            assert not any(id(column) in inputs for column in tree_columns(rebuilt).values())
+            assert not any(id(column) in inputs for column in stored_columns(rebuilt).values())
             assert "seed_order" not in vars(rebuilt)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import child_rows, make_tree, tokens_balanced
+from _oracles import child_rows, leaf_counts, make_tree, tokens_balanced
 from codegap.errors import EmptyTree, InvalidBounds, SpanMismatch
 from codegap.languages import MASK_TOKEN
 from codegap.pipeline import PipelineConfig
@@ -71,7 +71,7 @@ def test_expansion_example_three_siblings(python_lang):
     a, b, c = child_rows(tree)[0]
     run = _expand(tree, b, 8)
     assert run == [a, b]
-    assert tree.first_leaf[run[-1]] + tree.leaf_counts[run[-1]] - tree.first_leaf[run[0]] == 8
+    assert tree.first_leaf[run[-1]] + leaf_counts(tree)[run[-1]] - tree.first_leaf[run[0]] == 8
 
 
 def test_expansion_collapses_to_parent_when_it_fits(python_lang):
@@ -79,7 +79,7 @@ def test_expansion_collapses_to_parent_when_it_fits(python_lang):
     b = child_rows(tree)[0][1]
     run = _expand(tree, b, 12)
     assert run == [0]
-    assert tree.leaf_counts[0] == 12
+    assert leaf_counts(tree)[0] == 12
 
 
 def test_single_leaf_tree_selects_root():
@@ -117,7 +117,7 @@ def test_selected_spans_respect_budget_and_structure(parsed_corpus):
                 assert tree.kinds[row] != "error"
                 if prev is not None:
                     assert tree.parent[row] == tree.parent[prev]
-                    assert tree.prev_sibling[row] == prev
+                    assert tree.subtree_end[prev] == row  # the next sibling
                 prev = row
             assert tokens_balanced(tree.leaves[span.leaf_start:span.leaf_end])
 
@@ -164,6 +164,19 @@ def test_split_rejects_foreign_span():
     span = select_span(tree_a, 4, random.Random(0))
     with pytest.raises(SpanMismatch):
         split(tree_b, span)
+
+
+def test_split_rejects_run_of_non_siblings(python_lang):
+    # rows: 0 program, 1 A, 2 P, 3-4 leaves, 5 Q, 6 leaf, 7 B, 8 leaf
+    tree = make_tree(("program", [("A", [("P", [2]), ("Q", [1])]), ("B", [1])]), python_lang)
+    assert child_rows(tree)[0] == [1, 7] and child_rows(tree)[1] == [2, 5]
+    for run in ((2, 5), (1, 7)):
+        context, target = split(tree, SpanSelection(tree, run))
+        assert [t.text for t in splice_tokens(context, target)] == [t.text for t in tree.leaves]
+    # Q's subtree ends where B starts, but B is A's sibling, not Q's
+    for run in ((5, 7), (2, 7), (2, 5, 7)):
+        with pytest.raises(SpanMismatch):
+            split(tree, SpanSelection(tree, run))
 
 
 def test_retry_gives_up_on_whitespace_only_file():

@@ -2,6 +2,7 @@ import glob
 import hashlib
 import random
 import sysconfig
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from codegap.languages import (
     supported_languages,
 )
 from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
-from codegap.spans import _pick_seed, select_span
+from codegap.spans import _pick_seed, _sibling, select_span
 from codegap.tokenizer import tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
@@ -35,6 +36,7 @@ from codegap.tree import (
 from _oracles import (
     OracleToken,
     child_rows,
+    leaf_counts,
     oracle_columns,
     oracle_eligible_nodes,
     oracle_from_run,
@@ -43,6 +45,7 @@ from _oracles import (
     reference_indentation_of,
     reference_nesting_columns,
     reference_pick_seed,
+    stored_columns,
     tree_columns,
 )
 
@@ -54,7 +57,7 @@ def roundtrip(tree, source):
 def test_empty_input_has_zero_leaves():
     tree = parse("", "java")
     assert tree.leaf_count == 0
-    assert tree.leaf_counts[0] == 0
+    assert leaf_counts(tree) == [0]
 
 
 def test_simple_python_roundtrip():
@@ -69,16 +72,16 @@ def test_corpus_roundtrip_and_ranges(lang, parsed_corpus):
     assert trees
     for tree in trees:
         assert roundtrip(tree, tree.source)
-        kids = child_rows(tree)
+        kids, counts = child_rows(tree), leaf_counts(tree)
         for row in tree.walk():
             if tree.is_leaf(row):
-                assert tree.leaf_counts[row] == 1
+                assert counts[row] == 1
                 continue
             pos = tree.first_leaf[row]
             for child in kids[row]:
                 assert tree.first_leaf[child] == pos
-                pos += tree.leaf_counts[child]
-            assert pos == tree.first_leaf[row] + tree.leaf_counts[row]
+                pos += counts[child]
+            assert pos == tree.first_leaf[row] + counts[row]
 
 
 def test_byte_ranges_tile_the_source(parsed_corpus):
@@ -181,9 +184,9 @@ def test_c_for_statement_covers_whole_statement():
     fors = [row for row in tree.walk() if tree.kinds[row] == "for_statement"]
     assert len(fors) == 1
     row = fors[0]
-    start = tree.first_leaf[row]
-    assert "".join(t.text for t in tree.leaves[start:start + tree.leaf_counts[row]]) == src
-    assert tree.leaf_counts[row] == tree.leaf_count
+    start, count = tree.first_leaf[row], leaf_counts(tree)[row]
+    assert "".join(t.text for t in tree.leaves[start:start + count]) == src
+    assert count == tree.leaf_count
 
 
 def test_identifier_occurrences_matches_brute_force(parsed_corpus):
@@ -310,9 +313,9 @@ CORPUS_TREE_SHAPES_SHA256 = "3e282d5b4cbe3a84301c27d1296dd6ea597cba4cbb0a670e8cf
 def test_corpus_tree_shapes_match_golden_digest(parsed_corpus):
     digest = hashlib.sha256()
     for _, tree in parsed_corpus:
+        counts = leaf_counts(tree)
         for row in tree.walk():
-            digest.update(f"{tree.kinds[row]} {tree.first_leaf[row]} {tree.leaf_counts[row]}\n"
-                          .encode())
+            digest.update(f"{tree.kinds[row]} {tree.first_leaf[row]} {counts[row]}\n".encode())
         digest.update(b"\n")
     assert digest.hexdigest() == CORPUS_TREE_SHAPES_SHA256
 
@@ -337,8 +340,8 @@ def test_deep_nesting_parses_splits_and_truncates(name):
     span = select_span(tree, 64, random.Random(0))
     assert 0 < span.leaf_count <= 64
     first, last = span.sibling_run[0], span.sibling_run[-1]
-    assert (tree.first_leaf[last] + tree.leaf_counts[last] - tree.first_leaf[first]
-            == span.leaf_count)
+    count = leaf_counts(tree)[last] + tree.first_leaf[last] - tree.first_leaf[first]
+    assert count == span.leaf_count
 
     cfg = PipelineConfig()
     assert tree.leaf_count > cfg.truncation_threshold
@@ -376,15 +379,25 @@ def test_seed_lists_match_reference_walk(lang, text):
 
 
 def _assert_parent_map_is_exact(tree):
+    """Parents, leaf ranges and siblings against child lists: a childless
+    row below the root is a leaf and takes the next leaf."""
     rows = list(tree.walk())
-    assert tree.parent[0] == -1 and tree.prev_sibling[0] == -1
-    assert len(tree.parent) == len(tree.prev_sibling) == len(rows)
+    assert tree.parent[0] == -1 and len(tree.parent) == len(rows)
     kids = child_rows(tree)
+    takes = [row > 0 and not kids[row] for row in rows]
+    assert tree.first_leaf == list(accumulate(takes, initial=0))
+    assert tree.first_leaf[-1] == len(tree.leaves)
+    counts = [0] * len(rows)
+    for row in reversed(rows):
+        counts[row] = 1 if takes[row] else sum(counts[child] for child in kids[row])
+    assert leaf_counts(tree) == counts
+    assert _sibling(tree, [0], False) == _sibling(tree, [0], True) == -1
     for row in rows[1:]:
         assert tree.parent[row] < row < tree.subtree_end[tree.parent[row]]
         siblings = kids[tree.parent[row]]
         index = siblings.index(row)
-        assert tree.prev_sibling[row] == (siblings[index - 1] if index else -1)
+        assert _sibling(tree, [row], False) == (siblings[index - 1] if index else -1)
+        assert _sibling(tree, [row], True) == (siblings[index + 1:] or [-1])[0]
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
@@ -444,8 +457,8 @@ def _disjoint_runs(tree, rng, tries=4):
 def _assert_shares_nothing(rebuilt, tree):
     """No column list of a rebuilt tree is one of its input's, and the
     input's cached seed order did not come along."""
-    inputs = {id(column) for column in tree_columns(tree).values()}
-    assert not any(id(column) in inputs for column in tree_columns(rebuilt).values())
+    inputs = {id(column) for column in stored_columns(tree).values()}
+    assert not any(id(column) in inputs for column in stored_columns(rebuilt).values())
     assert "seed_order" not in vars(rebuilt)
 
 
@@ -482,7 +495,7 @@ def test_rebuilds_match_reference_on_real_trees(tree_set, parsed_corpus):
 
 def _pick_branch(tree, length):
     """Which list the reference seed pick draws from at this length."""
-    counts = [tree.leaf_counts[row] for row in tree.seed_nodes]
+    counts = list(map(leaf_counts(tree).__getitem__, tree.seed_nodes))
     if any(max(1.0, length / 2) <= count <= length for count in counts):
         return "window"
     if any(count <= length for count in counts):
@@ -523,7 +536,7 @@ def test_seed_pick_matches_reference_on_real_trees(tree_set, parsed_corpus):
     branches = set()
     for i, tree in enumerate(trees):
         lengths = {1, 2, 3, 5, 8, 13, 40, 150, 400, 800, tree.leaf_count}
-        counts = sorted({tree.leaf_counts[row] for row in tree.seed_nodes})
+        counts = sorted(set(map(leaf_counts(tree).__getitem__, tree.seed_nodes)))
         lengths |= set(counts[:3])
         # past twice a count and short of the next: no window, a largest fit
         lengths |= {2 * a + 1 for a, b in zip(counts, counts[1:]) if b > 2 * a + 1}
