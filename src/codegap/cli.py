@@ -115,7 +115,8 @@ _BOUNDS = {
     **dict.fromkeys(("mask_prob", "skip_pair_prob", "warmup_frac"),
                     ("between 0 and 1", lambda v: 0 <= v <= 1)),
     **dict.fromkeys(("tau", "lr"), ("finite and greater than 0", lambda v: 0 < v < math.inf)),
-    **dict.fromkeys(("valid_cap", "steps"), ("at least 0", lambda v: v >= 0)),
+    **dict.fromkeys(("valid_cap", "steps", "truncation_threshold", "max_extractions", "eval_every"),
+                    ("at least 0", lambda v: v >= 0)),
     # an oversized pair keeps budget // 2 tokens a side, at least one each
     "token_budget": ("at least 2", lambda v: v >= 2),
 }
@@ -214,14 +215,15 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusFile]:
     if args.manifest:
         fields = ("path", "source", "language", "hash", "split")
-        rows = read_jsonl_objects(args.manifest, fields, dict.fromkeys(fields, str))
-        for lineno, obj in rows:
+        files = []
+        for lineno, obj in read_jsonl_objects(args.manifest, fields, dict.fromkeys(fields, str)):
             if obj["split"] not in (TRAIN, VALID):
                 raise SchemaError(f"'split' must be {TRAIN!r} or {VALID!r}", line=lineno)
-        return [CorpusFile(path=Path(obj["path"]), source=obj["source"],
-                           language=obj["language"], content_hash=obj["hash"],
-                           split=obj["split"]) for _, obj in rows
-                if not config.languages or obj["language"] in config.languages]
+            if not config.languages or obj["language"] in config.languages:
+                files.append(CorpusFile(path=Path(obj["path"]), source=obj["source"],
+                                        language=obj["language"], content_hash=obj["hash"],
+                                        split=obj["split"]))
+        return files
     return ingest(args.roots, config, ext_map=_ext_map(args))
 
 
@@ -272,9 +274,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     judgments = load_qrels(args.qrels)
     if args.lexical:
         pool = lexical_pool({tid: c["text"] for tid, c in candidates.items()})
-        lists = [rank_lexical(token_set(q["context"]), pool,
+        lists = (rank_lexical(token_set(q["context"]), pool,
                               exclude=judgments.original.get(qid), query_id=qid)
-                 for qid, q in sorted(queries.items())]
+                 for qid, q in sorted(queries.items()))
         report = evaluate_rankings(lists, judgments)
     elif args.model == "toy":
         if not args.checkpoint:

@@ -38,6 +38,7 @@ DEFAULT_DIM = 256
 DEFAULT_BUCKETS = 1 << 16
 DEFAULT_TAU = 0.1
 CHECKPOINT_FORMAT = 1
+EMBED_ROWS = 32  # texts per block when encoding a side or a validation set
 
 _GRAM_SEP = "\x1f"
 
@@ -99,23 +100,25 @@ class ToyEncoder:
         return ngram_bucket_counts(tokens, self.table)
 
     def encode(self, texts: list[str]) -> np.ndarray:
-        """One unit row per text: all grams through the table and one unique count,
-        then each row its own product over ascending buckets, as if encoded alone."""
-        tokens = [text_tokens(text) for text in texts]
-        if not all(tokens):
-            raise EmptyInput("cannot encode an empty token sequence")
-        grams = [g for t in tokens for g in t + [a + _GRAM_SEP + b for a, b in zip(t, t[1:])]]
-        keys = np.fromiter(map(self.table.__getitem__, grams), dtype=np.int64, count=len(grams))
-        keys += np.repeat(np.arange(len(texts)) * self.buckets, [2 * len(t) - 1 for t in tokens])
-        keys, mult = np.unique(keys, return_counts=True)
-        bounds = np.searchsorted(keys, np.arange(len(texts) + 1) * self.buckets).tolist()
+        """One unit row per text, EMBED_ROWS texts at a time: a block's grams through
+        the table and one unique count, then each row its own product over ascending
+        buckets, as if encoded alone."""
         rows = np.empty((len(texts), self.dim))
-        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-            rows[i] = mult[start:stop] @ self.params[keys[start:stop] % self.buckets]
-            norm = np.linalg.norm(rows[i])
-            if norm == 0.0:
-                raise ZeroVector("degenerate embedding with zero norm")
-            rows[i] /= norm
+        for first in range(0, len(texts), EMBED_ROWS):
+            tokens = [text_tokens(text) for text in texts[first:first + EMBED_ROWS]]
+            if not all(tokens):
+                raise EmptyInput("cannot encode an empty token sequence")
+            grams = [g for t in tokens for g in t + [a + _GRAM_SEP + b for a, b in zip(t, t[1:])]]
+            keys = np.fromiter(map(self.table.__getitem__, grams), dtype=np.int64, count=len(grams))
+            keys += np.repeat(np.arange(len(tokens)) * self.buckets, [2 * len(t) - 1 for t in tokens])
+            keys, mult = np.unique(keys, return_counts=True)
+            bounds = np.searchsorted(keys, np.arange(len(tokens) + 1) * self.buckets).tolist()
+            for i, (start, stop) in enumerate(zip(bounds, bounds[1:]), start=first):
+                rows[i] = mult[start:stop] @ self.params[keys[start:stop] % self.buckets]
+                norm = np.linalg.norm(rows[i])
+                if norm == 0.0:
+                    raise ZeroVector("degenerate embedding with zero norm")
+                rows[i] /= norm
         return rows
 
     def save(self, path: str | Path) -> None:
@@ -153,9 +156,6 @@ class ToyEncoder:
 
 # --------------------------------------------------------------------------
 # packed bucket counts, the batch loss and its analytic gradient
-
-EMBED_ROWS = 32  # texts per dense count block when embedding a validation set
-
 
 class PackedCounts(NamedTuple):
     """Bucket counts of n texts: entry e puts mult[e] at (rows[e], cols[e]) of

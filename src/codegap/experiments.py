@@ -105,8 +105,8 @@ def lexical_training_map(records: list[PairRecord], cap: int) -> float:
     sample = records[:cap]
     pool = lexical_pool({f"t:{r.pair_id}": r.target for r in sample})
     judgments = _own_target_judgments(sample)
-    lists = [rank_lexical(token_set(r.context), pool, query_id=f"q:{r.pair_id}",
-                          coefficient=True) for r in sample]
+    lists = (rank_lexical(token_set(r.context), pool, query_id=f"q:{r.pair_id}",
+                          coefficient=True) for r in sample)
     return evaluate_rankings(lists, judgments).map
 
 

@@ -323,10 +323,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
-                       types: dict[str, type] | None = None) -> list[tuple[int, dict]]:
-    """(line number, object) per non-blank line; SchemaError names a bad line: one
-    that lacks a `required` key or holds a `types` key of another type."""
-    rows = []
+                       types: dict[str, type] | None = None) -> Iterator[tuple[int, dict]]:
+    """(line number, object) per non-blank line, read as it is pulled; SchemaError names
+    a bad line: one that lacks a `required` key or holds a `types` key of another type."""
     needed = frozenset(required)
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -350,8 +349,7 @@ def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
             for key, kind in (types or {}).items():
                 if key in obj and not isinstance(obj[key], kind):
                     raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)
-            rows.append((lineno, obj))
-    return rows
+            yield lineno, obj
 
 
 def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:

@@ -108,9 +108,8 @@ class EvalReport:
         return header + "\n" + row
 
 
-def evaluate_rankings(lists: list[RankedList], judgments: Judgments) -> EvalReport:
-    if not lists:
-        raise NoRelevant("no queries to evaluate")
+def evaluate_rankings(lists: Iterable[RankedList], judgments: Judgments) -> EvalReport:
+    """Metrics of the rankings, pulled one at a time; only the per-query rows are kept."""
     per_query = []
     for ranked in lists:
         column = ranked.pool.column
@@ -128,6 +127,9 @@ def evaluate_rankings(lists: list[RankedList], judgments: Judgments) -> EvalRepo
             "p_at": {str(k): sum(1 for pos in hits if pos <= k) / min(k, pool)
                      for k in PRECISION_KS},
         })
+        del ranked  # before the next is pulled: a ranking holds its block's scores
+    if not per_query:
+        raise NoRelevant("no queries to evaluate")
     n = len(per_query)
     return EvalReport(
         map=sum(row["ap"] for row in per_query) / n,
@@ -155,7 +157,8 @@ def evaluate(queries: dict[str, np.ndarray], candidates: dict[str, np.ndarray],
     aggregate all metrics.
 
     Scores come from one matrix product of unit rows, QUERY_BLOCK queries at
-    a time. Identical candidate vectors share one column, so their scores are
+    a time, and a block's rankings are scored before the next product is
+    taken. Identical candidate vectors share one column, so their scores are
     bitwise equal and only the id decides their order.
     """
     qids, pool = sorted(queries), Pool(candidates)
@@ -169,13 +172,15 @@ def evaluate(queries: dict[str, np.ndarray], candidates: dict[str, np.ndarray],
                       dtype=np.intp)
     distinct = np.empty((len(first), dim))
     distinct[column] = c_rows
-    lists = []
-    for start in range(0, len(qids), QUERY_BLOCK):
-        block = slice(start, start + QUERY_BLOCK)
-        scores = (q_rows[block] @ distinct.T)[:, column]
-        lists.extend(rank(row, pool, exclude=judgments.original.get(qid), query_id=qid)
-                     for qid, row in zip(qids[block], scores))
-    return evaluate_rankings(lists, judgments)
+
+    def rankings():
+        for start in range(0, len(qids), QUERY_BLOCK):
+            block = slice(start, start + QUERY_BLOCK)
+            scores = (q_rows[block] @ distinct.T)[:, column]
+            for qid, row in zip(qids[block], scores):
+                yield rank(row, pool, exclude=judgments.original.get(qid), query_id=qid)
+
+    return evaluate_rankings(rankings(), judgments)
 
 
 # --------------------------------------------------------------------------
@@ -235,11 +240,14 @@ def load_candidates(path: str | Path) -> dict[str, dict]:
 
 
 def load_qrels(path: str | Path) -> Judgments:
+    """The judgments, holding one string per distinct target id however many rows name it."""
     relevant: dict[str, set[str]] = {}
     original: dict[str, str] = {}
+    names: dict[str, str] = {}
     for _, obj in read_jsonl_objects(path, ("query_id", "target_id"),
                                      {"relevance": int, "is_original": int}):
         qid, tid = str(obj["query_id"]), str(obj["target_id"])
+        tid = names.setdefault(tid, tid)
         if obj.get("is_original", 0):
             original[qid] = tid
         elif obj.get("relevance", 0) > 0:

@@ -177,7 +177,10 @@ def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
     # a row number fits any tree with that many rows, so ask for this tree
     if span.tree is not tree:
         raise SpanMismatch("span does not belong to this tree")
-    for prev, row in zip(span.sibling_run, span.sibling_run[1:]):
+    run = span.sibling_run
+    if not run or min(run) < 0 or max(run) >= len(tree.kinds):
+        raise SpanMismatch(f"sibling run {run} names no row or a row outside the tree")
+    for prev, row in zip(run, run[1:]):
         if tree.subtree_end[prev] != row or tree.parent[prev] != tree.parent[row]:
             raise SpanMismatch("sibling run is not a consecutive run")
 

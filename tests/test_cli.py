@@ -629,7 +629,8 @@ def test_count_below_one_is_data_error(small_corpus, tmp_path, capsys, key, flag
 
 
 # keys that only train-toy reads
-_TRAIN_KEYS = {"dim", "buckets", "tau", "lr", "warmup_frac", "decay_power", "valid_cap", "steps"}
+_TRAIN_KEYS = {"dim", "buckets", "tau", "lr", "warmup_frac", "decay_power", "valid_cap", "steps",
+               "eval_every"}
 
 
 @pytest.fixture(scope="module")
@@ -658,6 +659,8 @@ def small_shards(small_corpus, tmp_path_factory):
     ("lr", "--lr", 0),
     ("min_target_len", "--min-len", 0),
     ("min_target_len", "--min-len", 600),  # above the default max_target_len, 512
+    ("truncation_threshold", "--threshold", -5),
+    ("eval_every", "--eval-every", -5),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys,
@@ -693,6 +696,7 @@ def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, 
     ({"warmup_frac": 1.5}, ["warmup_frac"]),
     ({"decay_power": -3}, ["decay_power"]),
     ({"decay_power": float("inf")}, ["decay_power"]),
+    ({"max_extractions": -1}, ["max_extractions"]),
 ])
 def test_config_only_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys,
                                                       config, keys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codegap.contrastive import (
+    EMBED_ROWS,
     BucketTable,
     ToyEncoder,
     TrainConfig,
@@ -196,6 +197,8 @@ _ENCODE_WORDS = ["alpha", "beta", "gamma", "_", "é", "<mask>", "(", "x1"]
 
 @settings(max_examples=150, deadline=None)
 @example([["alpha", "alpha", "alpha"], ["alpha", "beta", "alpha", "beta", "alpha"], ["solo"]])
+# three encode blocks, the last one short, sharing grams across blocks
+@example([_ENCODE_WORDS[i % 8:i % 8 + 1 + i % 5] for i in range(2 * EMBED_ROWS + 3)])
 @given(st.lists(st.lists(st.sampled_from(_ENCODE_WORDS), min_size=1, max_size=12),
                 max_size=6))
 def test_batched_encode_matches_one_text_reference(word_lists):

@@ -358,7 +358,7 @@ _JSONL_LINES = st.one_of(
 
 def _read_outcome(reader, path, required, types):
     try:
-        return reader(path, required, types)
+        return list(reader(path, required, types))
     except SchemaError as exc:
         return exc.line, str(exc)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from _oracles import (
     reference_rank,
 )
 from codegap.errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
+from codegap import retrieval
 from codegap.retrieval import (
+    QUERY_BLOCK,
     Judgments,
     Pool,
     evaluate,
@@ -194,6 +197,42 @@ def test_no_relevant_raises():
         metrics(["A"], {"Z"})
     with pytest.raises(NoRelevant):
         evaluate_rankings([ranked(["A"]), ranked(["A"], "q2")], Judgments(relevant={"q": {"A"}}))
+
+
+def test_evaluate_holds_at_most_one_block_of_rankings(monkeypatch):
+    real_rank, alive, most = retrieval.rank, [], [0]
+
+    def tracked(*args, **kwargs):
+        most[0] = max(most[0], sum(ref() is not None for ref in alive))
+        ranked = real_rank(*args, **kwargs)
+        alive.append(weakref.ref(ranked))
+        return ranked
+
+    monkeypatch.setattr(retrieval, "rank", tracked)
+    rng = np.random.default_rng(0)
+    n = 2 * QUERY_BLOCK + 5
+    queries = {f"q{i:03d}": rng.normal(size=4) for i in range(n)}
+    candidates = {f"t{i:03d}": rng.normal(size=4) for i in range(n)}
+    report = evaluate(queries, candidates, Judgments(relevant={f"q{i:03d}": {f"t{i:03d}"}
+                                                               for i in range(n)}))
+    assert len(report.per_query) == len(alive) == n
+    assert most[0] <= QUERY_BLOCK
+
+
+def test_evaluate_rankings_releases_each_ranking_before_pulling_the_next():
+    pool, previous = Pool(["A", "B", "C"]), []
+
+    def stream():
+        for i in range(5):
+            ranked = rank(np.array([3.0, 2.0, 1.0]), pool, query_id=f"q{i}")
+            previous.append(weakref.ref(ranked))
+            yield ranked
+            del ranked
+            assert previous[-1]() is None, f"ranking q{i} was alive when the next was pulled"
+
+    report = evaluate_rankings(stream(), Judgments(relevant={f"q{i}": {"B"} for i in range(5)}))
+    assert [row["query_id"] for row in report.per_query] == [f"q{i}" for i in range(5)]
+    assert report.mrr == 0.5
 
 
 # --------------------------------------------------------------------------
@@ -388,6 +427,20 @@ def test_loaders_roundtrip(tmp_path):
     assert judgments.relevant_for("q1") == {"t1"}
     assert judgments.original["q1"] == "t2"
     assert vectors["t1"].shape == (2,)
+
+
+def test_load_qrels_keeps_one_string_per_target_id(tmp_path):
+    path = tmp_path / "qrels.jsonl"
+    targets = ["target-a", "target-b", 1234]  # a numeric id is read as a string
+    path.write_text("".join(
+        json.dumps({"query_id": f"query-{q}", "target_id": t, "relevance": 1,
+                    "is_original": int(i == q)}) + "\n"
+        for q in range(4) for i, t in enumerate(targets)), encoding="utf-8")
+    judgments = load_qrels(path)
+    named = [t for ts in judgments.relevant.values() for t in ts] + list(judgments.original.values())
+    assert len(named) == 12
+    assert {*named} == {"target-a", "target-b", "1234"}
+    assert len({id(t) for t in named}) == 3
 
 
 def test_loader_schema_errors(tmp_path):

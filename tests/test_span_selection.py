@@ -179,6 +179,15 @@ def test_split_rejects_run_of_non_siblings(python_lang):
             split(tree, SpanSelection(tree, run))
 
 
+def test_split_rejects_rows_that_do_not_exist():
+    tree = parse("x = 1\ny = 2\n", "python")
+    assert len(tree.kinds) == 15
+    # -2 would wrap around to a real row; 15 and 18 lie past the last
+    for run in ((-2,), (15,), (18,), ()):
+        with pytest.raises(SpanMismatch):
+            split(tree, SpanSelection(tree, run))
+
+
 def test_retry_gives_up_on_whitespace_only_file():
     tree = parse("\n\n    \n\n", "python")
     assert select_span_with_retry(tree, random.Random(0), **_TARGET_LENGTHS) is None
