@@ -11,10 +11,12 @@ all occurrences of a name move together.
 from __future__ import annotations
 
 import random
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import AliasCollision
-from .tokenizer import WHITESPACE_KINDS, Token, expanded_width
+from .tokenizer import WHITESPACE_KINDS, Token, expanded_width, line_start
 
 MASK_IN_CONTEXT = "mask_in_context"
 MASK_IN_TARGET = "mask_in_target"
@@ -105,33 +107,35 @@ def apply_masking(context: list[Token], target: list[Token],
 
 
 # --------------------------------------------------------------------------
-# dedentation
+# dedentation: `offsets[i]` is where target[i] starts in `text`, the parsed
+# text; a marker's entry only has to keep the offsets sorted
 
-def _line_groups(tokens: list[Token]) -> list[list[int]]:
-    """Indices grouped by source line, synthetic markers excluded; in order."""
-    groups: list[list[int]] = []
-    current_line: int | None = None
-    for idx, tok in enumerate(tokens):
-        if tok.synthetic:
-            continue
-        if tok.line != current_line:
-            groups.append([idx])
-            current_line = tok.line
-        else:
-            groups[-1].append(idx)
-    return groups
+_LINE_BREAK = re.compile(r"[\r\n]")
 
 
-def _line_indentation(tokens: list[Token], group: list[int]) -> int | None:
-    """Expanded indentation of the line, None when it holds no real content."""
-    for idx in group:
-        tok = tokens[idx]
-        if tok.kind not in WHITESPACE_KINDS:
-            return tok.column_expanded
+def _line_heads(target: list[Token], offsets: list[int], text: str) -> list[int]:
+    """The index of the first token of each source line the target holds,
+    markers aside: the first token, and the first past each line break."""
+    heads: list[int] = []
+    breaks = _LINE_BREAK.finditer(text, offsets[0], offsets[-1]) if target else ()
+    for i in [0, *(bisect_right(offsets, m.start()) for m in breaks)]:
+        while i < len(target) and target[i].synthetic:
+            i += 1
+        if i < len(target) and (not heads or heads[-1] != i):
+            heads.append(i)
+    return heads
+
+
+def _line_indentation(target: list[Token], offsets: list[int], text: str, head: int,
+                      end: int) -> int | None:
+    """Expanded column of the line's first content token, None when it holds none."""
+    for i in range(head, end):
+        if not target[i].synthetic and target[i].kind not in WHITESPACE_KINDS:
+            return expanded_width(text[line_start(text, offsets[i]):offsets[i]])
     return None
 
 
-def dedent_target(target: list[Token]) -> tuple[list[Token], int]:
+def dedent_target(target: list[Token], offsets: list[int], text: str) -> tuple[list[Token], int]:
     """Shift the target left so its minimum line indentation becomes zero.
 
     The first line's indentation is its starting column in the original
@@ -139,44 +143,37 @@ def dedent_target(target: list[Token]) -> tuple[list[Token], int]:
     nested block loses the cut position. Leading whitespace is re-emitted as
     spaces; lines that begin inside a multi-line token are left untouched.
     """
-    groups = _line_groups(target)
-    indents = [_line_indentation(target, g) for g in groups]
-    real = [ind for ind in indents if ind is not None]
-    if not real:
-        return list(target), 0
-    dedent_cols = min(real)
+    heads = _line_heads(target, offsets, text)
+    indents = [_line_indentation(target, offsets, text, head, end)
+               for head, end in zip(heads, heads[1:] + [len(target)])]
+    dedent_cols = min((ind for ind in indents if ind is not None), default=0)
     if dedent_cols == 0:
         return list(target), 0
 
     out = list(target)
-    for group in groups:
-        first_idx = group[0]
-        first = target[first_idx]
-        if first.column_expanded != 0:
-            continue  # only the first line can start mid-line; nothing to shift
-        if first.kind != "whitespace":
-            continue  # no leading indentation (content or empty line)
+    for head in heads:
+        first = target[head]
+        if first.kind != "whitespace" or line_start(text, offsets[head]) != offsets[head]:
+            continue  # no leading indentation, or a line that starts mid-line
         old_width = expanded_width(first.text)
         if first.text[:dedent_cols] == " " * dedent_cols and "\t" not in first.text:
             new_text = first.text[dedent_cols:]
         else:
             new_text = " " * max(0, old_width - dedent_cols)
-        out[first_idx] = first.with_text(new_text)
+        out[head] = first.with_text(new_text)
     return out, dedent_cols
 
 
-def reindent_target(target: list[Token], dedent_cols: int) -> list[Token]:
+def reindent_target(target: list[Token], dedent_cols: int, offsets: list[int],
+                    text: str) -> list[Token]:
     """Inverse of dedent_target for space-indented sources."""
     if dedent_cols == 0:
         return list(target)
     out = list(target)
-    for group in _line_groups(target):
-        first_idx = group[0]
-        first = target[first_idx]
-        if first.column_expanded != 0:
-            continue
-        if first.kind == "whitespace":
-            out[first_idx] = first.with_text(" " * dedent_cols + first.text)
+    for head in _line_heads(target, offsets, text):
+        first = target[head]
+        if first.kind == "whitespace" and line_start(text, offsets[head]) == offsets[head]:
+            out[head] = first.with_text(" " * dedent_cols + first.text)
     return out
 
 

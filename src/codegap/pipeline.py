@@ -253,8 +253,9 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
                 context, target = apply_masking(context, target, plan)
                 skipped, aliases = plan.skip_pair, dict(plan.alias_map)
             dedent_cols = 0
-            if config.dedent_enabled:
-                target, dedent_cols = dedent_target(target)
+            if config.dedent_enabled:  # the cls marker's offset repeats the first leaf's
+                starts = input_tree.offsets[span.leaf_start:span.leaf_end]
+                target, dedent_cols = dedent_target(target, starts[:1] + starts, input_tree.text)
             suffix = f":{copy_idx}" if config.pairs_per_input > 1 else ""
             records.append(PairRecord(
                 pair_id=f"{pair_id_prefix}:{input_idx}{suffix}", language=language.name,

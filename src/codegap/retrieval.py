@@ -99,13 +99,37 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """`json.dumps(self.to_dict(), indent=2)` without the pure-Python encoder `indent` picks."""
+        rows = [f'    {{\n      "query_id": {_json_str(row["query_id"])},\n      "ap": '
+                f'{_json_float(row["ap"])},\n      "ndcg": {_json_float(row["ndcg"])},\n      "rr": '
+                f'{_json_float(row["rr"])},\n      "p_at": {_json_floats(row["p_at"], 6)}\n    }}'
+                for row in self.per_query]
+        per_query = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return (f'{{\n  "map": {_json_float(self.map)},\n  "ndcg": {_json_float(self.ndcg)},\n'
+                f'  "p_at": {_json_floats(self.p_at, 2)},\n  "mrr": {_json_float(self.mrr)},\n'
+                f'  "per_query": {per_query}\n}}')
 
     def to_table(self) -> str:
         header = f"{'MAP':>8} {'NDCG':>8} " + " ".join(f"{'P@%d' % k:>8}" for k in PRECISION_KS) + f" {'MRR':>8}"
         row = f"{self.map:8.4f} {self.ndcg:8.4f} " + " ".join(
             f"{self.p_at[k]:8.4f}" for k in PRECISION_KS) + f" {self.mrr:8.4f}"
         return header + "\n" + row
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float repr -> JSON
+
+
+def _json_float(value: float) -> str:
+    """A float as `json.dumps` writes it, non-finite ones included."""
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_floats(values: dict, indent: int) -> str:
+    """A dict of floats as `json.dumps(..., indent=2)` writes it at this indent."""
+    items = [f"{' ' * (indent + 2)}{_json_str(str(k))}: {_json_float(v)}" for k, v in values.items()]
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}" if items else "{}"
 
 
 def evaluate_rankings(lists: Iterable[RankedList], judgments: Judgments) -> EvalReport:
@@ -241,7 +265,7 @@ def load_candidates(path: str | Path) -> dict[str, dict]:
 
 def load_qrels(path: str | Path) -> Judgments:
     """The judgments, holding one string per distinct target id however many rows name it."""
-    relevant: dict[str, set[str]] = {}
+    listed: dict[str, list[str]] = {}
     original: dict[str, str] = {}
     names: dict[str, str] = {}
     for _, obj in read_jsonl_objects(path, ("query_id", "target_id"),
@@ -251,7 +275,9 @@ def load_qrels(path: str | Path) -> Judgments:
         if obj.get("is_original", 0):
             original[qid] = tid
         elif obj.get("relevance", 0) > 0:
-            relevant.setdefault(qid, set()).add(tid)
+            listed.setdefault(qid, []).append(tid)
+    # a set copied from a dict is sized once; one grown by adds keeps its larger tables
+    relevant = {qid: set(dict.fromkeys(listed.pop(qid))) for qid in list(listed)}
     return Judgments(relevant=relevant, original=original)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyTree, InvalidBounds, SpanMismatch
 from .languages import MASK_TOKEN
-from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS, Token, make_marker
+from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS, Token
 from .tree import SyntaxTree
 
 
@@ -191,11 +191,8 @@ def split(tree: SyntaxTree, span: SpanSelection) -> tuple[list[Token], list[Toke
     _verify_span(tree, span)
     leaves = tree.leaves
     i, j = span.leaf_start, span.leaf_end
-    anchor = leaves[i]
-    cls_ctx = make_marker(lang.cls_token, "cls", at=leaves[0])
-    cls_tgt = make_marker(lang.cls_token, "cls", at=anchor)
-    mask = make_marker(MASK_TOKEN, "mask", at=anchor)
-    return [cls_ctx, *leaves[:i], mask, *leaves[j:]], [cls_tgt, *leaves[i:j]]
+    cls, mask = Token(lang.cls_token, "cls", True), Token(MASK_TOKEN, "mask", True)  # markers
+    return [cls, *leaves[:i], mask, *leaves[j:]], [cls, *leaves[i:j]]
 
 
 def splice_tokens(context: list[Token], target: list[Token]) -> list[Token]:

@@ -6,17 +6,21 @@ are deliberately coarse; bracket and operator tokens use their own text as the
 kind, mirroring anonymous grammar nodes.
 
 Each grammar compiles to one alternation of named groups, tried in order; the
-group name is the token kind. Three rules depend on context and stay in the
-loop: a word is a keyword or an identifier, `#` opens a directive only when
-blanks alone precede it on its line, and `/` opens a javascript regex literal
-only after a token that cannot end an operand.
+group name is the token kind. Its group-free twin cuts a file into texts, and
+each distinct text gets its kind and its one token once per call. Two rules
+depend on context: `#` opens a directive only when blanks alone precede it on
+its line, and `/` opens a javascript regex literal only after a token that
+cannot end an operand.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import NamedTuple
+from bisect import bisect_left
+from itertools import accumulate, compress
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .languages import Language
 
@@ -31,8 +35,6 @@ BRACKET_TEXTS = frozenset("()[]{}")
 # tokens after which a '/' in javascript is a division, not a regex start
 _NO_REGEX_AFTER_KINDS = frozenset({"identifier", "number", "string", "regex", "template_string"})
 _NO_REGEX_AFTER_TEXTS = frozenset({")", "]", "}", "++", "--", "this", "super", "true", "false", "null"})
-# the only kinds whose text can hold a line break
-_MULTILINE_KINDS = frozenset({"comment", "preproc", "string", "template_string", "regex"})
 
 # body, optional character class runs, closing slash, then flags; an escape
 # may swallow a line break, an unescaped one means this '/' is not a regex
@@ -45,8 +47,6 @@ _DIRECTIVE = r"#[^\n\r\\]*(?:\\(?:[ \t]*(?:\r\n?|\n))?[^\n\r\\]*)*"
 class Token(NamedTuple):
     text: str
     kind: str
-    line: int
-    column_expanded: int
     synthetic: bool = False
 
     @property
@@ -57,19 +57,18 @@ class Token(NamedTuple):
         return self._replace(text=text)
 
 
-def make_marker(text: str, kind: str, at: Token | None = None) -> Token:
-    """Synthetic zero-width marker token (cls/mask/fold), anchored at `at`."""
-    if at is None:
-        return Token(text, kind, 0, 0, synthetic=True)
-    return Token(text, kind, at.line, at.column_expanded, synthetic=True)
-
-
 def expanded_width(text: str, start: int = 0) -> int:
     """Column width of `text` with tabs advancing to the next TAB_WIDTH stop."""
     col = start
     for ch in text:
         col = (col // TAB_WIDTH + 1) * TAB_WIDTH if ch == "\t" else col + 1
     return col - start
+
+
+def line_start(text: str, pos: int) -> int:
+    """Where the line that holds `pos` starts: past the last line break before it."""
+    newline = text.rfind("\n", 0, pos)
+    return max(newline, text.rfind("\r", newline + 1, pos)) + 1
 
 
 def _quoted(quote: str, triple: bool) -> str:
@@ -82,7 +81,9 @@ def _quoted(quote: str, triple: bool) -> str:
 
 
 @functools.cache
-def _pattern(lang: Language) -> re.Pattern[str]:
+def _lexer(lang: Language) -> tuple[Callable[[str], str], re.Pattern[str]]:
+    """A token text's kind, named by the group of the grammar's alternation
+    that matches it, and the group-free twin whose `findall` lists the texts."""
     word_chars = "A-Za-z_$" if lang.dollar_identifiers else "A-Za-z_"
     comments = []
     if lang.block_comment:  # closed at the first closer, else at the end of input
@@ -93,8 +94,8 @@ def _pattern(lang: Language) -> re.Pattern[str]:
     triples = [_quoted(q, True) for q in "'\""] if lang.triple_quotes else []
     quotes = "|".join(triples + [_quoted(q, False) for q in "'\""])
     prefixes = "|".join(sorted(lang.string_prefixes, key=len, reverse=True))
-    # tried in order; each consumes at least one character, since a
-    # zero-width match would never advance the loop in `tokenize`
+    # tried in order; each consumes at least one character, so the texts of
+    # one scan tile the input
     groups = [
         ("newline", r"\r\n?|\n"),
         ("whitespace", r"[ \t\f\v]+"),
@@ -107,7 +108,21 @@ def _pattern(lang: Language) -> re.Pattern[str]:
         ("op", "|".join(map(re.escape, lang.operators))),
         ("char", "."),
     ]
-    return re.compile("|".join(f"(?P<{name}>{body})" for name, body in groups if body), re.DOTALL)
+    groups = [(name, body) for name, body in groups if body]
+    match = re.compile("|".join(f"(?P<{name}>{body})" for name, body in groups), re.DOTALL).match
+
+    def kind(text: str) -> str:
+        group = match(text).lastgroup
+        if group == "word":
+            return "keyword" if text in lang.keywords else "identifier"
+        return text if group in ("op", "char") else group
+    return kind, re.compile("|".join(f"(?:{body})" for _, body in groups), re.DOTALL)
+
+
+def _scan(source: str, pos: int, lang: Language, one: bool = False) -> list[str]:
+    """The token texts from `pos` on, or only the first: every scan runs the pattern here."""
+    bare = _lexer(lang)[1]
+    return [bare.match(source, pos).group()] if one else bare.findall(source, pos)
 
 
 def _regex_may_start(tokens: list[Token]) -> bool:
@@ -119,37 +134,37 @@ def _regex_may_start(tokens: list[Token]) -> bool:
 
 
 def tokenize(source: str, lang: Language) -> list[Token]:
-    """One `finditer` scan, restarted only where a context rule moves a
-    token's end: a '#' that is not first on its line, or a regex literal."""
-    finditer = _pattern(lang).finditer
-    keywords = lang.keywords
-    tokens: list[Token] = []
-    new = tuple.__new__  # skips the namedtuple's Python-level __new__
-    pos = line = line_start = colx = 0
-    while pos < len(source):
-        for m in finditer(source, pos):
-            kind, text = m.lastgroup, m.group()
-            if kind == "word":
-                kind = "keyword" if text in keywords else "identifier"
-            elif kind == "op" or kind == "char":
-                kind = text
-                if text[0] == "/" and lang.regex_literals and _regex_may_start(tokens):
-                    regex = _JS_REGEX.match(source, pos)
-                    if regex:
-                        kind, text = "regex", regex.group()
-            elif kind == "preproc" and source[line_start:pos].strip(" \t"):
-                kind = text = "#"  # not first on its line: a plain '#'
-            tokens.append(new(Token, (text, kind, line, colx, False)))
-            end = pos + len(text)
-            if kind == "newline":
-                line, line_start, colx = line + 1, end, 0
-            elif kind in _MULTILINE_KINDS and ("\n" in text or "\r" in text):
-                line += text.count("\n") + text.count("\r") - text.count("\r\n")
-                line_start = pos + max(text.rfind("\n"), text.rfind("\r")) + 1
-                colx = expanded_width(source[line_start:end])
-            else:
-                colx += expanded_width(text, colx) if "\t" in text else len(text)
-            pos = end
-            if end != m.end():
-                break  # a context rule moved the end: scan again from there
-    return tokens
+    """One `findall` over the file, mapped through a table made for the call: text -> token, and
+    (text, kind) -> token for what a rule makes. After a rule moves a token's end, the lexer goes
+    one token at a time until a token ends where one of the `findall` texts does."""
+    kind, new = _lexer(lang)[0], tuple.__new__  # skips the namedtuple's Python-level __new__
+    texts = _scan(source, 0, lang)
+    table = {text: new(Token, (text, kind(text), False)) for text in dict.fromkeys(texts)}
+    tokens = list(map(table.__getitem__, texts))
+    rules = {"preproc"} if lang.preprocessor else set()
+    rules |= {"/", "/="} if lang.regex_literals else set()
+    if not rules:
+        return tokens
+    starts = list(accumulate(map(len, texts), initial=0))
+    out, kept = [], 0  # the tokens settled so far, and the first of the scan's not yet among them
+    for at in compress(range(len(tokens)), map(rules.__contains__, map(itemgetter(1), tokens))):
+        if at < kept:
+            continue  # lexed one token at a time after a rule
+        out += tokens[kept:at]
+        pos, tok = starts[at], tokens[at]
+        while True:
+            if tok.kind == "preproc" and source[line_start(source, pos):pos].strip(" \t"):
+                tok = table.setdefault(("#", "#"), Token("#", "#"))  # not first on its line
+            elif tok.kind in ("/", "/=") and lang.regex_literals and _regex_may_start(out):
+                regex = _JS_REGEX.match(source, pos)
+                if regex:
+                    tok = table.setdefault((regex.group(), "regex"), Token(regex.group(), "regex"))
+            out.append(tok)
+            pos += len(tok.text)
+            kept = bisect_left(starts, pos, at + 1)
+            if starts[kept] == pos:
+                break
+            text = _scan(source, pos, lang, one=True)[0]
+            tok = table.get(text) or table.setdefault(text, Token(text, kind(text)))
+    out += tokens[kept:]
+    return out

@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import EncodingError, IndexOutOfRange
 from .languages import FOLD_TOKEN, Language, get_language
@@ -25,7 +25,7 @@ from .tokenizer import (
     WHITESPACE_KINDS,
     Token,
     expanded_width,
-    make_marker,
+    line_start,
     tokenize,
 )
 
@@ -54,10 +54,13 @@ class SyntaxTree:
     in preorder, with error subtrees left out; `seed_order` ranks the seed
     nodes by leaf count. Parse numbers the rows in one pass, and truncation
     slices them out of the parsed tree's. Rows are plain ints, so a tree
-    holds no reference cycle."""
+    holds no reference cycle. Each leaf starts at its `offsets` entry in
+    `text`, which trees cut from this one share (a fold at its first leaf's)."""
 
     language: Language
+    text: str
     leaves: list[Token]
+    offsets: list[int]
     kinds: list[str]
     first_leaf: list[int]
     subtree_end: list[int]
@@ -78,22 +81,19 @@ class SyntaxTree:
         return sorted(self.seed_nodes, key=lambda r: first[end[r]] - first[r])
 
     @property
-    def source(self) -> str:
-        return "".join(t.text for t in self.leaves)
-
-    @property
     def leaf_count(self) -> int:
         return len(self.leaves)
 
 
-def _number_rows(language: Language, kinds: list[str], tokens: list[Token | None],
+def _number_rows(language: Language, text: str, kinds: list[str], tokens: list[Token | None],
                  parents: list[int]) -> SyntaxTree:
     """Number rows given in preorder as parallel columns, row 0 being the
-    program root; a group row has no token. One pass closes the subtree ends
-    and lists the span seeds; the tree keeps `kinds` and `parents` as its
-    columns."""
+    program root; a group row has no token, and the tokens tile `text`. One
+    pass closes the subtree ends and lists the span seeds; the tree keeps
+    `kinds` and `parents` as its columns."""
     n = len(kinds)
     leaves = [tok for tok in tokens if tok is not None]
+    offsets = list(accumulate(map(len, map(itemgetter(0), leaves)), initial=0))[:-1]  # 0: the text
     first = list(accumulate([tok is not None for tok in tokens], initial=0))
     # one int object per row number, shared by every column that names rows
     ids = list(range(n + 1))
@@ -121,7 +121,8 @@ def _number_rows(language: Language, kinds: list[str], tokens: list[Token | None
                 seed_nodes.append(row)
     for row in open_rows:
         end[row] = n
-    return SyntaxTree(language, leaves, kinds, first, end, parents, seed_nodes, seed_leaves)
+    return SyntaxTree(language, text, leaves, offsets, kinds, first, end, parents, seed_nodes,
+                      seed_leaves)
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +401,7 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
     tokens = tokenize(source, lang)
-    return _number_rows(lang, *_build_rows(tokens, lang))
+    return _number_rows(lang, source, *_build_rows(tokens, lang))
 
 
 def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:
@@ -416,15 +417,15 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
     """
     if not 0 <= leaf_index < len(tree.leaves):
         raise IndexOutOfRange(f"leaf index {leaf_index} out of range 0..{len(tree.leaves) - 1}")
-    line = tree.leaves[leaf_index].line
-    start = bisect.bisect_left(tree.leaves, line, hi=leaf_index, key=attrgetter("line"))
-    width = 0
-    for tok in tree.leaves[start:]:
-        if tok.line != line:
+    text, offsets, width = tree.text, tree.offsets, 0
+    start = line_start(text, offsets[leaf_index])
+    for i in range(bisect.bisect_left(offsets, start, hi=leaf_index), len(offsets)):
+        if line_start(text, offsets[i]) != start:
             break
+        column, tok = expanded_width(text[start:offsets[i]]), tree.leaves[i]
         if tok.kind not in WHITESPACE_KINDS:
-            return tok.column_expanded
-        width = tok.column_expanded + expanded_width(tok.text, tok.column_expanded)
+            return column
+        width = column + expanded_width(tok.text, column)
     return width
 
 
@@ -453,8 +454,8 @@ def tree_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> SyntaxTree:
         parent[row + shift] = 0
     seed_nodes = [1] if start == 0 else []  # the old root is now a group below the root
     seed_nodes += _seeds_in(tree.seed_nodes, start, stop, shift)
-    return SyntaxTree(tree.language, tree.leaves[lo:hi], ["program", *tree.kinds[start:stop]],
-                      first, ends, parent, seed_nodes,
+    return SyntaxTree(tree.language, tree.text, tree.leaves[lo:hi], tree.offsets[lo:hi],
+                      ["program", *tree.kinds[start:stop]], first, ends, parent, seed_nodes,
                       _seeds_in(tree.seed_leaves, start, stop, shift))
 
 
@@ -467,7 +468,7 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> Synt
     leaves the tree whole."""
     n = len(tree.kinds)
     new_row = [-1] * (n + 1)  # the extra last slot maps "no row", -1, to itself
-    kinds, leaves, first, ends, parent, seed_nodes, seed_leaves = [[] for _ in range(7)]
+    kinds, leaves, offsets, first, ends, parent, seed_nodes, seed_leaves = [[] for _ in range(8)]
     start = leaf = 0  # the first row and leaf of the piece kept next
     for run in [*(run for run in runs if run[0] > 0), (n,)]:
         cut, stop = run[0], min(run[0] + 1, n)
@@ -477,6 +478,7 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> Synt
         kinds += tree.kinds[start:stop]
         first += [i + leaf_shift for i in tree.first_leaf[start:stop]]
         leaves += tree.leaves[leaf:cut_leaf]
+        offsets += tree.offsets[leaf:cut_leaf]
         ends += [r + shift for r in tree.subtree_end[start:stop]]
         parent += map(new_row.__getitem__, tree.parent[start:stop])
         seed_nodes += _seeds_in(tree.seed_nodes, start, cut, shift)
@@ -485,7 +487,8 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> Synt
             break
         row = cut + shift
         kinds[row], ends[row] = "fold", row + 1
-        leaves.append(make_marker(FOLD_TOKEN, "fold", at=tree.leaves[cut_leaf]))
+        leaves.append(Token(FOLD_TOKEN, "fold", synthetic=True))
+        offsets.append(tree.offsets[cut_leaf])
         start = tree.subtree_end[run[-1]]
         leaf = tree.first_leaf[start]
         seed, up = True, row  # a seed leaf unless it lies in an error subtree
@@ -495,4 +498,5 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> Synt
         if seed:
             seed_leaves.append(row)
     first.append(len(leaves))
-    return SyntaxTree(tree.language, leaves, kinds, first, ends, parent, seed_nodes, seed_leaves)
+    return SyntaxTree(tree.language, tree.text, leaves, offsets, kinds, first, ends, parent,
+                      seed_nodes, seed_leaves)

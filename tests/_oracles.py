@@ -10,6 +10,7 @@ kernel they check.
 from __future__ import annotations
 
 import bisect
+import glob
 import itertools
 import json
 import math
@@ -39,7 +40,7 @@ from codegap.errors import (
 )
 from codegap.languages import FOLD_TOKEN, Language
 from codegap.spans import _sibling
-from codegap.tokenizer import MATCHING_BRACKET, OPEN_BRACKETS, Token, make_marker
+from codegap.tokenizer import MATCHING_BRACKET, OPEN_BRACKETS, Token
 from codegap.tree import (
     _KIND_ALIASES,
     CONTROL_KEYWORDS,
@@ -229,7 +230,7 @@ def reference_encode(encoder: ToyEncoder, text: str) -> np.ndarray:
 
 def identifier_tokens(names) -> list[Token]:
     """One identifier token per name, sorted: a side holding just these names."""
-    return [Token(name, "identifier", 0, 0) for name in sorted(names)]
+    return [Token(name, "identifier") for name in sorted(names)]
 
 
 def reference_mutual_identifiers(context: list[Token], target: list[Token]) -> set[str]:
@@ -389,10 +390,7 @@ def tokens_balanced(tokens: list[Token]) -> bool:
 # hand-built trees for span-expansion tests
 
 def make_leaf_tokens(n: int, text: str = "t") -> list[Token]:
-    return [
-        Token(text=f"{text}{i} ", kind="identifier", line=0, column_expanded=i * 4)
-        for i in range(n)
-    ]
+    return [Token(text=f"{text}{i} ", kind="identifier") for i in range(n)]
 
 
 def make_tree(spec, language: Language) -> SyntaxTree:
@@ -404,8 +402,7 @@ def make_tree(spec, language: Language) -> SyntaxTree:
         if isinstance(node_spec, int):
             for _ in range(node_spec):
                 i = next(counter)
-                rows.append(("identifier", Token(text=f"x{i} ", kind="identifier", line=0,
-                                                 column_expanded=i * 4), up))
+                rows.append(("identifier", Token(text=f"x{i} ", kind="identifier"), up))
             return
         kind, children = node_spec
         rows.append((kind, None, up))
@@ -416,7 +413,8 @@ def make_tree(spec, language: Language) -> SyntaxTree:
     for child in [spec] if isinstance(spec, int) else spec[1]:
         add(child, 0)
     kinds, tokens, parents = map(list, zip(("program", None, -1), *rows))
-    return _number_rows(language, kinds, tokens, parents)
+    text = "".join(tok.text for tok in tokens if tok is not None)
+    return _number_rows(language, text, kinds, tokens, parents)
 
 
 def child_rows(tree: SyntaxTree) -> list[list[int]]:
@@ -437,7 +435,7 @@ BRACKET_TEXTS = frozenset("()[]{}")
 WHITESPACE_KINDS = frozenset({"whitespace", "newline"})
 
 
-def _first_token(node: tuple) -> Token:
+def _first_leaf(node: tuple) -> tuple[Token, int]:
     while isinstance(node[1], list):
         node = node[1][0]
     return node[1]
@@ -445,12 +443,13 @@ def _first_token(node: tuple) -> Token:
 
 def oracle_nesting(tree: SyntaxTree, runs: list[tuple[int, ...]] = ()) -> list[tuple]:
     """Each row's subtree as nested tuples, built from the parent column
-    alone: a row without children is a leaf and takes the next token. Each
-    run is replaced by one fold leaf in its parent; a run of the root itself
-    has no parent to fold into and changes nothing."""
+    alone: a row without children is a leaf and takes the next (token,
+    offset). Each run is replaced by one fold leaf in its parent, at the
+    offset of the run's first leaf; a run of the root itself has no parent
+    to fold into and changes nothing."""
     n = len(tree.kinds)
     kids = child_rows(tree)
-    tokens = iter(tree.leaves)
+    tokens = zip(tree.leaves, tree.offsets)
     token_of = {row: next(tokens) for row in range(1, n) if not kids[row]}
     folded = {run[0] for run in runs if run[0] != 0}
     dropped = {row for run in runs if run[0] != 0 for row in run[1:]}
@@ -462,8 +461,8 @@ def oracle_nesting(tree: SyntaxTree, runs: list[tuple[int, ...]] = ()) -> list[t
         body = []
         for child in kids[row]:
             if child in folded:
-                marker = make_marker(FOLD_TOKEN, "fold", at=_first_token(built[child]))
-                body.append(("fold", marker))
+                marker = Token(FOLD_TOKEN, "fold", synthetic=True)
+                body.append(("fold", (marker, _first_leaf(built[child])[1])))
             elif child not in dropped:
                 body.append(built[child])
         built[row] = (tree.kinds[row], body)
@@ -478,12 +477,12 @@ def oracle_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> tuple:
 def oracle_columns(root: tuple) -> dict[str, list]:
     """Preorder columns of a nesting, the root as row 0: kind, first leaf
     (with one more entry, the leaf total), leaf count, subtree end, parent,
-    previous and next sibling, the leaves, and the seed rows (groups below
-    the root; leaves that are no blank or bracket token), with error
-    subtrees left out of the seeds."""
+    previous and next sibling, the leaves and their offsets, and the seed
+    rows (groups below the root; leaves that are no blank or bracket token),
+    with error subtrees left out of the seeds."""
     cols: dict[str, list] = {key: [] for key in (
         "kinds", "first_leaf", "leaf_counts", "subtree_end", "parent", "prev_sibling",
-        "next_sibling", "leaves", "seed_nodes", "seed_leaves")}
+        "next_sibling", "leaves", "offsets", "seed_nodes", "seed_leaves")}
     frames: list[list] = []  # per open group: children iterator, row, last child row, blocked
 
     def enter(node: tuple, up: int, before: int, blocked: bool) -> int:
@@ -501,9 +500,11 @@ def oracle_columns(root: tuple) -> dict[str, list]:
                 cols["seed_nodes"].append(row)
             frames.append([iter(body), row, -1, blocked])
         else:
-            cols["leaves"].append(body)
-            delimiter = body.text in BRACKET_TEXTS and kind == body.text
-            if not blocked and not delimiter and body.kind not in WHITESPACE_KINDS:
+            tok, offset = body
+            cols["leaves"].append(tok)
+            cols["offsets"].append(offset)
+            delimiter = tok.text in BRACKET_TEXTS and kind == tok.text
+            if not blocked and not delimiter and tok.kind not in WHITESPACE_KINDS:
                 cols["seed_leaves"].append(row)
         return row
 
@@ -523,8 +524,9 @@ def oracle_columns(root: tuple) -> dict[str, list]:
 
 
 def stored_columns(tree: SyntaxTree) -> dict[str, list]:
-    """The column lists a SyntaxTree holds."""
-    return {f.name: getattr(tree, f.name) for f in fields(tree) if f.name != "language"}
+    """The column lists a SyntaxTree holds (its text is shared, not a column)."""
+    return {f.name: getattr(tree, f.name) for f in fields(tree)
+            if f.name not in ("language", "text")}
 
 
 def leaf_counts(tree: SyntaxTree) -> list[int]:
@@ -568,20 +570,147 @@ def reference_pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> in
     raise EmptyTree("no selectable node outside error regions")
 
 
-def reference_indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
-    """`indentation_of` as it was before it bisected the leaves by key: a
-    bisect over a list of every leaf's line, built on each call."""
-    line = tree.leaves[leaf_index].line
-    lines = [t.line for t in tree.leaves]
+def leaf_positions(text: str, offsets: list[int]) -> list[tuple[int, int]]:
+    """Each leaf's (line, expanded column), derived from the offsets of
+    leaves that tile `text`: the text between two offsets is one token's, a
+    line break is \\r\\n, \\r or \\n within a token, so a \\r\\n that two
+    tokens split counts twice, as the lexers count it, and a column counts
+    tabs to the next multiple of TAB_WIDTH."""
+    positions = []
+    line = column = last = 0
+    for offset in offsets:
+        gap = text[last:offset]
+        breaks = gap.count("\n") + gap.count("\r") - gap.count("\r\n")
+        if breaks:
+            line += breaks
+            column = expanded_width(gap[max(gap.rfind("\n"), gap.rfind("\r")) + 1:])
+        else:
+            column += expanded_width(gap, column)
+        positions.append((line, column))
+        last = offset
+    return positions
+
+
+def reference_indentation_of(tree: SyntaxTree, positions: list[tuple[int, int]],
+                             leaf_index: int) -> int:
+    """`indentation_of` as it was when tokens carried their (line, column),
+    given here as `positions`: a bisect over a list of every leaf's line,
+    built on each call."""
+    line = positions[leaf_index][0]
+    lines = [pos[0] for pos in positions]
     start = bisect.bisect_left(lines, line)
     width = 0
-    for tok in tree.leaves[start:]:
-        if tok.line != line:
+    for tok, (tok_line, column) in zip(tree.leaves[start:], positions[start:]):
+        if tok_line != line:
             break
         if tok.kind not in WHITESPACE_KINDS:
-            return tok.column_expanded
-        width = tok.column_expanded + expanded_width(tok.text, tok.column_expanded)
+            return column
+        width = column + expanded_width(tok.text, column)
     return width
+
+
+class PositionedToken(NamedTuple):
+    """A token with the line and expanded column it starts at, as tokens
+    carried them before positions moved to the tree's offset column."""
+
+    text: str
+    kind: str
+    line: int
+    column_expanded: int
+    synthetic: bool = False
+
+    def with_text(self, text: str) -> "PositionedToken":
+        return self._replace(text=text)
+
+
+def positioned(tokens: list[Token], positions: list[tuple[int, int]]) -> list[PositionedToken]:
+    return [PositionedToken(tok.text, tok.kind, line, column, tok.synthetic)
+            for tok, (line, column) in zip(tokens, positions)]
+
+
+def _line_groups(tokens: list[PositionedToken]) -> list[list[int]]:
+    """Indices grouped by source line, synthetic markers excluded; in order."""
+    groups: list[list[int]] = []
+    current_line: int | None = None
+    for idx, tok in enumerate(tokens):
+        if tok.synthetic:
+            continue
+        if tok.line != current_line:
+            groups.append([idx])
+            current_line = tok.line
+        else:
+            groups[-1].append(idx)
+    return groups
+
+
+def _line_indentation(tokens: list[PositionedToken], group: list[int]) -> int | None:
+    """Expanded indentation of the line, None when it holds no real content."""
+    for idx in group:
+        tok = tokens[idx]
+        if tok.kind not in WHITESPACE_KINDS:
+            return tok.column_expanded
+    return None
+
+
+def reference_dedent_target(target: list[PositionedToken]) -> tuple[list[PositionedToken], int]:
+    """`dedent_target` as it was when tokens carried their positions: lines
+    are grouped by comparing each token's line with the last one's."""
+    groups = _line_groups(target)
+    indents = [_line_indentation(target, g) for g in groups]
+    real = [ind for ind in indents if ind is not None]
+    if not real:
+        return list(target), 0
+    dedent_cols = min(real)
+    if dedent_cols == 0:
+        return list(target), 0
+
+    out = list(target)
+    for group in groups:
+        first_idx = group[0]
+        first = target[first_idx]
+        if first.column_expanded != 0:
+            continue  # only the first line can start mid-line; nothing to shift
+        if first.kind != "whitespace":
+            continue  # no leading indentation (content or empty line)
+        old_width = expanded_width(first.text)
+        if first.text[:dedent_cols] == " " * dedent_cols and "\t" not in first.text:
+            new_text = first.text[dedent_cols:]
+        else:
+            new_text = " " * max(0, old_width - dedent_cols)
+        out[first_idx] = first.with_text(new_text)
+    return out, dedent_cols
+
+
+def reference_reindent_target(target: list[PositionedToken], dedent_cols: int
+                              ) -> list[PositionedToken]:
+    """`reindent_target` as it was when tokens carried their positions."""
+    if dedent_cols == 0:
+        return list(target)
+    out = list(target)
+    for group in _line_groups(target):
+        first_idx = group[0]
+        first = target[first_idx]
+        if first.column_expanded != 0:
+            continue
+        if first.kind == "whitespace":
+            out[first_idx] = first.with_text(" " * dedent_cols + first.text)
+    return out
+
+
+def real_sources(pattern: str, count: int) -> list[str]:
+    """The first `count` files matching `pattern` (by name) that decode as
+    UTF-8 and stay under 20 kB, so the reference scanner runs quickly."""
+    out = []
+    for path in sorted(glob.glob(pattern)):
+        data = Path(path).read_bytes()
+        if len(data) < 20_000:
+            try:
+                out.append(data.decode("utf-8"))
+            except UnicodeDecodeError:
+                continue
+        if len(out) == count:
+            break
+    return out
 
 
 # --------------------------------------------------------------------------

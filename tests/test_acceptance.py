@@ -79,9 +79,12 @@ def generated_pairs(trees):
             mutuals = mutual_identifiers(context, target)
             plan = plan_masking(context, target, rng, 1.0, 0.0)
             masked_context, masked_target = apply_masking(context, target, plan)
-            dedented, cols = dedent_target(masked_target)
+            starts = tree.offsets[span.leaf_start:span.leaf_end]
+            offsets = starts[:1] + starts  # the cls marker's repeats the first leaf's
+            dedented, cols = dedent_target(masked_target, offsets, tree.text)
             rows.append({
                 "tree": tree,
+                "offsets": offsets,
                 "pre_target": target,
                 "mutuals": mutuals,
                 "aliases": plan.alias_map,
@@ -216,7 +219,8 @@ def test_dedent(generated_pairs):
         # relative indentation is preserved: rendered pre-transform lines
         # shift uniformly by dedent_cols (first line owns no leading blanks)
         pre_tokens = [t for t in row["pre_target"] if not t.synthetic]
-        first_owned = bool(pre_tokens) and pre_tokens[0].column_expanded == 0
+        text, start = row["tree"].text, row["offsets"][0]
+        first_owned = bool(pre_tokens) and (start == 0 or text[start - 1] in "\r\n")
         pre_body = "".join(t.text for t in pre_tokens)
         pre_lines = pre_body.splitlines()
         post_lines = body.splitlines()
@@ -232,7 +236,8 @@ def test_dedent(generated_pairs):
             checked_multiline += 1
 
         # alias-inverse plus re-indent recovers the pre-transform target
-        recovered = unalias(reindent_target(target, cols), row["aliases"])
+        recovered = unalias(reindent_target(target, cols, row["offsets"], row["tree"].text),
+                            row["aliases"])
         assert "".join(t.text for t in recovered) == "".join(
             t.text for t in row["pre_target"])
     assert checked_multiline >= 200

@@ -1,4 +1,6 @@
 import random
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,9 +8,14 @@ from hypothesis import strategies as st
 
 from _oracles import (
     identifier_tokens,
+    leaf_positions,
+    positioned,
+    real_sources,
     reference_apply_masking,
+    reference_dedent_target,
     reference_mutual_identifiers,
     reference_plan_masking,
+    reference_reindent_target,
 )
 from codegap.deleak import (
     MASK_IN_CONTEXT,
@@ -24,8 +31,9 @@ from codegap.deleak import (
 )
 from codegap.errors import AliasCollision
 from codegap.languages import get_language, supported_languages
-from codegap.pipeline import PipelineConfig
-from codegap.spans import select_span_with_retry, split
+from codegap.errors import EmptyTree
+from codegap.pipeline import PipelineConfig, truncate_file
+from codegap.spans import select_span, select_span_with_retry, split
 from codegap.tokenizer import tokenize
 from codegap.tree import parse
 
@@ -252,34 +260,32 @@ def render(tokens):
 
 
 def target_of(src, lang="python"):
-    """Whole-file tokens as a target (first line owned from column zero)."""
-    return toks(src, lang)
+    """Whole-file tokens as a target (first line owned from column zero),
+    with their offsets and the text: the arguments dedent takes."""
+    tree = parse(src, lang)
+    return tree.leaves, tree.offsets, tree.text
 
 
 def test_dedent_uniform_shift():
-    tokens = target_of("        x = 1\n        y = 2\n")
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(*target_of("        x = 1\n        y = 2\n"))
     assert cols == 8
     assert render(out) == "x = 1\ny = 2\n"
 
 
 def test_dedent_min_indent_rule():
-    tokens = target_of("    a\n        b\n")
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(*target_of("    a\n        b\n"))
     assert cols == 4
     assert render(out) == "a\n    b\n"
 
 
 def test_dedent_identity_when_flat():
-    tokens = target_of("a = 1\n    b = 2\n")
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(*target_of("a = 1\n    b = 2\n"))
     assert cols == 0
     assert render(out) == "a = 1\n    b = 2\n"
 
 
 def test_dedent_tabs_count_as_four_columns():
-    tokens = target_of("\ta\n\t\tb\n")
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(*target_of("\ta\n\t\tb\n"))
     assert cols == 4
     assert render(out) == "a\n    b\n"
 
@@ -289,32 +295,79 @@ def test_dedent_mid_line_start_uses_source_column():
     src = "def f():\n    x = 1\n    y = 2\n"
     tree = parse(src, "python")
     start = next(i for i, t in enumerate(tree.leaves) if t.text == "x")
-    tokens = tree.leaves[start:]
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(tree.leaves[start:], tree.offsets[start:], tree.text)
     assert cols == 4
     assert render(out) == "x = 1\ny = 2\n"
 
 
 def test_dedent_skips_multiline_string_interiors():
     src = '    body = """keep\n      exact\n"""\n    tail = 1\n'
-    tokens = target_of(src)
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(*target_of(src))
     assert cols == 4
     assert render(out) == 'body = """keep\n      exact\n"""\ntail = 1\n'
 
 
 def test_dedent_blank_lines_do_not_count():
-    tokens = target_of("    a = 1\n\n    b = 2\n")
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(*target_of("    a = 1\n\n    b = 2\n"))
     assert cols == 4
     assert render(out) == "a = 1\n\nb = 2\n"
 
 
 def test_dedent_then_reindent_roundtrip():
     src = "    a = 1\n        b = 2\n    c = 3\n"
-    tokens = target_of(src)
-    out, cols = dedent_target(tokens)
-    assert render(reindent_target(out, cols)) == src
+    tokens, offsets, text = target_of(src)
+    out, cols = dedent_target(tokens, offsets, text)
+    assert render(reindent_target(out, cols, offsets, text)) == src
+
+
+def _dedent_inputs(lang):
+    """Every pair input of real files: each parsed file, its shortened tree
+    with folds and its segments, all sharing the parsed file's positions."""
+    pattern = (str(Path(sysconfig.get_paths()["stdlib"]) / "*.py") if lang == "python"
+               else "/usr/include/*.h")
+    sources = real_sources(pattern, 30)
+    if len(sources) < 30:
+        pytest.skip(f"fewer than 30 {lang} files here")
+    cfg = PipelineConfig(truncation_threshold=200, segment_min_len=20, segment_max_len=120)
+    rng = random.Random(0)
+    for source in sources:
+        tree = parse(source, lang)
+        position_at = dict(zip(tree.offsets, leaf_positions(tree.text, tree.offsets)))
+        result = truncate_file(tree, rng, cfg)
+        for input_tree in (tree, result.shortened, *result.segments):
+            yield input_tree, position_at
+
+
+@pytest.mark.parametrize("lang", ["python", "c"])
+def test_dedent_matches_reference_on_real_pair_inputs(lang):
+    """Dedent and reindent with positions read off the offsets give what
+    they gave when tokens carried their positions, on whole inputs and on
+    split targets, folds and tab-indented lines included."""
+    rng = random.Random(1)
+    seen = {"fold": 0, "tab": 0, "shifted": 0}
+    for tree, position_at in _dedent_inputs(lang):
+        cases = [(tree.leaves, tree.offsets)]
+        for _ in range(4):
+            try:
+                span = select_span(tree, rng.randint(1, 300), rng)
+            except EmptyTree:
+                break
+            _, target = split(tree, span)
+            starts = tree.offsets[span.leaf_start:span.leaf_end]
+            cases.append((target, starts[:1] + starts))
+        for target, offsets in cases:
+            reference = positioned(target, [position_at[offset] for offset in offsets])
+            out, cols = dedent_target(target, offsets, tree.text)
+            want, want_cols = reference_dedent_target(reference)
+            assert (render(out), cols) == (render(want), want_cols)
+            assert [t.text for t in out] == [t.text for t in want]
+            back = reindent_target(out, cols, offsets, tree.text)
+            assert [t.text for t in back] == [t.text for t in reference_reindent_target(want, cols)]
+            seen["fold"] += any(t.kind == "fold" for t in target)
+            seen["tab"] += any(t.kind == "whitespace" and "\t" in t.text for t in target)
+            seen["shifted"] += cols > 0
+    assert seen["fold"] > 20 and seen["shifted"] > 20, seen
+    assert seen["tab"] > 20 or lang == "python", seen  # the stdlib indents with spaces
 
 
 def test_unalias_inverts_masking():
@@ -342,8 +395,11 @@ def test_full_inverse_recovers_pre_transform_target():
     original_target = render(tgt)
     plan = plan_masking(ctx, tgt, rng, 1.0, 0.0)
     _, masked_tgt = apply_masking(ctx, tgt, plan)
-    dedented, cols = dedent_target(masked_tgt)
-    recovered = render(unalias(reindent_target(dedented, cols), plan.alias_map))
+    starts = tree.offsets[span.leaf_start:span.leaf_end]
+    offsets = starts[:1] + starts  # the cls marker's repeats the first leaf's
+    dedented, cols = dedent_target(masked_tgt, offsets, tree.text)
+    recovered = render(unalias(reindent_target(dedented, cols, offsets, tree.text),
+                               plan.alias_map))
     assert recovered == original_target
 
 
@@ -353,8 +409,7 @@ def test_full_inverse_recovers_pre_transform_target():
                 min_size=1, max_size=6))
 def test_dedent_floor_and_relative_property(lines):
     src = "".join(" " * indent + stmt + "\n" for indent, stmt in lines)
-    tokens = target_of(src)
-    out, cols = dedent_target(tokens)
+    out, cols = dedent_target(*target_of(src))
     before = [len(ln) - len(ln.lstrip(" ")) for ln in src.splitlines() if ln.strip()]
     after = [len(ln) - len(ln.lstrip(" ")) for ln in render(out).splitlines() if ln.strip()]
     assert cols == min(before)

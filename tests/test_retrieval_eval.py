@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 import weakref
 
 import numpy as np
@@ -18,7 +19,9 @@ from _oracles import (
 from codegap.errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
 from codegap import retrieval
 from codegap.retrieval import (
+    PRECISION_KS,
     QUERY_BLOCK,
+    EvalReport,
     Judgments,
     Pool,
     evaluate,
@@ -441,6 +444,44 @@ def test_load_qrels_keeps_one_string_per_target_id(tmp_path):
     assert len(named) == 12
     assert {*named} == {"target-a", "target-b", "1234"}
     assert len({id(t) for t in named}) == 3
+
+
+def test_load_qrels_sets_are_made_at_their_final_size(tmp_path):
+    """A set grown one id at a time keeps the larger tables it grew through;
+    each query's set must be as small as one copied from a finished set."""
+    path = tmp_path / "qrels.jsonl"
+    path.write_text("".join(
+        json.dumps({"query_id": f"q{q}", "target_id": f"t{t % (q + 1)}", "relevance": 1}) + "\n"
+        for q in (0, 5, 60, 99) for t in range(2 * q + 2)), encoding="utf-8")
+    judgments = load_qrels(path)
+    assert [len(ids) for ids in judgments.relevant.values()] == [1, 6, 61, 100]
+    for ids in judgments.relevant.values():
+        assert sys.getsizeof(ids) == sys.getsizeof(set(ids))
+
+
+_REPORT_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_REPORT_FLOATS = _REPORT_FLOATS | _REPORT_FLOATS.map(np.float64)  # numpy floats print as floats
+_REPORT_IDS = st.text(st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "é€😀", ""])
+_P_AT = st.dictionaries(st.sampled_from(["1", "3", "10"]), _REPORT_FLOATS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_=_REPORT_FLOATS, ndcg=_REPORT_FLOATS, mrr=_REPORT_FLOATS,
+       p_at=st.dictionaries(st.sampled_from(PRECISION_KS), _REPORT_FLOATS),
+       rows=st.lists(st.tuples(_REPORT_IDS, _REPORT_FLOATS, _REPORT_FLOATS, _REPORT_FLOATS,
+                               _P_AT), max_size=4))
+def test_report_json_matches_json_dumps(map_, ndcg, mrr, p_at, rows):
+    per_query = [dict(zip(("query_id", "ap", "ndcg", "rr", "p_at"), row)) for row in rows]
+    report = EvalReport(map=map_, ndcg=ndcg, p_at=p_at, mrr=mrr, per_query=per_query)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+def test_report_json_matches_json_dumps_on_an_evaluated_report():
+    lists = [ranked(["a", "b", "c"], query_id=q) for q in ("q1", 'q"2', "q\\3")]
+    judgments = Judgments(relevant={q: {"b"} for q in ("q1", 'q"2', "q\\3")})
+    report = evaluate_rankings(lists, judgments)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
 
 def test_loader_schema_errors(tmp_path):

@@ -1,4 +1,3 @@
-import glob
 import hashlib
 import random
 import sysconfig
@@ -21,7 +20,8 @@ from codegap.languages import (
 )
 from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
 from codegap.spans import _pick_seed, _sibling, select_span
-from codegap.tokenizer import tokenize
+from codegap import tokenizer
+from codegap.tokenizer import line_start, tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
     _build_rows,
@@ -34,9 +34,9 @@ from codegap.tree import (
 )
 
 from _oracles import (
-    OracleToken,
     child_rows,
     leaf_counts,
+    leaf_positions,
     oracle_columns,
     oracle_eligible_nodes,
     oracle_from_run,
@@ -45,6 +45,7 @@ from _oracles import (
     reference_indentation_of,
     reference_nesting_columns,
     reference_pick_seed,
+    real_sources,
     stored_columns,
     tree_columns,
 )
@@ -71,7 +72,7 @@ def test_corpus_roundtrip_and_ranges(lang, parsed_corpus):
     trees = [t for p, t in parsed_corpus if t.language.name == lang]
     assert trees
     for tree in trees:
-        assert roundtrip(tree, tree.source)
+        assert roundtrip(tree, tree.text)
         kids, counts = child_rows(tree), leaf_counts(tree)
         for row in tree.walk():
             if tree.is_leaf(row):
@@ -86,23 +87,31 @@ def test_corpus_roundtrip_and_ranges(lang, parsed_corpus):
 
 def test_byte_ranges_tile_the_source(parsed_corpus):
     for _, tree in parsed_corpus[:20]:
-        scanned = oracle_tokenize(tree.source, tree.language)
-        assert [t.text for t in scanned] == [t.text for t in tokenize(tree.source, tree.language)]
+        scanned = oracle_tokenize(tree.text, tree.language)
+        assert [t.text for t in scanned] == [t.text for t in tokenize(tree.text, tree.language)]
         pos = 0
         for tok in scanned:
             assert tok.byte_start == pos
             assert tok.byte_end - tok.byte_start == len(tok.text.encode("utf-8"))
             pos = tok.byte_end
-        assert pos == len(tree.source.encode("utf-8"))
+        assert pos == len(tree.text.encode("utf-8"))
 
 
-def _stream(tokens):
-    """Comparable token tuples. The last field says whether the token opens
-    its line: tokenize's tokens tell it by `column_expanded == 0`, which
-    dedent relies on, the reference scanner's by a character column of 0."""
-    return [(t.text, t.kind, t.is_identifier, t.line, t.column_expanded,
-             (t.column if isinstance(t, OracleToken) else t.column_expanded) == 0)
-            for t in tokens]
+def _stream(text, grammar):
+    """Comparable token tuples of the parsed text, each leaf's line and
+    column derived from its offset. The last field says whether the token
+    opens its line, which dedent reads as an offset at its line start."""
+    tree = parse(text, grammar)
+    positions = leaf_positions(tree.text, tree.offsets)
+    return [(t.text, t.kind, t.is_identifier, line, column, line_start(tree.text, offset) == offset)
+            for t, (line, column), offset in zip(tree.leaves, positions, tree.offsets)]
+
+
+def _reference_stream(text, grammar):
+    """The same tuples from the reference scanner, whose last field is a
+    character column of 0."""
+    return [(t.text, t.kind, t.is_identifier, t.line, t.column_expanded, t.column == 0)
+            for t in oracle_tokenize(text, grammar)]
 
 
 # quotes, escapes, comment and directive openers, template and regex starts,
@@ -115,9 +124,14 @@ _LEXER_HOSTILE = st.text(
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
 @settings(max_examples=300, deadline=None)
 @given(text=_LEXER_HOSTILE)
+@example(text="a\rb\r\rc")  # lone carriage returns
+@example(text="a\r\nb\r\n\r\n")
+@example(text="x = 'a\\\r\nb' + \"c\\\r\n")  # an escaped \r ends a string just before \n
+@example(text="\tx\n \tx\n  \tx\n   \tx\n    \tx \t y\n")  # a tab at each column mod 4
+@example(text="x = /'/ + 1 # y\nf(/\"/, a / b) # z\n")  # rules that restart inside a scanned token
 def test_tokenize_matches_reference_scanner(lang, text):
     grammar = get_language(lang)
-    assert _stream(tokenize(text, grammar)) == _stream(oracle_tokenize(text, grammar))
+    assert _stream(text, grammar) == _reference_stream(text, grammar)
 
 
 # whole fragments where the lexer's two restarts happen: a '/' after a word,
@@ -136,39 +150,62 @@ _RESTART_TEXT = st.lists(st.sampled_from(_RESTART_FRAGMENTS), max_size=24).map("
 @example(text="return /[/]x/g\n\t#define A \\\n 1 a # b")
 def test_tokenize_restarts_match_reference_scanner(lang, text):
     grammar = get_language(lang)
-    assert _stream(tokenize(text, grammar)) == _stream(oracle_tokenize(text, grammar))
+    assert _stream(text, grammar) == _reference_stream(text, grammar)
 
 
-def _real_sources(pattern: str, count: int) -> list[str]:
-    """The first `count` files matching `pattern` (by name) that decode as
-    UTF-8 and stay under 20 kB, so the reference scanner runs quickly."""
-    out = []
-    for path in sorted(glob.glob(pattern)):
-        data = Path(path).read_bytes()
-        if len(data) < 20_000:
-            try:
-                out.append(data.decode("utf-8"))
-            except UnicodeDecodeError:
-                continue
-        if len(out) == count:
-            break
-    return out
+# each line restarts the lexer inside a token of its first scan: a regex
+# literal after '=' or '(' that ends inside a string the scan saw, or a '#'
+# after code, which the scan took for a directive to the line end
+_RESTARTS = {
+    "javascript": "".join(f'x = /"/;\nf(/\'/, {i});\n' for i in range(1000)),
+    "c": "".join(f"x = {i}; # y\n" for i in range(2000)),
+}
+
+
+@pytest.mark.parametrize("lang", sorted(_RESTARTS))
+def test_rule_restarts_stay_linear(lang, monkeypatch):
+    covered = []
+    scan = tokenizer._scan
+
+    def counting_scan(source, pos, grammar, one=False):
+        texts = scan(source, pos, grammar, one)
+        covered.append(sum(map(len, texts)))
+        return texts
+
+    monkeypatch.setattr(tokenizer, "_scan", counting_scan)
+    source = _RESTARTS[lang]
+    tokens = tokenize(source, get_language(lang))
+    assert "".join(t.text for t in tokens) == source
+    assert sum(t.kind in ("regex", "#") for t in tokens) == 2000
+    assert len(covered) > 2000  # the restarts went through the one helper
+    assert sum(covered) <= 2 * len(source)
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+def test_equal_tokens_share_one_object_within_a_call(lang, parsed_corpus):
+    grammar = get_language(lang)
+    source = "".join(tree.text for _, tree in parsed_corpus[::10]) + "".join(_RESTARTS.values())
+    first, second = tokenize(source, grammar), tokenize(source, grammar)
+    shared: dict = {}
+    assert all(shared.setdefault(tok, tok) is tok for tok in first)
+    assert len(shared) < len(first) / 4
+    assert not {id(tok) for tok in first} & {id(tok) for tok in second}
 
 
 @pytest.mark.parametrize("source_set", ["mixed", "stdlib", "headers"])
 def test_tokenize_matches_reference_scanner_on_real_files(source_set, parsed_corpus):
     if source_set == "mixed":
-        sources = [tree.source for _, tree in parsed_corpus]
+        sources = [tree.text for _, tree in parsed_corpus]
     elif source_set == "stdlib":
-        sources = _real_sources(str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), 40)
+        sources = real_sources(str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), 40)
     else:
-        sources = _real_sources("/usr/include/*.h", 40)
+        sources = real_sources("/usr/include/*.h", 40)
     if len(sources) < 40:
         pytest.skip(f"fewer than 40 {source_set} files here")
     for source in sources:
         for lang in supported_languages():
             grammar = get_language(lang)
-            assert _stream(tokenize(source, grammar)) == _stream(oracle_tokenize(source, grammar))
+            assert _stream(source, grammar) == _reference_stream(source, grammar)
 
 
 @settings(max_examples=120, deadline=None)
@@ -220,14 +257,15 @@ def test_indentation_levels():
 
 
 def test_indentation_of_matches_reference_on_every_leaf(parsed_corpus):
-    sources = [(tree.source, tree.language) for _, tree in parsed_corpus[::12]]
+    sources = [(tree.text, tree.language) for _, tree in parsed_corpus[::12]]
     stdlib = str(Path(sysconfig.get_paths()["stdlib"]) / "*.py")
-    sources += [(source, get_language("python")) for source in _real_sources(stdlib, 2)]
-    sources += [(source, get_language("c")) for source in _real_sources("/usr/include/*.h", 2)]
+    sources += [(source, get_language("python")) for source in real_sources(stdlib, 2)]
+    sources += [(source, get_language("c")) for source in real_sources("/usr/include/*.h", 2)]
     for source, grammar in sources:
         tree = parse(source, grammar)
+        positions = leaf_positions(tree.text, tree.offsets)
         for i in range(tree.leaf_count):
-            assert indentation_of(tree, i) == reference_indentation_of(tree, i)
+            assert indentation_of(tree, i) == reference_indentation_of(tree, positions, i)
 
 
 def test_indentation_out_of_range():
@@ -250,16 +288,16 @@ def test_encoding_error_on_bad_bytes():
 
 def test_parse_accepts_utf8_bytes():
     tree = parse("x = 'café'\n".encode("utf-8"), "python")
-    assert "café" in tree.source
+    assert "café" in tree.text
 
 
 def test_error_nodes_are_retained():
     tree = parse("f(a, b\nint g;\n", "c")
-    assert roundtrip(tree, tree.source)
+    assert roundtrip(tree, tree.text)
     assert any(tree.kinds[row] == "error" for row in tree.walk())
 
     tree = parse(") x = 1\n", "python")
-    assert roundtrip(tree, tree.source)
+    assert roundtrip(tree, tree.text)
     assert any(tree.kinds[row] == "error" for row in tree.walk())
 
 
@@ -413,7 +451,7 @@ def _seed_test_trees(tree_set, parsed_corpus):
         return [tree for _, tree in parsed_corpus]
     if tree_set == "deep":
         return [parse(src, name.split("_")[0]) for name, src in DEEP_SOURCES.items()]
-    sources = _real_sources(str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), 30)
+    sources = real_sources(str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), 30)
     if len(sources) < 30:
         pytest.skip("fewer than 30 stdlib files here")
     cfg = PipelineConfig(truncation_threshold=200, segment_min_len=20, segment_max_len=120)
@@ -460,9 +498,14 @@ def _assert_shares_nothing(rebuilt, tree):
     inputs = {id(column) for column in stored_columns(tree).values()}
     assert not any(id(column) in inputs for column in stored_columns(rebuilt).values())
     assert "seed_order" not in vars(rebuilt)
+    assert rebuilt.text is tree.text  # offsets still index the parsed text
 
 
 def _assert_rebuilds_match_reference(tree, rng):
+    # each leaf's text stands at its offset in the parsed text, in leaf order
+    assert all(tok.synthetic or tree.text.startswith(tok.text, offset)
+               for tok, offset in zip(tree.leaves, tree.offsets))
+    assert tree.offsets == sorted(set(tree.offsets))
     assert tree_columns(tree) == oracle_columns(oracle_nesting(tree)[0])
     runs = _disjoint_runs(tree, rng)
     assert tree.seed_order is not None  # cached on the input before it is rebuilt
@@ -567,7 +610,7 @@ def _assert_matches_reference_builders(text, grammar):
     tokens = tokenize(text, grammar)
     reference = reference_nesting_columns(tokens, grammar)
     assert _build_rows(tokens, grammar) == reference
-    assert tree_columns(parse(text, grammar)) == tree_columns(_number_rows(grammar, *reference))
+    assert tree_columns(parse(text, grammar)) == tree_columns(_number_rows(grammar, text, *reference))
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
@@ -589,7 +632,7 @@ def test_parse_matches_reference_builders(lang, text):
 def test_parse_matches_reference_builders_on_real_files(source_set):
     pattern = (str(Path(sysconfig.get_paths()["stdlib"]) / "*.py") if source_set == "stdlib"
                else "/usr/include/*.h")
-    sources = _real_sources(pattern, 30)
+    sources = real_sources(pattern, 30)
     if len(sources) < 30:
         pytest.skip(f"fewer than 30 {source_set} files here")
     for source in sources:
