@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .contrastive import DEFAULT_BUCKETS, DEFAULT_DIM, DEFAULT_TAU, ToyEncoder, TrainConfig, train_toy
 from .errors import CodegapError, InvalidBounds, SchemaError, UsageError
@@ -282,17 +284,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not args.checkpoint:
             raise UsageError("--model toy needs --checkpoint")
         encoder = ToyEncoder.load(args.checkpoint)
-        qvecs = dict(zip(queries, encoder.encode([q["context"] for q in queries.values()])))
-        cvecs = dict(zip(candidates, encoder.encode([c["text"] for c in candidates.values()])))
-        report = evaluate(qvecs, cvecs, judgments)
+        report = evaluate(list(queries), encoder.encode([q["context"] for q in queries.values()]),
+                          list(candidates), encoder.encode([c["text"] for c in candidates.values()]),
+                          judgments)
     else:
         vectors = load_embeddings(args.embeddings)
         missing = [i for i in list(queries) + list(candidates) if i not in vectors]
         if missing:
             raise CodegapError(f"embeddings file lacks {len(missing)} ids, e.g. {missing[:3]}")
-        qvecs = {qid: vectors[qid] for qid in queries}
-        cvecs = {tid: vectors[tid] for tid in candidates}
-        report = evaluate(qvecs, cvecs, judgments)
+        rows, index = np.array(list(vectors.values())), {rid: r for r, rid in enumerate(vectors)}
+        report = evaluate(list(queries), rows[[index[qid] for qid in queries]],
+                          list(candidates), rows[[index[tid] for tid in candidates]], judgments)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")

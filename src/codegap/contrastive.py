@@ -5,21 +5,21 @@ runnable without a pretrained transformer.
 The loss denominator comes in two forms: the standard one includes the
 positive term (non-negative loss, bounded optimum) and is the default; the
 negatives-only variant, selectable by flag, omits it and can go negative.
-One shared encoder embeds both contexts and targets.
+One shared encoder embeds both contexts and targets; `ToyEncoder.bucket_counts`
+is its one featurizer, for training, validation and encoding alike.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,12 +61,6 @@ class BucketTable(dict):
         return self.setdefault(gram, stable_bucket(gram, self.buckets))
 
 
-def ngram_bucket_counts(tokens: list[str], table: BucketTable) -> Counter[int]:
-    """Unigram and bigram feature buckets of `table` with multiplicities."""
-    grams = tokens + [a + _GRAM_SEP + b for a, b in zip(tokens, tokens[1:])]
-    return Counter(map(table.__getitem__, grams))
-
-
 @dataclass
 class ToyEncoder:
     """Linear bag-of-hashed-ngrams encoder with L2-normalized outputs."""
@@ -93,32 +87,40 @@ class ToyEncoder:
         params = rng.normal(0.0, 1.0 / math.sqrt(dim), size=(buckets, dim))
         return cls(params=params, tau=tau)
 
-    def bucket_counts(self, text: str) -> dict[int, int]:
-        tokens = text_tokens(text)
-        if not tokens:
+    def bucket_counts(self, texts: list[str]) -> "PackedCounts":
+        """The unigram and bigram bucket counts of the texts, packed: every gram
+        through the table, each text's keys offset by row * buckets, and one
+        unique count, so a row's entries are its buckets in ascending order."""
+        tokens = [text_tokens(text) for text in texts]
+        if not all(tokens):
             raise EmptyInput("cannot encode an empty token sequence")
-        return ngram_bucket_counts(tokens, self.table)
+        sizes = [2 * len(t) - 1 for t in tokens]  # unigrams and bigrams
+        # streamed: each bigram string is freed once the table has mapped it
+        grams = chain.from_iterable(chain(t, map(_GRAM_SEP.join, zip(t, t[1:]))) for t in tokens)
+        keys = np.fromiter(map(self.table.__getitem__, grams), dtype=np.int64, count=sum(sizes))
+        keys += np.repeat(np.arange(len(tokens)) * self.buckets, sizes)
+        keys, mult = np.unique(keys, return_counts=True)
+        rows, keys = np.divmod(keys, self.buckets)
+        buckets, cols = np.unique(keys, return_inverse=True)
+        # int32 entries: every batch stays packed for the whole of training
+        return PackedCounts(buckets, rows.astype(np.int32), cols.astype(np.int32),
+                            mult.astype(np.int32), len(texts))
+
+    def blocks(self, texts: list[str]) -> Iterator["PackedCounts"]:
+        """The bucket counts of the texts, packed EMBED_ROWS texts at a time."""
+        return (self.bucket_counts(texts[i:i + EMBED_ROWS]) for i in range(0, len(texts), EMBED_ROWS))
 
     def encode(self, texts: list[str]) -> np.ndarray:
-        """One unit row per text, EMBED_ROWS texts at a time: a block's grams through
-        the table and one unique count, then each row its own product over ascending
-        buckets, as if encoded alone."""
+        """One unit row per text, packed in blocks; each row is its own product
+        over its ascending buckets, as if encoded alone."""
         rows = np.empty((len(texts), self.dim))
-        for first in range(0, len(texts), EMBED_ROWS):
-            tokens = [text_tokens(text) for text in texts[first:first + EMBED_ROWS]]
-            if not all(tokens):
-                raise EmptyInput("cannot encode an empty token sequence")
-            grams = [g for t in tokens for g in t + [a + _GRAM_SEP + b for a, b in zip(t, t[1:])]]
-            keys = np.fromiter(map(self.table.__getitem__, grams), dtype=np.int64, count=len(grams))
-            keys += np.repeat(np.arange(len(tokens)) * self.buckets, [2 * len(t) - 1 for t in tokens])
-            keys, mult = np.unique(keys, return_counts=True)
-            bounds = np.searchsorted(keys, np.arange(len(tokens) + 1) * self.buckets).tolist()
-            for i, (start, stop) in enumerate(zip(bounds, bounds[1:]), start=first):
-                rows[i] = mult[start:stop] @ self.params[keys[start:stop] % self.buckets]
-                norm = np.linalg.norm(rows[i])
-                if norm == 0.0:
-                    raise ZeroVector("degenerate embedding with zero norm")
-                rows[i] /= norm
+        entries = (entry for packed in self.blocks(texts) for entry in packed.row_entries())
+        for row, (keys, mult) in zip(rows, entries):
+            row[:] = mult @ self.params[keys]
+            norm = np.linalg.norm(row)
+            if norm == 0.0:
+                raise ZeroVector("degenerate embedding with zero norm")
+            row /= norm
         return rows
 
     def save(self, path: str | Path) -> None:
@@ -159,7 +161,8 @@ class ToyEncoder:
 
 class PackedCounts(NamedTuple):
     """Bucket counts of n texts: entry e puts mult[e] at (rows[e], cols[e]) of
-    a dense n x len(buckets) matrix over the texts' sorted distinct buckets."""
+    a dense n x len(buckets) matrix over the texts' sorted distinct buckets.
+    Entries run row by row, each row's in ascending bucket order."""
 
     buckets: np.ndarray
     rows: np.ndarray
@@ -172,26 +175,18 @@ class PackedCounts(NamedTuple):
         counts[self.rows, self.cols] = self.mult
         return counts
 
-
-def count_entries(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """One text's buckets in ascending order and their multiplicities."""
-    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
-    order = np.argsort(keys)
-    return keys[order], np.fromiter(counts.values(), dtype=np.int32, count=len(counts))[order]
-
-
-def pack_counts(entries: list[tuple[np.ndarray, np.ndarray]]) -> PackedCounts:
-    """Pack several texts' count_entries; row i is entries[i]."""
-    buckets, cols = np.unique(np.concatenate([k for k, _ in entries]), return_inverse=True)
-    rows = np.repeat(np.arange(len(entries), dtype=np.int32), [len(k) for k, _ in entries])
-    mult = np.concatenate([m for _, m in entries])
-    return PackedCounts(buckets, rows, cols.astype(np.int32), mult, len(entries))
+    def row_entries(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each row's buckets in ascending order and their counts."""
+        keys = self.buckets[self.cols]
+        bounds = np.searchsorted(self.rows, np.arange(self.n + 1)).tolist()
+        return [(keys[lo:hi], self.mult[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _unit_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its norm, and the norms."""
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms == 0.0):
-        raise ZeroVector("degenerate embedding with zero norm")
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
     return raw / norms[:, None], norms
 
 
@@ -253,17 +248,17 @@ def learning_rate(step: int, config: TrainConfig) -> float:
     return config.lr * (1.0 - progress) ** config.decay_power
 
 
-def pack_validation(contexts: list[tuple[np.ndarray, np.ndarray]],
-                    targets: list[tuple[np.ndarray, np.ndarray]]
+def pack_validation(encoder: ToyEncoder, contexts: list[str], targets: list[str]
                     ) -> tuple[list[PackedCounts], np.ndarray]:
     """Contexts, then distinct targets, packed in blocks of EMBED_ROWS texts,
-    and each context's own row among the distinct targets. Identical target
-    counts share a row, so ties fall to the index rule, not to rounding."""
+    and each context's own row among the distinct targets. Targets with equal
+    bucket counts share a row, so ties fall to the index rule, not to rounding."""
     first: dict[tuple[bytes, bytes], int] = {}
-    own = np.array([first.setdefault((k.tobytes(), m.tobytes()), len(first)) for k, m in targets],
+    own = np.array([first.setdefault((k.tobytes(), m.tobytes()), len(first))
+                    for packed in encoder.blocks(targets) for k, m in packed.row_entries()],
                    dtype=np.intp)
     texts = contexts + [targets[i] for i in np.unique(own, return_index=True)[1]]
-    return [pack_counts(texts[i:i + EMBED_ROWS]) for i in range(0, len(texts), EMBED_ROWS)], own
+    return list(encoder.blocks(texts)), own
 
 
 def validation_mrr(params: np.ndarray, blocks: list[PackedCounts], own: np.ndarray,
@@ -298,13 +293,10 @@ def train_toy(train_records, valid_records, config: TrainConfig,
     if not batches:
         raise BatchTooSmall("no trainable batch holds two or more pairs")
 
-    entries = functools.cache(lambda text: count_entries(encoder.bucket_counts(text)))
-    packed = [pack_counts([entries(p.context) for p in b.pairs] + [entries(p.target) for p in b.pairs])
+    packed = [encoder.bucket_counts([p.context for p in b.pairs] + [p.target for p in b.pairs])
               for b in batches]
     valid = list(valid_records)[: config.valid_cap]
-    valid_set = pack_validation([entries(p.context) for p in valid],
-                                [entries(p.target) for p in valid])
-    del entries  # one count per distinct text, kept only until all is packed
+    valid_set = pack_validation(encoder, [p.context for p in valid], [p.target for p in valid])
 
     rng = random.Random(config.seed)
     order: list[int] = []

@@ -53,10 +53,6 @@ class NoRelevant(CodegapError):
     pass
 
 
-class InvalidTemperature(CodegapError, ValueError):
-    pass
-
-
 class BatchTooSmall(CodegapError, ValueError):
     pass
 

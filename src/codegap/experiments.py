@@ -114,9 +114,9 @@ def _evaluate_encoder(encoder: ToyEncoder, corpus: CloneCorpus) -> EvalReport:
     queries = load_queries(corpus.queries_path)
     candidates = load_candidates(corpus.candidates_path)
     judgments = load_qrels(corpus.qrels_path)
-    qvecs = dict(zip(queries, encoder.encode([q["context"] for q in queries.values()])))
-    cvecs = dict(zip(candidates, encoder.encode([c["text"] for c in candidates.values()])))
-    return evaluate(qvecs, cvecs, judgments)
+    return evaluate(list(queries), encoder.encode([q["context"] for q in queries.values()]),
+                    list(candidates), encoder.encode([c["text"] for c in candidates.values()]),
+                    judgments)
 
 
 def run_ablation(config: AblationConfig) -> AblationResult:

@@ -12,11 +12,12 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
+from .contrastive import _unit_rows
+from .errors import DimensionMismatch, NoRelevant, SchemaError
 from .pipeline import read_jsonl_objects
 from .texttok import text_tokens
 
@@ -164,33 +165,33 @@ def evaluate_rankings(lists: Iterable[RankedList], judgments: Judgments) -> Eval
     )
 
 
-def _unit_rows(vectors: list[np.ndarray], dim: int) -> np.ndarray:
-    for vec in vectors:
-        if np.shape(vec) != (dim,):
-            raise DimensionMismatch(f"vector shapes differ: {np.shape(vec)} vs {(dim,)}")
-    rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
-    return rows / norms
+def _unit_rows_by_id(ids: Sequence[str], rows: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ids in ascending order, and their rows in that order as unit rows."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [ids[i] for i in order], _unit_rows(rows[order])[0]
 
 
-def evaluate(queries: dict[str, np.ndarray], candidates: dict[str, np.ndarray],
-             judgments: Judgments) -> EvalReport:
+def evaluate(query_ids: Sequence[str], query_rows: np.ndarray, candidate_ids: Sequence[str],
+             candidate_rows: np.ndarray, judgments: Judgments) -> EvalReport:
     """Rank every query against the shared pool by cosine similarity and
-    aggregate all metrics.
+    aggregate all metrics. Row i of a row matrix is the vector of id i.
 
     Scores come from one matrix product of unit rows, QUERY_BLOCK queries at
     a time, and a block's rankings are scored before the next product is
     taken. Identical candidate vectors share one column, so their scores are
     bitwise equal and only the id decides their order.
     """
-    qids, pool = sorted(queries), Pool(candidates)
-    if not qids:
+    if not query_ids:
         return evaluate_rankings([], judgments)
-    dim = np.asarray(queries[qids[0]]).size
-    q_rows = _unit_rows([queries[q] for q in qids], dim)
-    c_rows = _unit_rows([candidates[t] for t in pool.ids], dim)
+    query_rows = np.asarray(query_rows, dtype=np.float64)
+    candidate_rows = np.asarray(candidate_rows, dtype=np.float64)
+    dim = query_rows.shape[-1]
+    if (query_rows.shape != (len(query_ids), dim)
+            or candidate_rows.shape != (len(candidate_ids), dim)):
+        raise DimensionMismatch(f"vector shapes differ: {query_rows.shape} vs {candidate_rows.shape}")
+    qids, q_rows = _unit_rows_by_id(query_ids, query_rows)
+    pool_ids, c_rows = _unit_rows_by_id(candidate_ids, candidate_rows)
+    pool = Pool(pool_ids)
     first: dict[bytes, int] = {}
     column = np.array([first.setdefault(row.tobytes(), len(first)) for row in c_rows],
                       dtype=np.intp)
@@ -282,7 +283,8 @@ def load_qrels(path: str | Path) -> Judgments:
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    out = {}
+    """Each id's vector; every vector has as many numbers as the file's first."""
+    out, width = {}, 0
     for lineno, obj in read_jsonl_objects(path, ("id", "vector")):
         rid, vec = str(obj["id"]), obj["vector"]
         if rid in out:
@@ -296,5 +298,8 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             raise SchemaError(bad, line=lineno) from exc
         if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise SchemaError(bad, line=lineno)
+        width = width or len(arr)
+        if len(arr) != width:
+            raise SchemaError(f"'vector' has {len(arr)} numbers, the first one {width}", line=lineno)
         out[rid] = arr.astype(np.float64)
     return out

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import bisect
 import glob
+import io
 import itertools
 import json
 import math
 import random
+import tokenize
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -25,16 +27,14 @@ from codegap.contrastive import (
     DEFAULT_TAU,
     ToyEncoder,
     batch_loss_and_grads,
-    count_entries,
-    pack_counts,
 )
 from codegap.deleak import MASK_IN_CONTEXT, MASK_IN_TARGET, UNMASKED, MaskingPlan
 from codegap.errors import (
     AliasCollision,
     BatchTooSmall,
+    CodegapError,
     DimensionMismatch,
     EmptyTree,
-    InvalidTemperature,
     SchemaError,
     ZeroVector,
 )
@@ -713,6 +713,35 @@ def real_sources(pattern: str, count: int) -> list[str]:
     return out
 
 
+_CPYTHON_SKIPPED = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                    tokenize.COMMENT, tokenize.ENDMARKER}
+# from Python 3.12 an f-string comes as parts between these two; one token spans them
+_FSTRING = (getattr(tokenize, "FSTRING_START", None), getattr(tokenize, "FSTRING_END", None))
+
+
+def cpython_tokens(source: str) -> list[tuple[int, str]]:
+    """Start offset and text of each token CPython's own `tokenize` emits,
+    leaving out line ends, indentation changes, comments and the end marker."""
+    lines = io.StringIO(source).readlines()
+    starts = list(itertools.accumulate(map(len, lines), initial=0))
+    out, depth = [], 0
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in _CPYTHON_SKIPPED:
+            continue
+        offset = starts[tok.start[0] - 1] + tok.start[1]
+        if tok.type == _FSTRING[0]:
+            depth += 1
+            if depth == 1:
+                first = offset
+        elif tok.type == _FSTRING[1]:
+            depth -= 1
+            if depth == 0:
+                out.append((first, source[first:starts[tok.end[0] - 1] + tok.end[1]]))
+        elif depth == 0:
+            out.append((offset, tok.string))
+    return out
+
+
 # --------------------------------------------------------------------------
 # reference builders: the grammar builders as they were before parse wrote
 # rows in token order. They build a nesting of groups and tokens, which a
@@ -1283,6 +1312,10 @@ def reference_read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (
 # loss functions: cosine similarity, the single-query loss, the mean batch
 # loss and a finite-difference check of the batch gradient
 
+class InvalidTemperature(CodegapError, ValueError):
+    """A temperature that is not positive; only the loss functions here check it."""
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -1323,7 +1356,7 @@ def batch_loss(encoder: ToyEncoder, contexts: list[str], targets: list[str],
     tau = encoder.tau if tau is None else tau
     if tau <= 0:
         raise InvalidTemperature(f"temperature must be positive, got {tau}")
-    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
+    packed = encoder.bucket_counts([*contexts, *targets])
     return batch_loss_and_grads(encoder.params, packed, tau, include_positive)[0]
 
 
@@ -1347,7 +1380,7 @@ def grad_check(encoder: ToyEncoder, contexts: list[str], targets: list[str],
     if not 1e-6 <= eps <= 1e-3:
         raise ValueError("eps outside the supported range [1e-6, 1e-3]")
     rng = rng or random.Random(0)
-    packed = pack_counts([count_entries(encoder.bucket_counts(t)) for t in [*contexts, *targets]])
+    packed = encoder.bucket_counts([*contexts, *targets])
     tau = encoder.tau
     _, buckets, rows = batch_loss_and_grads(encoder.params, packed, tau, include_positive)
     touched = buckets.tolist()

@@ -452,12 +452,21 @@ def test_eval_zero_embedding_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("vector", [["x"], [1.0, None], [[1.0, 0.0], [0.0, 1.0]],
-                                    [[1.0], [0.0, 1.0]], [1.0, float("nan")], [True, False]])
+                                    [[1.0], [0.0, 1.0]], [1.0, float("nan")], [True, False],
+                                    [1.0]])
 def test_eval_malformed_vector_is_data_error(tmp_path, capsys, vector):
     args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
                                             "t2": vector})
     assert main(args) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_eval_vectors_of_different_lengths_is_data_error(tmp_path, capsys):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                            "t2": [0.0, 1.0, 0.5]})
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error" in err.lower()
 
 
 @pytest.mark.parametrize("name", ["queries", "candidates", "embeddings"])
@@ -574,6 +583,31 @@ def test_eval_report_matches_golden_digest(tmp_path, scorer):
     assert main(args) == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == {"toy": TOY_REPORT_SHA256, "lexical": LEXICAL_REPORT_SHA256}[scorer]
+
+
+# SHA-256 of the checkpoint and its sidecar that `train-toy` with validation
+# writes from the pairs of a small seed-5 clone corpus with its validation
+# repos held out; it pins bucket counts, packing, the loss and its gradient,
+# validation MRR and the best-state pick to the last bit
+TOY_CHECKPOINT_SHA256 = "d8d56cb17db3bdb1d573d0c7575bddace5cb14e93a8be92aa937dd9af5094385"
+TOY_SIDECAR_SHA256 = "afda4f41d99cdd43763e208312d6bdfe41f6aaaae1d4ff49ca477eeeed1d6490"
+
+
+def test_train_toy_matches_golden_digest(tmp_path, capsys):
+    corpus = write_clone_corpus(tmp_path / "clone", seed=5, variants=10, train_variants=6,
+                                valid_variants=2)
+    valid = tmp_path / "valid_repos.txt"
+    valid.write_text("\n".join(corpus.valid_repos) + "\n", encoding="utf-8")
+    shards, ckpt = tmp_path / "shards", tmp_path / "toy.ckpt"
+    assert main(["pairs", "--roots", str(corpus.corpus_dir), "--out", str(shards),
+                 "--seed", "5", "--valid-repos", str(valid)]) == 0
+    assert main(["train-toy", "--shards", str(shards), "--out", str(ckpt), "--steps", "40",
+                 "--seed", "5", "--d", "64", "--buckets", "4096", "--eval-every", "10",
+                 "--lr", "0.5", "--budget", "2000"]) == 0
+    assert "best valid MRR 0.1272 @ step 40" in capsys.readouterr().out
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == TOY_CHECKPOINT_SHA256
+    assert (hashlib.sha256(Path(str(ckpt) + ".json").read_bytes()).hexdigest()
+            == TOY_SIDECAR_SHA256)
 
 
 def test_train_toy_and_eval_model(small_corpus, tmp_path, capsys):

@@ -1,21 +1,19 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from codegap import contrastive
 from codegap.contrastive import (
     EMBED_ROWS,
-    BucketTable,
     ToyEncoder,
     TrainConfig,
     batch_loss_and_grads,
-    count_entries,
     learning_rate,
-    ngram_bucket_counts,
-    pack_counts,
     pack_validation,
     stable_bucket,
     train_toy,
@@ -26,12 +24,12 @@ from codegap.errors import (
     DimensionMismatch,
     Diverged,
     EmptyInput,
-    InvalidTemperature,
     ZeroVector,
 )
 from codegap.pipeline import PairRecord
 
 from _oracles import (
+    InvalidTemperature,
     batch_loss,
     cosine,
     grad_check,
@@ -52,8 +50,9 @@ def small_encoder(**kw):
     return ToyEncoder.create(**kw)
 
 
-def entries(enc, texts):
-    return [count_entries(enc.bucket_counts(t)) for t in texts]
+def row_counts(packed):
+    """Each row of packed bucket counts as a dict: bucket -> count."""
+    return [dict(zip(keys.tolist(), mult.tolist())) for keys, mult in packed.row_entries()]
 
 
 def records(texts, language="python"):
@@ -139,7 +138,7 @@ def test_loss_increases_as_negative_improves(neg_sim, bump):
 
 def test_stable_bucket_is_deterministic():
     assert stable_bucket("token", 1024) == stable_bucket("token", 1024)
-    counts = ngram_bucket_counts(["a", "b", "a"], BucketTable(4096))
+    counts = row_counts(small_encoder(buckets=4096).bucket_counts(["a b a"]))[0]
     assert sum(counts.values()) == 3 + 2  # three unigrams, two bigrams
 
 
@@ -152,14 +151,19 @@ _GRAM_TOKENS = st.lists(st.one_of(st.sampled_from(["a", "b", "\x1f", "a\x1fb", "
 @example([[], ["solo"], ["\x1f", "\x1f"], ["solo", "\x1f"]])
 def test_bucket_counts_through_a_warm_table_match_reference(token_lists):
     # one table per encoder, shared by every list: later lists hash some grams
-    # an earlier one left in the table and some they meet first
-    for enc in (small_encoder(buckets=64), small_encoder(buckets=4096)):
-        ngram_bucket_counts(["alpha", "beta", "\x1f", "é", "alpha"], enc.table)
-        for tokens in token_lists:
-            want = reference_bucket_counts(tokens, enc.buckets)
-            assert dict(ngram_bucket_counts(tokens, enc.table)) == want
-            assert dict(ngram_bucket_counts(tokens, BucketTable(enc.buckets))) == want
-        assert all(bucket == stable_bucket(gram, enc.buckets) for gram, bucket in enc.table.items())
+    # an earlier one left in the table and some they meet first. Each "text"
+    # is a tuple of tokens, so grams may hold what text_tokens never yields;
+    # an empty one is refused (test_encode_empty_input)
+    texts = [tuple(tokens) for tokens in token_lists if tokens]
+    with mock.patch.object(contrastive, "text_tokens", list):
+        for enc in (small_encoder(buckets=64), small_encoder(buckets=4096)):
+            enc.bucket_counts([("alpha", "beta", "\x1f", "é", "alpha")])
+            for tokens, counts in zip(texts, row_counts(enc.bucket_counts(texts))):
+                want = reference_bucket_counts(list(tokens), enc.buckets)
+                assert counts == want
+                assert row_counts(ToyEncoder(enc.params).bucket_counts([tokens]))[0] == want
+            assert all(bucket == stable_bucket(gram, enc.buckets)
+                       for gram, bucket in enc.table.items())
 
 
 def test_encode_fills_its_own_table():
@@ -271,10 +275,9 @@ def test_grad_check_random_batches(include_positive):
 def test_untouched_rows_have_zero_gradient():
     enc = small_encoder()
     ctxs, tgts = _random_batch(random.Random(1))
-    ctx_counts = [enc.bucket_counts(t) for t in ctxs]
-    tgt_counts = [enc.bucket_counts(t) for t in tgts]
-    _, buckets, grads = batch_loss_and_grads(enc.params, pack_counts(entries(enc, ctxs + tgts)),
-                                             enc.tau)
+    ctx_counts = row_counts(enc.bucket_counts(ctxs))
+    tgt_counts = row_counts(enc.bucket_counts(tgts))
+    _, buckets, grads = batch_loss_and_grads(enc.params, enc.bucket_counts(ctxs + tgts), enc.tau)
     touched = set().union(*ctx_counts, *tgt_counts)
     # the gradient has one row per touched bucket and none for any other
     assert buckets.tolist() == sorted(touched)
@@ -284,7 +287,7 @@ def test_untouched_rows_have_zero_gradient():
 def test_smaller_tau_amplifies_gradients():
     enc = small_encoder()
     ctxs, tgts = _random_batch(random.Random(2))
-    packed = pack_counts(entries(enc, ctxs + tgts))
+    packed = enc.bucket_counts(ctxs + tgts)
     _, _, g_warm = batch_loss_and_grads(enc.params, packed, 0.1)
     _, _, g_cold = batch_loss_and_grads(enc.params, packed, 0.05)
     assert float(np.abs(g_cold).sum()) > float(np.abs(g_warm).sum())
@@ -301,10 +304,10 @@ def test_batch_kernel_matches_per_pair_oracle(include_positive):
         ctxs[-1] = ctxs[0]
         tgts[-1] = tgts[0]
         ctxs[0] = tgts[1]
-        ctx_counts = [enc.bucket_counts(t) for t in ctxs]
-        tgt_counts = [enc.bucket_counts(t) for t in tgts]
+        ctx_counts = row_counts(enc.bucket_counts(ctxs))
+        tgt_counts = row_counts(enc.bucket_counts(tgts))
         loss, buckets, grads = batch_loss_and_grads(
-            enc.params, pack_counts(entries(enc, ctxs + tgts)), enc.tau, include_positive)
+            enc.params, enc.bucket_counts(ctxs + tgts), enc.tau, include_positive)
         want_loss, want_grads = oracle_batch_loss_and_grads(
             enc.params, ctx_counts, tgt_counts, enc.tau, include_positive)
         assert loss == pytest.approx(want_loss, abs=1e-12)
@@ -389,8 +392,8 @@ def test_learning_rate_schedule_shape():
 
 def test_validation_mrr_perfect_and_chance():
     enc = small_encoder()
-    ctx = entries(enc, ("aa bb", "cc dd"))
-    assert validation_mrr(enc.params, *pack_validation(ctx, ctx)) == pytest.approx(1.0)
+    ctx = ["aa bb", "cc dd"]
+    assert validation_mrr(enc.params, *pack_validation(enc, ctx, ctx)) == pytest.approx(1.0)
 
 
 def _brute_force_mrr(enc, contexts, targets, tie_key=lambda j: j) -> float:
@@ -414,7 +417,7 @@ def test_validation_mrr_ties_match_brute_force_rank():
     targets = ("aa bb", "cc dd", "aa bb", "ee", "ff gg hh", "aa bb")
     want = _brute_force_mrr(enc, contexts, targets)
     assert _brute_force_mrr(enc, contexts, targets, tie_key=lambda j: -j) != pytest.approx(want)
-    valid = pack_validation(entries(enc, contexts), entries(enc, targets))
+    valid = pack_validation(enc, list(contexts), list(targets))
     assert valid[1][0] == valid[1][2] == valid[1][5]  # the copies share one target row
     # block 5 leaves one row in the last block, apart from two of the copies
     for block in (512, 5, 1):
@@ -432,7 +435,7 @@ def test_validation_mrr_duplicate_targets_tie_by_index_in_any_block(seed):
     contexts = [" ".join(rng.choice(words, 6)) for _ in range(41)]
     targets = [" ".join(rng.choice(words, 4)) if i < 4 else "alpha beta gamma" for i in range(41)]
     want = _brute_force_mrr(enc, contexts, targets)
-    valid = pack_validation(entries(enc, contexts), entries(enc, targets))
+    valid = pack_validation(enc, list(contexts), list(targets))
     assert len(valid[1]) == 41 and valid[1].max() == 4
     for block in (512, 8, 1):  # 41 % 8 == 1: the last block holds one row
         assert validation_mrr(enc.params, *valid, block=block) == pytest.approx(want, abs=1e-12)

@@ -38,6 +38,11 @@ from codegap.retrieval import (
 from codegap.texttok import text_tokens
 
 
+def rows(vectors):
+    """A dict of vectors as the ids and row matrix `evaluate` takes."""
+    return list(vectors), np.array(list(vectors.values()))
+
+
 def ranked(ids, query_id="q"):
     return ranked_list(query_id, list(ids), [float(len(ids) - i) for i in range(len(ids))])
 
@@ -119,7 +124,7 @@ def test_mask_hits_match_id_scan_reference(data, n, queries):
 def test_evaluate_self_similarity_first():
     a = np.array([1.0, 0.0, 0.0])
     cands = {"A": a, "B": np.array([0.0, 1.0, 0.0]), "C": np.array([0.0, 0.0, 1.0])}
-    report = evaluate({"q": a}, cands, Judgments(relevant={"q": {"A"}}))
+    report = evaluate(*rows({"q": a}), *rows(cands), Judgments(relevant={"q": {"A"}}))
     assert report.mrr == 1.0
 
 
@@ -128,10 +133,10 @@ def test_evaluate_scale_invariance():
     queries = {f"q{i}": rng.normal(size=8) for i in range(3)}
     cands = {f"c{i}": rng.normal(size=8) for i in range(10)}
     judgments = Judgments(relevant={f"q{i}": {f"c{i}", f"c{i + 5}"} for i in range(3)})
-    base = evaluate(queries, cands, judgments).to_dict()
+    base = evaluate(*rows(queries), *rows(cands), judgments).to_dict()
     scaled_q = {qid: vec * 11.0 for qid, vec in queries.items()}
     scaled_c = {tid: vec * (3.7 if i % 2 else 0.004) for i, (tid, vec) in enumerate(cands.items())}
-    assert evaluate(scaled_q, scaled_c, judgments).to_dict() == base
+    assert evaluate(*rows(scaled_q), *rows(scaled_c), judgments).to_dict() == base
 
 
 def test_evaluate_identical_candidates_rank_by_id():
@@ -143,22 +148,22 @@ def test_evaluate_identical_candidates_rank_by_id():
     cands = {f"c{i:02d}": shared.copy() for i in range(37)}
     queries = {f"q{i:02d}": rng.normal(size=256) for i in range(37)}
     judgments = Judgments(relevant={f"q{i:02d}": {f"c{i:02d}"} for i in range(37)})
-    report = evaluate(queries, cands, judgments)
+    report = evaluate(*rows(queries), *rows(cands), judgments)
     assert [row["rr"] for row in report.per_query] == [1.0 / (i + 1) for i in range(37)]
     for i, (qid, vec) in enumerate(queries.items()):
-        assert evaluate({qid: vec}, cands, judgments).mrr == 1.0 / (i + 1)
+        assert evaluate(*rows({qid: vec}), *rows(cands), judgments).mrr == 1.0 / (i + 1)
 
 
 def test_evaluate_vector_errors():
     judgments = Judgments(relevant={"q": {"a"}})
     with pytest.raises(DimensionMismatch):
-        evaluate({"q": np.ones(3)}, {"a": np.ones(4)}, judgments)
+        evaluate(*rows({"q": np.ones(3)}), *rows({"a": np.ones(4)}), judgments)
     with pytest.raises(DimensionMismatch):
-        evaluate({"q": np.ones(3)}, {"a": np.ones(3), "b": np.ones((1, 3))}, judgments)
+        evaluate(["q"], np.ones((1, 3)), ["a", "b"], np.ones((2, 1, 3)), judgments)
     with pytest.raises(ZeroVector):
-        evaluate({"q": np.zeros(3)}, {"a": np.ones(3)}, judgments)
+        evaluate(*rows({"q": np.zeros(3)}), *rows({"a": np.ones(3)}), judgments)
     with pytest.raises(ZeroVector):
-        evaluate({"q": np.ones(3)}, {"a": np.ones(3), "b": np.zeros(3)}, judgments)
+        evaluate(*rows({"q": np.ones(3)}), *rows({"a": np.ones(3), "b": np.zeros(3)}), judgments)
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +221,8 @@ def test_evaluate_holds_at_most_one_block_of_rankings(monkeypatch):
     n = 2 * QUERY_BLOCK + 5
     queries = {f"q{i:03d}": rng.normal(size=4) for i in range(n)}
     candidates = {f"t{i:03d}": rng.normal(size=4) for i in range(n)}
-    report = evaluate(queries, candidates, Judgments(relevant={f"q{i:03d}": {f"t{i:03d}"}
-                                                               for i in range(n)}))
+    report = evaluate(*rows(queries), *rows(candidates),
+                      Judgments(relevant={f"q{i:03d}": {f"t{i:03d}"} for i in range(n)}))
     assert len(report.per_query) == len(alive) == n
     assert most[0] <= QUERY_BLOCK
 
@@ -279,7 +284,7 @@ def _orthogonal_pool(relevant_per_query=12, irrelevant=8, dim=32):
 
 def test_evaluate_oracle_embeddings_all_metrics_one():
     queries, candidates, judgments = _orthogonal_pool()
-    report = evaluate(queries, candidates, judgments)
+    report = evaluate(*rows(queries), *rows(candidates), judgments)
     assert report.map == 1.0
     assert report.ndcg == 1.0
     assert report.mrr == 1.0
@@ -294,7 +299,7 @@ def test_evaluate_adversarial_embeddings():
     for i in range(4):
         candidates[f"bad{i}"] = q * (i + 1)
     judgments = Judgments(relevant={"q0": {"rel"}})
-    report = evaluate(queries, candidates, judgments)
+    report = evaluate(*rows(queries), *rows(candidates), judgments)
     assert report.map < 0.5
 
 
@@ -302,7 +307,7 @@ def test_evaluate_excludes_original_target():
     q = np.array([1.0, 0.0])
     candidates = {"orig": q, "other": np.array([0.9, 0.1])}
     judgments = Judgments(relevant={"q0": {"orig", "other"}}, original={"q0": "orig"})
-    report = evaluate({"q0": q}, candidates, judgments)
+    report = evaluate(*rows({"q0": q}), *rows(candidates), judgments)
     assert report.per_query[0]["rr"] == 1.0
     ids = [row["query_id"] for row in report.per_query]
     assert ids == ["q0"]
@@ -310,7 +315,7 @@ def test_evaluate_excludes_original_target():
 
 def test_report_schema_and_table():
     queries, candidates, judgments = _orthogonal_pool()
-    report = evaluate(queries, candidates, judgments)
+    report = evaluate(*rows(queries), *rows(candidates), judgments)
     payload = json.loads(report.to_json())
     assert set(payload) == {"map", "ndcg", "p_at", "mrr", "per_query"}
     assert set(payload["p_at"]) == {"1", "3", "10"}

@@ -21,7 +21,7 @@ from codegap.languages import (
 from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
 from codegap.spans import _pick_seed, _sibling, select_span
 from codegap import tokenizer
-from codegap.tokenizer import line_start, tokenize
+from codegap.tokenizer import TRIVIA_KINDS, line_start, tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
     _build_rows,
@@ -35,6 +35,7 @@ from codegap.tree import (
 
 from _oracles import (
     child_rows,
+    cpython_tokens,
     leaf_counts,
     leaf_positions,
     oracle_columns,
@@ -206,6 +207,19 @@ def test_tokenize_matches_reference_scanner_on_real_files(source_set, parsed_cor
         for lang in supported_languages():
             grammar = get_language(lang)
             assert _stream(source, grammar) == _reference_stream(source, grammar)
+
+
+def test_python_lexer_matches_cpython_tokenize_on_stdlib_files():
+    # an independent grammar: CPython's own tokenizer. It emits nothing for a
+    # backslash line continuation, which codegap keeps as a one-character token
+    sources = real_sources(str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), 40)
+    if len(sources) < 40:
+        pytest.skip("fewer than 40 stdlib files here")
+    for source in sources:
+        tree = parse(source, "python")
+        ours = [(offset, tok.text) for tok, offset in zip(tree.leaves, tree.offsets)
+                if tok.kind not in TRIVIA_KINDS and tok.text != "\\"]
+        assert ours == cpython_tokens(source)
 
 
 @settings(max_examples=120, deadline=None)
