@@ -26,6 +26,7 @@ from .languages import (
     MASK_TOKEN,
     get_language,
     load_extension_map,
+    read_text,
     supported_languages,
 )
 from .pipeline import (
@@ -152,7 +153,7 @@ def _merge_config(cls, args: argparse.Namespace) -> dict:
 
 def resolve_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "valid_repos_file", None):
-        names = [ln.strip() for ln in args.valid_repos_file.read_text(encoding="utf-8").splitlines()]
+        names = [ln.strip() for ln in read_text(args.valid_repos_file).splitlines()]
         args.valid_repos = [n for n in names if n and not n.startswith("#")]
     values = _merge_config(PipelineConfig, args)
     for low, high in _ORDERED_BOUNDS:

@@ -151,8 +151,18 @@ class ToyEncoder:
         tau = sidecar.get("tau")
         if isinstance(tau, bool) or not isinstance(tau, (int, float)):
             raise CodegapError(f"{sidecar_path}: checkpoint sidecar needs a numeric 'tau', got {tau!r}")
+        shape = sidecar.get("buckets"), sidecar.get("dim")
+        if not all(type(n) is int and n > 0 for n in shape):
+            raise CodegapError(f"{sidecar_path}: checkpoint sidecar needs positive integer "
+                               f"'buckets' and 'dim', got {shape[0]!r} and {shape[1]!r}")
         with path.open("rb") as fh:
-            params = np.load(fh)
+            try:
+                params = np.load(fh)
+            except (ValueError, EOFError) as exc:  # pickled data, or no .npy array at all
+                raise CodegapError(f"{path}: not a checkpoint array: {exc}") from exc
+        # an .npz archive loads as several arrays
+        if not isinstance(params, np.ndarray) or params.dtype.kind != "f" or params.shape != shape:
+            raise CodegapError(f"{path}: not one float array of the sidecar's shape {shape}")
         return cls(params=params, tau=float(tau))
 
 
@@ -250,15 +260,15 @@ def learning_rate(step: int, config: TrainConfig) -> float:
 
 def pack_validation(encoder: ToyEncoder, contexts: list[str], targets: list[str]
                     ) -> tuple[list[PackedCounts], np.ndarray]:
-    """Contexts, then distinct targets, packed in blocks of EMBED_ROWS texts,
-    and each context's own row among the distinct targets. Targets with equal
-    bucket counts share a row, so ties fall to the index rule, not to rounding."""
+    """Contexts, then targets, packed in blocks of EMBED_ROWS texts, and each
+    context's own row among the targets: the first target with equal bucket
+    counts, so ties fall to the index rule, not to rounding."""
+    target_blocks = list(encoder.blocks(targets))
     first: dict[tuple[bytes, bytes], int] = {}
-    own = np.array([first.setdefault((k.tobytes(), m.tobytes()), len(first))
-                    for packed in encoder.blocks(targets) for k, m in packed.row_entries()],
-                   dtype=np.intp)
-    texts = contexts + [targets[i] for i in np.unique(own, return_index=True)[1]]
-    return list(encoder.blocks(texts)), own
+    entries = (entry for packed in target_blocks for entry in packed.row_entries())
+    own = np.array([first.setdefault((k.tobytes(), m.tobytes()), i)
+                    for i, (k, m) in enumerate(entries)], dtype=np.intp)
+    return [*encoder.blocks(contexts), *target_blocks], own
 
 
 def validation_mrr(params: np.ndarray, blocks: list[PackedCounts], own: np.ndarray,

@@ -12,7 +12,7 @@ import keyword as _python_keyword
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import UnsupportedLanguage
+from .errors import CodegapError, UnsupportedLanguage
 
 MASK_TOKEN = "<mask>"
 FOLD_TOKEN = "<fold>"
@@ -135,6 +135,14 @@ def get_language(name: str) -> Language:
                                   f"supported: {', '.join(supported_languages())}") from None
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; one that is not UTF-8 is a data error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodegapError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def load_extension_map(path: str | Path) -> dict[str, str]:
     """Parse an ``ext=grammar`` per-line config file into an extension map.
 
@@ -142,7 +150,7 @@ def load_extension_map(path: str | Path) -> dict[str, str]:
     unregistered grammar is a configuration error and raises.
     """
     mapping: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

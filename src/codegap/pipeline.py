@@ -18,12 +18,13 @@ import json
 import logging
 import math
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-# mutual_identifiers is not called here; perfbench's layer tracer patches this name (ROADMAP item 4)
+# mutual_identifiers is not called here; perfbench's layer tracer patches this name (ROADMAP item 5)
 from .deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking  # noqa: F401
 from .errors import CodegapError, EmptyTree, SchemaError
 from .languages import Language, get_language, language_for_path
@@ -321,18 +322,22 @@ def write_jsonl(path: str | Path, records: Iterable[PairRecord]) -> int:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # a byte that is no UTF-8, as surrogateescape reads it
 
 
 def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
                        types: dict[str, type] | None = None) -> Iterator[tuple[int, dict]]:
     """(line number, object) per non-blank line, read as it is pulled; SchemaError names
-    a bad line: one that lacks a `required` key or holds a `types` key of another type."""
+    a bad line: one that is not UTF-8, lacks a `required` key or holds a `types` key of
+    another type."""
     needed = frozenset(required)
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise SchemaError("not valid UTF-8", line=lineno)
             try:
                 obj, end = _raw_decode(line)
             except json.JSONDecodeError:

@@ -23,19 +23,18 @@ from .tree import SyntaxTree
 
 @dataclass(frozen=True)
 class SpanSelection:
-    """A run of consecutive sibling rows of `tree`; its leaf range is read
-    off the tree at the run's ends."""
+    """A run of consecutive sibling nodes of `tree`: the children of row
+    `parent` that cover leaves leaf_start:leaf_end, or the root alone when
+    `parent` is -1."""
 
     tree: SyntaxTree = field(repr=False)
-    sibling_run: tuple[int, ...]
+    parent: int
+    leaf_start: int
+    leaf_end: int
 
     @property
-    def leaf_start(self) -> int:
-        return self.tree.first_leaf[self.sibling_run[0]]
-
-    @property
-    def leaf_end(self) -> int:
-        return self.tree.first_leaf[self.tree.subtree_end[self.sibling_run[-1]]]
+    def sibling_run(self) -> tuple[int, int, int]:
+        return self.parent, self.leaf_start, self.leaf_end
 
     @property
     def leaf_count(self) -> int:
@@ -51,14 +50,14 @@ def sample_target_length(rng: random.Random, mean: float, stddev: float,
     return max(min_len, min(max_len, round(draw)))
 
 
-def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
-    """A seed node of leaf count in [length / 2, length], else of the largest
-    count that fits (bisected out of the count order, then drawn from in
-    preorder), else a seed leaf."""
-    order, first, end = tree.seed_order, tree.first_leaf, tree.subtree_end
+def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> tuple[int, int, int]:
+    """The run of one seed: a seed node of leaf count in [length / 2,
+    length], else of the largest count that fits (bisected out of the count
+    order, then drawn from in preorder), else a seed leaf."""
+    order, first, end = tree.seed_order, tree.first_leaf, tree.leaf_end
 
     def count(row: int) -> int:
-        return first[end[row]] - first[row]
+        return end[row] - first[row]
 
     fits = bisect.bisect_right(order, length, key=count)
     start = bisect.bisect_left(order, max(1.0, length / 2), hi=fits, key=count)
@@ -66,81 +65,97 @@ def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> int:
         start = bisect.bisect_left(order, count(order[fits - 1]), hi=fits, key=count)
     if start < fits:
         window = sorted(order[start:fits])
-        return window[rng.randrange(len(window))]
+        row = window[rng.randrange(len(window))]
+        return tree.parent[row], first[row], end[row]
     if tree.seed_leaves:
-        return tree.seed_leaves[rng.randrange(len(tree.seed_leaves))]
+        leaf = tree.seed_leaves[rng.randrange(len(tree.seed_leaves))]
+        row = bisect.bisect_right(first, leaf) - 1  # the last row to start by the leaf,
+        while end[row] <= leaf:  # climbed to the innermost one that holds it
+            row = tree.parent[row]
+        return row, leaf, leaf + 1
     raise EmptyTree("no selectable node outside error regions")
 
 
-def _sibling(tree: SyntaxTree, run: list[int], following: bool) -> int:
-    """The row beside the run in the given direction, or -1. Unless the run
-    starts its parent's children, the row before it lies under the sibling."""
-    parent = tree.parent
-    up = parent[run[0]]
-    if following:
-        after = tree.subtree_end[run[-1]]
-        return after if up >= 0 and after < tree.subtree_end[up] else -1
-    if run[0] == up + 1:  # the first child, or the root
+def _child_holding(first: list[int], end: list[int], parent: list[int], up: int, leaf: int) -> int:
+    """The child row of `up` whose leaves hold `leaf`, which is one of up's
+    leaves, or -1 when it is one of up's own: the last row to start by the
+    leaf, climbed to up's child."""
+    row = bisect.bisect_right(first, leaf, up + 1) - 1
+    if row == up:
         return -1
-    row = run[0] - 1
     while parent[row] != up:
         row = parent[row]
-    return row
+    return row if end[row] > leaf else -1
 
 
-def _expand(tree: SyntaxTree, seed: int, length: int) -> list[int]:
-    kinds, parent = tree.kinds, tree.parent
-    first, end = tree.first_leaf, tree.subtree_end
-    run = [seed]
+def _expand(tree: SyntaxTree, run: tuple[int, int, int], length: int) -> tuple[int, int, int]:
+    """Grow a run toward `length` leaves. A sibling is the parent's child row
+    that starts at the run's end or holds the leaf before its start, else
+    the parent's own leaf there, found from the run's first row and the row
+    after it, which are kept across steps."""
+    kinds, parent, leaves = tree.kinds, tree.parent, tree.leaves
+    first, end = tree.first_leaf, tree.leaf_end
+    n_rows = len(first)
+    up, lo, hi = run
+    top = bisect.bisect_left(first, lo, up + 1)  # the first row that starts at or after lo
+    after = bisect.bisect_left(first, hi, top)  # the first row that starts at or after hi
     follow_first = True
-    while True:
-        up = parent[run[0]]
-        if up >= 0 and kinds[up] != "error" and first[end[up]] - first[up] <= length:
-            run = [up]
+    while up >= 0:
+        if kinds[up] != "error" and end[up] - first[up] <= length:
+            top, after = up, bisect.bisect_left(first, end[up], after)
+            up, lo, hi = parent[up], first[up], end[up]
             continue
-        placed = None
         for following in (follow_first, not follow_first):
-            sib = _sibling(tree, run, following)
-            # a bracket leaf's kind is its text
-            if sib < 0 or kinds[sib] == "error" or kinds[sib] in BRACKET_TEXTS:
-                continue
-            lo, hi = (run[0], sib) if following else (sib, run[-1])
-            if first[end[hi]] - first[lo] <= length:  # the leaves of the run and sib
-                placed = (sib, following)
-                break
-        if placed is None:
-            return run
-        sib, following = placed
-        if following:
-            run.append(sib)
-        else:
-            run.insert(0, sib)
-        follow_first = not follow_first
-        if up >= 0 and run[0] == up + 1 and end[run[-1]] == end[up]:
-            if first[end[up]] - first[up] <= length:
-                run = [up]
+            if following:
+                if hi == end[up]:
+                    continue
+                if after < n_rows and first[after] == hi:
+                    row, kind, start, stop = after, kinds[after], lo, end[after]
+                else:
+                    row, kind, start, stop = -1, leaves[hi].kind, lo, hi + 1
             else:
-                # a run of every child would re-create the block without its
-                # delimiters; roll the last addition back and stop
-                del run[-1 if following else 0]
-                return run
+                if lo == first[up]:
+                    continue
+                row = top - 1
+                while row > up and parent[row] != up:
+                    row = parent[row]
+                if row > up and end[row] == lo:
+                    kind, start, stop = kinds[row], first[row], hi
+                else:
+                    row, kind, start, stop = -1, leaves[lo - 1].kind, lo - 1, hi
+            # a bracket leaf's kind is its text
+            if kind != "error" and kind not in BRACKET_TEXTS and stop - start <= length:
+                if row >= 0:  # a child group: move the row bound on its side
+                    if following:
+                        after = bisect.bisect_left(first, stop, row + 1)
+                    else:
+                        top = row
+                lo, hi = start, stop
+                follow_first = not follow_first
+                break
+        else:
+            break
+    return up, lo, hi
 
 
-def _trim_edge_whitespace(tree: SyntaxTree, run: list[int]) -> list[int]:
+def _trim_edge_whitespace(tree: SyntaxTree, up: int, lo: int, hi: int) -> tuple[int, int, int]:
     """Drop bare whitespace leaves from the run edges; interior ones stay.
 
     A target beginning at a mid-line blank would render with phantom
     indentation that dedentation must not touch; trailing newlines are kept
-    so multi-line targets stay line-complete. A leaf row's kind is its
-    token's kind, and no group row has a whitespace kind.
+    so multi-line targets stay line-complete. A group may start with a
+    whitespace leaf (a python block with its first line's indent), so only
+    up's own leaves are dropped.
     """
-    kinds = tree.kinds
-    start, end = 0, len(run)
-    while start < end and kinds[run[start]] in WHITESPACE_KINDS:
+    leaves, start, stop = tree.leaves, lo, hi
+    columns = tree.first_leaf, tree.leaf_end, tree.parent
+    while (start < stop and leaves[start].kind in WHITESPACE_KINDS
+           and _child_holding(*columns, up, start) < 0):
         start += 1
-    while end - start > 1 and kinds[run[end - 1]] == "whitespace":
-        end -= 1
-    return run[start:end] if end > start else run
+    while (stop - start > 1 and leaves[stop - 1].kind == "whitespace"
+           and _child_holding(*columns, up, stop - 1) < 0):
+        stop -= 1
+    return (up, start, stop) if stop > start else (up, lo, hi)
 
 
 def select_span(tree: SyntaxTree, length: int, rng: random.Random) -> SpanSelection:
@@ -149,8 +164,8 @@ def select_span(tree: SyntaxTree, length: int, rng: random.Random) -> SpanSelect
         raise EmptyTree("cannot select a span from an empty tree")
     if length < 1:
         raise InvalidBounds("target length must be >= 1")
-    seed = _pick_seed(tree, length, rng)
-    return SpanSelection(tree, tuple(_trim_edge_whitespace(tree, _expand(tree, seed, length))))
+    run = _expand(tree, _pick_seed(tree, length, rng), length)
+    return SpanSelection(tree, *_trim_edge_whitespace(tree, *run))
 
 
 def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:
@@ -174,15 +189,20 @@ def select_span_with_retry(tree: SyntaxTree, rng: random.Random, *, mean: float,
 
 
 def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
-    # a row number fits any tree with that many rows, so ask for this tree
+    # a run's numbers fit any tree with that many rows and leaves, so ask for this tree
     if span.tree is not tree:
         raise SpanMismatch("span does not belong to this tree")
-    run = span.sibling_run
-    if not run or min(run) < 0 or max(run) >= len(tree.kinds):
-        raise SpanMismatch(f"sibling run {run} names no row or a row outside the tree")
-    for prev, row in zip(run, run[1:]):
-        if tree.subtree_end[prev] != row or tree.parent[prev] != tree.parent[row]:
-            raise SpanMismatch("sibling run is not a consecutive run")
+    run = up, lo, hi = span.sibling_run
+    first, end = tree.first_leaf, tree.leaf_end
+    if not (-1 <= up < len(tree.kinds) and 0 <= lo < hi <= tree.leaf_count):
+        raise SpanMismatch(f"sibling run {run} names no row or leaves outside the tree")
+    # within up's leaves (all of them for the root, parent -1, whose one child
+    # is row 0), and at each end no child of up holds the leaves on both sides
+    top, bottom = (first[up], end[up]) if up >= 0 else (0, tree.leaf_count)
+    if not (top <= lo and hi <= bottom and all(
+            first[child] == edge for edge in (lo, hi) if edge < bottom
+            if (child := _child_holding(first, end, tree.parent, up, edge)) >= 0)):
+        raise SpanMismatch(f"sibling run {run} is not a run of whole children of its parent")
 
 
 def split(tree: SyntaxTree, span: SpanSelection) -> tuple[list[Token], list[Token]]:

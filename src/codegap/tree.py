@@ -41,21 +41,23 @@ _KIND_ALIASES = {"def": "function_definition", "class": "class_definition"}
 # leaf kinds that never seed a span: blanks and bare brackets (a bracket
 # token's kind is its text)
 _NO_SEED_LEAF_KINDS = WHITESPACE_KINDS | BRACKET_TEXTS
+_token_kind = itemgetter(Token._fields.index("kind"))
 
 
 @dataclass
 class SyntaxTree:
-    """A parsed file as preorder rows in parallel lists; row 0 is the
-    program root. The subtree of row r is rows r:subtree_end[r] and covers
-    leaves[first_leaf[r]:first_leaf[subtree_end[r]]]; `first_leaf` ends in
-    one extra entry, len(leaves). The root's `parent` is -1. `seed_nodes`
-    (group rows below the root) and `seed_leaves` (leaf rows that are not
-    whitespace, newline or a bracket token) are the span seed candidates,
-    in preorder, with error subtrees left out; `seed_order` ranks the seed
-    nodes by leaf count. Parse numbers the rows in one pass, and truncation
-    slices them out of the parsed tree's. Rows are plain ints, so a tree
-    holds no reference cycle. Each leaf starts at its `offsets` entry in
-    `text`, which trees cut from this one share (a fold at its first leaf's)."""
+    """A parsed file: its token list, and the program root and the groups
+    as preorder rows in parallel lists. Row r covers the leaves
+    first_leaf[r]:leaf_end[r], at least one of them (the root of an empty
+    file aside), and its descendants are the rows after it that start
+    before its leaf end. The root, row 0, has `parent` -1. A leaf's kind is
+    its token's. `seed_nodes` (group rows below the root) and `seed_leaves`
+    (leaf indices of tokens that are no whitespace, newline or bracket) are
+    the span seed candidates, in file order, with error groups' leaves left
+    out; `seed_order` ranks the seed nodes by leaf count. Rows are plain
+    ints, so a tree holds no reference cycle. Each leaf starts at its
+    `offsets` entry in `text`, which trees cut from this one share (a fold
+    at its first leaf's)."""
 
     language: Language
     text: str
@@ -63,66 +65,46 @@ class SyntaxTree:
     offsets: list[int]
     kinds: list[str]
     first_leaf: list[int]
-    subtree_end: list[int]
+    leaf_end: list[int]
     parent: list[int]
     seed_nodes: list[int]
     seed_leaves: list[int]
 
     def walk(self) -> range:
-        return range(len(self.kinds))
-
-    def is_leaf(self, row: int) -> bool:
-        return self.first_leaf[row + 1] > self.first_leaf[row]  # only a leaf row takes a leaf
+        """One id per node: the group rows, then the row count plus each leaf index."""
+        return range(len(self.kinds) + len(self.leaves))
 
     @cached_property
     def seed_order(self) -> list[int]:
         """`seed_nodes` by (leaf count, preorder), sorted on first use."""
-        first, end = self.first_leaf, self.subtree_end
-        return sorted(self.seed_nodes, key=lambda r: first[end[r]] - first[r])
+        first, end = self.first_leaf, self.leaf_end
+        return sorted(self.seed_nodes, key=lambda r: end[r] - first[r])
 
     @property
     def leaf_count(self) -> int:
         return len(self.leaves)
 
 
-def _number_rows(language: Language, text: str, kinds: list[str], tokens: list[Token | None],
-                 parents: list[int]) -> SyntaxTree:
-    """Number rows given in preorder as parallel columns, row 0 being the
-    program root; a group row has no token, and the tokens tile `text`. One
-    pass closes the subtree ends and lists the span seeds; the tree keeps
-    `kinds` and `parents` as its columns."""
-    n = len(kinds)
-    leaves = [tok for tok in tokens if tok is not None]
+def _number_rows(language: Language, text: str, leaves: list[Token], kinds: list[str],
+                 first: list[int], end: list[int], parents: list[int]) -> SyntaxTree:
+    """The tree of group rows given in preorder as parallel columns over
+    `leaves`, which tile `text`. One pass over the rows lists the seed rows
+    outside error groups; the seed leaves are the tokens of seeding kinds,
+    once the leaves of error groups are struck out."""
     offsets = list(accumulate(map(len, map(itemgetter(0), leaves)), initial=0))[:-1]  # 0: the text
-    first = list(accumulate([tok is not None for tok in tokens], initial=0))
-    # one int object per row number, shared by every column that names rows
-    ids = list(range(n + 1))
-    end = ids[1:]  # a leaf closes itself
+    seeds = [kind not in _NO_SEED_LEAF_KINDS for kind in map(_token_kind, leaves)]
     seed_nodes: list[int] = []
-    seed_leaves: list[int] = []
-    open_rows = [0]  # the groups on the path from the root to the last row
-    error_row = -1  # the open error row that no other error row encloses
-    for row in ids[1:n]:
-        up = parents[row]
-        while open_rows[-1] != up:  # close the groups that do not enclose this row
-            before = open_rows.pop()
-            end[before] = row
-            if before == error_row:
-                error_row = -1
-        if tokens[row] is not None:
-            if error_row < 0 and kinds[row] not in _NO_SEED_LEAF_KINDS:
-                seed_leaves.append(row)
+    error_end = 0  # the leaf end of the last error row, which no other error row encloses
+    for row in range(1, len(kinds)):
+        if first[row] < error_end:
             continue
-        open_rows.append(row)
-        if error_row < 0:
-            if kinds[row] == "error":
-                error_row = row
-            else:
-                seed_nodes.append(row)
-    for row in open_rows:
-        end[row] = n
+        if kinds[row] == "error":
+            error_end = end[row]
+            seeds[first[row]:error_end] = [False] * (error_end - first[row])
+        else:
+            seed_nodes.append(row)
     return SyntaxTree(language, text, leaves, offsets, kinds, first, end, parents, seed_nodes,
-                      seed_leaves)
+                      list(compress(range(len(leaves)), seeds)))
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +115,6 @@ def _number_rows(language: Language, text: str, kinds: list[str], tokens: list[T
 # token is an item alone.
 
 _STOPS = {True: BRACKET_TEXTS | {"newline"}, False: BRACKET_TEXTS | {";"}}
-_token_kind = itemgetter(Token._fields.index("kind"))
 _CLOSERS = frozenset(MATCHING_BRACKET.values())
 # items a statement stops before: an error group, or the closer of its block
 _STATEMENT_BREAKS = _CLOSERS | {"error"}
@@ -148,8 +129,8 @@ def _statement_kind(first_kw: str | None, has_block: bool) -> str:
 
 
 class _Rows:
-    """Preorder (kinds, tokens, parents) columns under a program root, row
-    0, written over one file's items."""
+    """Preorder (kinds, first leaf, leaf end, parent) columns of the groups
+    under a program root, row 0, written over one file's items."""
 
     def __init__(self, tokens: list[Token], lang: Language):
         """Match the brackets. Python's newlines outside brackets end its
@@ -188,26 +169,23 @@ class _Rows:
         for start in opened:
             items[start], ends[start] = "error", n
         self.cursor = 0  # rows are written in token order: the first bracket not yet written
-        self.kinds, self.tokens, self.parents = ["program"], [None], [-1]
+        self.kinds, self.first, self.end, self.parents = ["program"], [0], [n], [-1]
 
-    def group(self, kind: str, up: int) -> int:
+    def group(self, kind: str, start: int, end: int, up: int) -> int:
         self.kinds.append(kind)
-        self.tokens.append(None)
+        self.first.append(start)
+        self.end.append(end)
         self.parents.append(up)
         return len(self.kinds) - 1
 
     def write(self, pos: int, stop: int, up: int, grouped: bool) -> None:
-        """Rows for the items in pos:stop under row `up`, with statements
+        """Rows for the groups in pos:stop under row `up`, with statements
         grouped there when `grouped` and inside every closed block of a
-        brace grammar. A row closes once the writing reaches its end."""
+        brace grammar; the tokens between them are `up`'s own leaves."""
         cursor = self.cursor
         if not grouped and self.brackets[cursor] >= stop:  # leaves alone
-            self.kinds += self.items[pos:stop]
-            self.tokens += self.source[pos:stop]
-            self.parents += [up] * (stop - pos)
             return
-        items, ends, source, brackets = self.items, self.ends, self.source, self.brackets
-        kinds, tokens, parents = self.kinds, self.tokens, self.parents
+        items, ends, brackets = self.items, self.ends, self.brackets
         group_blocks = not self.lang.indent_blocks
         outer: list[tuple[int, int, bool]] = []  # (row, end, grouped) of the rows that enclose `up`
         while True:
@@ -218,52 +196,27 @@ class _Rows:
                 up, stop, grouped = outer.pop()
             item = items[pos]
             if not grouped:  # leaves up to the next bracket
-                end = brackets[cursor]
-                if end > stop:
-                    end = stop
+                pos = brackets[cursor]
+                if pos >= stop:
+                    pos = stop
+                    continue
+                item = items[pos]
             elif item in TRIVIA_KINDS:  # blanks and comments between statements
-                end = pos + 1
-                while end < stop and items[end] in TRIVIA_KINDS:
-                    end += 1
-            elif item in _STATEMENT_BREAKS:
-                end = pos
-            else:
+                pos += 1
+                continue
+            elif item not in _STATEMENT_BREAKS:
                 end, kind = self._statement(pos, stop)
                 if kind is not None:
                     outer.append((up, stop, grouped))
-                    kinds.append(kind)
-                    tokens.append(None)
-                    parents.append(up)
-                    up, stop, grouped = len(kinds) - 1, end, False
+                    up, stop, grouped = self.group(kind, pos, end, up), end, False
                     continue
-                end = pos
-            if pos < end:
-                if end - pos == 1:
-                    kinds.append(item)
-                    tokens.append(source[pos])
-                    parents.append(up)
-                else:
-                    kinds += items[pos:end]
-                    tokens += source[pos:end]
-                    parents += [up] * (end - pos)
-                pos = end
-                if pos == stop or grouped:
-                    continue
-                item = items[pos]
             cursor += 1  # a bracket at pos
-            tok = source[pos]
             if item in _CLOSERS:  # the last leaf of the innermost row
-                kinds.append(item)
-                tokens.append(tok)
-                parents.append(up)
                 pos += 1
                 continue
-            row = len(kinds)
-            kinds += (item, tok.kind)
-            tokens += (None, tok)
-            parents += (up, row)
             outer.append((up, stop, grouped))
-            up, stop, grouped = row, ends[pos], group_blocks and item == "block"
+            up, stop = self.group(item, pos, ends[pos], up), ends[pos]
+            grouped = group_blocks and item == "block"
             pos += 1
 
     def _statement(self, pos: int, stop: int) -> tuple[int, str | None]:
@@ -339,28 +292,27 @@ def _indent_rows(rows: _Rows) -> None:
         if line < n_lines and (k == n_lines or indents[k] >= level):
             start, stop = bounds[line], bounds[line + 1]
             line += 1
-            if k != line - 1:  # a blank line
-                rows.write(start, stop, up, False)
+            if k != line - 1:  # a blank line: no brackets, so no rows
                 continue
             if items[start] == "whitespace":  # the indent stays outside the statement
-                rows.write(start, start + 1, up, False)
                 start += 1
             sig = first_sig[k]
             keyword = sig.text if sig.kind == "keyword" else None
             if keyword is None and ends[start] == stop and items[start] != source[start].kind:
                 rows.write(start, stop, up, False)  # one bracket group alone
                 continue
-            stmt = [rows.group("statement", up), keyword, indents[k], False]
+            stmt = [rows.group("statement", start, stop, up), keyword, indents[k], False]
             rows.write(start, stop, stmt[0], False)
         else:  # the innermost suite ends here
             if not owners:
                 return
-            suites.pop()
+            rows.end[suites.pop()[1]] = bounds[line]
             stmt = owners.pop()
             sig = first_sig[k] if k < n_lines else None
             if (sig is None or indents[k] != stmt[2] or sig.kind != "keyword"
                     or stmt[1] not in _CLAUSE_OWNERS.get(sig.text, ())):
                 rows.kinds[stmt[0]] = _statement_kind(stmt[1], stmt[3])
+                rows.end[stmt[0]] = bounds[line]
                 continue
             rows.write(bounds[line], bounds[k + 1], stmt[0], False)  # blank lines, then the clause
             line = k + 1
@@ -374,19 +326,22 @@ def _indent_rows(rows: _Rows) -> None:
         if last == ":" and k < n_lines and indents[k] > stmt[2]:
             stmt[3] = True
             owners.append(stmt)
-            suites.append((indents[k], rows.group("block", stmt[0])))
+            suites.append((indents[k], rows.group("block", bounds[line], bounds[line], stmt[0])))
             continue
         rows.kinds[stmt[0]] = _statement_kind(stmt[1], stmt[3])
+        rows.end[stmt[0]] = bounds[line]
 
 
-def _build_rows(tokens: list[Token], lang: Language) -> tuple[list[str], list[Token | None], list[int]]:
-    """The (kinds, tokens, parents) columns of a file's tree, in preorder."""
+def _build_rows(tokens: list[Token], lang: Language
+                ) -> tuple[list[str], list[int], list[int], list[int]]:
+    """The (kinds, first leaf, leaf end, parent) columns of a file's group
+    rows, in preorder."""
     rows = _Rows(tokens, lang)
     if lang.indent_blocks:
         _indent_rows(rows)
     else:
         rows.write(0, len(tokens), 0, True)
-    return rows.kinds, rows.tokens, rows.parents
+    return rows.kinds, rows.first, rows.end, rows.parents
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +356,7 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
     tokens = tokenize(source, lang)
-    return _number_rows(lang, source, *_build_rows(tokens, lang))
+    return _number_rows(lang, source, tokens, *_build_rows(tokens, lang))
 
 
 def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:
@@ -430,73 +385,71 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# structural rebuilds used by file truncation: kept rows are slices of the
-# tree's columns, with row and leaf numbers shifted by a constant per slice
+# structural rebuilds used by file truncation: a sibling run is (parent row,
+# first leaf, leaf end), and the rows under it are the rows after the parent
+# that start in its leaf range. Kept rows are slices of the tree's columns,
+# with row and leaf numbers shifted by a constant per slice
 
 def _seeds_in(seeds: list[int], start: int, stop: int, shift: int) -> list[int]:
-    """The seed rows in start:stop, shifted."""
+    """The seeds in start:stop, shifted."""
     return [r + shift for r in seeds[bisect.bisect_left(seeds, start):bisect.bisect_left(seeds, stop)]]
 
 
-def tree_from_run(tree: SyntaxTree, run: tuple[int, ...]) -> SyntaxTree:
+def tree_from_run(tree: SyntaxTree, run: tuple[int, int, int]) -> SyntaxTree:
     """A standalone tree viewing a sibling run as its own program. The rows
     under the run are one range, so each column is a slice of the tree's
     shifted by a constant, and the seeds are bisected out of its seed lists
     (a selected run lies outside error subtrees)."""
-    start, stop = run[0], tree.subtree_end[run[-1]]
-    lo, hi = tree.first_leaf[start], tree.first_leaf[stop]
-    shift = 1 - start  # old row r is new row r + shift
-    first, ends, parent = [0], [stop + shift], [-1]
-    first += [i - lo for i in tree.first_leaf[start:stop + 1]]  # stop's entry, hi, is the sentinel
-    ends += [r + shift for r in tree.subtree_end[start:stop]]
-    parent += [r + shift for r in tree.parent[start:stop]]
-    for row in run:
-        parent[row + shift] = 0
-    seed_nodes = [1] if start == 0 else []  # the old root is now a group below the root
+    up, lo, hi = run
+    first = tree.first_leaf
+    start = bisect.bisect_left(first, lo, up + 1)
+    stop = bisect.bisect_left(first, hi, start)
+    shift = 1 - start  # old row r is new row r + shift; the run's members hang from the root
+    seed_nodes = [1] if up < 0 else []  # the old root is now a group below the root
     seed_nodes += _seeds_in(tree.seed_nodes, start, stop, shift)
     return SyntaxTree(tree.language, tree.text, tree.leaves[lo:hi], tree.offsets[lo:hi],
-                      ["program", *tree.kinds[start:stop]], first, ends, parent, seed_nodes,
-                      _seeds_in(tree.seed_leaves, start, stop, shift))
+                      ["program", *tree.kinds[start:stop]],
+                      [0, *(i - lo for i in first[start:stop])],
+                      [hi - lo, *(i - lo for i in tree.leaf_end[start:stop])],
+                      [-1, *(max(0, r + shift) for r in tree.parent[start:stop])], seed_nodes,
+                      _seeds_in(tree.seed_leaves, lo, hi, -lo))
 
 
-def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, ...]]) -> SyntaxTree:
+def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, int, int]]) -> SyntaxTree:
     """The tree with each sibling run, given in file order, replaced by one
-    fold leaf in the row of its first member. Kept rows are slices shifted
-    by the rows and leaves that earlier folds removed, parents map through
-    one old -> new row list, and only a fold's ancestors have their subtree
-    ends cut. The root has no place to fold into, so a run of the root alone
-    leaves the tree whole."""
-    n = len(tree.kinds)
-    new_row = [-1] * (n + 1)  # the extra last slot maps "no row", -1, to itself
-    kinds, leaves, offsets, first, ends, parent, seed_nodes, seed_leaves = [[] for _ in range(8)]
+    fold leaf. Kept rows and leaves are slices shifted by the rows and
+    leaves that earlier folds removed, parents map through one old -> new
+    row list, and only a fold's ancestors have their leaf ends cut. The root
+    has no place to fold into, so a run of the root alone leaves the tree
+    whole."""
+    first = tree.first_leaf
+    new_row = [-1] * (len(first) + 1)  # the extra last slot maps "no row", -1, to itself
+    kinds, leaves, offsets, firsts, ends, parent, seed_nodes, seed_leaves = [[] for _ in range(8)]
     start = leaf = 0  # the first row and leaf of the piece kept next
-    for run in [*(run for run in runs if run[0] > 0), (n,)]:
-        cut, stop = run[0], min(run[0] + 1, n)
-        cut_leaf = tree.first_leaf[cut]
+    tail = (0, len(tree.leaves), -1)  # no fold: the rows and leaves to the end
+    for up, lo, hi in [*(run for run in runs if run[0] >= 0), tail]:
+        cut = bisect.bisect_left(first, lo, up + 1)
         shift, leaf_shift = len(kinds) - start, len(leaves) - leaf
-        new_row[start:stop] = range(start + shift, stop + shift)
-        kinds += tree.kinds[start:stop]
-        first += [i + leaf_shift for i in tree.first_leaf[start:stop]]
-        leaves += tree.leaves[leaf:cut_leaf]
-        offsets += tree.offsets[leaf:cut_leaf]
-        ends += [r + shift for r in tree.subtree_end[start:stop]]
-        parent += map(new_row.__getitem__, tree.parent[start:stop])
+        new_row[start:cut] = range(start + shift, cut + shift)
+        kinds += tree.kinds[start:cut]
+        firsts += [i + leaf_shift for i in first[start:cut]]
+        ends += [i + leaf_shift for i in tree.leaf_end[start:cut]]
+        parent += map(new_row.__getitem__, tree.parent[start:cut])
+        leaves += tree.leaves[leaf:lo]
+        offsets += tree.offsets[leaf:lo]
         seed_nodes += _seeds_in(tree.seed_nodes, start, cut, shift)
-        seed_leaves += _seeds_in(tree.seed_leaves, start, cut, shift)
-        if cut == n:
+        seed_leaves += _seeds_in(tree.seed_leaves, leaf, lo, leaf_shift)
+        if hi < 0:
             break
-        row = cut + shift
-        kinds[row], ends[row] = "fold", row + 1
-        leaves.append(Token(FOLD_TOKEN, "fold", synthetic=True))
-        offsets.append(tree.offsets[cut_leaf])
-        start = tree.subtree_end[run[-1]]
-        leaf = tree.first_leaf[start]
-        seed, up = True, row  # a seed leaf unless it lies in an error subtree
-        while (up := parent[up]) >= 0:
-            ends[up] -= start - cut - 1
-            seed = seed and kinds[up] != "error"
+        seed, row = True, new_row[up]  # the fold seeds unless it lies in an error subtree
+        while row >= 0:
+            ends[row] -= hi - lo - 1
+            seed = seed and kinds[row] != "error"
+            row = parent[row]
         if seed:
-            seed_leaves.append(row)
-    first.append(len(leaves))
-    return SyntaxTree(tree.language, tree.text, leaves, offsets, kinds, first, ends, parent,
+            seed_leaves.append(len(leaves))
+        leaves.append(Token(FOLD_TOKEN, "fold", synthetic=True))
+        offsets.append(tree.offsets[lo])
+        start, leaf = bisect.bisect_left(first, hi, cut), hi
+    return SyntaxTree(tree.language, tree.text, leaves, offsets, kinds, firsts, ends, parent,
                       seed_nodes, seed_leaves)

@@ -39,7 +39,7 @@ from codegap.errors import (
     ZeroVector,
 )
 from codegap.languages import FOLD_TOKEN, Language
-from codegap.spans import _sibling
+from codegap.spans import _child_holding
 from codegap.tokenizer import MATCHING_BRACKET, OPEN_BRACKETS, Token
 from codegap.tree import (
     _KIND_ALIASES,
@@ -395,29 +395,160 @@ def make_leaf_tokens(n: int, text: str = "t") -> list[Token]:
 
 def make_tree(spec, language: Language) -> SyntaxTree:
     """Build a tree from ("kind", [children]) / int (leaf count) nesting."""
-    counter = itertools.count()
-    rows: list[tuple[str, Token | None, int]] = []
+    leaves: list[Token] = []
+    kinds, first, end, parents = ["program"], [0], [0], [-1]
 
     def add(node_spec, up: int) -> None:
         if isinstance(node_spec, int):
             for _ in range(node_spec):
-                i = next(counter)
-                rows.append(("identifier", Token(text=f"x{i} ", kind="identifier"), up))
+                leaves.append(Token(text=f"x{len(leaves)} ", kind="identifier"))
             return
         kind, children = node_spec
-        rows.append((kind, None, up))
-        row = len(rows)  # row 0 is the program root
+        row = len(kinds)  # row 0 is the program root
+        for column, value in ((kinds, kind), (first, len(leaves)), (end, 0), (parents, up)):
+            column.append(value)
         for child in children:
             add(child, row)
+        end[row] = len(leaves)
 
     for child in [spec] if isinstance(spec, int) else spec[1]:
         add(child, 0)
-    kinds, tokens, parents = map(list, zip(("program", None, -1), *rows))
-    text = "".join(tok.text for tok in tokens if tok is not None)
-    return _number_rows(language, text, kinds, tokens, parents)
+    end[0] = len(leaves)
+    return _number_rows(language, "".join(tok.text for tok in leaves), leaves, kinds, first, end,
+                        parents)
 
 
-def child_rows(tree: SyntaxTree) -> list[list[int]]:
+def number_preorder(language: Language, text: str, kinds: list[str], tokens: list[Token | None],
+                    parents: list[int]) -> SyntaxTree:
+    """`_number_rows` over all-row preorder columns, in which a group row has
+    no token and every token is a row: the group rows keep their kinds, and
+    their leaf ranges and parents are counted off the token rows."""
+    # the leaves before each row
+    before = list(itertools.accumulate((tok is not None for tok in tokens), initial=0))
+    end = before[1:]
+    open_rows: list[int] = []  # the rows on the path from the root to the last row
+    for row, up in enumerate(parents):
+        while open_rows and open_rows[-1] != up:
+            end[open_rows.pop()] = before[row]
+        open_rows.append(row)
+    for row in open_rows:
+        end[row] = before[-1]
+    groups = [row for row, tok in enumerate(tokens) if tok is None]
+    group_of = {row: g for g, row in enumerate(groups)} | {-1: -1}
+    return _number_rows(language, text, [tok for tok in tokens if tok is not None],
+                        [kinds[r] for r in groups], [before[r] for r in groups],
+                        [end[r] for r in groups], [group_of[parents[r]] for r in groups])
+
+
+class PreorderRows:
+    """A tree read as preorder rows in which every leaf is a row of its own:
+    at each leaf, the group rows that start there, then the leaf. Its
+    columns are the ones trees kept before their leaves left the rows:
+    `first_leaf` with one more entry, the leaf total; `subtree_end`, the row
+    after each subtree; `parent`; and the seed rows. `rows_of` and `run_of`
+    map a sibling run (parent row, first leaf, leaf end) to the rows of its
+    members and back, and `sibling` finds a row's neighbour from the
+    tree's columns."""
+
+    COLUMNS = ("kinds", "first_leaf", "subtree_end", "parent", "leaves", "offsets",
+               "seed_nodes", "seed_leaves")
+
+    def __init__(self, tree: SyntaxTree):
+        self.tree, self.language, self.text = tree, tree.language, tree.text
+        self.leaves, self.offsets = tree.leaves, tree.offsets
+        n_groups, n_leaves = len(tree.kinds), len(tree.leaves)
+        self.group_row, self.leaf_row = [0] * n_groups, [0] * n_leaves
+        self.start_row = []  # the first row placed at each leaf, and the row total
+        self.kinds, self.first_leaf, self.parent = [], [], []
+        holding: list[int] = []  # the group rows that hold the next leaf, outermost first
+        group = 0
+        for leaf in range(n_leaves + 1):
+            self.start_row.append(len(self.kinds))
+            while holding and tree.leaf_end[holding[-1]] <= leaf:
+                holding.pop()
+            while group < n_groups and (group == 0 or tree.first_leaf[group] == leaf):
+                self._place(tree.kinds[group], tree.first_leaf[group], tree.parent[group])
+                self.group_row[group] = len(self.kinds) - 1
+                holding.append(group)
+                group += 1
+            if leaf < n_leaves:
+                self.leaf_row[leaf] = len(self.kinds)
+                self._place(tree.leaves[leaf].kind, leaf, holding[-1])
+        self.first_leaf.append(n_leaves)
+        self.start_row[n_leaves] = len(self.kinds)  # the row total, also for an empty root
+        self.group_of = {row: group for group, row in enumerate(self.group_row)}
+        self.subtree_end = [row + 1 for row in self.walk()]  # a leaf row ends itself
+        for group, row in enumerate(self.group_row):
+            self.subtree_end[row] = self.start_row[tree.leaf_end[group]]
+        self.seed_nodes = [self.group_row[row] for row in tree.seed_nodes]
+        self.seed_leaves = [self.leaf_row[leaf] for leaf in tree.seed_leaves]
+
+    def _place(self, kind: str, first: int, up: int) -> None:
+        self.kinds.append(kind)
+        self.first_leaf.append(first)
+        self.parent.append(self.group_row[up] if up >= 0 else -1)
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.leaves)
+
+    def walk(self) -> range:
+        return range(len(self.kinds))
+
+    def is_leaf(self, row: int) -> bool:
+        return self.first_leaf[row + 1] > self.first_leaf[row]  # only a leaf row takes a leaf
+
+    def tokens(self) -> list[Token | None]:
+        """Each row's token; a group row has none."""
+        return [self.leaves[self.first_leaf[row]] if self.is_leaf(row) else None
+                for row in self.walk()]
+
+    def columns(self) -> dict[str, list]:
+        return {key: getattr(self, key) for key in self.COLUMNS}
+
+    def rows_of(self, run: tuple[int, int, int]) -> tuple[int, ...]:
+        """The rows of a sibling run's members."""
+        up, lo, hi = run
+        top = self.group_row[up] if up >= 0 else -1
+        members = []
+        while lo < hi:
+            row = self.start_row[lo]
+            while self.parent[row] != top:  # the rows placed at lo, outermost first
+                row += 1
+            members.append(row)
+            lo = self.first_leaf[self.subtree_end[row]]
+        return tuple(members)
+
+    def run_of(self, rows: tuple[int, ...]) -> tuple[int, int, int]:
+        """The sibling run of consecutive rows under one parent."""
+        up = self.parent[rows[0]]
+        return (self.group_of[up] if up >= 0 else -1, self.first_leaf[rows[0]],
+                self.first_leaf[self.subtree_end[rows[-1]]])
+
+    def sibling(self, row: int, following: bool) -> int:
+        """The row beside a row in the given direction, or -1, read off the
+        tree's columns: the child group that starts at the row's end (a
+        bisect of the first leaves), or the one that `_child_holding`, the
+        lookup trimming and run checks use, finds before its start; else the
+        leaf there. Span growth writes its own steps out, and
+        `reference_expand` checks them against the sibling columns."""
+        tree, (up, lo, hi) = self.tree, self.run_of((row,))
+        first, end, parent = tree.first_leaf, tree.leaf_end, tree.parent
+        if up < 0 or (hi == end[up] if following else lo == first[up]):
+            return -1
+        if following:
+            leaf, child = hi, bisect.bisect_left(first, hi, up + 1)
+            child = child if child < len(first) and first[child] == hi else -1
+        else:
+            leaf, child = lo - 1, _child_holding(first, end, parent, up, lo - 1)
+        return self.group_row[child] if child >= 0 else self.leaf_row[leaf]
+
+
+def preorder_rows(tree: SyntaxTree) -> PreorderRows:
+    return PreorderRows(tree)
+
+
+def child_rows(tree: PreorderRows) -> list[list[int]]:
     """Every row's child rows, in row order, read off the parent column."""
     kids: list[list[int]] = [[] for _ in tree.kinds]
     for row in range(1, len(kids)):
@@ -529,7 +660,7 @@ def stored_columns(tree: SyntaxTree) -> dict[str, list]:
             if f.name not in ("language", "text")}
 
 
-def leaf_counts(tree: SyntaxTree) -> list[int]:
+def leaf_counts(tree: PreorderRows) -> list[int]:
     """Each row's leaf count, derived from the first-leaf column, whose last
     entry closes the subtrees that end with the tree."""
     first, end = tree.first_leaf, tree.subtree_end
@@ -537,13 +668,48 @@ def leaf_counts(tree: SyntaxTree) -> list[int]:
 
 
 def tree_columns(tree: SyntaxTree) -> dict[str, list]:
-    """The columns of `oracle_columns` read off a SyntaxTree: the stored
-    ones, the derived leaf counts, and each row's siblings by span growth's
-    own step."""
-    rows = tree.walk()
-    return {**stored_columns(tree), "leaf_counts": leaf_counts(tree),
-            "prev_sibling": [_sibling(tree, [row], False) for row in rows],
-            "next_sibling": [_sibling(tree, [row], True) for row in rows]}
+    """The columns of `oracle_columns` read off a SyntaxTree's preorder rows:
+    the all-row columns, the derived leaf counts, and each row's siblings by
+    span growth's own steps."""
+    rows = preorder_rows(tree)
+    return {**rows.columns(), "leaf_counts": leaf_counts(rows),
+            "prev_sibling": [rows.sibling(row, False) for row in rows.walk()],
+            "next_sibling": [rows.sibling(row, True) for row in rows.walk()]}
+
+
+def reference_expand(cols: dict[str, list], seed: int, length: int) -> list[int]:
+    """Span growth as it ran over all-row columns, the run a list of rows:
+    the seed grows into its parent while the parent fits, else takes the
+    next fitting sibling from the `oracle_columns` sibling columns, the
+    following and the preceding side in turn."""
+    kinds, parent, counts = cols["kinds"], cols["parent"], cols["leaf_counts"]
+    first, end = cols["first_leaf"], cols["subtree_end"]
+    run, follow_first = [seed], True
+    while True:
+        up = parent[run[0]]
+        if up >= 0 and kinds[up] != "error" and counts[up] <= length:
+            run = [up]
+            continue
+        placed = None
+        for following in (follow_first, not follow_first):
+            sib = cols["next_sibling"][run[-1]] if following else cols["prev_sibling"][run[0]]
+            if sib < 0 or kinds[sib] == "error" or kinds[sib] in BRACKET_TEXTS:
+                continue
+            lo, hi = (run[0], sib) if following else (sib, run[-1])
+            if first[hi] + counts[hi] - first[lo] <= length:
+                placed = (sib, following)
+                break
+        if placed is None:
+            return run
+        sib, following = placed
+        run = run + [sib] if following else [sib] + run
+        follow_first = not follow_first
+        if up >= 0 and run[0] == up + 1 and end[run[-1]] == end[up]:
+            if counts[up] <= length:
+                run = [up]
+            else:  # a run of every child would re-create its parent without it
+                del run[-1 if following else 0]
+                return run
 
 
 def oracle_eligible_nodes(tree: SyntaxTree) -> tuple[list[int], list[int]]:

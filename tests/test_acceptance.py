@@ -21,6 +21,7 @@ from _oracles import (
     identifier_tokens,
     info_nce,
     leaf_counts,
+    preorder_rows,
     tokens_balanced,
 )
 from codegap.contrastive import ToyEncoder
@@ -135,19 +136,20 @@ def test_round_trip_suite(corpus):
 
 def test_syntactic_completeness(trees):
     rng = random.Random(1)
+    views = list(map(preorder_rows, trees))
     checked = 0
     while checked < 1000:
         tree = trees[checked % len(trees)]
         length = rng.randrange(4, 250)
         span = select_span(tree, length, rng)
         # whole-subtree sibling run
-        prev = None
-        for row in span.sibling_run:
+        prev, run, tree = None, span.sibling_run, views[checked % len(trees)]
+        for row in tree.rows_of(run):
             if prev is not None:
                 assert tree.parent[row] == tree.parent[prev]
                 assert tree.subtree_end[prev] == row  # the next sibling
             prev = row
-        first, last = span.sibling_run[0], span.sibling_run[-1]
+        first, last = tree.rows_of(run)[0], tree.rows_of(run)[-1]
         assert tree.first_leaf[first] == span.leaf_start
         assert tree.first_leaf[last] + leaf_counts(tree)[last] == span.leaf_start + span.leaf_count
         # balanced grammar delimiters over the target tokens

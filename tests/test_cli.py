@@ -3,6 +3,7 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from codegap import pipeline
@@ -272,6 +273,47 @@ def test_pairs_malformed_manifest_is_data_error(tmp_path, capsys, bad_line):
     assert "line 2" in capsys.readouterr().err
 
 
+def _append_line_that_is_not_utf8(path):
+    """Add a line holding a byte that is not UTF-8 to a JSONL file, and
+    return its line number."""
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(b"\n".join([*lines, b'{"id": "caf\xe9"}']) + b"\n")
+    return len(lines) + 1
+
+
+@pytest.mark.parametrize("subcommand", ["pairs", "train-toy", "batch", "inspect"])
+def test_jsonl_input_that_is_not_utf8_is_data_error(small_corpus, small_shards, tmp_path, capsys,
+                                                    subcommand):
+    out = tmp_path / "out"
+    if subcommand == "pairs":
+        bad = tmp_path / "m.jsonl"
+        assert main(["prepare", "--roots", str(small_corpus), "--out", str(bad)]) == 0
+        args = ["pairs", "--manifest", str(bad), "--out", str(out)]
+    else:
+        bad = tmp_path / "shards" / "train" / "python-00000.jsonl"
+        bad.parent.mkdir(parents=True)
+        bad.write_bytes((small_shards / "train" / bad.name).read_bytes())
+        args = {"train-toy": ["train-toy", "--steps", "2", "--out", str(out)],
+                "batch": ["batch", "--out", str(out)],
+                "inspect": ["inspect"]}[subcommand] + ["--shards", str(bad.parent.parent)]
+    line = _append_line_that_is_not_utf8(bad)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: not valid UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--valid-repos", "--ext-map"])
+def test_text_file_that_is_not_utf8_is_data_error(small_corpus, tmp_path, capsys, flag):
+    listing = tmp_path / "listing.txt"
+    listing.write_bytes(b"caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["pairs", "--roots", str(small_corpus), "--out", str(out), flag, str(listing)]) == 2
+    err = capsys.readouterr().err
+    assert "listing.txt: not valid UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_pairs_missing_root_is_data_error(tmp_path, capsys):
     missing = tmp_path / "no_such_root"
     assert main(["pairs", "--roots", str(missing), "--out", str(tmp_path / "out")]) == 2
@@ -482,6 +524,16 @@ def test_eval_repeated_id_is_data_error(tmp_path, capsys, name):
     assert f"line {len(rows)}: repeated" in err
 
 
+@pytest.mark.parametrize("name", ["queries", "candidates", "qrels", "embeddings"])
+def test_eval_file_that_is_not_utf8_is_data_error(tmp_path, capsys, name):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                            "t2": [0.0, 1.0]})
+    line = _append_line_that_is_not_utf8(Path(args[args.index(f"--{name}") + 1]))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: not valid UTF-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name,field,value", [
     ("qrels", "relevance", "high"), ("qrels", "relevance", None), ("qrels", "relevance", 1.0),
     ("qrels", "is_original", "yes"), ("queries", "context", 5),
@@ -524,6 +576,29 @@ def test_eval_malformed_checkpoint_sidecar_is_data_error(tmp_path, capsys, sidec
                     encoding="utf-8")
     assert main([*args, "--model", "toy", "--checkpoint", str(ckpt)]) == 2
     assert "toy.ckpt.json" in capsys.readouterr().err
+
+_BAD_CHECKPOINT_ARRAYS = {
+    "one-dimensional": lambda fh: np.save(fh, np.zeros(64)),
+    "transposed": lambda fh: np.save(fh, np.zeros((8, 64))),
+    "integers": lambda fh: np.save(fh, np.zeros((64, 8), dtype=np.int64)),
+    "pickled-objects": lambda fh: np.save(fh, np.array([[None] * 8] * 64, dtype=object)),
+    "npz-archive": lambda fh: np.savez(fh, a=np.zeros((64, 8)), b=np.zeros((64, 8))),
+    "not-npy": lambda fh: fh.write(b"not an array"),
+    "empty": lambda fh: None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_CHECKPOINT_ARRAYS))
+def test_eval_malformed_checkpoint_array_is_data_error(tmp_path, capsys, kind):
+    args = _embedding_eval_files(tmp_path, {})[:7]
+    ckpt = tmp_path / "toy.ckpt"
+    ToyEncoder.create(seed=0, dim=8, buckets=64).save(ckpt)
+    with ckpt.open("wb") as fh:
+        _BAD_CHECKPOINT_ARRAYS[kind](fh)
+    assert main([*args, "--model", "toy", "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "toy.ckpt" in err and "Traceback" not in err
+
 
 def test_eval_usage_error_without_scorer(tmp_path):
     empty = tmp_path / "x.jsonl"

@@ -356,6 +356,18 @@ _JSONL_LINES = st.one_of(
 ).flatmap(lambda line: st.sampled_from([line, " " + line, line + "\u2003", "\ufeff" + line]))
 
 
+def test_read_jsonl_objects_names_the_line_that_is_not_utf8(tmp_path):
+    # a lone CR still ends a line, and the lines before the bad byte are read
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\r{"a": "\xc3\xa9"}\r\n\n{"a": "\xe9"}\n{"a": 4}\n')
+    rows = read_jsonl_objects(path)
+    assert next(rows) == (1, {"a": 1})
+    assert next(rows) == (2, {"a": "\u00e9"})
+    with pytest.raises(SchemaError) as info:
+        next(rows)
+    assert info.value.line == 4 and "not valid UTF-8" in str(info.value)
+
+
 def _read_outcome(reader, path, required, types):
     try:
         return list(reader(path, required, types))

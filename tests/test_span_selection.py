@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import child_rows, leaf_counts, make_tree, tokens_balanced
+from _oracles import child_rows, leaf_counts, make_tree, preorder_rows, tokens_balanced
 from codegap.errors import EmptyTree, InvalidBounds, SpanMismatch
 from codegap.languages import MASK_TOKEN
 from codegap.pipeline import PipelineConfig
@@ -68,25 +68,27 @@ def test_expansion_example_three_siblings(python_lang):
     #  parent (12) exceeds 8; following sibling C gives 9 -> rejected;
     #  preceding sibling A gives 8 -> accepted; then no move fits.
     tree = make_tree(("program", [("A", [3]), ("B", [5]), ("C", [4])]), python_lang)
-    a, b, c = child_rows(tree)[0]
-    run = _expand(tree, b, 8)
+    rows = preorder_rows(tree)
+    a, b, c = child_rows(rows)[0]
+    run = list(rows.rows_of(_expand(tree, rows.run_of((b,)), 8)))
     assert run == [a, b]
-    assert tree.first_leaf[run[-1]] + leaf_counts(tree)[run[-1]] - tree.first_leaf[run[0]] == 8
+    assert rows.first_leaf[run[-1]] + leaf_counts(rows)[run[-1]] - rows.first_leaf[run[0]] == 8
 
 
 def test_expansion_collapses_to_parent_when_it_fits(python_lang):
     tree = make_tree(("program", [("A", [3]), ("B", [5]), ("C", [4])]), python_lang)
-    b = child_rows(tree)[0][1]
-    run = _expand(tree, b, 12)
+    rows = preorder_rows(tree)
+    b = child_rows(rows)[0][1]
+    run = list(rows.rows_of(_expand(tree, rows.run_of((b,)), 12)))
     assert run == [0]
-    assert leaf_counts(tree)[0] == 12
+    assert leaf_counts(rows)[0] == 12
 
 
 def test_single_leaf_tree_selects_root():
     tree = parse("x", "python")
     span = select_span(tree, 5, random.Random(0))
     assert span.leaf_count == 1
-    assert span.sibling_run == (0,)
+    assert preorder_rows(tree).rows_of(span.sibling_run) == (0,)
 
 
 def test_select_span_empty_tree():
@@ -108,23 +110,24 @@ def test_select_span_deterministic(parsed_corpus):
 def test_selected_spans_respect_budget_and_structure(parsed_corpus):
     rng = random.Random(7)
     for _, tree in parsed_corpus[:30]:
+        rows = preorder_rows(tree)
         for _ in range(5):
             length = rng.randrange(8, 120)
             span = select_span(tree, length, rng)
             assert 1 <= span.leaf_count <= max(length, 1)
             prev = None
-            for row in span.sibling_run:
-                assert tree.kinds[row] != "error"
+            for row in rows.rows_of(span.sibling_run):
+                assert rows.kinds[row] != "error"
                 if prev is not None:
-                    assert tree.parent[row] == tree.parent[prev]
-                    assert tree.subtree_end[prev] == row  # the next sibling
+                    assert rows.parent[row] == rows.parent[prev]
+                    assert rows.subtree_end[prev] == row  # the next sibling
                 prev = row
             assert tokens_balanced(tree.leaves[span.leaf_start:span.leaf_end])
 
 
 def test_split_degenerate_full_span(python_lang):
     tree = parse("x = 1\n", "python")
-    span = SpanSelection(tree, (0,))
+    span = SpanSelection(tree, *preorder_rows(tree).run_of((0,)))
     assert (span.leaf_start, span.leaf_count) == (0, tree.leaf_count)
     context, target = split(tree, span)
     assert [t.text for t in context] == [python_lang.cls_token, MASK_TOKEN]
@@ -134,9 +137,10 @@ def test_split_degenerate_full_span(python_lang):
 def test_split_token_count_example(python_lang):
     # seven leaves, span [2, 5) -> context = CLS + 2 prefix + MASK + 2 suffix
     tree = make_tree(("program", [("s", [7])]), python_lang)
-    kids = child_rows(tree)
+    rows = preorder_rows(tree)
+    kids = child_rows(rows)
     run = kids[kids[0][0]][2:5]
-    span = SpanSelection(tree, tuple(run))
+    span = SpanSelection(tree, *rows.run_of(tuple(run)))
     assert (span.leaf_start, span.leaf_end, span.leaf_count) == (2, 5, 3)
     context, target = split(tree, span)
     assert len(context) == 7 - 3 + 2
@@ -169,23 +173,30 @@ def test_split_rejects_foreign_span():
 def test_split_rejects_run_of_non_siblings(python_lang):
     # rows: 0 program, 1 A, 2 P, 3-4 leaves, 5 Q, 6 leaf, 7 B, 8 leaf
     tree = make_tree(("program", [("A", [("P", [2]), ("Q", [1])]), ("B", [1])]), python_lang)
-    assert child_rows(tree)[0] == [1, 7] and child_rows(tree)[1] == [2, 5]
+    rows = preorder_rows(tree)
+    assert child_rows(rows)[0] == [1, 7] and child_rows(rows)[1] == [2, 5]
     for run in ((2, 5), (1, 7)):
-        context, target = split(tree, SpanSelection(tree, run))
+        context, target = split(tree, SpanSelection(tree, *rows.run_of(run)))
         assert [t.text for t in splice_tokens(context, target)] == [t.text for t in tree.leaves]
     # Q's subtree ends where B starts, but B is A's sibling, not Q's
     for run in ((5, 7), (2, 7), (2, 5, 7)):
         with pytest.raises(SpanMismatch):
-            split(tree, SpanSelection(tree, run))
+            split(tree, SpanSelection(tree, *rows.run_of(run)))
+    # the root alone covers every leaf
+    for lo, hi in ((0, 3), (1, 4)):
+        with pytest.raises(SpanMismatch):
+            split(tree, SpanSelection(tree, -1, lo, hi))
 
 
 def test_split_rejects_rows_that_do_not_exist():
     tree = parse("x = 1\ny = 2\n", "python")
-    assert len(tree.kinds) == 15
-    # -2 would wrap around to a real row; 15 and 18 lie past the last
-    for run in ((-2,), (15,), (18,), ()):
+    assert len(preorder_rows(tree).kinds) == 15
+    assert (len(tree.kinds), tree.leaf_count) == (3, 12)
+    # -2 would wrap around to a real row; row 3 and leaf 13 lie past the last;
+    # an empty run and a leaf range that runs backwards name no leaves
+    for run in ((-2, 0, 1), (3, 0, 1), (0, 11, 13), (0, 4, 4), (0, 5, 4)):
         with pytest.raises(SpanMismatch):
-            split(tree, SpanSelection(tree, run))
+            split(tree, SpanSelection(tree, *run))
 
 
 def test_retry_gives_up_on_whitespace_only_file():
@@ -203,16 +214,17 @@ def test_retry_returns_content(parsed_corpus):
 def test_spans_avoid_error_node_endpoints():
     src = "int ok(void) { return 1; }\nint broken(void { return 2;\n"
     tree = parse(src, "c")
+    rows = preorder_rows(tree)
     error_rows = set()
-    for row in tree.walk():
-        if tree.kinds[row] == "error":
-            error_rows.update(range(row, tree.subtree_end[row]))
+    for row in rows.walk():
+        if rows.kinds[row] == "error":
+            error_rows.update(range(row, rows.subtree_end[row]))
     assert error_rows
     rng = random.Random(0)
     for _ in range(50):
-        span = select_span(tree, 12, rng)
-        assert span.sibling_run[0] not in error_rows
-        assert span.sibling_run[-1] not in error_rows
+        run = rows.rows_of(select_span(tree, 12, rng).sibling_run)
+        assert run[0] not in error_rows
+        assert run[-1] not in error_rows
 
 
 @settings(max_examples=60, deadline=None)

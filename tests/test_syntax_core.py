@@ -19,7 +19,7 @@ from codegap.languages import (
     supported_languages,
 )
 from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
-from codegap.spans import _pick_seed, _sibling, select_span
+from codegap.spans import _expand, _pick_seed, select_span
 from codegap import tokenizer
 from codegap.tokenizer import TRIVIA_KINDS, line_start, tokenize
 from codegap.errors import EmptyTree
@@ -38,13 +38,16 @@ from _oracles import (
     cpython_tokens,
     leaf_counts,
     leaf_positions,
+    number_preorder,
     oracle_columns,
     oracle_eligible_nodes,
     oracle_from_run,
     oracle_nesting,
     oracle_tokenize,
+    preorder_rows,
     reference_indentation_of,
     reference_nesting_columns,
+    reference_expand,
     reference_pick_seed,
     real_sources,
     stored_columns,
@@ -59,7 +62,7 @@ def roundtrip(tree, source):
 def test_empty_input_has_zero_leaves():
     tree = parse("", "java")
     assert tree.leaf_count == 0
-    assert leaf_counts(tree) == [0]
+    assert leaf_counts(preorder_rows(tree)) == [0]
 
 
 def test_simple_python_roundtrip():
@@ -72,7 +75,7 @@ def test_simple_python_roundtrip():
 def test_corpus_roundtrip_and_ranges(lang, parsed_corpus):
     trees = [t for p, t in parsed_corpus if t.language.name == lang]
     assert trees
-    for tree in trees:
+    for tree in map(preorder_rows, trees):
         assert roundtrip(tree, tree.text)
         kids, counts = child_rows(tree), leaf_counts(tree)
         for row in tree.walk():
@@ -231,7 +234,7 @@ def test_roundtrip_on_arbitrary_text(text, lang):
 
 def test_c_for_statement_covers_whole_statement():
     src = "for(i=0;i<n;i++){f(i);}"
-    tree = parse(src, "c")
+    tree = preorder_rows(parse(src, "c"))
     fors = [row for row in tree.walk() if tree.kinds[row] == "for_statement"]
     assert len(fors) == 1
     row = fors[0]
@@ -306,11 +309,11 @@ def test_parse_accepts_utf8_bytes():
 
 
 def test_error_nodes_are_retained():
-    tree = parse("f(a, b\nint g;\n", "c")
+    tree = preorder_rows(parse("f(a, b\nint g;\n", "c"))
     assert roundtrip(tree, tree.text)
     assert any(tree.kinds[row] == "error" for row in tree.walk())
 
-    tree = parse(") x = 1\n", "python")
+    tree = preorder_rows(parse(") x = 1\n", "python"))
     assert roundtrip(tree, tree.text)
     assert any(tree.kinds[row] == "error" for row in tree.walk())
 
@@ -364,7 +367,7 @@ CORPUS_TREE_SHAPES_SHA256 = "3e282d5b4cbe3a84301c27d1296dd6ea597cba4cbb0a670e8cf
 
 def test_corpus_tree_shapes_match_golden_digest(parsed_corpus):
     digest = hashlib.sha256()
-    for _, tree in parsed_corpus:
+    for tree in (preorder_rows(tree) for _, tree in parsed_corpus):
         counts = leaf_counts(tree)
         for row in tree.walk():
             digest.update(f"{tree.kinds[row]} {tree.first_leaf[row]} {counts[row]}\n".encode())
@@ -391,8 +394,9 @@ def test_deep_nesting_parses_splits_and_truncates(name):
 
     span = select_span(tree, 64, random.Random(0))
     assert 0 < span.leaf_count <= 64
-    first, last = span.sibling_run[0], span.sibling_run[-1]
-    count = leaf_counts(tree)[last] + tree.first_leaf[last] - tree.first_leaf[first]
+    rows = preorder_rows(tree)
+    first, last = rows.rows_of(span.sibling_run)[0], rows.rows_of(span.sibling_run)[-1]
+    count = leaf_counts(rows)[last] + rows.first_leaf[last] - rows.first_leaf[first]
     assert count == span.leaf_count
 
     cfg = PipelineConfig()
@@ -403,6 +407,7 @@ def test_deep_nesting_parses_splits_and_truncates(name):
 
 
 def _depths(tree):
+    tree = preorder_rows(tree)
     depth = [0] * len(tree.kinds)
     for row in tree.walk():
         if row > 0:
@@ -417,6 +422,7 @@ _SEED_TEXT = st.lists(st.sampled_from([
 
 
 def _assert_seeds_match_reference(tree):
+    tree = preorder_rows(tree)
     internal, leaves = oracle_eligible_nodes(tree)
     assert tree.seed_nodes == internal
     assert tree.seed_leaves == leaves
@@ -433,6 +439,7 @@ def test_seed_lists_match_reference_walk(lang, text):
 def _assert_parent_map_is_exact(tree):
     """Parents, leaf ranges and siblings against child lists: a childless
     row below the root is a leaf and takes the next leaf."""
+    tree = preorder_rows(tree)
     rows = list(tree.walk())
     assert tree.parent[0] == -1 and len(tree.parent) == len(rows)
     kids = child_rows(tree)
@@ -443,13 +450,13 @@ def _assert_parent_map_is_exact(tree):
     for row in reversed(rows):
         counts[row] = 1 if takes[row] else sum(counts[child] for child in kids[row])
     assert leaf_counts(tree) == counts
-    assert _sibling(tree, [0], False) == _sibling(tree, [0], True) == -1
+    assert tree.sibling(0, False) == tree.sibling(0, True) == -1
     for row in rows[1:]:
         assert tree.parent[row] < row < tree.subtree_end[tree.parent[row]]
         siblings = kids[tree.parent[row]]
         index = siblings.index(row)
-        assert _sibling(tree, [row], False) == (siblings[index - 1] if index else -1)
-        assert _sibling(tree, [row], True) == (siblings[index + 1:] or [-1])[0]
+        assert tree.sibling(row, False) == (siblings[index - 1] if index else -1)
+        assert tree.sibling(row, True) == (siblings[index + 1:] or [-1])[0]
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
@@ -520,17 +527,19 @@ def _assert_rebuilds_match_reference(tree, rng):
     assert all(tok.synthetic or tree.text.startswith(tok.text, offset)
                for tok, offset in zip(tree.leaves, tree.offsets))
     assert tree.offsets == sorted(set(tree.offsets))
-    assert tree_columns(tree) == oracle_columns(oracle_nesting(tree)[0])
+    rows = preorder_rows(tree)
+    assert tree_columns(tree) == oracle_columns(oracle_nesting(rows)[0])
     runs = _disjoint_runs(tree, rng)
     assert tree.seed_order is not None  # cached on the input before it is rebuilt
     for run in runs:
         segment = tree_from_run(tree, run)
-        assert tree_columns(segment) == oracle_columns(oracle_from_run(tree, run))
+        assert tree_columns(segment) == oracle_columns(oracle_from_run(rows, rows.rows_of(run)))
         _assert_shares_nothing(segment, tree)
     folded = tree_with_runs_folded(tree, runs)
-    assert tree_columns(folded) == oracle_columns(oracle_nesting(tree, runs)[0])
+    folded_rows = list(map(rows.rows_of, runs))
+    assert tree_columns(folded) == oracle_columns(oracle_nesting(rows, folded_rows)[0])
     _assert_shares_nothing(folded, tree)
-    whole = tree_with_runs_folded(tree, [(0,)])  # no column changes
+    whole = tree_with_runs_folded(tree, [rows.run_of((0,))])  # no column changes
     assert tree_columns(whole) == tree_columns(tree)
     _assert_shares_nothing(whole, tree)
 
@@ -560,17 +569,17 @@ def _pick_branch(tree, length):
     return "leaf" if tree.seed_leaves else "empty"
 
 
-def _assert_pick_matches_reference(tree, length, seed):
+def _assert_pick_matches_reference(tree, rows, length, seed):
     rng, reference_rng = random.Random(seed), random.Random(seed)
     try:
-        expected = reference_pick_seed(tree, length, reference_rng)
+        expected = reference_pick_seed(rows, length, reference_rng)
     except EmptyTree:
         with pytest.raises(EmptyTree):
             _pick_seed(tree, length, rng)
     else:
-        assert _pick_seed(tree, length, rng) == expected
+        assert rows.rows_of(_pick_seed(tree, length, rng)) == (expected,)
     assert rng.getstate() == reference_rng.getstate()
-    return _pick_branch(tree, length)
+    return _pick_branch(rows, length)
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
@@ -583,8 +592,9 @@ def _assert_pick_matches_reference(tree, length, seed):
 @example(text="(x) y y y y y", lengths=[7], seed=0)  # only a short group fits
 def test_seed_pick_matches_reference(lang, text, lengths, seed):
     tree = parse(text, lang)
+    rows = preorder_rows(tree)
     for length in lengths:  # later picks read the cached count order
-        _assert_pick_matches_reference(tree, length, seed)
+        _assert_pick_matches_reference(tree, rows, length, seed)
 
 
 @pytest.mark.parametrize("tree_set", ["corpus", "deep", "truncated"])
@@ -593,15 +603,42 @@ def test_seed_pick_matches_reference_on_real_trees(tree_set, parsed_corpus):
     branches = set()
     for i, tree in enumerate(trees):
         lengths = {1, 2, 3, 5, 8, 13, 40, 150, 400, 800, tree.leaf_count}
-        counts = sorted(set(map(leaf_counts(tree).__getitem__, tree.seed_nodes)))
+        rows = preorder_rows(tree)
+        counts = sorted(set(map(leaf_counts(rows).__getitem__, rows.seed_nodes)))
         lengths |= set(counts[:3])
         # past twice a count and short of the next: no window, a largest fit
         lengths |= {2 * a + 1 for a, b in zip(counts, counts[1:]) if b > 2 * a + 1}
         for length in sorted(lengths - {0}):
-            branches.add(_assert_pick_matches_reference(tree, length, i))
+            branches.add(_assert_pick_matches_reference(tree, rows, length, i))
     assert {"window", "largest", "leaf"} <= branches
     empty = parse("   \n(", "python")
-    assert _assert_pick_matches_reference(empty, 5, 0) == "empty"
+    assert _assert_pick_matches_reference(empty, preorder_rows(empty), 5, 0) == "empty"
+
+
+def _assert_growth_matches_reference(tree, every=1):
+    """Span growth from every `every`-th seed, at short and long lengths,
+    against growth over the oracle's sibling columns."""
+    rows = preorder_rows(tree)
+    cols = oracle_columns(oracle_nesting(rows)[0])
+    for seed in (rows.seed_nodes + rows.seed_leaves)[::every]:
+        for length in (1, 2, 5, 13, 40, 150, 400):
+            grown = _expand(tree, rows.run_of((seed,)), length)
+            assert rows.rows_of(grown) == tuple(reference_expand(cols, seed, length))
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=200, deadline=None)
+@given(text=_SEED_TEXT)
+@example(text="f(x, (1 ] ;\n{ if x: (\n  y) } }")
+@example(text="if x:\n    y\n\nelse:\n    z\n")
+def test_span_growth_matches_reference(lang, text):
+    _assert_growth_matches_reference(parse(text, lang))
+
+
+@pytest.mark.parametrize("tree_set", ["corpus", "deep", "truncated"])
+def test_span_growth_matches_reference_on_real_trees(tree_set, parsed_corpus):
+    for tree in _seed_test_trees(tree_set, parsed_corpus):
+        _assert_growth_matches_reference(tree, every=23)
 
 
 # lines of words, brackets and separators at mixed indents, so that the
@@ -623,8 +660,10 @@ _BUILDER_TEXT = st.tuples(st.lists(_BUILDER_LINE, max_size=12), st.sampled_from(
 def _assert_matches_reference_builders(text, grammar):
     tokens = tokenize(text, grammar)
     reference = reference_nesting_columns(tokens, grammar)
-    assert _build_rows(tokens, grammar) == reference
-    assert tree_columns(parse(text, grammar)) == tree_columns(_number_rows(grammar, text, *reference))
+    rows = preorder_rows(_number_rows(grammar, text, tokens, *_build_rows(tokens, grammar)))
+    assert (rows.kinds, rows.tokens(), rows.parent) == reference
+    numbered = number_preorder(grammar, text, *reference)
+    assert tree_columns(parse(text, grammar)) == tree_columns(numbered)
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
