@@ -239,6 +239,11 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     if args.manifest and config.valid_repos:
         log.warning("config key valid_repos is ignored with --manifest: "
                     "the manifest rows carry each file's split")
+    # shards are written over by name only, so an earlier run's would mix into this one's
+    stale = [path for split in (TRAIN, VALID) for path in sorted((args.out / split).glob("*.jsonl"))]
+    if stale:
+        raise CodegapError(f"--out {args.out} already holds shards, e.g. {stale[0]}; "
+                           "pairs needs a directory without them")
     files = _files_for(args, config)
     records = make_pairs(files, config)
     written = write_shards(records, args.out, shard_size=config.shard_size)

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import AliasCollision
-from .tokenizer import WHITESPACE_KINDS, Token, expanded_width, line_start
+from .tokenizer import MARKER_KINDS, WHITESPACE_KINDS, Token, expanded_width, line_start
 
 MASK_IN_CONTEXT = "mask_in_context"
 MASK_IN_TARGET = "mask_in_target"
@@ -119,7 +119,7 @@ def _line_heads(target: list[Token], offsets: list[int], text: str) -> list[int]
     heads: list[int] = []
     breaks = _LINE_BREAK.finditer(text, offsets[0], offsets[-1]) if target else ()
     for i in [0, *(bisect_right(offsets, m.start()) for m in breaks)]:
-        while i < len(target) and target[i].synthetic:
+        while i < len(target) and target[i].kind in MARKER_KINDS:
             i += 1
         if i < len(target) and (not heads or heads[-1] != i):
             heads.append(i)
@@ -130,7 +130,7 @@ def _line_indentation(target: list[Token], offsets: list[int], text: str, head: 
                       end: int) -> int | None:
     """Expanded column of the line's first content token, None when it holds none."""
     for i in range(head, end):
-        if not target[i].synthetic and target[i].kind not in WHITESPACE_KINDS:
+        if target[i].kind not in MARKER_KINDS and target[i].kind not in WHITESPACE_KINDS:
             return expanded_width(text[line_start(text, offsets[i]):offsets[i]])
     return None
 

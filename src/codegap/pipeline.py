@@ -195,7 +195,7 @@ def splice_truncation(result: TruncationResult) -> list[str]:
     out: list[str] = []
     seg_iter = iter(result.segments)
     for tok in result.shortened.leaves:
-        if tok.synthetic and tok.kind == "fold":
+        if tok.kind == "fold":
             out.extend(t.text for t in next(seg_iter).leaves)
         else:
             out.append(tok.text)
@@ -396,19 +396,23 @@ def write_shards(records: Iterable[PairRecord], out_dir: str | Path,
 
 
 def read_shard_dir(root: str | Path) -> tuple[list[PairRecord], list[PairRecord]]:
-    """Load (train, valid) records from a shard directory tree."""
+    """Load (train, valid) records from a shard directory tree: the shards
+    under train/ and valid/, or at the top level when those hold no record.
+    A directory that is missing or holds no shard is a data error."""
     root = Path(root)
     train: list[PairRecord] = []
     valid: list[PairRecord] = []
+    shards = 0
     for split_name, sink in ((TRAIN, train), (VALID, valid)):
-        base = root / split_name
-        if not base.is_dir():
-            continue
-        for path in sorted(base.glob("*.jsonl")):
+        for path in sorted((root / split_name).glob("*.jsonl")):
             sink.extend(read_jsonl(path, split=split_name))
+            shards += 1
     if not train and not valid:
         for path in sorted(root.glob("*.jsonl")):
             train.extend(read_jsonl(path, split=TRAIN))
+            shards += 1
+    if not shards:
+        raise CodegapError(f"no shard (*.jsonl) under {root}")
     return train, valid
 
 

@@ -211,19 +211,17 @@ def split(tree: SyntaxTree, span: SpanSelection) -> tuple[list[Token], list[Toke
     _verify_span(tree, span)
     leaves = tree.leaves
     i, j = span.leaf_start, span.leaf_end
-    cls, mask = Token(lang.cls_token, "cls", True), Token(MASK_TOKEN, "mask", True)  # markers
+    cls, mask = Token(lang.cls_token, "cls"), Token(MASK_TOKEN, "mask")  # markers
     return [cls, *leaves[:i], mask, *leaves[j:]], [cls, *leaves[i:j]]
 
 
 def splice_tokens(context: list[Token], target: list[Token]) -> list[Token]:
     """Undo a split: drop cls markers and substitute the target at the mask."""
-    body = [t for t in target if not (t.synthetic and t.kind == "cls")]
+    body = [t for t in target if t.kind != "cls"]
     out: list[Token] = []
     for tok in context:
-        if tok.synthetic and tok.kind == "cls":
-            continue
-        if tok.synthetic and tok.kind == "mask":
+        if tok.kind == "mask":
             out.extend(body)
-        else:
+        elif tok.kind != "cls":
             out.append(tok)
     return out

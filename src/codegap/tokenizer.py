@@ -31,6 +31,8 @@ TRIVIA_KINDS = frozenset({"whitespace", "newline", "comment"})
 OPEN_BRACKETS = {"(": "paren_group", "[": "bracket_group", "{": "block"}
 MATCHING_BRACKET = {"(": ")", "[": "]", "{": "}"}
 BRACKET_TEXTS = frozenset("()[]{}")
+# the kinds of the markers that pair generation inserts; no lexed token has one
+MARKER_KINDS = frozenset({"cls", "mask", "fold"})
 
 # tokens after which a '/' in javascript is a division, not a regex start
 _NO_REGEX_AFTER_KINDS = frozenset({"identifier", "number", "string", "regex", "template_string"})
@@ -47,7 +49,6 @@ _DIRECTIVE = r"#[^\n\r\\]*(?:\\(?:[ \t]*(?:\r\n?|\n))?[^\n\r\\]*)*"
 class Token(NamedTuple):
     text: str
     kind: str
-    synthetic: bool = False
 
     @property
     def is_identifier(self) -> bool:
@@ -139,7 +140,7 @@ def tokenize(source: str, lang: Language) -> list[Token]:
     one token at a time until a token ends where one of the `findall` texts does."""
     kind, new = _lexer(lang)[0], tuple.__new__  # skips the namedtuple's Python-level __new__
     texts = _scan(source, 0, lang)
-    table = {text: new(Token, (text, kind(text), False)) for text in dict.fromkeys(texts)}
+    table = {text: new(Token, (text, kind(text))) for text in dict.fromkeys(texts)}
     tokens = list(map(table.__getitem__, texts))
     rules = {"preproc"} if lang.preprocessor else set()
     rules |= {"/", "/="} if lang.regex_literals else set()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import itemgetter
 
 from .errors import EncodingError, IndexOutOfRange
@@ -38,9 +38,9 @@ DECLARATION_KEYWORDS = frozenset(
     "function def from using".split()
 )
 _KIND_ALIASES = {"def": "function_definition", "class": "class_definition"}
-# leaf kinds that never seed a span: blanks and bare brackets (a bracket
-# token's kind is its text)
-_NO_SEED_LEAF_KINDS = WHITESPACE_KINDS | BRACKET_TEXTS
+# False for the leaf kinds that never seed a span: blanks and bare brackets
+# (a bracket token's kind is its text)
+_SEEDING = dict.fromkeys(WHITESPACE_KINDS | BRACKET_TEXTS, False)
 _token_kind = itemgetter(Token._fields.index("kind"))
 
 
@@ -51,13 +51,14 @@ class SyntaxTree:
     first_leaf[r]:leaf_end[r], at least one of them (the root of an empty
     file aside), and its descendants are the rows after it that start
     before its leaf end. The root, row 0, has `parent` -1. A leaf's kind is
-    its token's. `seed_nodes` (group rows below the root) and `seed_leaves`
-    (leaf indices of tokens that are no whitespace, newline or bracket) are
-    the span seed candidates, in file order, with error groups' leaves left
-    out; `seed_order` ranks the seed nodes by leaf count. Rows are plain
-    ints, so a tree holds no reference cycle. Each leaf starts at its
-    `offsets` entry in `text`, which trees cut from this one share (a fold
-    at its first leaf's)."""
+    its token's. The span seed candidates are derived from these columns
+    the first time a span is picked: `seed_nodes` (group rows below the
+    root) and `seed_leaves` (leaf indices of tokens that are no whitespace,
+    newline or bracket), in file order, with error groups' leaves left out;
+    `seed_order` ranks the seed nodes by leaf count. Rows are plain ints,
+    so a tree holds no reference cycle. Each leaf starts at its `offsets`
+    entry in `text`, which trees cut from this one share (a fold at its
+    first leaf's)."""
 
     language: Language
     text: str
@@ -67,12 +68,32 @@ class SyntaxTree:
     first_leaf: list[int]
     leaf_end: list[int]
     parent: list[int]
-    seed_nodes: list[int]
-    seed_leaves: list[int]
 
     def walk(self) -> range:
         """One id per node: the group rows, then the row count plus each leaf index."""
         return range(len(self.kinds) + len(self.leaves))
+
+    @cached_property
+    def seed_nodes(self) -> list[int]:
+        """The rows below the root, each error group's subtree skipped."""
+        first, end = self.first_leaf, self.leaf_end
+        nodes, row = [], 1  # row: the first row neither listed nor skipped
+        for error in compress(range(len(first)), map("error".__eq__, self.kinds)):
+            if error >= row:  # else skipped with an enclosing error group
+                nodes += range(row, error)
+                row = bisect.bisect_left(first, end[error], error + 1)
+        nodes += range(row, len(first))
+        return nodes
+
+    @cached_property
+    def seed_leaves(self) -> list[int]:
+        """The leaves of seeding kinds, each error group's leaves struck out;
+        read only when no seed node fits."""
+        first, end, kinds = self.first_leaf, self.leaf_end, map(_token_kind, self.leaves)
+        leaves = list(compress(range(len(self.leaves)), map(_SEEDING.get, kinds, repeat(True))))
+        for error in compress(range(len(first)), map("error".__eq__, self.kinds)):
+            del leaves[bisect.bisect_left(leaves, first[error]):bisect.bisect_left(leaves, end[error])]
+        return leaves
 
     @cached_property
     def seed_order(self) -> list[int]:
@@ -83,28 +104,6 @@ class SyntaxTree:
     @property
     def leaf_count(self) -> int:
         return len(self.leaves)
-
-
-def _number_rows(language: Language, text: str, leaves: list[Token], kinds: list[str],
-                 first: list[int], end: list[int], parents: list[int]) -> SyntaxTree:
-    """The tree of group rows given in preorder as parallel columns over
-    `leaves`, which tile `text`. One pass over the rows lists the seed rows
-    outside error groups; the seed leaves are the tokens of seeding kinds,
-    once the leaves of error groups are struck out."""
-    offsets = list(accumulate(map(len, map(itemgetter(0), leaves)), initial=0))[:-1]  # 0: the text
-    seeds = [kind not in _NO_SEED_LEAF_KINDS for kind in map(_token_kind, leaves)]
-    seed_nodes: list[int] = []
-    error_end = 0  # the leaf end of the last error row, which no other error row encloses
-    for row in range(1, len(kinds)):
-        if first[row] < error_end:
-            continue
-        if kinds[row] == "error":
-            error_end = end[row]
-            seeds[first[row]:error_end] = [False] * (error_end - first[row])
-        else:
-            seed_nodes.append(row)
-    return SyntaxTree(language, text, leaves, offsets, kinds, first, end, parents, seed_nodes,
-                      list(compress(range(len(leaves)), seeds)))
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +355,8 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
     tokens = tokenize(source, lang)
-    return _number_rows(lang, source, tokens, *_build_rows(tokens, lang))
+    offsets = list(accumulate(map(len, map(itemgetter(0), tokens)), initial=0))[:-1]  # 0: the text
+    return SyntaxTree(lang, source, tokens, offsets, *_build_rows(tokens, lang))
 
 
 def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:
@@ -390,29 +390,20 @@ def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
 # that start in its leaf range. Kept rows are slices of the tree's columns,
 # with row and leaf numbers shifted by a constant per slice
 
-def _seeds_in(seeds: list[int], start: int, stop: int, shift: int) -> list[int]:
-    """The seeds in start:stop, shifted."""
-    return [r + shift for r in seeds[bisect.bisect_left(seeds, start):bisect.bisect_left(seeds, stop)]]
-
-
 def tree_from_run(tree: SyntaxTree, run: tuple[int, int, int]) -> SyntaxTree:
     """A standalone tree viewing a sibling run as its own program. The rows
     under the run are one range, so each column is a slice of the tree's
-    shifted by a constant, and the seeds are bisected out of its seed lists
-    (a selected run lies outside error subtrees)."""
+    shifted by a constant."""
     up, lo, hi = run
     first = tree.first_leaf
     start = bisect.bisect_left(first, lo, up + 1)
     stop = bisect.bisect_left(first, hi, start)
     shift = 1 - start  # old row r is new row r + shift; the run's members hang from the root
-    seed_nodes = [1] if up < 0 else []  # the old root is now a group below the root
-    seed_nodes += _seeds_in(tree.seed_nodes, start, stop, shift)
     return SyntaxTree(tree.language, tree.text, tree.leaves[lo:hi], tree.offsets[lo:hi],
                       ["program", *tree.kinds[start:stop]],
                       [0, *(i - lo for i in first[start:stop])],
                       [hi - lo, *(i - lo for i in tree.leaf_end[start:stop])],
-                      [-1, *(max(0, r + shift) for r in tree.parent[start:stop])], seed_nodes,
-                      _seeds_in(tree.seed_leaves, lo, hi, -lo))
+                      [-1, *(max(0, r + shift) for r in tree.parent[start:stop])])
 
 
 def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, int, int]]) -> SyntaxTree:
@@ -424,7 +415,7 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, int, int]]) ->
     whole."""
     first = tree.first_leaf
     new_row = [-1] * (len(first) + 1)  # the extra last slot maps "no row", -1, to itself
-    kinds, leaves, offsets, firsts, ends, parent, seed_nodes, seed_leaves = [[] for _ in range(8)]
+    kinds, leaves, offsets, firsts, ends, parent = [[] for _ in range(6)]
     start = leaf = 0  # the first row and leaf of the piece kept next
     tail = (0, len(tree.leaves), -1)  # no fold: the rows and leaves to the end
     for up, lo, hi in [*(run for run in runs if run[0] >= 0), tail]:
@@ -437,19 +428,13 @@ def tree_with_runs_folded(tree: SyntaxTree, runs: list[tuple[int, int, int]]) ->
         parent += map(new_row.__getitem__, tree.parent[start:cut])
         leaves += tree.leaves[leaf:lo]
         offsets += tree.offsets[leaf:lo]
-        seed_nodes += _seeds_in(tree.seed_nodes, start, cut, shift)
-        seed_leaves += _seeds_in(tree.seed_leaves, leaf, lo, leaf_shift)
         if hi < 0:
             break
-        seed, row = True, new_row[up]  # the fold seeds unless it lies in an error subtree
+        row = new_row[up]
         while row >= 0:
             ends[row] -= hi - lo - 1
-            seed = seed and kinds[row] != "error"
             row = parent[row]
-        if seed:
-            seed_leaves.append(len(leaves))
-        leaves.append(Token(FOLD_TOKEN, "fold", synthetic=True))
+        leaves.append(Token(FOLD_TOKEN, "fold"))
         offsets.append(tree.offsets[lo])
         start, leaf = bisect.bisect_left(first, hi, cut), hi
-    return SyntaxTree(tree.language, tree.text, leaves, offsets, kinds, firsts, ends, parent,
-                      seed_nodes, seed_leaves)
+    return SyntaxTree(tree.language, tree.text, leaves, offsets, kinds, firsts, ends, parent)

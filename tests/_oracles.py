@@ -40,13 +40,12 @@ from codegap.errors import (
 )
 from codegap.languages import FOLD_TOKEN, Language
 from codegap.spans import _child_holding
-from codegap.tokenizer import MATCHING_BRACKET, OPEN_BRACKETS, Token
+from codegap.tokenizer import MARKER_KINDS, MATCHING_BRACKET, OPEN_BRACKETS, Token
 from codegap.tree import (
     _KIND_ALIASES,
     CONTROL_KEYWORDS,
     DECLARATION_KEYWORDS,
     SyntaxTree,
-    _number_rows,
 )
 
 
@@ -375,7 +374,7 @@ def tokens_balanced(tokens: list[Token]) -> bool:
     """Bracket tokens (outside strings/comments) must nest and close."""
     stack: list[str] = []
     for tok in tokens:
-        if tok.synthetic or tok.kind != tok.text:
+        if tok.kind != tok.text:  # a marker's kind is never its text either
             continue
         if tok.text in _PAIRS:
             stack.append(tok.text)
@@ -414,13 +413,21 @@ def make_tree(spec, language: Language) -> SyntaxTree:
     for child in [spec] if isinstance(spec, int) else spec[1]:
         add(child, 0)
     end[0] = len(leaves)
-    return _number_rows(language, "".join(tok.text for tok in leaves), leaves, kinds, first, end,
-                        parents)
+    return tree_of(language, "".join(tok.text for tok in leaves), leaves, kinds, first, end, parents)
+
+
+def tree_of(language: Language, text: str, leaves: list[Token], kinds: list[str],
+            first: list[int], end: list[int], parents: list[int]) -> SyntaxTree:
+    """The tree of group rows given in preorder as parallel columns over
+    `leaves`, which tile `text`: each leaf's offset is the running sum of
+    the token lengths before it."""
+    offsets = list(itertools.accumulate((len(tok.text) for tok in leaves), initial=0))[:-1]
+    return SyntaxTree(language, text, leaves, offsets, kinds, first, end, parents)
 
 
 def number_preorder(language: Language, text: str, kinds: list[str], tokens: list[Token | None],
                     parents: list[int]) -> SyntaxTree:
-    """`_number_rows` over all-row preorder columns, in which a group row has
+    """`tree_of` over all-row preorder columns, in which a group row has
     no token and every token is a row: the group rows keep their kinds, and
     their leaf ranges and parents are counted off the token rows."""
     # the leaves before each row
@@ -435,9 +442,9 @@ def number_preorder(language: Language, text: str, kinds: list[str], tokens: lis
         end[row] = before[-1]
     groups = [row for row, tok in enumerate(tokens) if tok is None]
     group_of = {row: g for g, row in enumerate(groups)} | {-1: -1}
-    return _number_rows(language, text, [tok for tok in tokens if tok is not None],
-                        [kinds[r] for r in groups], [before[r] for r in groups],
-                        [end[r] for r in groups], [group_of[parents[r]] for r in groups])
+    return tree_of(language, text, [tok for tok in tokens if tok is not None],
+                   [kinds[r] for r in groups], [before[r] for r in groups],
+                   [end[r] for r in groups], [group_of[parents[r]] for r in groups])
 
 
 class PreorderRows:
@@ -592,7 +599,7 @@ def oracle_nesting(tree: SyntaxTree, runs: list[tuple[int, ...]] = ()) -> list[t
         body = []
         for child in kids[row]:
             if child in folded:
-                marker = Token(FOLD_TOKEN, "fold", synthetic=True)
+                marker = Token(FOLD_TOKEN, "fold")
                 body.append(("fold", (marker, _first_leaf(built[child])[1])))
             elif child not in dropped:
                 body.append(built[child])
@@ -783,23 +790,22 @@ class PositionedToken(NamedTuple):
     kind: str
     line: int
     column_expanded: int
-    synthetic: bool = False
 
     def with_text(self, text: str) -> "PositionedToken":
         return self._replace(text=text)
 
 
 def positioned(tokens: list[Token], positions: list[tuple[int, int]]) -> list[PositionedToken]:
-    return [PositionedToken(tok.text, tok.kind, line, column, tok.synthetic)
+    return [PositionedToken(tok.text, tok.kind, line, column)
             for tok, (line, column) in zip(tokens, positions)]
 
 
 def _line_groups(tokens: list[PositionedToken]) -> list[list[int]]:
-    """Indices grouped by source line, synthetic markers excluded; in order."""
+    """Indices grouped by source line, markers excluded; in order."""
     groups: list[list[int]] = []
     current_line: int | None = None
     for idx, tok in enumerate(tokens):
-        if tok.synthetic:
+        if tok.kind in MARKER_KINDS:
             continue
         if tok.line != current_line:
             groups.append([idx])
@@ -912,7 +918,7 @@ def cpython_tokens(source: str) -> list[tuple[int, str]]:
 # reference builders: the grammar builders as they were before parse wrote
 # rows in token order. They build a nesting of groups and tokens, which a
 # stack walk turns into the (kinds, tokens, parents) columns that
-# `_number_rows` takes
+# `number_preorder` takes
 
 class _Group(NamedTuple):
     """A group under construction; its children are groups and tokens. No
@@ -1084,7 +1090,7 @@ def _split_logical_lines(tokens: list[Token]) -> list[_LogicalLine]:
             depth = max(0, depth - 1)
         elif tok.kind == "newline" and depth == 0:
             prev = current[-2] if len(current) >= 2 else None
-            if prev is not None and prev.text == "\\" and not prev.synthetic:
+            if prev is not None and prev.text == "\\":
                 continue
             lines.append(_LogicalLine(current))
             current = []

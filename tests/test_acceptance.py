@@ -38,7 +38,7 @@ from codegap.languages import language_for_path
 from codegap.pipeline import PipelineConfig, truncate_file, splice_truncation
 from codegap.spans import select_span, select_span_with_retry, split, splice_tokens
 from codegap.synth import write_mixed_corpus
-from codegap.tokenizer import tokenize
+from codegap.tokenizer import MARKER_KINDS, tokenize
 from codegap.tree import parse
 
 import numpy as np
@@ -205,7 +205,7 @@ def test_dedent(generated_pairs):
     for row in generated_pairs:
         target = row["target"]
         cols = row["dedent_cols"]
-        body = "".join(t.text for t in target if not t.synthetic)
+        body = "".join(t.text for t in target if t.kind not in MARKER_KINDS)
         lines = [ln for ln in body.splitlines() if ln.strip()]
         if not lines:
             continue
@@ -220,7 +220,7 @@ def test_dedent(generated_pairs):
         assert min(width(ln) for ln in lines) == 0
         # relative indentation is preserved: rendered pre-transform lines
         # shift uniformly by dedent_cols (first line owns no leading blanks)
-        pre_tokens = [t for t in row["pre_target"] if not t.synthetic]
+        pre_tokens = [t for t in row["pre_target"] if t.kind not in MARKER_KINDS]
         text, start = row["tree"].text, row["offsets"][0]
         first_owned = bool(pre_tokens) and (start == 0 or text[start - 1] in "\r\n")
         pre_body = "".join(t.text for t in pre_tokens)

@@ -321,6 +321,36 @@ def test_pairs_missing_root_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_pairs_into_directory_with_shards_is_data_error(small_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["pairs", "--roots", str(small_corpus), "--out", str(out), "--shard-size", "5"]) == 0
+    first = shard_bytes(out)
+    assert len(first) > 1
+    capsys.readouterr()
+    # refused before ingest: a root that does not exist goes unread
+    for roots in ([str(small_corpus)], [str(tmp_path / "no_such_root")]):
+        assert main(["pairs", "--roots", *roots, "--out", str(out), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "already holds shards" in err and ".jsonl" in err and "Traceback" not in err
+        assert shard_bytes(out) == first
+
+
+@pytest.mark.parametrize("subcommand", ["batch", "train-toy", "inspect"])
+@pytest.mark.parametrize("state", ["missing", "empty"])
+def test_shard_dir_without_shards_is_data_error(tmp_path, capsys, subcommand, state):
+    shards, out = tmp_path / "shards", tmp_path / "out"
+    if state == "empty":
+        (shards / "train").mkdir(parents=True)
+        (shards / "valid").mkdir()
+    args = {"batch": ["batch", "--out", str(out)],
+            "train-toy": ["train-toy", "--steps", "2", "--out", str(out)],
+            "inspect": ["inspect"]}[subcommand]
+    assert main([*args, "--shards", str(shards)]) == 2
+    err = capsys.readouterr().err
+    assert f"no shard (*.jsonl) under {shards}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["pairs", "train-toy"])
 @pytest.mark.parametrize("content", ['{"seed": 1,', '[1, 2]', '"seed"'])
 def test_malformed_config_is_data_error(tmp_path, capsys, subcommand, content):

@@ -21,11 +21,10 @@ from codegap.languages import (
 from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
 from codegap.spans import _expand, _pick_seed, select_span
 from codegap import tokenizer
-from codegap.tokenizer import TRIVIA_KINDS, line_start, tokenize
+from codegap.tokenizer import MARKER_KINDS, TRIVIA_KINDS, line_start, tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
     _build_rows,
-    _number_rows,
     identifier_occurrences,
     indentation_of,
     parse,
@@ -52,6 +51,7 @@ from _oracles import (
     real_sources,
     stored_columns,
     tree_columns,
+    tree_of,
 )
 
 
@@ -209,7 +209,9 @@ def test_tokenize_matches_reference_scanner_on_real_files(source_set, parsed_cor
     for source in sources:
         for lang in supported_languages():
             grammar = get_language(lang)
-            assert _stream(source, grammar) == _reference_stream(source, grammar)
+            stream = _stream(source, grammar)
+            assert stream == _reference_stream(source, grammar)
+            assert not {kind for _, kind, *_ in stream} & MARKER_KINDS  # a kind tells a marker
 
 
 def test_python_lexer_matches_cpython_tokenize_on_stdlib_files():
@@ -323,7 +325,7 @@ def test_marker_texts_never_lex_as_single_tokens():
         lang = get_language(name)
         for marker in (lang.cls_token, MASK_TOKEN, FOLD_TOKEN):
             for tok in tokenize(f"a {marker} b", lang):
-                assert tok.text != marker
+                assert tok.text != marker and tok.kind not in MARKER_KINDS
 
 
 def test_multiline_tokens_keep_roundtrip():
@@ -495,6 +497,35 @@ def test_seed_lists_match_reference_walk_on_real_trees(tree_set, parsed_corpus):
         assert any(kind == "error" for tree in trees for kind in tree.kinds)
 
 
+_SEED_LISTS = {"seed_nodes", "seed_leaves", "seed_order"}
+
+
+def _assert_pick_derives_seed_nodes_alone(tree, rng):
+    """A pick at the tree's whole length, where every seed node fits, lists
+    the seed nodes and leaves the seed leaves underived."""
+    select_span(tree, tree.leaf_count, rng)
+    assert "seed_nodes" in vars(tree) and "seed_order" in vars(tree)
+    assert bool(tree.seed_nodes) != ("seed_leaves" in vars(tree))
+    return bool(tree.seed_nodes)
+
+
+def test_seed_lists_are_derived_at_the_first_pick(parsed_corpus):
+    cfg, rng = PipelineConfig(), random.Random(3)
+    node_picks = rebuilt = 0
+    for _, parsed in parsed_corpus:
+        tree = parse(parsed.text, parsed.language)
+        assert not _SEED_LISTS & vars(tree).keys()  # parse lists no seed
+        if tree.leaf_count > cfg.truncation_threshold:
+            result = truncate_file(tree, rng, cfg)
+            for segment in (result.shortened, *result.segments):
+                assert not _SEED_LISTS & vars(segment).keys()  # nor does a rebuild
+                node_picks += _assert_pick_derives_seed_nodes_alone(segment, rng)
+                rebuilt += 1
+        else:
+            node_picks += _assert_pick_derives_seed_nodes_alone(tree, rng)
+    assert rebuilt and node_picks > len(parsed_corpus) / 2
+
+
 def test_parent_map_matches_children_on_truncated_trees(parsed_corpus):
     for tree in _seed_test_trees("truncated", parsed_corpus):
         _assert_parent_map_is_exact(tree)
@@ -524,7 +555,7 @@ def _assert_shares_nothing(rebuilt, tree):
 
 def _assert_rebuilds_match_reference(tree, rng):
     # each leaf's text stands at its offset in the parsed text, in leaf order
-    assert all(tok.synthetic or tree.text.startswith(tok.text, offset)
+    assert all(tok.kind in MARKER_KINDS or tree.text.startswith(tok.text, offset)
                for tok, offset in zip(tree.leaves, tree.offsets))
     assert tree.offsets == sorted(set(tree.offsets))
     rows = preorder_rows(tree)
@@ -660,7 +691,7 @@ _BUILDER_TEXT = st.tuples(st.lists(_BUILDER_LINE, max_size=12), st.sampled_from(
 def _assert_matches_reference_builders(text, grammar):
     tokens = tokenize(text, grammar)
     reference = reference_nesting_columns(tokens, grammar)
-    rows = preorder_rows(_number_rows(grammar, text, tokens, *_build_rows(tokens, grammar)))
+    rows = preorder_rows(tree_of(grammar, text, tokens, *_build_rows(tokens, grammar)))
     assert (rows.kinds, rows.tokens(), rows.parent) == reference
     numbered = number_preorder(grammar, text, *reference)
     assert tree_columns(parse(text, grammar)) == tree_columns(numbered)
