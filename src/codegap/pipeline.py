@@ -19,6 +19,7 @@ import logging
 import math
 import random
 import re
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,10 +27,12 @@ from typing import Iterable, Iterator
 
 # mutual_identifiers is not called here; perfbench's layer tracer patches this name (ROADMAP item 5)
 from .deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking  # noqa: F401
+from .deleak import MaskingPlan
 from .errors import CodegapError, EmptyTree, SchemaError
-from .languages import Language, get_language, language_for_path
+from .languages import FOLD_TOKEN, Language, get_language, language_for_path
 from .spans import SpanSelection, select_span, select_span_with_retry, split
 from .texttok import count_text_tokens, truncate_text_tokens
+from .tokenizer import tokenize
 from .tree import SyntaxTree, parse, tree_from_run, tree_with_runs_folded
 
 log = logging.getLogger(__name__)
@@ -226,6 +229,25 @@ class PairRecord:
         }
 
 
+def pair_texts(tree: SyntaxTree, span: SpanSelection, rng: random.Random, config: PipelineConfig,
+               folds: dict[int, str]) -> tuple[str, str, int, MaskingPlan | None]:
+    """One pair's (context, target, dedent_cols, masking plan or None): folds, aliases and
+    dedented indents are edits to the tree's leaves, and `split` writes the text around them."""
+    edits, plan, dedent_cols = dict(folds), None, 0
+    if config.masking_enabled:  # a side's names: the target's in the span, the context's around it
+        ids, names = tree.identifiers
+        a, b = bisect_left(ids, span.leaf_start), bisect_left(ids, span.leaf_end)
+        around = ids[:a] + ids[b:], names[:a] + names[b:]
+        plan = plan_masking(around[1], names[a:b], rng, config.mask_prob, config.skip_pair_prob)
+        for side in apply_masking(around, (ids[a:b], names[a:b]), plan):
+            edits.update(side)
+    if config.dedent_enabled:
+        dedent_cols, indents = dedent_target(tree, span.leaf_start, span.leaf_end)
+        edits.update(indents)
+    context, target = split(tree, span, edits)
+    return context, target, dedent_cols, plan
+
+
 def generate_pairs_for_source(source: str, language: Language, *, seed: int,
                               source_name: str, pair_id_prefix: str, split_name: str = TRAIN,
                               config: PipelineConfig) -> list[PairRecord]:
@@ -235,9 +257,10 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
     if tree.leaf_count == 0:
         return []
     trunc = truncate_file(tree, rng, config)
-    inputs = [trunc.shortened, *trunc.segments]
+    # a fold takes the offset of the first leaf it folded, its segment's first offset
+    folds = {bisect_left(trunc.shortened.offsets, s.offsets[0]): FOLD_TOKEN for s in trunc.segments}
     records: list[PairRecord] = []
-    for input_idx, input_tree in enumerate(inputs):
+    for input_idx, input_tree in enumerate([trunc.shortened, *trunc.segments]):
         for copy_idx in range(config.pairs_per_input):
             span = select_span_with_retry(
                 input_tree, rng,
@@ -247,39 +270,33 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
             if span is None:
                 log.info("no content-bearing span for %s input %d", source_name, input_idx)
                 continue
-            context, target = split(input_tree, span)
-            skipped, aliases = True, {}
-            if config.masking_enabled:
-                plan = plan_masking(context, target, rng, config.mask_prob, config.skip_pair_prob)
-                context, target = apply_masking(context, target, plan)
-                skipped, aliases = plan.skip_pair, dict(plan.alias_map)
-            dedent_cols = 0
-            if config.dedent_enabled:  # the cls marker's offset repeats the first leaf's
-                starts = input_tree.offsets[span.leaf_start:span.leaf_end]
-                target, dedent_cols = dedent_target(target, starts[:1] + starts, input_tree.text)
+            context, target, dedent_cols, plan = pair_texts(input_tree, span, rng, config,
+                                                            {} if input_idx else folds)
             suffix = f":{copy_idx}" if config.pairs_per_input > 1 else ""
             records.append(PairRecord(
                 pair_id=f"{pair_id_prefix}:{input_idx}{suffix}", language=language.name,
-                context="".join([t.text for t in context]),
-                target="".join([t.text for t in target]),
+                context=context, target=target,
                 meta={"source": source_name, "span_start": span.leaf_start,
                       "span_len": span.leaf_count, "dedent_cols": dedent_cols,
-                      "skipped_masking": skipped, "aliases": aliases, "seed": seed},
+                      "skipped_masking": plan is None or plan.skip_pair,
+                      "aliases": dict(plan.alias_map) if plan else {}, "seed": seed},
                 split=split_name))
     return records
 
 
 def _worker_generate(args: tuple[CorpusFile, PipelineConfig]) -> list[PairRecord]:
+    """One file's pairs, or none for a file that cannot be read or fails: logged, not raised."""
     file, config = args
     try:
         source = file.path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        log.warning("skipping %s: %s", file.path, exc)
+        return generate_pairs_for_source(
+            source, get_language(file.language), seed=file_seed(config.seed, file.content_hash),
+            source_name=file.source, pair_id_prefix=file.content_hash[:16], split_name=file.split,
+            config=config)
+    except Exception as exc:  # an unreadable file is reported; any other fault, with its traceback
+        log.warning("skipping %s: %s: %s", file.path, type(exc).__name__, exc,
+                    exc_info=not isinstance(exc, (OSError, UnicodeDecodeError)))
         return []
-    return generate_pairs_for_source(
-        source, get_language(file.language), seed=file_seed(config.seed, file.content_hash),
-        source_name=file.source, pair_id_prefix=file.content_hash[:16], split_name=file.split,
-        config=config)
 
 
 def chunk_size(files: int, jobs: int) -> int:
@@ -297,6 +314,8 @@ def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[Pair
         for records in map(_worker_generate, tasks):
             yield from records
         return
+    for name in sorted({f.language for f in files}):
+        tokenize("", get_language(name))  # compile the grammars once, before the workers fork
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
         for records in pool.map(_worker_generate, tasks,
                                 chunksize=chunk_size(len(tasks), config.jobs)):

@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyTree, InvalidBounds, SpanMismatch
 from .languages import MASK_TOKEN
-from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS, Token
+from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS
 from .tree import SyntaxTree
+
+_CLIMB_ALONE = range(8)  # most children are found within 8 parent steps
 
 
 @dataclass(frozen=True)
@@ -76,15 +78,28 @@ def _pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> tuple[int, 
     raise EmptyTree("no selectable node outside error regions")
 
 
-def _child_holding(first: list[int], end: list[int], parent: list[int], up: int, leaf: int) -> int:
-    """The child row of `up` whose leaves hold `leaf`, which is one of up's
-    leaves, or -1 when it is one of up's own: the last row to start by the
-    leaf, climbed to up's child."""
-    row = bisect.bisect_right(first, leaf, up + 1) - 1
+def _child_holding(first: list[int], end: list[int], parent: list[int], up: int, leaf: int,
+                   row: int | None = None) -> int:
+    """The child row of `up` holding `leaf`, one of up's leaves, or -1 for one of up's
+    own: a climb of `parent` from `row`, the last row to start by the leaf. Past
+    _CLIMB_ALONE steps a walk along up's children (c's next sibling is the first row
+    to start at end[c]) steps beside it, so the cost is the lesser of depth and siblings."""
+    if row is None:
+        row = bisect.bisect_right(first, leaf, up + 1) - 1
     if row == up:
         return -1
+    for _ in _CLIMB_ALONE:
+        if parent[row] == up:
+            return row if end[row] > leaf else -1
+        row = parent[row]
+    child = up + 1  # a child of up that starts by the leaf
     while parent[row] != up:
         row = parent[row]
+        if end[child] > leaf:
+            return child
+        child = bisect.bisect_left(first, end[child], child + 1)
+        if child == len(first) or first[child] > leaf:  # the leaf lies between children
+            return -1
     return row if end[row] > leaf else -1
 
 
@@ -116,10 +131,8 @@ def _expand(tree: SyntaxTree, run: tuple[int, int, int], length: int) -> tuple[i
             else:
                 if lo == first[up]:
                     continue
-                row = top - 1
-                while row > up and parent[row] != up:
-                    row = parent[row]
-                if row > up and end[row] == lo:
+                row = _child_holding(first, end, parent, up, lo - 1, top - 1)
+                if row >= 0:  # it ends at lo, where the run starts
                     kind, start, stop = kinds[row], first[row], hi
                 else:
                     row, kind, start, stop = -1, leaves[lo - 1].kind, lo - 1, hi
@@ -205,23 +218,28 @@ def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:
         raise SpanMismatch(f"sibling run {run} is not a run of whole children of its parent")
 
 
-def split(tree: SyntaxTree, span: SpanSelection) -> tuple[list[Token], list[Token]]:
-    """Cut the leaves at the span: (masked context, cls-prefixed target)."""
-    lang = tree.language
+def _render(tree: SyntaxTree, lo: int, hi: int, edits: dict[int, str], keys: list[int]) -> str:
+    """The text of leaves lo:hi with each leaf in `keys`, the edited ones
+    among them in order, spelled as `edits` says: the rest is slices of the
+    parsed text. A fold's next leaf starts past the text it folded."""
+    text, offsets, pieces, at = tree.text, tree.offsets, [], lo
+    for leaf in keys:
+        pieces += text[offsets[at]:offsets[leaf]], edits[leaf]
+        at = leaf + 1
+    if at < hi:
+        stop = offsets[hi] if hi < len(offsets) else offsets[-1] + len(tree.leaves[-1].text)
+        pieces.append(text[offsets[at]:stop])
+    return "".join(pieces)
+
+
+def split(tree: SyntaxTree, span: SpanSelection,
+          edits: dict[int, str] | None = None) -> tuple[str, str]:
+    """Cut the text at the span: (masked context, cls-prefixed target), each leaf in
+    `edits` spelled as it says; a fold, absent from the parsed text, needs one."""
     _verify_span(tree, span)
-    leaves = tree.leaves
-    i, j = span.leaf_start, span.leaf_end
-    cls, mask = Token(lang.cls_token, "cls"), Token(MASK_TOKEN, "mask")  # markers
-    return [cls, *leaves[:i], mask, *leaves[j:]], [cls, *leaves[i:j]]
-
-
-def splice_tokens(context: list[Token], target: list[Token]) -> list[Token]:
-    """Undo a split: drop cls markers and substitute the target at the mask."""
-    body = [t for t in target if t.kind != "cls"]
-    out: list[Token] = []
-    for tok in context:
-        if tok.kind == "mask":
-            out.extend(body)
-        elif tok.kind != "cls":
-            out.append(tok)
-    return out
+    keys, (i, j) = sorted(edits or ()), (span.leaf_start, span.leaf_end)
+    a, b = bisect.bisect_left(keys, i), bisect.bisect_left(keys, j)
+    cls = tree.language.cls_token
+    return (cls + _render(tree, 0, i, edits, keys[:a]) + MASK_TOKEN
+            + _render(tree, j, tree.leaf_count, edits, keys[b:]),
+            cls + _render(tree, i, j, edits, keys[a:b]))

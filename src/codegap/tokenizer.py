@@ -50,13 +50,6 @@ class Token(NamedTuple):
     text: str
     kind: str
 
-    @property
-    def is_identifier(self) -> bool:
-        return self.kind == "identifier"
-
-    def with_text(self, text: str) -> "Token":
-        return self._replace(text=text)
-
 
 def expanded_width(text: str, start: int = 0) -> int:
     """Column width of `text` with tabs advancing to the next TAB_WIDTH stop."""

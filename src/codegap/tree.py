@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import itemgetter
 
 from .errors import EncodingError, IndexOutOfRange
@@ -41,7 +41,9 @@ _KIND_ALIASES = {"def": "function_definition", "class": "class_definition"}
 # False for the leaf kinds that never seed a span: blanks and bare brackets
 # (a bracket token's kind is its text)
 _SEEDING = dict.fromkeys(WHITESPACE_KINDS | BRACKET_TEXTS, False)
-_token_kind = itemgetter(Token._fields.index("kind"))
+_token_text, _token_kind = itemgetter(0), itemgetter(1)
+# a frozenset's __contains__ maps faster than str.__eq__, a method-wrapper
+_IDENTIFIER = frozenset({"identifier"}).__contains__
 
 
 @dataclass
@@ -55,7 +57,8 @@ class SyntaxTree:
     the first time a span is picked: `seed_nodes` (group rows below the
     root) and `seed_leaves` (leaf indices of tokens that are no whitespace,
     newline or bracket), in file order, with error groups' leaves left out;
-    `seed_order` ranks the seed nodes by leaf count. Rows are plain ints,
+    `seed_order` ranks the seed nodes by leaf count; `identifiers` lists the
+    identifier leaves and their names on first use. Rows are plain ints,
     so a tree holds no reference cycle. Each leaf starts at its `offsets`
     entry in `text`, which trees cut from this one share (a fold at its
     first leaf's)."""
@@ -100,6 +103,12 @@ class SyntaxTree:
         """`seed_nodes` by (leaf count, preorder), sorted on first use."""
         first, end = self.first_leaf, self.leaf_end
         return sorted(self.seed_nodes, key=lambda r: end[r] - first[r])
+
+    @cached_property
+    def identifiers(self) -> tuple[list[int], list[str]]:
+        """The identifier leaves and their names, in file order."""
+        ids = list(compress(count(), map(_IDENTIFIER, map(_token_kind, self.leaves))))
+        return ids, list(map(_token_text, map(self.leaves.__getitem__, ids)))
 
     @property
     def leaf_count(self) -> int:
@@ -357,11 +366,6 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
     tokens = tokenize(source, lang)
     offsets = list(accumulate(map(len, map(itemgetter(0), tokens)), initial=0))[:-1]  # 0: the text
     return SyntaxTree(lang, source, tokens, offsets, *_build_rows(tokens, lang))
-
-
-def identifier_occurrences(tree: SyntaxTree) -> list[tuple[int, str]]:
-    """All identifier leaves as (leaf_index, text), in leaf order."""
-    return [(i, tok.text) for i, tok in enumerate(tree.leaves) if tok.is_identifier]
 
 
 def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:

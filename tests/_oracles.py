@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tokenize
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -38,9 +39,9 @@ from codegap.errors import (
     SchemaError,
     ZeroVector,
 )
-from codegap.languages import FOLD_TOKEN, Language
-from codegap.spans import _child_holding
-from codegap.tokenizer import MARKER_KINDS, MATCHING_BRACKET, OPEN_BRACKETS, Token
+from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language
+from codegap.spans import _child_holding, _verify_span
+from codegap.tokenizer import MARKER_KINDS, MATCHING_BRACKET, OPEN_BRACKETS, Token, line_start
 from codegap.tree import (
     _KIND_ALIASES,
     CONTROL_KEYWORDS,
@@ -227,22 +228,17 @@ def reference_encode(encoder: ToyEncoder, text: str) -> np.ndarray:
 # --------------------------------------------------------------------------
 # reference masking planner: a separate scan per question asked of the tokens
 
-def identifier_tokens(names) -> list[Token]:
-    """One identifier token per name, sorted: a side holding just these names."""
-    return [Token(name, "identifier") for name in sorted(names)]
-
-
 def reference_mutual_identifiers(context: list[Token], target: list[Token]) -> set[str]:
     """Identifier texts present on both sides."""
-    ctx = {t.text for t in context if t.is_identifier}
-    tgt = {t.text for t in target if t.is_identifier}
+    ctx = {t.text for t in context if t.kind == "identifier"}
+    tgt = {t.text for t in target if t.kind == "identifier"}
     return ctx & tgt
 
 
 def _reference_first_occurrence(tokens: list[Token]) -> dict[str, int]:
     seen: dict[str, int] = {}
     for idx, tok in enumerate(tokens):
-        if tok.is_identifier and tok.text not in seen:
+        if tok.kind == "identifier" and tok.text not in seen:
             seen[tok.text] = idx
     return seen
 
@@ -299,7 +295,7 @@ def reference_plan_masking(mutuals: set[str], rng: random.Random,
 def _reference_mask_side(tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
     if not to_mask:
         return list(tokens)
-    return [tok.with_text(to_mask[tok.text]) if tok.is_identifier and tok.text in to_mask
+    return [tok._replace(text=to_mask[tok.text]) if tok.kind == "identifier" and tok.text in to_mask
             else tok for tok in tokens]
 
 
@@ -315,6 +311,211 @@ def reference_apply_masking(context: list[Token], target: list[Token],
         if clash:
             raise AliasCollision(f"alias {sorted(clash)} already occurs in {side}")
     return _reference_mask_side(context, ctx_mask), _reference_mask_side(target, tgt_mask)
+
+
+# --------------------------------------------------------------------------
+# the token-list pair path: split into token lists, mask and dedent them, and
+# join the texts, as `generate_pairs_for_source` did before pairs were text
+# ranges. The functions below are that code, renamed token_* where the
+# package name now means the text form; `token_pair` is the old per-pair body.
+
+def token_split(tree: SyntaxTree, span) -> tuple[list[Token], list[Token]]:
+    """Cut the leaves at the span: (masked context, cls-prefixed target)."""
+    lang = tree.language
+    _verify_span(tree, span)
+    leaves = tree.leaves
+    i, j = span.leaf_start, span.leaf_end
+    cls, mask = Token(lang.cls_token, "cls"), Token(MASK_TOKEN, "mask")  # markers
+    return [cls, *leaves[:i], mask, *leaves[j:]], [cls, *leaves[i:j]]
+
+
+def splice_tokens(context: list[Token], target: list[Token]) -> list[Token]:
+    """Undo a split: drop cls markers and substitute the target at the mask."""
+    body = [t for t in target if t.kind != "cls"]
+    out: list[Token] = []
+    for tok in context:
+        if tok.kind == "mask":
+            out.extend(body)
+        elif tok.kind != "cls":
+            out.append(tok)
+    return out
+
+
+def _first_occurrence(tokens: list[Token]) -> dict[str, int]:
+    """Each identifier text's rank among the side's first occurrences."""
+    names = dict.fromkeys([tok.text for tok in tokens if tok.kind == "identifier"])
+    return dict(zip(names, range(len(names))))
+
+
+def token_plan_masking(context: list[Token], target: list[Token], rng: random.Random,
+                       mask_prob: float, skip_pair_prob: float) -> MaskingPlan:
+    """Decide which mutual identifiers get hidden, on which side, and as what."""
+    if not 0 <= mask_prob <= 1 or not 0 <= skip_pair_prob <= 1:
+        raise ValueError("probabilities must lie in [0, 1]")
+    ctx_order, tgt_order = _first_occurrence(context), _first_occurrence(target)
+    mutuals = sorted(ctx_order.keys() & tgt_order.keys())
+    if rng.random() < skip_pair_prob:
+        return MaskingPlan(dict.fromkeys(mutuals, UNMASKED), skip_pair=True, alias_map={})
+
+    decisions: dict[str, str] = {}
+    for name in mutuals:
+        if rng.random() < mask_prob:
+            decisions[name] = MASK_IN_CONTEXT if rng.random() < 0.5 else MASK_IN_TARGET
+        else:
+            decisions[name] = UNMASKED
+
+    masked = [n for n, d in decisions.items() if d != UNMASKED]
+    masked.sort(key=lambda n: (0, ctx_order[n]) if decisions[n] == MASK_IN_CONTEXT
+                else (1, tgt_order[n]))
+    alias_map: dict[str, str] = {}
+    k = 1
+    for name in masked:
+        while f"VAR{k}" in ctx_order or f"VAR{k}" in tgt_order:
+            k += 1
+        alias_map[name] = f"VAR{k}"
+        k += 1
+    return MaskingPlan(decisions, skip_pair=False, alias_map=alias_map)
+
+
+def _mask_side(side: str, tokens: list[Token], to_mask: dict[str, str]) -> list[Token]:
+    """Substitute aliases, after rejecting an alias already present."""
+    if not to_mask:
+        return list(tokens)
+    aliases = set(to_mask.values())
+    texts = [tok.text for tok in tokens]
+    if not aliases.isdisjoint(texts):
+        clash = next(text for text in texts if text in aliases)
+        raise AliasCollision(f"alias {clash!r} already occurs in {side}")
+    return [tok._replace(text=to_mask[text]) if text in to_mask and tok.kind == "identifier"
+            else tok
+            for tok, text in zip(tokens, texts)]
+
+
+def token_apply_masking(context: list[Token], target: list[Token],
+                        plan: MaskingPlan) -> tuple[list[Token], list[Token]]:
+    """Substitute aliases on each identifier's masked side: (context, target)."""
+    if plan.skip_pair:
+        return list(context), list(target)
+    ctx_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_CONTEXT}
+    tgt_mask = {n: plan.alias_map[n] for n, d in plan.decisions.items() if d == MASK_IN_TARGET}
+    return _mask_side("context", context, ctx_mask), _mask_side("target", target, tgt_mask)
+
+
+# dedentation: `offsets[i]` is where target[i] starts in `text`, the parsed
+# text; a marker's entry only has to keep the offsets sorted
+
+_LINE_BREAK = re.compile(r"[\r\n]")
+
+
+def _line_heads(target: list[Token], offsets: list[int], text: str) -> list[int]:
+    """The index of the first token of each source line the target holds,
+    markers aside: the first token, and the first past each line break."""
+    heads: list[int] = []
+    breaks = _LINE_BREAK.finditer(text, offsets[0], offsets[-1]) if target else ()
+    for i in [0, *(bisect.bisect_right(offsets, m.start()) for m in breaks)]:
+        while i < len(target) and target[i].kind in MARKER_KINDS:
+            i += 1
+        if i < len(target) and (not heads or heads[-1] != i):
+            heads.append(i)
+    return heads
+
+
+def _offset_line_indentation(target: list[Token], offsets: list[int], text: str, head: int,
+                             end: int) -> int | None:
+    """Expanded column of the line's first content token, None when it holds none."""
+    for i in range(head, end):
+        if target[i].kind not in MARKER_KINDS and target[i].kind not in WHITESPACE_KINDS:
+            return expanded_width(text[line_start(text, offsets[i]):offsets[i]])
+    return None
+
+
+def token_dedent_target(target: list[Token], offsets: list[int], text: str
+                        ) -> tuple[list[Token], int]:
+    """Shift the target left so its minimum line indentation becomes zero.
+
+    The first line's indentation is its starting column in the original
+    source, even when the target begins mid-line, so a span cut out of a
+    nested block loses the cut position. Leading whitespace is re-emitted as
+    spaces; lines that begin inside a multi-line token are left untouched.
+    """
+    heads = _line_heads(target, offsets, text)
+    indents = [_offset_line_indentation(target, offsets, text, head, end)
+               for head, end in zip(heads, heads[1:] + [len(target)])]
+    dedent_cols = min((ind for ind in indents if ind is not None), default=0)
+    if dedent_cols == 0:
+        return list(target), 0
+
+    out = list(target)
+    for head in heads:
+        first = target[head]
+        if first.kind != "whitespace" or line_start(text, offsets[head]) != offsets[head]:
+            continue  # no leading indentation, or a line that starts mid-line
+        old_width = expanded_width(first.text)
+        if first.text[:dedent_cols] == " " * dedent_cols and "\t" not in first.text:
+            new_text = first.text[dedent_cols:]
+        else:
+            new_text = " " * max(0, old_width - dedent_cols)
+        out[head] = first._replace(text=new_text)
+    return out, dedent_cols
+
+
+def token_reindent_target(target: list[Token], dedent_cols: int, offsets: list[int],
+                          text: str) -> list[Token]:
+    """Inverse of token_dedent_target for space-indented sources."""
+    if dedent_cols == 0:
+        return list(target)
+    out = list(target)
+    for head in _line_heads(target, offsets, text):
+        first = target[head]
+        if first.kind == "whitespace" and line_start(text, offsets[head]) == offsets[head]:
+            out[head] = first._replace(text=" " * dedent_cols + first.text)
+    return out
+
+
+def token_unalias(tokens: list[Token], alias_map: dict[str, str]) -> list[Token]:
+    """Replace alias tokens by the identifiers they stand for."""
+    inverse = {alias: name for name, alias in alias_map.items()}
+    return [tok._replace(text=inverse[tok.text]) if tok.kind == "identifier" and tok.text in inverse
+            else tok for tok in tokens]
+
+
+def target_offsets(tree: SyntaxTree, span) -> list[int]:
+    """The offsets of a cls-prefixed target: the cls marker's repeats the first leaf's."""
+    starts = tree.offsets[span.leaf_start:span.leaf_end]
+    return starts[:1] + starts
+
+
+def token_pair(tree: SyntaxTree, span, rng: random.Random, config
+               ) -> tuple[str, str, int, MaskingPlan | None]:
+    """One pair's (context, target, dedent_cols, masking plan) through token
+    lists, the plan None when masking is off."""
+    context, target = token_split(tree, span)
+    plan = None
+    if config.masking_enabled:
+        plan = token_plan_masking(context, target, rng, config.mask_prob, config.skip_pair_prob)
+        context, target = token_apply_masking(context, target, plan)
+    dedent_cols = 0
+    if config.dedent_enabled:
+        target, dedent_cols = token_dedent_target(target, target_offsets(tree, span), tree.text)
+    return "".join([t.text for t in context]), "".join([t.text for t in target]), dedent_cols, plan
+
+
+def pair_sides(tree: SyntaxTree, span) -> tuple[tuple[list[int], list[str]], ...]:
+    """The context's and the target's (identifier leaves, names), cut at the span."""
+    ids, names = tree.identifiers
+    a, b = bisect.bisect_left(ids, span.leaf_start), bisect.bisect_left(ids, span.leaf_end)
+    return (ids[:a] + ids[b:], names[:a] + names[b:]), (ids[a:b], names[a:b])
+
+
+def side_of(tokens: list[Token]) -> tuple[list[int], list[str]]:
+    """A token list read as a side: its identifier indices and their texts."""
+    ids = [i for i, tok in enumerate(tokens) if tok.kind == "identifier"]
+    return ids, [tokens[i].text for i in ids]
+
+
+def with_edits(tokens: list[Token], edits: dict[int, str]) -> list[Token]:
+    """The tokens with each edited index's text replaced."""
+    return [tok._replace(text=edits[i]) if i in edits else tok for i, tok in enumerate(tokens)]
 
 
 # --------------------------------------------------------------------------
@@ -791,9 +992,6 @@ class PositionedToken(NamedTuple):
     line: int
     column_expanded: int
 
-    def with_text(self, text: str) -> "PositionedToken":
-        return self._replace(text=text)
-
 
 def positioned(tokens: list[Token], positions: list[tuple[int, int]]) -> list[PositionedToken]:
     return [PositionedToken(tok.text, tok.kind, line, column)
@@ -849,7 +1047,7 @@ def reference_dedent_target(target: list[PositionedToken]) -> tuple[list[Positio
             new_text = first.text[dedent_cols:]
         else:
             new_text = " " * max(0, old_width - dedent_cols)
-        out[first_idx] = first.with_text(new_text)
+        out[first_idx] = first._replace(text=new_text)
     return out, dedent_cols
 
 
@@ -865,7 +1063,7 @@ def reference_reindent_target(target: list[PositionedToken], dedent_cols: int
         if first.column_expanded != 0:
             continue
         if first.kind == "whitespace":
-            out[first_idx] = first.with_text(" " * dedent_cols + first.text)
+            out[first_idx] = first._replace(text=" " * dedent_cols + first.text)
     return out
 
 

@@ -18,25 +18,25 @@ import codegap
 from _oracles import (
     exhaustive_metric_comparison,
     grad_check,
-    identifier_tokens,
     info_nce,
     leaf_counts,
+    pair_sides,
     preorder_rows,
+    splice_tokens,
+    target_offsets,
+    token_reindent_target,
+    token_split,
+    token_unalias,
     tokens_balanced,
+    with_edits,
 )
 from codegap.contrastive import ToyEncoder
-from codegap.deleak import (
-    apply_masking,
-    dedent_target,
-    mutual_identifiers,
-    plan_masking,
-    reindent_target,
-    unalias,
-)
+from codegap.deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking
 from codegap.experiments import AblationConfig, run_ablation
-from codegap.languages import language_for_path
+from codegap.languages import MASK_TOKEN, language_for_path
 from codegap.pipeline import PipelineConfig, truncate_file, splice_truncation
-from codegap.spans import select_span, select_span_with_retry, split, splice_tokens
+from codegap.spans import select_span, select_span_with_retry, split
+from codegap.tokenizer import Token
 from codegap.synth import write_mixed_corpus
 from codegap.tokenizer import MARKER_KINDS, tokenize
 from codegap.tree import parse
@@ -67,7 +67,9 @@ def trees(corpus):
 
 @pytest.fixture(scope="module")
 def generated_pairs(trees):
-    """>= 1000 pairs with full masking, plus their pre-transform targets."""
+    """>= 1000 pairs with full masking, plus their pre-transform targets.
+    Each side is listed as tokens, the leaves with the edits of masking and
+    dedent made, and its text is the one `split` renders from the edits."""
     rng = random.Random(99)
     rows = []
     while len(rows) < 1000:
@@ -76,21 +78,26 @@ def generated_pairs(trees):
                                           min_len=8, max_len=200, max_attempts=8)
             if span is None:
                 continue
-            context, target = split(tree, span)
-            mutuals = mutual_identifiers(context, target)
-            plan = plan_masking(context, target, rng, 1.0, 0.0)
-            masked_context, masked_target = apply_masking(context, target, plan)
-            starts = tree.offsets[span.leaf_start:span.leaf_end]
-            offsets = starts[:1] + starts  # the cls marker's repeats the first leaf's
-            dedented, cols = dedent_target(masked_target, offsets, tree.text)
+            ctx_side, tgt_side = pair_sides(tree, span)
+            mutuals = mutual_identifiers(ctx_side[1], tgt_side[1])
+            plan = plan_masking(ctx_side[1], tgt_side[1], rng, 1.0, 0.0)
+            ctx_edits, tgt_edits = apply_masking(ctx_side, tgt_side, plan)
+            cols, indents = dedent_target(tree, span.leaf_start, span.leaf_end)
+            edits = {**ctx_edits, **tgt_edits, **indents}
+            edited, (i, j) = with_edits(tree.leaves, edits), (span.leaf_start, span.leaf_end)
+            cls = Token(tree.language.cls_token, "cls")
+            context = [cls, *edited[:i], Token(MASK_TOKEN, "mask"), *edited[j:]]
+            target = [cls, *edited[i:j]]
+            assert split(tree, span, edits) == tuple("".join(t.text for t in side)
+                                                     for side in (context, target))
             rows.append({
                 "tree": tree,
-                "offsets": offsets,
-                "pre_target": target,
+                "offsets": target_offsets(tree, span),
+                "pre_target": token_split(tree, span)[1],
                 "mutuals": mutuals,
                 "aliases": plan.alias_map,
-                "context": masked_context,
-                "target": dedented,
+                "context": context,
+                "target": target,
                 "dedent_cols": cols,
             })
             if len(rows) >= 1000:
@@ -116,9 +123,11 @@ def test_round_trip_suite(corpus):
         # span splits splice back to the original token sequence
         for _ in range(3):
             span = select_span(tree, rng.randrange(8, 300), rng)
-            context, target = split(tree, span)
+            context, target = token_split(tree, span)
             spliced = splice_tokens(context, target)
             assert [t.text for t in spliced] == [t.text for t in tree.leaves]
+            assert split(tree, span) == ("".join(t.text for t in context),
+                                         "".join(t.text for t in target))
         # truncations splice back via fold markers
         if tree.leaf_count > config.truncation_threshold:
             trunc = truncate_file(tree, rng, config)
@@ -163,8 +172,8 @@ def test_deleak_occlusion(generated_pairs):
     pairs_with_mutuals = 0
     for row in generated_pairs:
         lang = row["tree"].language
-        ctx_ids = {t.text for t in row["context"] if t.is_identifier}
-        tgt_ids = {t.text for t in row["target"] if t.is_identifier}
+        ctx_ids = {t.text for t in row["context"] if t.kind == "identifier"}
+        tgt_ids = {t.text for t in row["target"] if t.kind == "identifier"}
         if row["mutuals"]:
             pairs_with_mutuals += 1
         for name in row["mutuals"]:
@@ -172,8 +181,8 @@ def test_deleak_occlusion(generated_pairs):
         # re-lexing the serialized strings shows the same occlusion
         ctx_text = "".join(t.text for t in row["context"])
         tgt_text = "".join(t.text for t in row["target"])
-        ctx_lex = {t.text for t in tokenize(ctx_text, lang) if t.is_identifier}
-        tgt_lex = {t.text for t in tokenize(tgt_text, lang) if t.is_identifier}
+        ctx_lex = {t.text for t in tokenize(ctx_text, lang) if t.kind == "identifier"}
+        tgt_lex = {t.text for t in tokenize(tgt_text, lang) if t.kind == "identifier"}
         for name in row["mutuals"]:
             assert (name in ctx_lex) != (name in tgt_lex), name
     assert pairs_with_mutuals >= 500
@@ -181,7 +190,7 @@ def test_deleak_occlusion(generated_pairs):
     # Monte-Carlo schedule at paper defaults over 10,000 draws
     rng = random.Random(2024)
     config = PipelineConfig()
-    name_sides = [identifier_tokens(row["mutuals"]) for row in generated_pairs if row["mutuals"]]
+    name_sides = [sorted(row["mutuals"]) for row in generated_pairs if row["mutuals"]]
     skips = masked = decided = 0
     for i in range(10_000):
         names = name_sides[i % len(name_sides)]
@@ -238,8 +247,8 @@ def test_dedent(generated_pairs):
             checked_multiline += 1
 
         # alias-inverse plus re-indent recovers the pre-transform target
-        recovered = unalias(reindent_target(target, cols, row["offsets"], row["tree"].text),
-                            row["aliases"])
+        recovered = token_unalias(token_reindent_target(target, cols, row["offsets"],
+                                                        row["tree"].text), row["aliases"])
         assert "".join(t.text for t in recovered) == "".join(
             t.text for t in row["pre_target"])
     assert checked_multiline >= 200

@@ -887,8 +887,8 @@ def test_inspect_shows_occlusion(small_corpus, tmp_path, capsys):
     from codegap.tokenizer import tokenize
 
     lang = get_language(masked.language)
-    ctx_ids = {t.text for t in tokenize(masked.context, lang) if t.is_identifier}
-    tgt_ids = {t.text for t in tokenize(masked.target, lang) if t.is_identifier}
+    ctx_ids = {t.text for t in tokenize(masked.context, lang) if t.kind == "identifier"}
+    tgt_ids = {t.text for t in tokenize(masked.target, lang) if t.kind == "identifier"}
     for name in masked.meta["aliases"]:
         assert (name in ctx_ids) != (name in tgt_ids)
 

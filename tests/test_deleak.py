@@ -1,5 +1,6 @@
 import random
 import sysconfig
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    identifier_tokens,
     leaf_positions,
+    pair_sides,
     positioned,
     real_sources,
     reference_apply_masking,
@@ -16,6 +17,11 @@ from _oracles import (
     reference_mutual_identifiers,
     reference_plan_masking,
     reference_reindent_target,
+    side_of,
+    token_pair,
+    token_reindent_target,
+    token_unalias,
+    with_edits,
 )
 from codegap.deleak import (
     MASK_IN_CONTEXT,
@@ -26,20 +32,29 @@ from codegap.deleak import (
     dedent_target,
     mutual_identifiers,
     plan_masking,
-    reindent_target,
-    unalias,
 )
 from codegap.errors import AliasCollision
 from codegap.languages import get_language, supported_languages
 from codegap.errors import EmptyTree
-from codegap.pipeline import PipelineConfig, truncate_file
-from codegap.spans import select_span, select_span_with_retry, split
+from codegap.pipeline import PipelineConfig, generate_pairs_for_source, pair_texts, truncate_file
+from codegap.spans import _render, select_span, select_span_with_retry
 from codegap.tokenizer import tokenize
 from codegap.tree import parse
 
 
 def toks(src, lang="python"):
     return tokenize(src, get_language(lang))
+
+
+def names(src, lang="python"):
+    """A side's identifier names, in order: what masking reads of it."""
+    return side_of(toks(src, lang))[1]
+
+
+def masked(ctx, tgt, plan):
+    """Both token lists with the alias edits of `apply_masking` made."""
+    ctx_edits, tgt_edits = apply_masking(side_of(ctx), side_of(tgt), plan)
+    return with_edits(ctx, ctx_edits), with_edits(tgt, tgt_edits)
 
 
 def make_pair(context_src, target_src, lang="python"):
@@ -67,22 +82,22 @@ class ScriptedRandom(random.Random):
 # mutual identifiers
 
 def test_mutual_identifiers_intersection():
-    ctx = toks("foo = bar + baz")
-    tgt = toks("bar(baz, qux)")
+    ctx = names("foo = bar + baz")
+    tgt = names("bar(baz, qux)")
     assert mutual_identifiers(ctx, tgt) == {"bar", "baz"}
 
 
 def test_mutual_identifiers_disjoint():
-    assert mutual_identifiers(toks("a = 1"), toks("b = 2")) == set()
+    assert mutual_identifiers(names("a = 1"), names("b = 2")) == set()
 
 
 def test_mutual_identifiers_target_without_identifiers():
-    assert mutual_identifiers(toks("a = 1"), toks("42 + 7")) == set()
+    assert mutual_identifiers(names("a = 1"), names("42 + 7")) == set()
 
 
 def test_keywords_and_strings_are_not_identifiers():
-    assert mutual_identifiers(toks("for x in y: pass"), toks("for z in y: pass")) == {"y"}
-    assert mutual_identifiers(toks("s = 'foo'"), toks("t = 'foo'")) == set()
+    assert mutual_identifiers(names("for x in y: pass"), names("for z in y: pass")) == {"y"}
+    assert mutual_identifiers(names("s = 'foo'"), names("t = 'foo'")) == set()
 
 
 # --------------------------------------------------------------------------
@@ -95,8 +110,8 @@ def test_plan_empty_mutuals():
 
 
 def test_plan_skip_pair_forces_unmasked():
-    names = identifier_tokens({"a", "b"})
-    plan = plan_masking(names, names, ScriptedRandom([0.0]), 0.9, 0.05)
+    side = sorted({"a", "b"})
+    plan = plan_masking(side, side, ScriptedRandom([0.0]), 0.9, 0.05)
     assert plan.skip_pair
     assert set(plan.decisions.values()) == {UNMASKED}
     assert plan.alias_map == {}
@@ -106,13 +121,13 @@ def test_plan_schedule_monte_carlo():
     # 10,000 plans with 10 mutuals each under the 0.9 / 0.05 schedule
     rng = random.Random(1234)
     config = PipelineConfig()
-    names = identifier_tokens({f"name{i}" for i in range(10)})
+    side = sorted({f"name{i}" for i in range(10)})
     skips = 0
     masked = 0
     decided = 0
     ctx_side = 0
     for _ in range(10_000):
-        plan = plan_masking(names, names, rng, config.mask_prob, config.skip_pair_prob)
+        plan = plan_masking(side, side, rng, config.mask_prob, config.skip_pair_prob)
         if plan.skip_pair:
             skips += 1
             continue
@@ -128,8 +143,8 @@ def test_plan_schedule_monte_carlo():
 
 
 def test_plan_alias_order_follows_first_occurrence():
-    ctx = toks("alpha = beta + gamma")
-    tgt = toks("gamma(beta) + alpha")
+    ctx = names("alpha = beta + gamma")
+    tgt = names("gamma(beta) + alpha")
     # no skip; mask every mutual; sides: alpha->target, beta->target, gamma->target
     rng = ScriptedRandom([0.5, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9])
     plan = plan_masking(ctx, tgt, rng, 0.9, 0.05)
@@ -139,8 +154,8 @@ def test_plan_alias_order_follows_first_occurrence():
 
 
 def test_plan_alias_skips_colliding_names():
-    ctx = toks("VAR1 = spot + 1")
-    tgt = toks("spot + 2")
+    ctx = names("VAR1 = spot + 1")
+    tgt = names("spot + 2")
     rng = ScriptedRandom([0.5, 0.0, 0.0])  # no skip; mask spot in context
     plan = plan_masking(ctx, tgt, rng, 1.0, 0.0)
     assert plan.alias_map["spot"] == "VAR2"
@@ -149,7 +164,7 @@ def test_plan_alias_skips_colliding_names():
 def test_plan_aliases_unique_and_fresh():
     ctx = toks("a = b + c + d")
     tgt = toks("a * b * c * d")
-    plan = plan_masking(ctx, tgt, random.Random(5), 1.0, 0.0)
+    plan = plan_masking(side_of(ctx)[1], side_of(tgt)[1], random.Random(5), 1.0, 0.0)
     aliases = list(plan.alias_map.values())
     assert len(aliases) == len(set(aliases)) == 4
     present = {t.text for t in ctx} | {t.text for t in tgt}
@@ -161,9 +176,10 @@ def test_plan_aliases_unique_and_fresh():
 
 def test_apply_masking_substitution_contract():
     ctx, tgt = make_pair("bar = 1\nuse(bar)\n", "bar + bar\n")
-    plan = plan_masking(ctx, tgt, ScriptedRandom([0.5, 0.0, 0.9]), 0.9, 0.05)
+    plan = plan_masking(side_of(ctx)[1], side_of(tgt)[1], ScriptedRandom([0.5, 0.0, 0.9]),
+                        0.9, 0.05)
     assert plan.decisions["bar"] == MASK_IN_TARGET
-    masked_ctx, masked_tgt = apply_masking(ctx, tgt, plan)
+    masked_ctx, masked_tgt = masked(ctx, tgt, plan)
     tgt_texts = [t.text for t in masked_tgt]
     ctx_texts = [t.text for t in masked_ctx]
     assert "bar" not in tgt_texts
@@ -174,11 +190,9 @@ def test_apply_masking_substitution_contract():
 
 def test_apply_masking_skip_pair_is_identity():
     ctx, tgt = make_pair("bar = 1\n", "bar + 2\n")
-    plan = plan_masking(ctx, tgt, ScriptedRandom([0.0]), 0.9, 1.0)
+    plan = plan_masking(side_of(ctx)[1], side_of(tgt)[1], ScriptedRandom([0.0]), 0.9, 1.0)
     assert plan.skip_pair and plan.alias_map == {}
-    masked_ctx, masked_tgt = apply_masking(ctx, tgt, plan)
-    assert masked_ctx == ctx and masked_ctx is not ctx
-    assert masked_tgt == tgt and masked_tgt is not tgt
+    assert apply_masking(side_of(ctx), side_of(tgt), plan) == ({}, {})
 
 
 @pytest.mark.parametrize("side, context_src, target_src, decision", [
@@ -189,7 +203,7 @@ def test_apply_masking_alias_collision_detected(side, context_src, target_src, d
     ctx, tgt = make_pair(context_src, target_src)
     bogus = MaskingPlan({"bar": decision}, skip_pair=False, alias_map={"bar": "VAR1"})
     with pytest.raises(AliasCollision, match=side):
-        apply_masking(ctx, tgt, bogus)
+        apply_masking(side_of(ctx), side_of(tgt), bogus)
 
 
 def test_occlusion_each_mutual_on_exactly_one_side():
@@ -205,12 +219,12 @@ def test_occlusion_each_mutual_on_exactly_one_side():
     rng = random.Random(2)
     span = select_span_with_retry(tree, rng, mean=20, stddev=5, min_len=8, max_len=30,
                                   max_attempts=8)
-    ctx, tgt = split(tree, span)
-    mutuals = mutual_identifiers(ctx, tgt)
-    plan = plan_masking(ctx, tgt, rng, 1.0, 0.0)
-    masked_ctx, masked_tgt = apply_masking(ctx, tgt, plan)
-    ctx_ids = {t.text for t in masked_ctx if t.is_identifier}
-    tgt_ids = {t.text for t in masked_tgt if t.is_identifier}
+    ctx, tgt = pair_sides(tree, span)
+    mutuals = mutual_identifiers(ctx[1], tgt[1])
+    plan = plan_masking(ctx[1], tgt[1], rng, 1.0, 0.0)
+    ctx_edits, tgt_edits = apply_masking(ctx, tgt, plan)
+    ctx_ids = {ctx_edits.get(i, n) for i, n in zip(*ctx)}
+    tgt_ids = {tgt_edits.get(i, n) for i, n in zip(*tgt)}
     for name in mutuals:
         assert (name in ctx_ids) != (name in tgt_ids)
 
@@ -239,16 +253,16 @@ def test_plan_and_apply_match_reference(lang, ctx_pieces, tgt_pieces, seed,
     ctx = tokenize(_side_source(language, ctx_pieces), language)
     tgt = tokenize(_side_source(language, tgt_pieces), language)
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    plan = plan_masking(ctx, tgt, rng, mask_prob, skip_pair_prob)
+    plan = plan_masking(side_of(ctx)[1], side_of(tgt)[1], rng, mask_prob, skip_pair_prob)
     mutuals = reference_mutual_identifiers(ctx, tgt)
     ref = reference_plan_masking(mutuals, ref_rng, mask_prob, skip_pair_prob,
                                  context=ctx, target=tgt)
-    assert mutual_identifiers(ctx, tgt) == mutuals
+    assert mutual_identifiers(side_of(ctx)[1], side_of(tgt)[1]) == mutuals
     assert plan.mutual_identifiers == ref.mutual_identifiers
     assert plan.skip_pair == ref.skip_pair
     assert list(plan.decisions.items()) == list(ref.decisions.items())
     assert list(plan.alias_map.items()) == list(ref.alias_map.items())
-    assert apply_masking(ctx, tgt, plan) == reference_apply_masking(ctx, tgt, ref)
+    assert masked(ctx, tgt, plan) == reference_apply_masking(ctx, tgt, ref)
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -259,35 +273,36 @@ def render(tokens):
     return "".join(t.text for t in tokens)
 
 
-def target_of(src, lang="python"):
-    """Whole-file tokens as a target (first line owned from column zero),
-    with their offsets and the text: the arguments dedent takes."""
-    tree = parse(src, lang)
-    return tree.leaves, tree.offsets, tree.text
+def dedented(tree, lo=0, hi=None):
+    """Dedent leaves lo:hi (all by default): (target text, dedent_cols, edits)."""
+    hi = tree.leaf_count if hi is None else hi
+    cols, edits = dedent_target(tree, lo, hi)
+    folds = {i: t.text for i, t in enumerate(tree.leaves[lo:hi], lo) if t.kind == "fold"}
+    return _render(tree, lo, hi, {**folds, **edits}, sorted({**folds, **edits})), cols, edits
 
 
 def test_dedent_uniform_shift():
-    out, cols = dedent_target(*target_of("        x = 1\n        y = 2\n"))
+    out, cols, _ = dedented(parse("        x = 1\n        y = 2\n", "python"))
     assert cols == 8
-    assert render(out) == "x = 1\ny = 2\n"
+    assert out == "x = 1\ny = 2\n"
 
 
 def test_dedent_min_indent_rule():
-    out, cols = dedent_target(*target_of("    a\n        b\n"))
+    out, cols, _ = dedented(parse("    a\n        b\n", "python"))
     assert cols == 4
-    assert render(out) == "a\n    b\n"
+    assert out == "a\n    b\n"
 
 
 def test_dedent_identity_when_flat():
-    out, cols = dedent_target(*target_of("a = 1\n    b = 2\n"))
-    assert cols == 0
-    assert render(out) == "a = 1\n    b = 2\n"
+    out, cols, edits = dedented(parse("a = 1\n    b = 2\n", "python"))
+    assert cols == 0 and edits == {}
+    assert out == "a = 1\n    b = 2\n"
 
 
 def test_dedent_tabs_count_as_four_columns():
-    out, cols = dedent_target(*target_of("\ta\n\t\tb\n"))
+    out, cols, _ = dedented(parse("\ta\n\t\tb\n", "python"))
     assert cols == 4
-    assert render(out) == "a\n    b\n"
+    assert out == "a\n    b\n"
 
 
 def test_dedent_mid_line_start_uses_source_column():
@@ -295,29 +310,30 @@ def test_dedent_mid_line_start_uses_source_column():
     src = "def f():\n    x = 1\n    y = 2\n"
     tree = parse(src, "python")
     start = next(i for i, t in enumerate(tree.leaves) if t.text == "x")
-    out, cols = dedent_target(tree.leaves[start:], tree.offsets[start:], tree.text)
+    out, cols, _ = dedented(tree, start)
     assert cols == 4
-    assert render(out) == "x = 1\ny = 2\n"
+    assert out == "x = 1\ny = 2\n"
 
 
 def test_dedent_skips_multiline_string_interiors():
     src = '    body = """keep\n      exact\n"""\n    tail = 1\n'
-    out, cols = dedent_target(*target_of(src))
+    out, cols, _ = dedented(parse(src, "python"))
     assert cols == 4
-    assert render(out) == 'body = """keep\n      exact\n"""\ntail = 1\n'
+    assert out == 'body = """keep\n      exact\n"""\ntail = 1\n'
 
 
 def test_dedent_blank_lines_do_not_count():
-    out, cols = dedent_target(*target_of("    a = 1\n\n    b = 2\n"))
+    out, cols, _ = dedented(parse("    a = 1\n\n    b = 2\n", "python"))
     assert cols == 4
-    assert render(out) == "a = 1\n\nb = 2\n"
+    assert out == "a = 1\n\nb = 2\n"
 
 
 def test_dedent_then_reindent_roundtrip():
     src = "    a = 1\n        b = 2\n    c = 3\n"
-    tokens, offsets, text = target_of(src)
-    out, cols = dedent_target(tokens, offsets, text)
-    assert render(reindent_target(out, cols, offsets, text)) == src
+    tree = parse(src, "python")
+    _, cols, edits = dedented(tree)
+    out = with_edits(tree.leaves, edits)
+    assert render(token_reindent_target(out, cols, tree.offsets, tree.text)) == src
 
 
 def _dedent_inputs(lang):
@@ -340,28 +356,30 @@ def _dedent_inputs(lang):
 
 @pytest.mark.parametrize("lang", ["python", "c"])
 def test_dedent_matches_reference_on_real_pair_inputs(lang):
-    """Dedent and reindent with positions read off the offsets give what
-    they gave when tokens carried their positions, on whole inputs and on
-    split targets, folds and tab-indented lines included."""
+    """Dedent on a leaf range gives what the token-list dedent gave when
+    tokens carried their positions, on whole inputs and on split targets,
+    folds and tab-indented lines included; the token-list reindent takes it
+    back as before."""
     rng = random.Random(1)
     seen = {"fold": 0, "tab": 0, "shifted": 0}
     for tree, position_at in _dedent_inputs(lang):
-        cases = [(tree.leaves, tree.offsets)]
+        cases = [(0, tree.leaf_count)]
         for _ in range(4):
             try:
                 span = select_span(tree, rng.randint(1, 300), rng)
             except EmptyTree:
                 break
-            _, target = split(tree, span)
-            starts = tree.offsets[span.leaf_start:span.leaf_end]
-            cases.append((target, starts[:1] + starts))
-        for target, offsets in cases:
+            cases.append((span.leaf_start, span.leaf_end))
+        for lo, hi in cases:
+            target, offsets = tree.leaves[lo:hi], tree.offsets[lo:hi]
             reference = positioned(target, [position_at[offset] for offset in offsets])
-            out, cols = dedent_target(target, offsets, tree.text)
+            text, cols, edits = dedented(tree, lo, hi)
+            out = with_edits(tree.leaves, edits)[lo:hi]
             want, want_cols = reference_dedent_target(reference)
             assert (render(out), cols) == (render(want), want_cols)
             assert [t.text for t in out] == [t.text for t in want]
-            back = reindent_target(out, cols, offsets, tree.text)
+            assert text == render(out)
+            back = token_reindent_target(out, cols, offsets, tree.text)
             assert [t.text for t in back] == [t.text for t in reference_reindent_target(want, cols)]
             seen["fold"] += any(t.kind == "fold" for t in target)
             seen["tab"] += any(t.kind == "whitespace" and "\t" in t.text for t in target)
@@ -372,9 +390,9 @@ def test_dedent_matches_reference_on_real_pair_inputs(lang):
 
 def test_unalias_inverts_masking():
     ctx, tgt = make_pair("bar = baz\n", "bar + baz\n")
-    plan = plan_masking(ctx, tgt, random.Random(3), 1.0, 0.0)
-    _, masked_tgt = apply_masking(ctx, tgt, plan)
-    restored = unalias(masked_tgt, plan.alias_map)
+    plan = plan_masking(side_of(ctx)[1], side_of(tgt)[1], random.Random(3), 1.0, 0.0)
+    _, masked_tgt = masked(ctx, tgt, plan)
+    restored = token_unalias(masked_tgt, plan.alias_map)
     assert render(restored) == render(tgt)
 
 
@@ -391,15 +409,20 @@ def test_full_inverse_recovers_pre_transform_target():
     rng = random.Random(11)
     span = select_span_with_retry(tree, rng, mean=18, stddev=6, min_len=6, max_len=30,
                                   max_attempts=8)
-    ctx, tgt = split(tree, span)
-    original_target = render(tgt)
-    plan = plan_masking(ctx, tgt, rng, 1.0, 0.0)
-    _, masked_tgt = apply_masking(ctx, tgt, plan)
-    starts = tree.offsets[span.leaf_start:span.leaf_end]
-    offsets = starts[:1] + starts  # the cls marker's repeats the first leaf's
-    dedented, cols = dedent_target(masked_tgt, offsets, tree.text)
-    recovered = render(unalias(reindent_target(dedented, cols, offsets, tree.text),
-                               plan.alias_map))
+    lo, hi = span.leaf_start, span.leaf_end
+    original_target = render(tree.leaves[lo:hi])
+    text_rng = random.Random()
+    text_rng.setstate(rng.getstate())
+    ctx, tgt = pair_sides(tree, span)
+    plan = plan_masking(ctx[1], tgt[1], rng, 1.0, 0.0)
+    _, alias_edits = apply_masking(ctx, tgt, plan)
+    cols, indents = dedent_target(tree, lo, hi)
+    target = with_edits(tree.leaves, {**alias_edits, **indents})[lo:hi]
+    config = PipelineConfig(mask_prob=1.0, skip_pair_prob=0.0)
+    text_target = pair_texts(tree, span, text_rng, config, {})[1]
+    assert text_target == tree.language.cls_token + render(target)
+    recovered = render(token_unalias(token_reindent_target(target, cols, tree.offsets[lo:hi],
+                                                           tree.text), plan.alias_map))
     assert recovered == original_target
 
 
@@ -409,9 +432,100 @@ def test_full_inverse_recovers_pre_transform_target():
                 min_size=1, max_size=6))
 def test_dedent_floor_and_relative_property(lines):
     src = "".join(" " * indent + stmt + "\n" for indent, stmt in lines)
-    out, cols = dedent_target(*target_of(src))
+    out, cols, _ = dedented(parse(src, "python"))
     before = [len(ln) - len(ln.lstrip(" ")) for ln in src.splitlines() if ln.strip()]
-    after = [len(ln) - len(ln.lstrip(" ")) for ln in render(out).splitlines() if ln.strip()]
+    after = [len(ln) - len(ln.lstrip(" ")) for ln in out.splitlines() if ln.strip()]
     assert cols == min(before)
     assert min(after) == 0
     assert after == [b - cols for b in before]
+
+
+# --------------------------------------------------------------------------
+# pairs as text ranges against the token-list path they replaced
+
+_BRACE_BODIES = ["int alpha = beta;", "if (alpha) {", "}", "f(alpha, beta);", "gamma(VAR1);",
+                 "/* alpha\n   beta */ gamma = 1;", "// alpha beta", '"alpha";', "while (gamma) {",
+                 "VAR2 = alpha + beta;", "{", "else {"]
+_BODIES = {
+    "python": ["x = alpha + beta", "def f(alpha, VAR1):", "if beta:", "return gamma",
+               's = """doc\n  alpha\n\tbeta"""', '"""alpha\n    gamma"""', "# alpha comment",
+               "call(alpha, beta)", "else:", "VAR2 = gamma", "class K:", "(alpha,"],
+    "c": _BRACE_BODIES + ["#define VAR1 alpha", "struct beta {"],
+    "java": _BRACE_BODIES + ["class K {", "public void alpha(int beta) {"],
+    "javascript": _BRACE_BODIES + ["`alpha\n  ${beta}`;", "let re = /alpha/g;",
+                                   "function f(alpha) {"],
+}
+_INDENTS = ["", "", "  ", "    ", "        ", "\t", "\t\t", "\t  ", "  \t"]
+_LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
+
+
+def _check_text_path(source, lang, seed, config, seen, spans=3):
+    """Pairs of each input of the file (the tree, or its shortened tree and
+    segments) through `pair_texts` and through the token-list path, from one
+    random state: the texts, dedent_cols, plans and draws must agree. Then
+    the file's records against the same loop on the token-list path."""
+    rng = random.Random(seed)
+    trunc = truncate_file(parse(source, lang), rng, config)
+    for input_tree in [trunc.shortened, *trunc.segments]:
+        folds = {i: t.text for i, t in enumerate(input_tree.leaves) if t.kind == "fold"}
+        for _ in range(spans):
+            try:
+                span = select_span(input_tree, rng.randint(1, 80), rng)
+            except EmptyTree:
+                break
+            token_rng = random.Random()
+            token_rng.setstate(rng.getstate())
+            got = pair_texts(input_tree, span, rng, config, folds)
+            assert got == token_pair(input_tree, span, token_rng, config)
+            assert rng.getstate() == token_rng.getstate()
+            context, target, cols, plan = got
+            seen["folds"] += bool(folds)
+            seen["folds_with_aliases"] += bool(folds and plan and plan.alias_map)
+            seen["shifted"] += cols > 0
+
+    records = generate_pairs_for_source(source, get_language(lang), seed=seed, source_name="f",
+                                        pair_id_prefix="p", config=config)
+    rng, want = random.Random(seed), []
+    tree = parse(source, lang)
+    trunc = truncate_file(tree, rng, config) if tree.leaf_count else None
+    for input_tree in [trunc.shortened, *trunc.segments] if trunc else []:
+        span = select_span_with_retry(input_tree, rng, mean=config.mean_target_len,
+                                      stddev=config.stddev_target_len,
+                                      min_len=config.min_target_len,
+                                      max_len=config.max_target_len,
+                                      max_attempts=config.max_span_attempts)
+        if span is not None:
+            context, target, cols, plan = token_pair(input_tree, span, rng, config)
+            want.append((context, target, cols, plan.alias_map if plan else {}))
+    assert [(r.context, r.target, r.meta["dedent_cols"], r.meta["aliases"])
+            for r in records] == want
+
+
+@pytest.mark.parametrize("lang", supported_languages())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       masking=st.booleans(), dedent=st.booleans())
+def test_pair_texts_match_token_path(lang, data, seed, masking, dedent):
+    lines = data.draw(st.lists(st.tuples(st.sampled_from(_INDENTS), st.sampled_from(_BODIES[lang]),
+                                         st.sampled_from(_LINE_ENDS)), min_size=1, max_size=60))
+    source = "".join(indent + body + end for indent, body, end in lines)
+    config = PipelineConfig(truncation_threshold=40, segment_min_len=8, segment_max_len=40,
+                            mask_prob=data.draw(st.sampled_from([0.5, 1.0])),
+                            skip_pair_prob=data.draw(st.sampled_from([0.0, 0.05])),
+                            masking_enabled=masking, dedent_enabled=dedent)
+    _check_text_path(source, lang, seed, config, Counter())
+
+
+@pytest.mark.parametrize("lang", ["python", "c"])
+def test_pair_texts_match_token_path_on_real_files(lang):
+    pattern = (str(Path(sysconfig.get_paths()["stdlib"]) / "*.py") if lang == "python"
+               else "/usr/include/*.h")
+    sources = real_sources(pattern, 30)
+    if len(sources) < 30:
+        pytest.skip(f"fewer than 30 {lang} files here")
+    seen = Counter()
+    for k, source in enumerate(sources):
+        config = PipelineConfig(truncation_threshold=300, segment_min_len=20, segment_max_len=150,
+                                masking_enabled=k % 4 != 1, dedent_enabled=k % 4 != 2)
+        _check_text_path(source, lang, k, config, seen)
+    assert seen["folds_with_aliases"] > 20 and seen["shifted"] > 20, seen

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_read_jsonl_objects, stored_columns, tokens_balanced, tree_columns
+from codegap import pipeline
 from codegap.errors import SchemaError
 from codegap.pipeline import (
     PairRecord,
@@ -198,6 +199,31 @@ def test_make_pairs_deterministic_and_parallel_stable(tmp_path, mixed_corpus):
         assert [json.dumps(r.to_record()) for r in make_pairs(files, replace(cfg, jobs=jobs))] == one
     assert one == two
     assert one
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_file_that_fails_is_skipped_and_named(mixed_corpus, monkeypatch, caplog, jobs):
+    """A file whose pairs raise yields none, and the run goes on: the records
+    are those of the corpus without it, and the warning names the file."""
+    root, _ = mixed_corpus
+    cfg = PipelineConfig(seed=5, jobs=jobs)
+    files = ingest([root], cfg)[:12]
+    bad = files[4]
+    want = [r.to_record() for r in make_pairs(files[:4] + files[5:], replace(cfg, jobs=1))]
+    real_parse = pipeline.parse
+
+    def parse(source, language):
+        if source == bad.path.read_text(encoding="utf-8"):
+            raise ValueError("marked file")
+        return real_parse(source, language)
+
+    monkeypatch.setattr(pipeline, "parse", parse)  # the pool's workers fork with it
+    with caplog.at_level("WARNING", logger="codegap.pipeline"):
+        got = [r.to_record() for r in make_pairs(files, cfg)]
+    assert got == want and want
+    if jobs == 1:
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {bad.path}: ValueError: marked file"]
 
 
 def test_pair_records_have_exact_schema(mixed_corpus):

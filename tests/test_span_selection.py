@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import child_rows, leaf_counts, make_tree, preorder_rows, tokens_balanced
+from _oracles import (
+    child_rows,
+    leaf_counts,
+    make_tree,
+    preorder_rows,
+    splice_tokens,
+    token_split,
+    tokens_balanced,
+)
 from codegap.errors import EmptyTree, InvalidBounds, SpanMismatch
 from codegap.languages import MASK_TOKEN
 from codegap.pipeline import PipelineConfig
@@ -16,7 +24,6 @@ from codegap.spans import (
     select_span,
     select_span_with_retry,
     span_has_content,
-    splice_tokens,
     split,
 )
 from codegap.tree import parse
@@ -25,6 +32,10 @@ _CONFIG = PipelineConfig()
 _TARGET_LENGTHS = dict(mean=_CONFIG.mean_target_len, stddev=_CONFIG.stddev_target_len,
                        min_len=_CONFIG.min_target_len, max_len=_CONFIG.max_target_len,
                        max_attempts=_CONFIG.max_span_attempts)
+
+
+def rendered(tokens):
+    return "".join(t.text for t in tokens)
 
 
 def test_sample_length_zero_variance():
@@ -130,8 +141,8 @@ def test_split_degenerate_full_span(python_lang):
     span = SpanSelection(tree, *preorder_rows(tree).run_of((0,)))
     assert (span.leaf_start, span.leaf_count) == (0, tree.leaf_count)
     context, target = split(tree, span)
-    assert [t.text for t in context] == [python_lang.cls_token, MASK_TOKEN]
-    assert [t.text for t in target] == [python_lang.cls_token] + [t.text for t in tree.leaves]
+    assert context == python_lang.cls_token + MASK_TOKEN
+    assert target == python_lang.cls_token + "x = 1\n"
 
 
 def test_split_token_count_example(python_lang):
@@ -142,7 +153,7 @@ def test_split_token_count_example(python_lang):
     run = kids[kids[0][0]][2:5]
     span = SpanSelection(tree, *rows.run_of(tuple(run)))
     assert (span.leaf_start, span.leaf_end, span.leaf_count) == (2, 5, 3)
-    context, target = split(tree, span)
+    context, target = token_split(tree, span)
     assert len(context) == 7 - 3 + 2
     assert len(target) == 3 + 1
     assert context[3].kind == "mask"
@@ -153,13 +164,14 @@ def test_split_reconstruction(parsed_corpus):
     lang = None
     for _, tree in parsed_corpus[:20]:
         span = select_span(tree, 60, rng)
-        context, target = split(tree, span)
+        context, target = token_split(tree, span)
         lang = tree.language
         spliced = splice_tokens(context, target)
         assert [t.text for t in spliced] == [t.text for t in tree.leaves]
         assert [t.text for t in context].count(MASK_TOKEN) == 1
         assert context[0].text == lang.cls_token
         assert target[0].text == lang.cls_token
+        assert split(tree, span) == (rendered(context), rendered(target))
 
 
 def test_split_rejects_foreign_span():
@@ -176,8 +188,10 @@ def test_split_rejects_run_of_non_siblings(python_lang):
     rows = preorder_rows(tree)
     assert child_rows(rows)[0] == [1, 7] and child_rows(rows)[1] == [2, 5]
     for run in ((2, 5), (1, 7)):
-        context, target = split(tree, SpanSelection(tree, *rows.run_of(run)))
+        span = SpanSelection(tree, *rows.run_of(run))
+        context, target = token_split(tree, span)
         assert [t.text for t in splice_tokens(context, target)] == [t.text for t in tree.leaves]
+        assert split(tree, span) == (rendered(context), rendered(target))
     # Q's subtree ends where B starts, but B is A's sibling, not Q's
     for run in ((5, 7), (2, 7), (2, 5, 7)):
         with pytest.raises(SpanMismatch):
@@ -244,6 +258,7 @@ def test_split_splices_back_for_random_lengths(length, seed):
     )
     tree = parse(src, "python")
     span = select_span(tree, length, random.Random(seed))
-    context, target = split(tree, span)
+    context, target = token_split(tree, span)
     spliced = splice_tokens(context, target)
     assert "".join(t.text for t in spliced) == src
+    assert split(tree, span) == (rendered(context), rendered(target))

@@ -25,7 +25,6 @@ from codegap.tokenizer import MARKER_KINDS, TRIVIA_KINDS, line_start, tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
     _build_rows,
-    identifier_occurrences,
     indentation_of,
     parse,
     tree_from_run,
@@ -107,14 +106,15 @@ def _stream(text, grammar):
     opens its line, which dedent reads as an offset at its line start."""
     tree = parse(text, grammar)
     positions = leaf_positions(tree.text, tree.offsets)
-    return [(t.text, t.kind, t.is_identifier, line, column, line_start(tree.text, offset) == offset)
+    return [(t.text, t.kind, t.kind == "identifier", line, column,
+             line_start(tree.text, offset) == offset)
             for t, (line, column), offset in zip(tree.leaves, positions, tree.offsets)]
 
 
 def _reference_stream(text, grammar):
     """The same tuples from the reference scanner, whose last field is a
     character column of 0."""
-    return [(t.text, t.kind, t.is_identifier, t.line, t.column_expanded, t.column == 0)
+    return [(t.text, t.kind, t.kind == "identifier", t.line, t.column_expanded, t.column == 0)
             for t in oracle_tokenize(text, grammar)]
 
 
@@ -245,16 +245,21 @@ def test_c_for_statement_covers_whole_statement():
     assert count == tree.leaf_count
 
 
+def identifier_occurrences(tree):
+    """(leaf index, name) of each identifier leaf, as the tree lists them."""
+    return list(zip(*tree.identifiers))
+
+
 def test_identifier_occurrences_matches_brute_force(parsed_corpus):
     for _, tree in parsed_corpus[:24]:
-        brute = [(i, t.text) for i, t in enumerate(tree.leaves) if t.is_identifier]
+        brute = [(i, t.text) for i, t in enumerate(tree.leaves) if t.kind == "identifier"]
         assert identifier_occurrences(tree) == brute
 
 
 def test_identifier_occurrences_examples():
     tree = parse("x = x + y", "python")
     assert [text for _, text in identifier_occurrences(tree)] == ["x", "x", "y"]
-    assert all(tree.leaves[i].is_identifier for i, _ in identifier_occurrences(tree))
+    assert all(tree.leaves[i].kind == "identifier" for i, _ in identifier_occurrences(tree))
 
     assert identifier_occurrences(parse("42 + 7", "python")) == []
 
