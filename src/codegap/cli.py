@@ -30,6 +30,7 @@ from .languages import (
     supported_languages,
 )
 from .pipeline import (
+    MAX_JOBS,
     TRAIN,
     VALID,
     CorpusFile,
@@ -110,8 +111,9 @@ def _fits_field(field: dataclasses.Field, value) -> bool:
 
 # config key -> (what it must be, test); a resolved value that fails is a data error
 _BOUNDS = {
-    **dict.fromkeys(("shard_size", "jobs", "pairs_per_input", "dim", "buckets", "segment_min_len",
+    **dict.fromkeys(("shard_size", "pairs_per_input", "dim", "buckets", "segment_min_len",
                      "max_span_attempts", "min_target_len"), ("at least 1", lambda v: v >= 1)),
+    "jobs": (f"between 1 and {MAX_JOBS}", lambda v: 1 <= v <= MAX_JOBS),
     "mean_target_len": ("finite", math.isfinite),
     **dict.fromkeys(("stddev_target_len", "decay_power"),
                     ("finite and at least 0", lambda v: math.isfinite(v) and v >= 0)),
@@ -347,10 +349,20 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     else:
         raise CodegapError("no pairs found")
     meta = record.meta
-    print(f"pair {record.pair_id} ({record.language})")
-    print(f"dedent: {meta.get('dedent_cols', 0)} columns; "
-          f"masking skipped: {meta.get('skipped_masking', False)}")
+    dedent = meta.get("dedent_cols", 0)
+    skipped = meta.get("skipped_masking", False)
     aliases = meta.get("aliases", {})
+    # the types a shard's JSON gives these values; `type(...) is int` refuses a bool
+    for key, fits, must in (
+            ("dedent_cols", type(dedent) is int, "an integer"),
+            ("skipped_masking", type(skipped) is bool, "true or false"),
+            ("aliases", type(aliases) is dict and all(type(v) is str for v in aliases.values()),
+             "an object of strings")):
+        if not fits:
+            raise SchemaError(f"{args.file or args.shards}: pair {record.pair_id!r}: "
+                              f"meta {key!r} must be {must}")
+    print(f"pair {record.pair_id} ({record.language})")
+    print(f"dedent: {dedent} columns; masking skipped: {skipped}")
     if aliases:
         ctx_tokens = set(text_tokens(record.context))
         tgt_tokens = set(text_tokens(record.target))

@@ -193,10 +193,18 @@ class PackedCounts(NamedTuple):
 
 
 def _unit_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row over its norm, and the norms."""
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    """Each row over its norm, and the norms. A norm of 0 or inf is refused: a zero row's, and
+    one whose squares underflow to 0 or overflow to inf in float64. A row holding nan stays nan,
+    for the caller's own check (the training loss, or the loaders' finite-number rule)."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(raw, axis=1)
+    bad = (norms == 0.0) | np.isinf(norms)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not raw[row].any():
+            raise ZeroVector("cosine similarity of a zero vector is undefined")
+        raise ZeroVector(f"a vector's norm is {norms[row]} in float64, not a finite positive "
+                         f"number, so its cosine similarity is undefined")
     return raw / norms[:, None], norms
 
 

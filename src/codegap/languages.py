@@ -162,9 +162,15 @@ def load_extension_map(path: str | Path) -> dict[str, str]:
     return mapping
 
 
+def language_for_name(name: str, ext_map: dict[str, str] | None = None) -> Language | None:
+    """Resolve a file name to its grammar via the extension registry, or None. The
+    extension follows the name's last dot, as `Path.suffix` takes it."""
+    dot = name.rfind(".")
+    ext = name[dot + 1:].lower() if 0 < dot < len(name) - 1 else ""
+    grammar = (ext_map if ext_map is not None else DEFAULT_EXTENSIONS).get(ext)
+    return get_language(grammar) if grammar else None
+
+
 def language_for_path(path: str | Path, ext_map: dict[str, str] | None = None) -> Language | None:
     """Resolve a file to its grammar via the extension registry, or None."""
-    ext = Path(path).suffix.lstrip(".").lower()
-    mapping = ext_map if ext_map is not None else DEFAULT_EXTENSIONS
-    name = mapping.get(ext)
-    return get_language(name) if name else None
+    return language_for_name(Path(path).name, ext_map)

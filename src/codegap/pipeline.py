@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
 import re
 from bisect import bisect_left
@@ -29,10 +30,10 @@ from typing import Iterable, Iterator
 from .deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking  # noqa: F401
 from .deleak import MaskingPlan
 from .errors import CodegapError, EmptyTree, SchemaError
-from .languages import FOLD_TOKEN, Language, get_language, language_for_path
+from .languages import FOLD_TOKEN, Language, get_language, language_for_name
 from .spans import SpanSelection, select_span, select_span_with_retry, split
 from .texttok import count_text_tokens, truncate_text_tokens
-from .tokenizer import tokenize
+from .tokenizer import clear_token_tables, tokenize
 from .tree import SyntaxTree, parse, tree_from_run, tree_with_runs_folded
 
 log = logging.getLogger(__name__)
@@ -42,6 +43,8 @@ VALID = "valid"
 # enough chunks that a worker left with a slow chunk does not hold up the rest
 CHUNKS_PER_WORKER = 8
 MAX_CHUNK_FILES = 32  # a worker holds a chunk's records until it returns them
+# the most workers `jobs` may ask for: a fixed ceiling, so one config is valid on every host
+MAX_JOBS = 64
 
 
 @dataclass
@@ -106,6 +109,26 @@ def repo_of(path: Path, root: Path) -> str:
     return rel.parts[0] if len(rel.parts) > 1 else root.name
 
 
+def _files_under(root: str) -> list[tuple[tuple[str, ...], str, bool]]:
+    """(parts under the root, path, whether it is a link) of every file under `root`, in the
+    order `sorted(Path(root).rglob("*"))` gives: by parts. One scandir pass per directory; a
+    linked directory is not entered, and one that cannot be listed is skipped with a warning."""
+    found, todo = [], [((), root)]
+    while todo:
+        parts, directory = todo.pop()
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False):
+                        todo.append(((*parts, entry.name), entry.path))
+                    elif entry.is_file():
+                        found.append(((*parts, entry.name), entry.path, entry.is_symlink()))
+        except OSError as exc:
+            log.warning("skipping %s: %s", directory, exc)
+    found.sort()
+    return found
+
+
 def ingest(roots: Iterable[str | Path], config: PipelineConfig,
            ext_map: dict[str, str] | None = None) -> list[CorpusFile]:
     """Collect supported files, dedup by content, split by repository."""
@@ -116,16 +139,16 @@ def ingest(roots: Iterable[str | Path], config: PipelineConfig,
         root = Path(root)
         if not root.is_dir():
             raise CodegapError(f"corpus root {str(root)!r} is not a directory")
-        paths = sorted(p for p in root.rglob("*") if p.is_file())
-        for path in paths:
-            lang = language_for_path(path, ext_map)
+        for parts, path, linked in _files_under(str(root)):
+            lang = language_for_name(parts[-1], ext_map)
             if lang is None:
                 log.debug("skipping %s: unknown extension", path)
                 continue
             if wanted is not None and lang.name not in wanted:
                 continue
             try:
-                data = path.read_bytes()
+                with open(path, "rb") as fh:
+                    data = fh.read()
             except OSError as exc:
                 log.warning("skipping %s: %s", path, exc)
                 continue
@@ -133,15 +156,14 @@ def ingest(roots: Iterable[str | Path], config: PipelineConfig,
             if digest in seen:
                 continue
             seen.add(digest)
-            rel = path.relative_to(root)
-            # rglob does not enter linked directories, so only a linked file
-            # can resolve outside the repository its path names
-            if path.is_symlink():
-                repo = repo_of(path, root)
+            # the walk does not enter linked directories, so only a linked
+            # file can resolve outside the repository its path names
+            if linked:
+                repo = repo_of(Path(path), root)
             else:
-                repo = rel.parts[0] if len(rel.parts) > 1 else root.name
+                repo = parts[0] if len(parts) > 1 else root.name
             split_name = VALID if repo in config.valid_repos else TRAIN
-            out.append(CorpusFile(path=path, source=rel.as_posix(),
+            out.append(CorpusFile(path=Path(path), source="/".join(parts),
                                   language=lang.name, content_hash=digest, split=split_name))
     out.sort(key=lambda f: f.content_hash)
     return out
@@ -308,7 +330,9 @@ def chunk_size(files: int, jobs: int) -> int:
 
 def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[PairRecord]:
     """Deterministic pair stream over deduplicated files, hash order. The
-    pool gets chunks of chunk_size files."""
+    pool gets chunks of chunk_size files, and at most one worker per chunk.
+    The token tables start empty, so each run pays its own warm-up."""
+    clear_token_tables()
     tasks = [(f, config) for f in sorted(files, key=lambda f: f.content_hash)]
     if config.jobs <= 1:
         for records in map(_worker_generate, tasks):
@@ -316,9 +340,10 @@ def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[Pair
         return
     for name in sorted({f.language for f in files}):
         tokenize("", get_language(name))  # compile the grammars once, before the workers fork
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for records in pool.map(_worker_generate, tasks,
-                                chunksize=chunk_size(len(tasks), config.jobs)):
+    size = chunk_size(len(tasks), config.jobs)
+    workers = min(config.jobs, math.ceil(len(tasks) / size))
+    with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
+        for records in pool.map(_worker_generate, tasks, chunksize=size):
             yield from records
 
 

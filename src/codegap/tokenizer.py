@@ -7,10 +7,16 @@ kind, mirroring anonymous grammar nodes.
 
 Each grammar compiles to one alternation of named groups, tried in order; the
 group name is the token kind. Its group-free twin cuts a file into texts, and
-each distinct text gets its kind and its one token once per call. Two rules
-depend on context: `#` opens a directive only when blanks alone precede it on
-its line, and `/` opens a javascript regex literal only after a token that
-cannot end an operand.
+each grammar keeps one token table across calls, text -> token: a text gets
+its kind and its one token the first time any call sees it, and equal texts
+share that token until the table is cleared. A table is cleared at the start
+of a call once it holds more than TABLE_LIMIT entries, and
+`clear_token_tables` empties them all. Two rules depend on context: `#`
+opens a directive only when blanks alone precede it on its line, and `/`
+opens a javascript regex literal only after a token that cannot end an
+operand. A directive that the tokens before it show to open its line (it is
+first, or follows a line break, or a blank of spaces and tabs that does)
+takes no rule.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left
-from itertools import accumulate, compress
-from operator import itemgetter
+from itertools import accumulate, compress, count
 from typing import Callable, NamedTuple
 
 from .languages import Language
@@ -44,6 +49,11 @@ _JS_REGEX = re.compile(r"/(?:[^\\/\[\n\r]|\\.|\[(?:[^\]\\\n\r]|\\.)*\])+/[A-Za-z
 # '#' to the line end; a line whose last non-blank character is a backslash
 # continues the directive
 _DIRECTIVE = r"#[^\n\r\\]*(?:\\(?:[ \t]*(?:\r\n?|\n))?[^\n\r\\]*)*"
+
+# a grammar's token table holds at most this many entries plus one file's distinct texts: 12-15 MB
+# when filled from the /usr/include headers or the stdlib modules
+TABLE_LIMIT = 65_536
+_TABLES: dict[Language, dict] = {}  # grammar -> text -> token, and (text, kind) -> token
 
 
 class Token(NamedTuple):
@@ -119,6 +129,22 @@ def _scan(source: str, pos: int, lang: Language, one: bool = False) -> list[str]
     return [bare.match(source, pos).group()] if one else bare.findall(source, pos)
 
 
+def clear_token_tables() -> None:
+    """Forget every token a call has made, so that what runs next pays its own warm-up."""
+    _TABLES.clear()
+
+
+def _opens_line(tokens: list[Token], at: int) -> bool:
+    """Whether the scan's tokens alone show that the token at `at` opens its line: it is first,
+    or follows a line break, or a blank of spaces and tabs that is first or follows a line break.
+    False leaves it to the text (a blank holding a form feed, or after a token of many lines)."""
+    if not at or tokens[at - 1].kind == "newline":
+        return True
+    blank = tokens[at - 1]
+    return (blank.kind == "whitespace" and not blank.text.strip(" \t")
+            and (at == 1 or tokens[at - 2].kind == "newline"))
+
+
 def _regex_may_start(tokens: list[Token]) -> bool:
     """Whether a javascript '/' after these tokens opens a regex literal."""
     for tok in reversed(tokens):
@@ -128,20 +154,31 @@ def _regex_may_start(tokens: list[Token]) -> bool:
 
 
 def tokenize(source: str, lang: Language) -> list[Token]:
-    """One `findall` over the file, mapped through a table made for the call: text -> token, and
-    (text, kind) -> token for what a rule makes. After a rule moves a token's end, the lexer goes
-    one token at a time until a token ends where one of the `findall` texts does."""
+    """One `findall` over the file, mapped through the grammar's token table: text -> token, and
+    (text, kind) -> token for what a rule makes. The tokens a rule may change are found through
+    their texts. After a rule moves a token's end, the lexer goes one token at a time until a
+    token ends where one of the `findall` texts does."""
     kind, new = _lexer(lang)[0], tuple.__new__  # skips the namedtuple's Python-level __new__
+    table = _TABLES.setdefault(lang, {})
+    if len(table) > TABLE_LIMIT:
+        table.clear()
     texts = _scan(source, 0, lang)
-    table = {text: new(Token, (text, kind(text))) for text in dict.fromkeys(texts)}
+    distinct = set(texts)
+    for text in distinct.difference(table):
+        table[text] = new(Token, (text, kind(text)))
     tokens = list(map(table.__getitem__, texts))
     rules = {"preproc"} if lang.preprocessor else set()
     rules |= {"/", "/="} if lang.regex_literals else set()
-    if not rules:
+    ruled_texts = rules and {text for text in distinct if table[text].kind in rules}
+    if not ruled_texts:
+        return tokens
+    ruled = [at for at in compress(count(), map(ruled_texts.__contains__, texts))
+             if tokens[at].kind != "preproc" or not _opens_line(tokens, at)]
+    if not ruled:
         return tokens
     starts = list(accumulate(map(len, texts), initial=0))
     out, kept = [], 0  # the tokens settled so far, and the first of the scan's not yet among them
-    for at in compress(range(len(tokens)), map(rules.__contains__, map(itemgetter(1), tokens))):
+    for at in ruled:
         if at < kept:
             continue  # lexed one token at a time after a rule
         out += tokens[kept:at]

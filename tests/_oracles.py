@@ -39,7 +39,8 @@ from codegap.errors import (
     SchemaError,
     ZeroVector,
 )
-from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language
+from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language, language_for_path
+from codegap.pipeline import TRAIN, VALID, CorpusFile, content_hash, repo_of
 from codegap.spans import _child_holding, _verify_span
 from codegap.tokenizer import MARKER_KINDS, MATCHING_BRACKET, OPEN_BRACKETS, Token, line_start
 from codegap.tree import (
@@ -1676,6 +1677,38 @@ def reference_read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (
                     raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)
             rows.append((lineno, obj))
     return rows
+
+
+# --------------------------------------------------------------------------
+# reference ingest: `Path.rglob` and `pathlib` calls per file, as ingest was
+# before it walked each root with one scandir pass per directory
+
+def rglob_ingest(roots, config, ext_map: dict[str, str] | None = None) -> list:
+    seen: set[str] = set()
+    out = []
+    wanted = set(config.languages) if config.languages else None
+    for root in roots:
+        root = Path(root)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            lang = language_for_path(path, ext_map)
+            if lang is None or (wanted is not None and lang.name not in wanted):
+                continue
+            digest = content_hash(path.read_bytes())
+            if digest in seen:
+                continue
+            seen.add(digest)
+            rel = path.relative_to(root)
+            # rglob does not enter linked directories, so only a linked file
+            # can resolve outside the repository its path names
+            if path.is_symlink():
+                repo = repo_of(path, root)
+            else:
+                repo = rel.parts[0] if len(rel.parts) > 1 else root.name
+            out.append(CorpusFile(path=path, source=rel.as_posix(), language=lang.name,
+                                  content_hash=digest,
+                                  split=VALID if repo in config.valid_repos else TRAIN))
+    out.sort(key=lambda f: f.content_hash)
+    return out
 
 
 # --------------------------------------------------------------------------

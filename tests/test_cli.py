@@ -109,6 +109,56 @@ def test_pool_chunks_are_capped(mixed_corpus, tmp_path, monkeypatch):
     assert digest.hexdigest() == MIXED_PAIRS_SHA256
 
 
+class _RecordingPool:
+    """A stand-in for the process pool that records its worker count and
+    runs the tasks in this process, so a test starts no process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_pool_starts_at_most_one_worker_per_chunk(mixed_corpus, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+    root, _ = mixed_corpus
+    files = pipeline.ingest([root], pipeline.PipelineConfig())
+    serial = list(pipeline.make_pairs(files[:3], pipeline.PipelineConfig()))
+    for jobs in (8, 2):
+        assert list(pipeline.make_pairs(files[:3], pipeline.PipelineConfig(jobs=jobs))) == serial
+    assert _RecordingPool.started == [3, 2]  # three one-file chunks
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_jobs_above_the_ceiling_is_data_error(small_corpus, tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+    for jobs, code in ((pipeline.MAX_JOBS + 1, 2), (10 ** 9, 2), (pipeline.MAX_JOBS, 0)):
+        out = tmp_path / str(jobs)
+        args = ["pairs", "--roots", str(small_corpus), "--out", str(out)]
+        if source == "flag":
+            args += ["--jobs", str(jobs)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"jobs": jobs}), encoding="utf-8")
+            args = ["--config", str(cfg), *args]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert (f"'jobs' must be between 1 and {pipeline.MAX_JOBS}" in err) == bool(code)
+        assert out.exists() != bool(code)
+    assert len(_RecordingPool.started) == 1 and _RecordingPool.started[0] <= pipeline.MAX_JOBS
+
+
 def test_pairs_bytes_do_not_depend_on_how_roots_is_spelled(small_corpus, tmp_path, monkeypatch):
     monkeypatch.chdir(small_corpus.parent)
     spellings = [small_corpus.name, f"./{small_corpus.name}/", str(small_corpus.resolve())]
@@ -523,6 +573,17 @@ def test_eval_zero_embedding_is_data_error(tmp_path, capsys):
     assert "zero vector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vector,norm", [([1e308, 1e308], "inf"), ([1e-320, 0.0], "0.0")])
+@pytest.mark.parametrize("side", ["q1", "t2"])
+def test_eval_norm_out_of_float_range_is_data_error(tmp_path, capsys, vector, norm, side):
+    vectors = {"q1": [1.0, 0.0], "t1": [0.99, 0.01], "t2": [0.0, 1.0]}
+    vectors[side] = vector
+    assert main(_embedding_eval_files(tmp_path, vectors)) == 2
+    err = capsys.readouterr().err
+    assert f"norm is {norm} in float64, not a finite positive number" in err
+    assert "zero vector" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("vector", [["x"], [1.0, None], [[1.0, 0.0], [0.0, 1.0]],
                                     [[1.0], [0.0, 1.0]], [1.0, float("nan")], [True, False],
                                     [1.0]])
@@ -891,6 +952,24 @@ def test_inspect_shows_occlusion(small_corpus, tmp_path, capsys):
     tgt_ids = {t.text for t in tokenize(masked.target, lang) if t.kind == "identifier"}
     for name in masked.meta["aliases"]:
         assert (name in ctx_ids) != (name in tgt_ids)
+
+
+@pytest.mark.parametrize("key,value", [("aliases", ["x", "y"]), ("aliases", {"x": 1}),
+                                       ("aliases", "x"), ("dedent_cols", "4"), ("dedent_cols", True),
+                                       ("dedent_cols", 1.5), ("skipped_masking", "no"),
+                                       ("skipped_masking", 0)])
+@pytest.mark.parametrize("where", ["--file", "--shards"])
+def test_inspect_malformed_meta_is_data_error(tmp_path, capsys, key, value, where):
+    shard = tmp_path / "train" / "python-00000.jsonl"
+    shard.parent.mkdir()
+    meta = {"source": "a.py", "dedent_cols": 0, "skipped_masking": False, "aliases": {}, key: value}
+    shard.write_text(json.dumps({"id": "p1", "language": "python", "context": "x",
+                                 "target": "y", "meta": meta}) + "\n", encoding="utf-8")
+    named = shard if where == "--file" else tmp_path
+    assert main(["inspect", where, str(named), "--id", "p1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{named}: pair 'p1': meta {key!r} must be" in err
 
 
 def test_inspect_without_inputs_is_usage_error():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_read_jsonl_objects, stored_columns, tokens_balanced, tree_columns
+from _oracles import reference_read_jsonl_objects, rglob_ingest, stored_columns, tokens_balanced, tree_columns
 from codegap import pipeline
 from codegap.errors import SchemaError
 from codegap.pipeline import (
@@ -92,6 +92,43 @@ def test_ingest_split_matches_repo_of(tmp_path, spelling):
                       for f in files}
     assert splits == {"r1/a.py": "train", "r1/in.py": "valid", "r1/out.py": "valid",
                       "r2/b.py": "valid", "top.py": "valid"}
+
+
+def test_ingest_walk_matches_rglob_reference(tmp_path, monkeypatch):
+    corpus, outside = tmp_path / "corpus", tmp_path / "outside"
+    for rel, body in (("corpus/r1/a.py", "a = 1\n"), ("corpus/r1/a-b.py", "ab = 1\n"),
+                      ("corpus/r1/a/z.py", "ab = 1\n"), ("corpus/r1/sub/deep/b-c.d.py", "b = 2\n"),
+                      ("corpus/r1/.hidden.py", "h = 3\n"), ("corpus/r1/.hdir/x.js", "let x = 4;\n"),
+                      ("corpus/r1/.py", "e = 5\n"), ("corpus/r1/tail.", "t\n"),
+                      ("corpus/r2/dup.py", "a = 1\n"), ("corpus/r2/x.js", "let y = 6;\n"),
+                      ("corpus/r2/notes.txt", "n\n"), ("corpus/r2/m.Java", "class M {}\n"),
+                      ("corpus/top.c", "int t;\n"), ("outside/o.py", "o = 7\n"),
+                      ("outside/d/p.py", "p = 8\n")):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(body, encoding="utf-8")
+    (corpus / "r1" / "link.py").symlink_to(outside / "o.py")  # a linked file
+    (corpus / "r1" / "in.py").symlink_to(corpus / "r2" / "x.js")  # into another repo: a duplicate
+    (corpus / "r2" / "linkdir").symlink_to(outside / "d", target_is_directory=True)  # not entered
+    (corpus / "r2" / "loop").symlink_to(corpus, target_is_directory=True)
+    (corpus / "r2" / "broken.py").symlink_to(tmp_path / "missing.py")
+    directories = [corpus, *(p for p in corpus.rglob("*") if p.is_dir() and not p.is_symlink())]
+    outcomes = []
+    for config in (PipelineConfig(valid_repos=frozenset({"r2", "outside"})),
+                   PipelineConfig(languages=("python",), valid_repos=frozenset({"r1"}))):
+        want = rglob_ingest([corpus, outside], config)
+        listed = []
+        real_scandir = pipeline.os.scandir
+        monkeypatch.setattr(pipeline.os, "scandir", lambda path: listed.append(path) or real_scandir(path))
+        got = ingest([corpus, outside], config)
+        monkeypatch.undo()
+        assert got == want
+        assert sorted(listed) == sorted(map(str, directories + [outside, outside / "d"]))
+        outcomes.append(sorted((f.source, f.split) for f in got))
+    # a/z.py sorts before a-b.py by parts; in.py resolves into r2; link.py outside the root
+    assert outcomes[0] == [("d/p.py", "train"), ("r1/.hdir/x.js", "train"), ("r1/.hidden.py", "train"),
+                           ("r1/a.py", "train"), ("r1/a/z.py", "train"), ("r1/in.py", "valid"),
+                           ("r1/link.py", "train"), ("r1/sub/deep/b-c.d.py", "train"),
+                           ("r2/m.Java", "valid"), ("top.c", "train")]
 
 
 def test_validation_isolation(tmp_path):

@@ -186,14 +186,51 @@ def test_rule_restarts_stay_linear(lang, monkeypatch):
 
 
 @pytest.mark.parametrize("lang", sorted(supported_languages()))
-def test_equal_tokens_share_one_object_within_a_call(lang, parsed_corpus):
+def test_equal_tokens_share_one_object_until_the_tables_clear(lang, parsed_corpus):
     grammar = get_language(lang)
     source = "".join(tree.text for _, tree in parsed_corpus[::10]) + "".join(_RESTARTS.values())
+    tokenizer.clear_token_tables()
     first, second = tokenize(source, grammar), tokenize(source, grammar)
+    assert len(tokenizer._TABLES[grammar]) <= tokenizer.TABLE_LIMIT  # no clear between them
     shared: dict = {}
-    assert all(shared.setdefault(tok, tok) is tok for tok in first)
+    assert all(shared.setdefault(tok, tok) is tok for tok in first + second)
     assert len(shared) < len(first) / 4
-    assert not {id(tok) for tok in first} & {id(tok) for tok in second}
+    tokenizer.clear_token_tables()
+    third = tokenize(source, grammar)
+    assert third == first
+    assert not {id(tok) for tok in first} & {id(tok) for tok in third}
+
+
+# where the directive rule is settled from the token list or from the text: a
+# '#' first in the file, after a line break of each spelling, after blanks
+# with and without a form feed or vertical tab, after a block comment or
+# code, and continued directives; then a '/' rule and a '#' inside a string
+_TABLE_FRAGMENTS = ["#", "#define A 1", "#if X \\\n 1", "#x \\\r\n y", "a # b", " ", "\t", "\f",
+                    "\v", " \t", "\n", "\r\n", "\r", "/* c\n */", "/* c */", "x", ";", "/",
+                    "/[/]x/g", "'#'", "// #"]
+_TABLE_TEXT = st.lists(st.sampled_from(_TABLE_FRAGMENTS), max_size=16).map("".join)
+
+
+@pytest.mark.parametrize("lang", sorted(supported_languages()))
+@settings(max_examples=150, deadline=None)
+@given(warm=st.lists(_TABLE_TEXT, max_size=4), text=_TABLE_TEXT, limit=st.integers(0, 24))
+@example(warm=["a # b # c\n"], text="x; # c\n", limit=100)  # '# c' first made by a restart
+@example(warm=[], text="\f#define A\n\v #x\n \t#y\n/* c */#z\r#w \\\r\n v", limit=100)
+def test_warm_token_table_tokenizes_as_a_fresh_one(lang, warm, text, limit):
+    grammar = get_language(lang)
+    kept = tokenizer.TABLE_LIMIT
+    try:
+        tokenizer.TABLE_LIMIT = limit  # the warm-up calls pass the bound and clear the table
+        tokenizer.clear_token_tables()
+        for other in [*warm, text * 2]:  # a restart in the doubled text may make a text of its own
+            tokenize(other, grammar)
+        warmed = tokenize(text, grammar)
+        tokenizer.clear_token_tables()
+        fresh = tokenize(text, grammar)
+        assert warmed == fresh
+    finally:
+        tokenizer.TABLE_LIMIT = kept
+    assert fresh == [(t.text, t.kind) for t in oracle_tokenize(text, grammar)]
 
 
 @pytest.mark.parametrize("source_set", ["mixed", "stdlib", "headers"])
