@@ -42,6 +42,7 @@ from .pipeline import (
     read_jsonl,
     read_jsonl_objects,
     read_shard_dir,
+    read_shards,
     write_shards,
 )
 from .retrieval import (
@@ -296,7 +297,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                           list(candidates), encoder.encode([c["text"] for c in candidates.values()]),
                           judgments)
     else:
-        vectors = load_embeddings(args.embeddings)
+        vectors = load_embeddings(args.embeddings, used={*queries, *candidates})
         missing = [i for i in list(queries) + list(candidates) if i not in vectors]
         if missing:
             raise CodegapError(f"embeddings file lacks {len(missing)} ids, e.g. {missing[:3]}")
@@ -333,21 +334,16 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     _echo_config("inspect", {k: str(v) for k, v in vars(args).items() if k != "func"})
     if args.file:
-        records = read_jsonl(args.file)
+        shards = [(args.file, read_jsonl(args.file))]
     elif args.shards:
-        train, valid = read_shard_dir(args.shards)
-        records = train + valid
+        shards = read_shards(args.shards)
     else:
         raise UsageError("inspect needs --shards or --file")
-    if args.id:
-        matches = [r for r in records if r.pair_id == args.id]
-        if not matches:
-            raise CodegapError(f"no pair with id {args.id!r}")
-        record = matches[0]
-    elif records:
-        record = records[0]
-    else:
-        raise CodegapError("no pairs found")
+    # the first pair, or the first with the id, and the shard it is in
+    path, record = next(((path, r) for path, records in shards for r in records
+                         if not args.id or r.pair_id == args.id), (None, None))
+    if record is None:
+        raise CodegapError(f"no pair with id {args.id!r}" if args.id else "no pairs found")
     meta = record.meta
     dedent = meta.get("dedent_cols", 0)
     skipped = meta.get("skipped_masking", False)
@@ -359,7 +355,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             ("aliases", type(aliases) is dict and all(type(v) is str for v in aliases.values()),
              "an object of strings")):
         if not fits:
-            raise SchemaError(f"{args.file or args.shards}: pair {record.pair_id!r}: "
+            raise SchemaError(f"{path}: pair {record.pair_id!r}: "
                               f"meta {key!r} must be {must}")
     print(f"pair {record.pair_id} ({record.language})")
     print(f"dedent: {dedent} columns; masking skipped: {skipped}")

@@ -192,11 +192,11 @@ def truncate_file(tree: SyntaxTree, rng: random.Random, config: PipelineConfig) 
         for _attempt in range(24):
             want = rng.randint(config.segment_min_len, config.segment_max_len)
             try:
-                span = select_span(tree, want, rng)
+                span = select_span(tree, want, rng, clear_of=chosen)
             except EmptyTree:  # every node lies in an error region: keep the file whole
                 return TruncationResult(shortened=tree, segments=[])
-            if not config.segment_min_len <= span.leaf_count < total:  # all leaves: no fold
-                continue
+            if span is None or not config.segment_min_len <= span.leaf_count < total:
+                continue  # a seed in a placed segment, too few leaves, or all (no fold)
             if any(not (span.leaf_end <= s.leaf_start or s.leaf_end <= span.leaf_start)
                    for s in chosen):
                 continue
@@ -439,25 +439,24 @@ def write_shards(records: Iterable[PairRecord], out_dir: str | Path,
     return written
 
 
-def read_shard_dir(root: str | Path) -> tuple[list[PairRecord], list[PairRecord]]:
-    """Load (train, valid) records from a shard directory tree: the shards
-    under train/ and valid/, or at the top level when those hold no record.
-    A directory that is missing or holds no shard is a data error."""
+def read_shards(root: str | Path) -> list[tuple[Path, list[PairRecord]]]:
+    """Each shard of a shard directory tree with its records: the shards
+    under train/ and valid/, or at the top level (as train) when those hold
+    no record. A directory that is missing or holds no shard is a data error."""
     root = Path(root)
-    train: list[PairRecord] = []
-    valid: list[PairRecord] = []
-    shards = 0
-    for split_name, sink in ((TRAIN, train), (VALID, valid)):
-        for path in sorted((root / split_name).glob("*.jsonl")):
-            sink.extend(read_jsonl(path, split=split_name))
-            shards += 1
-    if not train and not valid:
-        for path in sorted(root.glob("*.jsonl")):
-            train.extend(read_jsonl(path, split=TRAIN))
-            shards += 1
+    shards = [(path, read_jsonl(path, split=split_name)) for split_name in (TRAIN, VALID)
+              for path in sorted((root / split_name).glob("*.jsonl"))]
+    if not any(records for _, records in shards):
+        shards += [(path, read_jsonl(path, split=TRAIN)) for path in sorted(root.glob("*.jsonl"))]
     if not shards:
         raise CodegapError(f"no shard (*.jsonl) under {root}")
-    return train, valid
+    return shards
+
+
+def read_shard_dir(root: str | Path) -> tuple[list[PairRecord], list[PairRecord]]:
+    """The (train, valid) records of a shard directory tree (`read_shards`)."""
+    records = [record for _, shard in read_shards(root) for record in shard]
+    return ([r for r in records if r.split == TRAIN], [r for r in records if r.split == VALID])
 
 
 # --------------------------------------------------------------------------

@@ -12,12 +12,12 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .contrastive import _unit_rows
-from .errors import DimensionMismatch, NoRelevant, SchemaError
+from .errors import DimensionMismatch, NoRelevant, SchemaError, ZeroVector
 from .pipeline import read_jsonl_objects
 from .texttok import text_tokens
 
@@ -282,8 +282,10 @@ def load_qrels(path: str | Path) -> Judgments:
     return Judgments(relevant=relevant, original=original)
 
 
-def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """Each id's vector; every vector has as many numbers as the file's first."""
+def load_embeddings(path: str | Path, used: Container[str] = ()) -> dict[str, np.ndarray]:
+    """Each id's vector; every vector has as many numbers as the file's first. An id in
+    `used` needs a vector whose norm is finite and positive in float64: cosine similarity
+    is undefined for the rest, so one is a data error naming the file, line and id."""
     out, width = {}, 0
     for lineno, obj in read_jsonl_objects(path, ("id", "vector")):
         rid, vec = str(obj["id"]), obj["vector"]
@@ -302,4 +304,9 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
         if len(arr) != width:
             raise SchemaError(f"'vector' has {len(arr)} numbers, the first one {width}", line=lineno)
         out[rid] = arr.astype(np.float64)
+        if rid in used:
+            try:
+                _unit_rows(out[rid][None])
+            except ZeroVector as exc:
+                raise ZeroVector(f"{path}: line {lineno}: id {rid!r}: {exc}") from None
     return out

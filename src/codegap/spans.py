@@ -14,6 +14,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import EmptyTree, InvalidBounds, SpanMismatch
 from .languages import MASK_TOKEN
@@ -171,14 +172,19 @@ def _trim_edge_whitespace(tree: SyntaxTree, up: int, lo: int, hi: int) -> tuple[
     return (up, start, stop) if stop > start else (up, lo, hi)
 
 
-def select_span(tree: SyntaxTree, length: int, rng: random.Random) -> SpanSelection:
-    """Pick a sibling run covering at most `length` leaves."""
+def select_span(tree: SyntaxTree, length: int, rng: random.Random,
+                clear_of: Sequence[SpanSelection] = ()) -> SpanSelection | None:
+    """Pick a sibling run covering at most `length` leaves, or None when its
+    seed overlaps a span of `clear_of`: growth keeps the seed's leaves, and
+    trimming drops only blanks of the run's parent, so the run would too."""
     if tree.leaf_count == 0:
         raise EmptyTree("cannot select a span from an empty tree")
     if length < 1:
         raise InvalidBounds("target length must be >= 1")
-    run = _expand(tree, _pick_seed(tree, length, rng), length)
-    return SpanSelection(tree, *_trim_edge_whitespace(tree, *run))
+    _, lo, hi = seed = _pick_seed(tree, length, rng)
+    if any(lo < s.leaf_end and s.leaf_start < hi for s in clear_of):
+        return None
+    return SpanSelection(tree, *_trim_edge_whitespace(tree, *_expand(tree, seed, length)))
 
 
 def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:

@@ -157,18 +157,20 @@ class _Rows:
         depth = 0  # as opened, but a closer of either shape takes one off
         for i in stops if lang.indent_blocks else brackets:
             kind = items[i]
-            if kind in OPEN_BRACKETS:
-                opened.append(i)
-                depth += 1
-            elif kind == "newline":
+            if kind == "newline":
                 if depth or (i and items[i - 1] == "\\"):
                     continue
-                for start in opened:
-                    items[start], ends[start] = "error", i + 1
-                opened.clear()
+                if opened:
+                    for start in opened:
+                        items[start], ends[start] = "error", i + 1
+                    opened.clear()
                 self.line_ends.append(i + 1)
+            elif kind in OPEN_BRACKETS:
+                opened.append(i)
+                depth += 1
             else:
-                depth = max(0, depth - 1)
+                if depth:
+                    depth -= 1
                 if opened and MATCHING_BRACKET[items[opened[-1]]] == kind:
                     start = opened.pop()
                     items[start], ends[start] = OPEN_BRACKETS[items[start]], i + 1
@@ -286,7 +288,8 @@ def _indent_rows(rows: _Rows) -> None:
         while pos < stop and items[pos] in TRIVIA_KINDS:
             pos += 1
         first_sig.append(source[pos] if pos < stop else None)
-        indents.append(expanded_width(source[start].text) if items[start] == "whitespace" else 0)
+        indent = source[start].text if items[start] == "whitespace" else ""
+        indents.append(expanded_width(indent) if "\t" in indent else len(indent))
     real = [n_lines] * (n_lines + 1)  # the first line at or after each that is not blank
     for k in reversed(range(n_lines)):
         real[k] = k if first_sig[k] is not None else real[k + 1]

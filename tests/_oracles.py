@@ -40,14 +40,16 @@ from codegap.errors import (
     ZeroVector,
 )
 from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language, language_for_path
-from codegap.pipeline import TRAIN, VALID, CorpusFile, content_hash, repo_of
-from codegap.spans import _child_holding, _verify_span
+from codegap.pipeline import TRAIN, VALID, CorpusFile, TruncationResult, content_hash, repo_of
+from codegap.spans import _child_holding, _verify_span, select_span
 from codegap.tokenizer import MARKER_KINDS, MATCHING_BRACKET, OPEN_BRACKETS, Token, line_start
 from codegap.tree import (
     _KIND_ALIASES,
     CONTROL_KEYWORDS,
     DECLARATION_KEYWORDS,
     SyntaxTree,
+    tree_from_run,
+    tree_with_runs_folded,
 )
 
 
@@ -943,6 +945,43 @@ def reference_pick_seed(tree: SyntaxTree, length: int, rng: random.Random) -> in
     if tree.seed_leaves:
         return tree.seed_leaves[rng.randrange(len(tree.seed_leaves))]
     raise EmptyTree("no selectable node outside error regions")
+
+
+def reference_truncate_file(tree: SyntaxTree, rng: random.Random, config) -> TruncationResult:
+    """Truncation as it ran before attempts were rejected at the seed: every
+    attempt grows and trims its span, and the overlap check comes last."""
+    total = tree.leaf_count
+    if total <= config.truncation_threshold:
+        return TruncationResult(shortened=tree, segments=[])
+    chosen = []
+    remaining = total
+    for _ in range(config.max_extractions):
+        if remaining <= config.truncation_threshold:
+            break
+        placed = None
+        for _attempt in range(24):
+            want = rng.randint(config.segment_min_len, config.segment_max_len)
+            try:
+                span = select_span(tree, want, rng)
+            except EmptyTree:
+                return TruncationResult(shortened=tree, segments=[])
+            if not config.segment_min_len <= span.leaf_count < total:
+                continue
+            if any(not (span.leaf_end <= s.leaf_start or s.leaf_end <= span.leaf_start)
+                   for s in chosen):
+                continue
+            placed = span
+            break
+        if placed is None:
+            break
+        chosen.append(placed)
+        remaining -= placed.leaf_count - 1
+    if not chosen:
+        return TruncationResult(shortened=tree, segments=[])
+    chosen.sort(key=lambda s: s.leaf_start)
+    runs = [s.sibling_run for s in chosen]
+    return TruncationResult(shortened=tree_with_runs_folded(tree, runs),
+                            segments=[tree_from_run(tree, run) for run in runs])
 
 
 def leaf_positions(text: str, offsets: list[int]) -> list[tuple[int, int]]:

@@ -584,6 +584,22 @@ def test_eval_norm_out_of_float_range_is_data_error(tmp_path, capsys, vector, no
     assert "zero vector" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("vector", [[1e308, 1e308], [1e-320, 0.0], [0.0, 0.0]])
+@pytest.mark.parametrize("side,line", [("q1", 1), ("t2", 3)])
+def test_eval_bad_norm_names_the_file_line_and_id(tmp_path, capsys, vector, side, line):
+    vectors = {"q1": [1.0, 0.0], "t1": [0.99, 0.01], "t2": [0.0, 1.0]}
+    vectors[side] = vector
+    assert main(_embedding_eval_files(tmp_path, vectors)) == 2
+    assert f"error: {tmp_path / 'e.jsonl'}: line {line}: id {side!r}: " in capsys.readouterr().err
+
+
+def test_eval_accepts_a_bad_norm_that_no_id_uses(tmp_path, capsys):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01], "t2": [0.0, 1.0],
+                                            "spare": [1e308, 1e308], "blank": [0.0, 0.0]})
+    assert main(args) == 0
+    assert "MRR" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("vector", [["x"], [1.0, None], [[1.0, 0.0], [0.0, 1.0]],
                                     [[1.0], [0.0, 1.0]], [1.0, float("nan")], [True, False],
                                     [1.0]])
@@ -969,7 +985,7 @@ def test_inspect_malformed_meta_is_data_error(tmp_path, capsys, key, value, wher
     assert main(["inspect", where, str(named), "--id", "p1"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"{named}: pair 'p1': meta {key!r} must be" in err
+    assert f"{shard}: pair 'p1': meta {key!r} must be" in err  # the shard file, not its directory
 
 
 def test_inspect_without_inputs_is_usage_error():

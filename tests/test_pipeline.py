@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sysconfig
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_read_jsonl_objects, rglob_ingest, stored_columns, tokens_balanced, tree_columns
-from codegap import pipeline
+from _oracles import (
+    real_sources,
+    reference_read_jsonl_objects,
+    reference_truncate_file,
+    rglob_ingest,
+    stored_columns,
+    tokens_balanced,
+    tree_columns,
+)
+from codegap import pipeline, spans
 from codegap.errors import SchemaError
 from codegap.pipeline import (
     PairRecord,
@@ -180,6 +189,83 @@ def test_truncation_never_folds_the_whole_file(python_lang, seed):
     folds = [t for t in result.shortened.leaves if t.kind == "fold"]
     assert len(folds) == len(result.segments)
     assert splice_truncation(result) == [t.text for t in tree.leaves]
+
+
+def _assert_truncation_matches_reference(source, lang, seed, cfg):
+    """truncate_file cuts the segments and leaves the rng state that the
+    reference loop, which grows every attempt's span, does."""
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    result = truncate_file(parse(source, lang), rng, cfg)
+    expected = reference_truncate_file(parse(source, lang), reference_rng, cfg)
+    columns = [stored_columns(tree) for tree in (result.shortened, *result.segments)]
+    assert columns == [stored_columns(tree) for tree in (expected.shortened, *expected.segments)]
+    assert rng.getstate() == reference_rng.getstate()
+    return len(result.segments)
+
+
+_TRUNCATION_TEXT = st.lists(st.sampled_from([
+    "x = f(a, b)\n", "if x:\n", "    y = [1, 2]\n", "    return y;\n", "else:\n", "\n", "    ",
+    "int f(int a) { return a; }\n", "{", "}", "(", ")", "[", "]", ";", " ", "\t", "while (x) ",
+]), max_size=120).map("".join)
+
+
+@pytest.mark.parametrize("lang", ["c", "java", "javascript", "python"])
+@settings(max_examples=150, deadline=None)
+@given(text=_TRUNCATION_TEXT, seed=st.integers(min_value=0, max_value=999),
+       threshold=st.integers(min_value=4, max_value=60),
+       seg_min=st.integers(min_value=1, max_value=20),
+       seg_extra=st.integers(min_value=0, max_value=60))
+def test_truncation_matches_reference(lang, text, seed, threshold, seg_min, seg_extra):
+    cfg = PipelineConfig(truncation_threshold=threshold, segment_min_len=seg_min,
+                         segment_max_len=seg_min + seg_extra)
+    _assert_truncation_matches_reference(text, lang, seed, cfg)
+
+
+@pytest.mark.parametrize("source_set", ["stdlib", "headers"])
+def test_truncation_matches_reference_on_real_files(source_set):
+    if source_set == "stdlib":
+        pattern, lang = str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), "python"
+    else:
+        pattern, lang = "/usr/include/*.h", "c"
+    sources = real_sources(pattern, 20)
+    if len(sources) < 20:
+        pytest.skip(f"fewer than 20 {source_set} files here")
+    segments = 0
+    for cfg in (PipelineConfig(), PipelineConfig(truncation_threshold=200, segment_min_len=20,
+                                                 segment_max_len=120)):
+        for seed, source in enumerate(sources):
+            segments += _assert_truncation_matches_reference(source, lang, seed, cfg)
+    assert segments
+
+
+def test_truncation_does_not_grow_an_attempt_whose_seed_is_placed(parsed_corpus, monkeypatch):
+    """An attempt whose seed lies in a segment placed before it is rejected
+    before its span is grown."""
+    seeds, placed, grown = [], [], []
+    pick_seed, expand, select = spans._pick_seed, spans._expand, pipeline.select_span
+
+    def picking(tree, length, rng):
+        seeds.append(pick_seed(tree, length, rng))
+        return seeds[-1]
+
+    def expanding(tree, run, length):
+        grown.append(run)
+        return expand(tree, run, length)
+
+    def selecting(tree, length, rng, clear_of=()):
+        placed.append(list(clear_of))
+        return select(tree, length, rng, clear_of=clear_of)
+
+    monkeypatch.setattr(spans, "_pick_seed", picking)
+    monkeypatch.setattr(spans, "_expand", expanding)
+    monkeypatch.setattr(pipeline, "select_span", selecting)
+    cfg = PipelineConfig(truncation_threshold=200, segment_min_len=20, segment_max_len=120)
+    for _, tree in parsed_corpus:
+        truncate_file(parse(tree.text, tree.language), random.Random(4), cfg)
+    clear = [seed for seed, spans_before in zip(seeds, placed)
+             if all(seed[2] <= s.leaf_start or s.leaf_end <= seed[1] for s in spans_before)]
+    assert len(seeds) == len(placed) and len(clear) < len(seeds)
+    assert grown == clear
 
 
 def _preorder_shape(tree):

@@ -754,6 +754,15 @@ def test_parse_matches_reference_builders(lang, text):
     _assert_matches_reference_builders(text, get_language(lang))
 
 
+@pytest.mark.parametrize("text", [
+    "if x:\n    if y:\n\tz = 1\n",  # a tab reaches column 4: z leaves y's suite
+    "if x:\n  \tif y:\n\t    z\n",  # two spaces and a tab reach column 4 too
+    "def f():\n\tif a:\n\t\tb\n        c\n\td\n",
+])
+def test_python_suites_measure_tab_indents_in_columns(text):
+    _assert_matches_reference_builders(text, get_language("python"))
+
+
 @pytest.mark.parametrize("source_set", ["stdlib", "headers"])
 def test_parse_matches_reference_builders_on_real_files(source_set):
     pattern = (str(Path(sysconfig.get_paths()["stdlib"]) / "*.py") if source_set == "stdlib"
