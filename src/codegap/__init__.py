@@ -9,7 +9,7 @@ ranking metrics plus a small hashed-feature dual encoder.
 __version__ = "0.1.0"
 
 from .languages import Language, get_language, supported_languages
-from .tree import SyntaxTree, parse, indentation_of
+from .tree import SyntaxTree, parse
 from .spans import SpanSelection, sample_target_length, select_span, split
 from .deleak import MaskingPlan, apply_masking, dedent_target, mutual_identifiers, plan_masking
 
@@ -19,7 +19,6 @@ __all__ = [
     "supported_languages",
     "SyntaxTree",
     "parse",
-    "indentation_of",
     "SpanSelection",
     "sample_target_length",
     "select_span",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .contrastive import DEFAULT_BUCKETS, DEFAULT_DIM, DEFAULT_TAU, ToyEncoder, TrainConfig, train_toy
-from .errors import CodegapError, InvalidBounds, SchemaError, UsageError
+from .errors import CodegapError, InvalidBounds, SchemaError, UnsupportedLanguage, UsageError
 from .languages import (
     DEFAULT_EXTENSIONS,
     MASK_TOKEN,
@@ -113,7 +113,7 @@ def _fits_field(field: dataclasses.Field, value) -> bool:
 # config key -> (what it must be, test); a resolved value that fails is a data error
 _BOUNDS = {
     **dict.fromkeys(("shard_size", "pairs_per_input", "dim", "buckets", "segment_min_len",
-                     "max_span_attempts", "min_target_len"), ("at least 1", lambda v: v >= 1)),
+                     "min_target_len"), ("at least 1", lambda v: v >= 1)),
     "jobs": (f"between 1 and {MAX_JOBS}", lambda v: 1 <= v <= MAX_JOBS),
     "mean_target_len": ("finite", math.isfinite),
     **dict.fromkeys(("stddev_target_len", "decay_power"),
@@ -225,6 +225,10 @@ def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusF
         for lineno, obj in read_jsonl_objects(args.manifest, fields, dict.fromkeys(fields, str)):
             if obj["split"] not in (TRAIN, VALID):
                 raise SchemaError(f"'split' must be {TRAIN!r} or {VALID!r}", line=lineno)
+            try:  # every row, so a bad one fails the run whatever --langs and --jobs are
+                get_language(obj["language"])
+            except UnsupportedLanguage as exc:
+                raise SchemaError(f"{args.manifest}: line {lineno}: {exc}") from None
             if not config.languages or obj["language"] in config.languages:
                 files.append(CorpusFile(path=Path(obj["path"]), source=obj["source"],
                                         language=obj["language"], content_hash=obj["hash"],
@@ -300,7 +304,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         vectors = load_embeddings(args.embeddings, used={*queries, *candidates})
         missing = [i for i in list(queries) + list(candidates) if i not in vectors]
         if missing:
-            raise CodegapError(f"embeddings file lacks {len(missing)} ids, e.g. {missing[:3]}")
+            raise CodegapError(f"{args.embeddings}: embeddings file lacks {len(missing)} ids, "
+                               f"e.g. {missing[:3]}")
         rows, index = np.array(list(vectors.values())), {rid: r for r, rid in enumerate(vectors)}
         report = evaluate(list(queries), rows[[index[qid] for qid in queries]],
                           list(candidates), rows[[index[tid] for tid in candidates]], judgments)
@@ -361,7 +366,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"dedent: {dedent} columns; masking skipped: {skipped}")
     if aliases:
         ctx_tokens = set(text_tokens(record.context))
-        tgt_tokens = set(text_tokens(record.target))
         print("aliases:")
         for name, alias in sorted(aliases.items(), key=lambda kv: kv[1]):
             side = "context" if alias in ctx_tokens else "target"

@@ -13,10 +13,6 @@ class EncodingError(CodegapError):
     pass
 
 
-class IndexOutOfRange(CodegapError, IndexError):
-    pass
-
-
 class InvalidBounds(CodegapError, ValueError):
     pass
 

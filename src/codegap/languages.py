@@ -169,8 +169,3 @@ def language_for_name(name: str, ext_map: dict[str, str] | None = None) -> Langu
     ext = name[dot + 1:].lower() if 0 < dot < len(name) - 1 else ""
     grammar = (ext_map if ext_map is not None else DEFAULT_EXTENSIONS).get(ext)
     return get_language(grammar) if grammar else None
-
-
-def language_for_path(path: str | Path, ext_map: dict[str, str] | None = None) -> Language | None:
-    """Resolve a file to its grammar via the extension registry, or None."""
-    return language_for_name(Path(path).name, ext_map)

@@ -62,7 +62,6 @@ class PipelineConfig:
     segment_min_len: int = 150
     segment_max_len: int = 800
     max_extractions: int = 8
-    max_span_attempts: int = 8
     pairs_per_input: int = 1
     token_budget: int = 7000
     shard_size: int = 10000
@@ -215,18 +214,6 @@ def truncate_file(tree: SyntaxTree, rng: random.Random, config: PipelineConfig) 
     return TruncationResult(shortened=shortened, segments=segments)
 
 
-def splice_truncation(result: TruncationResult) -> list[str]:
-    """Token texts with each fold marker replaced by its segment, in order."""
-    out: list[str] = []
-    seg_iter = iter(result.segments)
-    for tok in result.shortened.leaves:
-        if tok.kind == "fold":
-            out.extend(t.text for t in next(seg_iter).leaves)
-        else:
-            out.append(tok.text)
-    return out
-
-
 # --------------------------------------------------------------------------
 # pair generation
 
@@ -287,10 +274,9 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
             span = select_span_with_retry(
                 input_tree, rng,
                 mean=config.mean_target_len, stddev=config.stddev_target_len,
-                min_len=config.min_target_len, max_len=config.max_target_len,
-                max_attempts=config.max_span_attempts)
+                min_len=config.min_target_len, max_len=config.max_target_len)
             if span is None:
-                log.info("no content-bearing span for %s input %d", source_name, input_idx)
+                log.info("no seed outside error regions in %s input %d", source_name, input_idx)
                 continue
             context, target, dedent_cols, plan = pair_texts(input_tree, span, rng, config,
                                                             {} if input_idx else folds)
@@ -411,7 +397,7 @@ def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:
 
 
 def write_shards(records: Iterable[PairRecord], out_dir: str | Path,
-                 shard_size: int = 10000) -> list[Path]:
+                 shard_size: int) -> list[Path]:
     """One shard file per language per shard_size pairs, under split dirs."""
     out_dir = Path(out_dir)
     buffers: dict[tuple[str, str], list[PairRecord]] = {}
@@ -480,11 +466,10 @@ def _shrink_oversized(record: PairRecord, budget: int) -> PairRecord:
                    target=truncate_text_tokens(record.target, limit))
 
 
-def batch_by_language(records: Iterable[PairRecord], token_budget: int = 7000) -> Iterator[Batch]:
+def batch_by_language(records: Iterable[PairRecord], token_budget: int) -> Iterator[Batch]:
     """Greedy language-pure batches filled up to the token budget."""
     buffers: dict[str, list[PairRecord]] = {}
     totals: dict[str, int] = {}
-    order: list[str] = []
     for rec in records:
         size = _pair_tokens(rec)
         if size > token_budget:
@@ -494,13 +479,12 @@ def batch_by_language(records: Iterable[PairRecord], token_budget: int = 7000) -
         if lang not in buffers:
             buffers[lang] = []
             totals[lang] = 0
-            order.append(lang)
         if buffers[lang] and totals[lang] + size > token_budget:
             yield Batch(tuple(buffers[lang]), lang, totals[lang])
             buffers[lang] = []
             totals[lang] = 0
         buffers[lang].append(rec)
         totals[lang] += size
-    for lang in order:
+    for lang in buffers:  # in the order each language first came
         if buffers[lang]:
             yield Batch(tuple(buffers[lang]), lang, totals[lang])

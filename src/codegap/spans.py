@@ -159,7 +159,8 @@ def _trim_edge_whitespace(tree: SyntaxTree, up: int, lo: int, hi: int) -> tuple[
     indentation that dedentation must not touch; trailing newlines are kept
     so multi-line targets stay line-complete. A group may start with a
     whitespace leaf (a python block with its first line's indent), so only
-    up's own leaves are dropped.
+    up's own leaves are dropped; the seed, in a child of up or a leaf that is
+    not blank, always stays.
     """
     leaves, start, stop = tree.leaves, lo, hi
     columns = tree.first_leaf, tree.leaf_end, tree.parent
@@ -169,7 +170,7 @@ def _trim_edge_whitespace(tree: SyntaxTree, up: int, lo: int, hi: int) -> tuple[
     while (stop - start > 1 and leaves[stop - 1].kind == "whitespace"
            and _child_holding(*columns, up, stop - 1) < 0):
         stop -= 1
-    return (up, start, stop) if stop > start else (up, lo, hi)
+    return up, start, stop
 
 
 def select_span(tree: SyntaxTree, length: int, rng: random.Random,
@@ -187,24 +188,16 @@ def select_span(tree: SyntaxTree, length: int, rng: random.Random,
     return SpanSelection(tree, *_trim_edge_whitespace(tree, *_expand(tree, seed, length)))
 
 
-def span_has_content(tree: SyntaxTree, span: SpanSelection) -> bool:
-    return any(t.kind not in WHITESPACE_KINDS
-               for t in tree.leaves[span.leaf_start:span.leaf_end])
-
-
 def select_span_with_retry(tree: SyntaxTree, rng: random.Random, *, mean: float,
-                           stddev: float, min_len: int, max_len: int,
-                           max_attempts: int) -> SpanSelection | None:
-    """Sample lengths and spans until a target contains real content."""
-    for _ in range(max_attempts):
-        length = sample_target_length(rng, mean, stddev, min_len, max_len)
-        try:
-            span = select_span(tree, length, rng)
-        except EmptyTree:
-            return None
-        if span_has_content(tree, span):
-            return span
-    return None
+                           stddev: float, min_len: int, max_len: int) -> SpanSelection | None:
+    """One target: a sampled length and the span grown to it, or None when no seed
+    lies outside error regions. It never retries: a span keeps its seed, a group row
+    below the root or a leaf of a seeding kind, and each holds a leaf that is not blank."""
+    length = sample_target_length(rng, mean, stddev, min_len, max_len)
+    try:
+        return select_span(tree, length, rng)
+    except EmptyTree:
+        return None
 
 
 def _verify_span(tree: SyntaxTree, span: SpanSelection) -> None:

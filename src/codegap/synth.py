@@ -341,7 +341,6 @@ def build_clone_variant(template: CloneTemplate, variant: int, rng: random.Rando
     suffix_lines.append(_indent_block(footer0, pad_body).rstrip("\n"))
     suffix_lines.append("")
     suffix_lines.append("")
-    first_slot = slots[0] if slots else "a"
     suffix_lines.append(f"def report_{names['f']}({', '.join(shared)}):")
     suffix_lines.append(f"    {other_var} = {names['f']}({shared[0]})")
     for extra in shared[1:]:

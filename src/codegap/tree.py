@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import accumulate, compress, count, repeat
 from operator import itemgetter
 
-from .errors import EncodingError, IndexOutOfRange
+from .errors import EncodingError
 from .languages import FOLD_TOKEN, Language, get_language
 from .tokenizer import (
     BRACKET_TEXTS,
@@ -25,7 +25,6 @@ from .tokenizer import (
     WHITESPACE_KINDS,
     Token,
     expanded_width,
-    line_start,
     tokenize,
 )
 
@@ -369,26 +368,6 @@ def parse(source: str | bytes, language: Language | str) -> SyntaxTree:
     tokens = tokenize(source, lang)
     offsets = list(accumulate(map(len, map(itemgetter(0), tokens)), initial=0))[:-1]  # 0: the text
     return SyntaxTree(lang, source, tokens, offsets, *_build_rows(tokens, lang))
-
-
-def indentation_of(tree: SyntaxTree, leaf_index: int) -> int:
-    """Indentation (expanded columns) of the line holding the given leaf.
-
-    Returns the expanded column of the first non-whitespace token starting on
-    that line; for all-whitespace lines, the width of the whitespace itself.
-    """
-    if not 0 <= leaf_index < len(tree.leaves):
-        raise IndexOutOfRange(f"leaf index {leaf_index} out of range 0..{len(tree.leaves) - 1}")
-    text, offsets, width = tree.text, tree.offsets, 0
-    start = line_start(text, offsets[leaf_index])
-    for i in range(bisect.bisect_left(offsets, start, hi=leaf_index), len(offsets)):
-        if line_start(text, offsets[i]) != start:
-            break
-        column, tok = expanded_width(text[start:offsets[i]]), tree.leaves[i]
-        if tok.kind not in WHITESPACE_KINDS:
-            return column
-        width = column + expanded_width(tok.text, column)
-    return width
 
 
 # --------------------------------------------------------------------------

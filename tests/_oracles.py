@@ -1,10 +1,11 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here is deliberately written from the definitions with plain
-loops, not shared with package code. The one exception is the loss-function
-section at the end: single-query and whole-batch loss helpers and the finite
-difference gradient check, which only tests call, built on the training
-kernel they check.
+loops, not shared with package code. Two sections, which only tests call,
+are built on package code: the test-only helpers (the truncation inverse and
+the path-to-grammar lookup), and the loss-function section at the end:
+single-query and whole-batch loss helpers and the finite difference gradient
+check, built on the training kernel they check.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from codegap.errors import (
     SchemaError,
     ZeroVector,
 )
-from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language, language_for_path
+from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language, language_for_name
 from codegap.pipeline import TRAIN, VALID, CorpusFile, TruncationResult, content_hash, repo_of
 from codegap.spans import _child_holding, _verify_span, select_span
 from codegap.tokenizer import MARKER_KINDS, MATCHING_BRACKET, OPEN_BRACKETS, Token, line_start
@@ -1005,24 +1006,6 @@ def leaf_positions(text: str, offsets: list[int]) -> list[tuple[int, int]]:
     return positions
 
 
-def reference_indentation_of(tree: SyntaxTree, positions: list[tuple[int, int]],
-                             leaf_index: int) -> int:
-    """`indentation_of` as it was when tokens carried their (line, column),
-    given here as `positions`: a bisect over a list of every leaf's line,
-    built on each call."""
-    line = positions[leaf_index][0]
-    lines = [pos[0] for pos in positions]
-    start = bisect.bisect_left(lines, line)
-    width = 0
-    for tok, (tok_line, column) in zip(tree.leaves[start:], positions[start:]):
-        if tok_line != line:
-            break
-        if tok.kind not in WHITESPACE_KINDS:
-            return column
-        width = column + expanded_width(tok.text, column)
-    return width
-
-
 class PositionedToken(NamedTuple):
     """A token with the line and expanded column it starts at, as tokens
     carried them before positions moved to the tree's offset column."""
@@ -1716,6 +1699,26 @@ def reference_read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (
                     raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)
             rows.append((lineno, obj))
     return rows
+
+
+# --------------------------------------------------------------------------
+# test-only helpers built on package code
+
+def splice_truncation(result: TruncationResult) -> list[str]:
+    """Token texts with each fold marker replaced by its segment, in order."""
+    out: list[str] = []
+    seg_iter = iter(result.segments)
+    for tok in result.shortened.leaves:
+        if tok.kind == "fold":
+            out.extend(t.text for t in next(seg_iter).leaves)
+        else:
+            out.append(tok.text)
+    return out
+
+
+def language_for_path(path: str | Path, ext_map: dict[str, str] | None = None) -> Language | None:
+    """Resolve a file to its grammar via the extension registry, or None."""
+    return language_for_name(Path(path).name, ext_map)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
-from codegap.languages import get_language, language_for_path
+from _oracles import language_for_path
+from codegap.languages import get_language
 from codegap.synth import write_mixed_corpus
 from codegap.tree import parse
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned in the assertions below.
 """
 
+import json
 import math
 import os
 import random
@@ -19,10 +20,12 @@ from _oracles import (
     exhaustive_metric_comparison,
     grad_check,
     info_nce,
+    language_for_path,
     leaf_counts,
     pair_sides,
     preorder_rows,
     splice_tokens,
+    splice_truncation,
     target_offsets,
     token_reindent_target,
     token_split,
@@ -33,8 +36,8 @@ from _oracles import (
 from codegap.contrastive import ToyEncoder
 from codegap.deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking
 from codegap.experiments import AblationConfig, run_ablation
-from codegap.languages import MASK_TOKEN, language_for_path
-from codegap.pipeline import PipelineConfig, truncate_file, splice_truncation
+from codegap.languages import MASK_TOKEN
+from codegap.pipeline import PipelineConfig, truncate_file
 from codegap.spans import select_span, select_span_with_retry, split
 from codegap.tokenizer import Token
 from codegap.synth import write_mixed_corpus
@@ -75,7 +78,7 @@ def generated_pairs(trees):
     while len(rows) < 1000:
         for tree in trees:
             span = select_span_with_retry(tree, rng, mean=60, stddev=40,
-                                          min_len=8, max_len=200, max_attempts=8)
+                                          min_len=8, max_len=200)
             if span is None:
                 continue
             ctx_side, tgt_side = pair_sides(tree, span)
@@ -309,16 +312,47 @@ def test_end_to_end_directional(tmp_path):
         f"{elapsed:.0f}s)")
 
 
-def _run_cli(args, cwd):
+def _run_python(args, cwd):
     # The child runs in another cwd, where a relative PYTHONPATH (``src``) no
     # longer reaches the package: put the directory of the imported one first.
     package_root = str(Path(codegap.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "codegap", *args],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def _run_cli(args, cwd):
+    return _run_python(["-m", "codegap", *args], cwd)
+
+
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_synthetic_corpus_script(tmp_path):
+    out = tmp_path / "corpora"
+    proc = _run_python([str(_SCRIPTS / "make_synthetic_corpus.py"), "--out", str(out), "--clone",
+                        "--files-per-lang", "2", "--variants", "13"], cwd=tmp_path)
+    heads = [line.split(":")[0] for line in proc.stdout.splitlines()]
+    assert heads == ["mixed corpus", "clone corpus", "eval files", "validation repos"]
+    assert proc.stdout.startswith(f"mixed corpus: 8 files -> {out / 'mixed'}")
+    assert (out / "clone" / "eval").is_dir()
+    _ok("synthetic corpus script (mixed and clone corpora at a small size)")
+
+
+def test_ablation_script(tmp_path):
+    out = tmp_path / "summary.json"
+    proc = _run_python([str(_SCRIPTS / "run_ablation.py"), "--workdir", str(tmp_path / "ablation"),
+                        "--steps", "20", "--out", str(out)], cwd=tmp_path)
+    assert "held-out metric tables" in proc.stdout and f"summary -> {out}" in proc.stdout
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert list(payload) == ["seed", "steps", "pool_size", "random_baseline", "lexical_train_map",
+                             "heldout", "checks", "seconds"]
+    assert payload["steps"] == 20 and all(payload["checks"].values())
+    assert payload["heldout"].keys() == payload["lexical_train_map"].keys() == {"deleak", "plain"}
+    _ok("ablation script (20 steps, JSON summary)")
 
 
 def test_determinism(tmp_path):

@@ -323,6 +323,22 @@ def test_pairs_malformed_manifest_is_data_error(tmp_path, capsys, bad_line):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--jobs", "1"], ["--jobs", "2"], ["--langs", "python"]])
+def test_pairs_manifest_row_of_unknown_grammar_is_data_error(small_corpus, tmp_path, capsys,
+                                                             extra):
+    # refused while the manifest is read: whatever --jobs is, and though --langs drops the row
+    manifest = tmp_path / "m.jsonl"
+    assert main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)]) == 0
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, json.dumps({**json.loads(lines[1]), "language": "cobol"}))
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["pairs", "--manifest", str(manifest), "--out", str(out), *extra]) == 2
+    assert f"error: {manifest}: line 2: no grammar registered for 'cobol'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _append_line_that_is_not_utf8(path):
     """Add a line holding a byte that is not UTF-8 to a JSONL file, and
     return its line number."""
@@ -474,6 +490,19 @@ def test_unknown_config_key_is_data_error(small_corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_retired_max_span_attempts_is_unknown_config_key(small_corpus, tmp_path, capsys):
+    # a target is one draw, so the key is gone; an older run's config echo holding it fails
+    cfg = tmp_path / "old_cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "pairs", "seed": 3, "max_span_attempts": 8}),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "pairs", "--roots", str(small_corpus),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: unknown config key(s) 'max_span_attempts'" in err
+    assert not out.exists()
+
+
 def test_one_config_file_serves_every_subcommand(small_corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"subcommand": "pairs", "seed": 3, "mask_prob": 0.5,
@@ -598,6 +627,13 @@ def test_eval_accepts_a_bad_norm_that_no_id_uses(tmp_path, capsys):
                                             "spare": [1e308, 1e308], "blank": [0.0, 0.0]})
     assert main(args) == 0
     assert "MRR" in capsys.readouterr().out
+
+
+def test_eval_embeddings_without_a_used_id_names_the_file(tmp_path, capsys):
+    args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01]})
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'e.jsonl'}: embeddings file lacks 1 ids, e.g. ['t2']" in err
 
 
 @pytest.mark.parametrize("vector", [["x"], [1.0, None], [[1.0, 0.0], [0.0, 1.0]],
@@ -906,7 +942,7 @@ def test_value_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, 
     ({"segment_min_len": 0}, ["segment_min_len"]),
     ({"segment_min_len": 900}, ["segment_min_len", "segment_max_len"]),
     ({"segment_min_len": 300, "segment_max_len": 200}, ["segment_min_len", "segment_max_len"]),
-    ({"max_span_attempts": 0}, ["max_span_attempts"]),
+    ({"warmup_frac": float("nan")}, ["warmup_frac"]),
     ({"min_target_len": 40, "max_target_len": 20}, ["min_target_len", "max_target_len"]),
     ({"warmup_frac": -5}, ["warmup_frac"]),
     ({"warmup_frac": 1.5}, ["warmup_frac"]),

@@ -217,8 +217,7 @@ def test_occlusion_each_mutual_on_exactly_one_side():
     )
     tree = parse(src, "python")
     rng = random.Random(2)
-    span = select_span_with_retry(tree, rng, mean=20, stddev=5, min_len=8, max_len=30,
-                                  max_attempts=8)
+    span = select_span_with_retry(tree, rng, mean=20, stddev=5, min_len=8, max_len=30)
     ctx, tgt = pair_sides(tree, span)
     mutuals = mutual_identifiers(ctx[1], tgt[1])
     plan = plan_masking(ctx[1], tgt[1], rng, 1.0, 0.0)
@@ -407,8 +406,7 @@ def test_full_inverse_recovers_pre_transform_target():
     )
     tree = parse(src, "python")
     rng = random.Random(11)
-    span = select_span_with_retry(tree, rng, mean=18, stddev=6, min_len=6, max_len=30,
-                                  max_attempts=8)
+    span = select_span_with_retry(tree, rng, mean=18, stddev=6, min_len=6, max_len=30)
     lo, hi = span.leaf_start, span.leaf_end
     original_target = render(tree.leaves[lo:hi])
     text_rng = random.Random()
@@ -492,8 +490,7 @@ def _check_text_path(source, lang, seed, config, seen, spans=3):
         span = select_span_with_retry(input_tree, rng, mean=config.mean_target_len,
                                       stddev=config.stddev_target_len,
                                       min_len=config.min_target_len,
-                                      max_len=config.max_target_len,
-                                      max_attempts=config.max_span_attempts)
+                                      max_len=config.max_target_len)
         if span is not None:
             context, target, cols, plan = token_pair(input_tree, span, rng, config)
             want.append((context, target, cols, plan.alias_map if plan else {}))

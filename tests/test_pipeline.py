@@ -15,6 +15,7 @@ from _oracles import (
     reference_read_jsonl_objects,
     reference_truncate_file,
     rglob_ingest,
+    splice_truncation,
     stored_columns,
     tokens_balanced,
     tree_columns,
@@ -34,7 +35,6 @@ from codegap.pipeline import (
     read_jsonl_objects,
     read_shard_dir,
     repo_of,
-    splice_truncation,
     truncate_file,
     write_jsonl,
     write_shards,

@@ -1,8 +1,10 @@
 import math
 import random
+import sysconfig
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -10,32 +12,37 @@ from _oracles import (
     leaf_counts,
     make_tree,
     preorder_rows,
+    real_sources,
     splice_tokens,
     token_split,
     tokens_balanced,
 )
 from codegap.errors import EmptyTree, InvalidBounds, SpanMismatch
 from codegap.languages import MASK_TOKEN
-from codegap.pipeline import PipelineConfig
+from codegap.pipeline import PipelineConfig, truncate_file
 from codegap.spans import (
     SpanSelection,
     _expand,
     sample_target_length,
     select_span,
     select_span_with_retry,
-    span_has_content,
     split,
 )
+from codegap.tokenizer import WHITESPACE_KINDS
 from codegap.tree import parse
 
 _CONFIG = PipelineConfig()
 _TARGET_LENGTHS = dict(mean=_CONFIG.mean_target_len, stddev=_CONFIG.stddev_target_len,
-                       min_len=_CONFIG.min_target_len, max_len=_CONFIG.max_target_len,
-                       max_attempts=_CONFIG.max_span_attempts)
+                       min_len=_CONFIG.min_target_len, max_len=_CONFIG.max_target_len)
 
 
 def rendered(tokens):
     return "".join(t.text for t in tokens)
+
+
+def holds_content(tree, lo, hi):
+    """Whether leaves lo:hi hold a leaf that is not blank."""
+    return any(tok.kind not in WHITESPACE_KINDS for tok in tree.leaves[lo:hi])
 
 
 def test_sample_length_zero_variance():
@@ -222,7 +229,84 @@ def test_retry_returns_content(parsed_corpus):
     _, tree = parsed_corpus[0]
     span = select_span_with_retry(tree, random.Random(1), **_TARGET_LENGTHS)
     assert span is not None
-    assert span_has_content(tree, span)
+    assert holds_content(tree, span.leaf_start, span.leaf_end)
+
+
+def test_retry_makes_one_draw(parsed_corpus):
+    # a length, then the span grown to it: no second draw follows
+    for seed, (_, tree) in enumerate(parsed_corpus[:20]):
+        rng, expected_rng = random.Random(seed), random.Random(seed)
+        span = select_span_with_retry(tree, rng, **_TARGET_LENGTHS)
+        length = sample_target_length(expected_rng, **_TARGET_LENGTHS)
+        assert span == select_span(tree, length, expected_rng)
+        assert rng.getstate() == expected_rng.getstate()
+
+
+def _assert_no_blank_rows_or_spans(tree, seed):
+    """Every group row below the root and every span `select_span` grows
+    holds a leaf that is not blank, so a target is never blank."""
+    first, end = tree.first_leaf, tree.leaf_end
+    assert all(holds_content(tree, first[row], end[row]) for row in range(1, len(tree.kinds)))
+    rng = random.Random(seed)
+    for length in (1, 2, 3, 5, 8, 16, 40, 150, 512):
+        try:
+            span = select_span(tree, length, rng)
+        except EmptyTree:  # no seed outside error regions
+            return
+        assert holds_content(tree, span.leaf_start, span.leaf_end)
+
+
+def _assert_no_blank_targets(source, lang, seed, cfg):
+    """`_assert_no_blank_rows_or_spans` on a parsed file and on the
+    shortened file and segments that truncating it rebuilds."""
+    tree = parse(source, lang)
+    trunc = truncate_file(tree, random.Random(seed), cfg) if tree.leaf_count else None
+    for tree in [tree, *([trunc.shortened, *trunc.segments] if trunc else [])]:
+        _assert_no_blank_rows_or_spans(tree, seed)
+
+
+# lines of words, brackets and separators at space and tab indents, blank
+# and whitespace-only lines, with LF or CRLF breaks: unclosed and stray
+# brackets, python suites and brace blocks
+_CODE_PIECES = st.sampled_from([
+    "if ", "else", "elif ", "for ", "while ", "do ", "def ", "class ", "return ", "x", "f", "1",
+    "(", ")", "[", "]", "{", "}", ";", ":", ",", " = ", "\\", "# c", "// c", "/* c */", "'s'",
+    " ", "\t",
+])
+_CODE_LINE = st.tuples(st.sampled_from(["", "", "  ", "    ", "\t", "\t ", " \t", "        "]),
+                       st.lists(_CODE_PIECES, max_size=8).map("".join)).map("".join)
+_CODE_TEXT = st.tuples(st.lists(_CODE_LINE, max_size=16), st.sampled_from(["\n", "\r\n"]),
+                       st.booleans()).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+@pytest.mark.parametrize("lang", ["c", "java", "javascript", "python"])
+@settings(max_examples=150, deadline=None)
+@given(text=_CODE_TEXT, seed=st.integers(min_value=0, max_value=999),
+       threshold=st.integers(min_value=4, max_value=60),
+       seg_min=st.integers(min_value=1, max_value=20),
+       seg_extra=st.integers(min_value=0, max_value=60))
+@example(text="def f():\r\n\t\r\n\tx = (1,\r\n  \t\r\n", seed=0, threshold=4, seg_min=1,
+         seg_extra=0)
+@example(text="{ x; {\n\t  \n}\n  (\n [\n", seed=1, threshold=4, seg_min=1, seg_extra=4)
+def test_no_group_row_or_span_is_blank(lang, text, seed, threshold, seg_min, seg_extra):
+    cfg = PipelineConfig(truncation_threshold=threshold, segment_min_len=seg_min,
+                         segment_max_len=seg_min + seg_extra)
+    _assert_no_blank_targets(text, lang, seed, cfg)
+
+
+@pytest.mark.parametrize("source_set", ["stdlib", "headers"])
+def test_no_group_row_or_span_is_blank_on_real_files(source_set):
+    if source_set == "stdlib":
+        pattern, lang = str(Path(sysconfig.get_paths()["stdlib"]) / "*.py"), "python"
+    else:
+        pattern, lang = "/usr/include/*.h", "c"
+    sources = real_sources(pattern, 20)
+    if len(sources) < 20:
+        pytest.skip(f"fewer than 20 {source_set} files here")
+    for cfg in (PipelineConfig(), PipelineConfig(truncation_threshold=200, segment_min_len=20,
+                                                 segment_max_len=120)):
+        for seed, source in enumerate(sources):
+            _assert_no_blank_targets(source, lang, seed, cfg)
 
 
 def test_spans_avoid_error_node_endpoints():

@@ -8,24 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codegap.errors import EncodingError, IndexOutOfRange, UnsupportedLanguage
+from codegap.errors import EncodingError, UnsupportedLanguage
 from codegap.languages import (
     DEFAULT_EXTENSIONS,
     FOLD_TOKEN,
     MASK_TOKEN,
     get_language,
-    language_for_path,
     load_extension_map,
     supported_languages,
 )
-from codegap.pipeline import PipelineConfig, splice_truncation, truncate_file
+from codegap.pipeline import PipelineConfig, truncate_file
 from codegap.spans import _expand, _pick_seed, select_span
 from codegap import tokenizer
 from codegap.tokenizer import MARKER_KINDS, TRIVIA_KINDS, line_start, tokenize
 from codegap.errors import EmptyTree
 from codegap.tree import (
     _build_rows,
-    indentation_of,
     parse,
     tree_from_run,
     tree_with_runs_folded,
@@ -34,6 +32,7 @@ from codegap.tree import (
 from _oracles import (
     child_rows,
     cpython_tokens,
+    language_for_path,
     leaf_counts,
     leaf_positions,
     number_preorder,
@@ -43,11 +42,11 @@ from _oracles import (
     oracle_nesting,
     oracle_tokenize,
     preorder_rows,
-    reference_indentation_of,
     reference_nesting_columns,
     reference_expand,
     reference_pick_seed,
     real_sources,
+    splice_truncation,
     stored_columns,
     tree_columns,
     tree_of,
@@ -302,37 +301,6 @@ def test_identifier_occurrences_examples():
 
     occ = identifier_occurrences(parse("foo(foo)", "python"))
     assert [text for _, text in occ] == ["foo", "foo"]
-
-
-def test_indentation_levels():
-    tree = parse("        x = 1\n", "python")
-    xi = next(i for i, t in enumerate(tree.leaves) if t.text == "x")
-    assert indentation_of(tree, xi) == 8
-
-    tree = parse("y = 2\n", "python")
-    assert indentation_of(tree, 0) == 0
-
-    tree = parse("\tx = 1\n", "python")
-    xi = next(i for i, t in enumerate(tree.leaves) if t.text == "x")
-    assert indentation_of(tree, xi) == 4
-
-
-def test_indentation_of_matches_reference_on_every_leaf(parsed_corpus):
-    sources = [(tree.text, tree.language) for _, tree in parsed_corpus[::12]]
-    stdlib = str(Path(sysconfig.get_paths()["stdlib"]) / "*.py")
-    sources += [(source, get_language("python")) for source in real_sources(stdlib, 2)]
-    sources += [(source, get_language("c")) for source in real_sources("/usr/include/*.h", 2)]
-    for source, grammar in sources:
-        tree = parse(source, grammar)
-        positions = leaf_positions(tree.text, tree.offsets)
-        for i in range(tree.leaf_count):
-            assert indentation_of(tree, i) == reference_indentation_of(tree, positions, i)
-
-
-def test_indentation_out_of_range():
-    tree = parse("x = 1\n", "python")
-    with pytest.raises(IndexOutOfRange):
-        indentation_of(tree, 99)
 
 
 def test_unsupported_language():
