@@ -36,13 +36,13 @@ from .pipeline import (
     CorpusFile,
     PipelineConfig,
     batch_by_language,
-    dump_record,
     ingest,
     make_pairs,
     read_jsonl,
     read_jsonl_objects,
     read_shard_dir,
     read_shards,
+    write_jsonl,
     write_shards,
 )
 from .retrieval import (
@@ -141,8 +141,8 @@ def _merge_config(cls, args: argparse.Namespace) -> dict:
         if field.name in file_config:
             value = file_config[field.name]
             if not _fits_field(field, value):
-                raise SchemaError(f"{args.config}: config key {field.name!r} "
-                                  f"expects {field.type}, got {value!r}")
+                raise SchemaError(f"config key {field.name!r} expects {field.type}, "
+                                  f"got {value!r}", path=args.config)
             values[field.name] = value
         if (flag := getattr(args, field.name, None)) is not None:
             values[field.name] = flag
@@ -181,12 +181,12 @@ def _load_file_config(args: argparse.Namespace) -> dict:
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: invalid JSON config: {exc}") from exc
+        raise SchemaError(f"invalid JSON config: {exc}", path=path) from exc
     if not isinstance(config, dict):
-        raise SchemaError(f"{path}: a config file must hold one JSON object")
+        raise SchemaError("a config file must hold one JSON object", path=path)
     unknown = sorted(config.keys() - _CONFIG_KEYS)
     if unknown:
-        raise SchemaError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
+        raise SchemaError(f"unknown config key(s) {', '.join(map(repr, unknown))}", path=path)
     return config
 
 
@@ -206,15 +206,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     config = resolve_pipeline_config(args)
     _echo_config("prepare", config.to_dict())
     files = ingest(args.roots, config, ext_map=_ext_map(args))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for f in files:
-            fh.write(dump_record({"path": str(f.path), "source": f.source,
-                                  "language": f.language, "hash": f.content_hash,
-                                  "split": f.split}) + "\n")
-    log.info("prepared %d files -> %s", len(files), out)
-    print(f"{len(files)} files -> {out}")
+    write_jsonl(args.out, ({"path": str(f.path), "source": f.source, "language": f.language,
+                            "hash": f.content_hash, "split": f.split} for f in files))
+    log.info("prepared %d files -> %s", len(files), args.out)
+    print(f"{len(files)} files -> {args.out}")
     return 0
 
 
@@ -224,11 +219,11 @@ def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusF
         files = []
         for lineno, obj in read_jsonl_objects(args.manifest, fields, dict.fromkeys(fields, str)):
             if obj["split"] not in (TRAIN, VALID):
-                raise SchemaError(f"'split' must be {TRAIN!r} or {VALID!r}", line=lineno)
+                raise SchemaError(f"'split' must be {TRAIN!r} or {VALID!r}", lineno, args.manifest)
             try:  # every row, so a bad one fails the run whatever --langs and --jobs are
                 get_language(obj["language"])
             except UnsupportedLanguage as exc:
-                raise SchemaError(f"{args.manifest}: line {lineno}: {exc}") from None
+                raise SchemaError(str(exc), lineno, args.manifest) from None
             if not config.languages or obj["language"] in config.languages:
                 files.append(CorpusFile(path=Path(obj["path"]), source=obj["source"],
                                         language=obj["language"], content_hash=obj["hash"],
@@ -260,23 +255,15 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    config = resolve_pipeline_config(args)
-    _echo_config("batch", {"token_budget": config.token_budget})
+    budget = _merge_config(TrainConfig, args)["token_budget"]
+    _echo_config("batch", {"token_budget": budget})
     train, valid = read_shard_dir(args.shards)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with out.open("w", encoding="utf-8") as fh:
-        for split_name, records in (("train", train), ("valid", valid)):
-            for batch in batch_by_language(records, config.token_budget):
-                fh.write(dump_record({
-                    "split": split_name,
-                    "language": batch.language,
-                    "token_count": batch.token_count,
-                    "pair_ids": [p.pair_id for p in batch.pairs],
-                }) + "\n")
-                count += 1
-    print(f"{count} batches -> {out}")
+    count = write_jsonl(args.out, (
+        {"split": split_name, "language": batch.language, "token_count": batch.token_count,
+         "pair_ids": [p.pair_id for p in batch.pairs]}
+        for split_name, records in ((TRAIN, train), (VALID, valid))
+        for batch in batch_by_language(records, budget)))
+    print(f"{count} batches -> {args.out}")
     return 0
 
 
@@ -304,8 +291,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         vectors = load_embeddings(args.embeddings, used={*queries, *candidates})
         missing = [i for i in list(queries) + list(candidates) if i not in vectors]
         if missing:
-            raise CodegapError(f"{args.embeddings}: embeddings file lacks {len(missing)} ids, "
-                               f"e.g. {missing[:3]}")
+            raise SchemaError(f"embeddings file lacks {len(missing)} ids, e.g. {missing[:3]}",
+                              path=args.embeddings)
         rows, index = np.array(list(vectors.values())), {rid: r for r, rid in enumerate(vectors)}
         report = evaluate(list(queries), rows[[index[qid] for qid in queries]],
                           list(candidates), rows[[index[tid] for tid in candidates]], judgments)
@@ -325,7 +312,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     encoder, report = train_toy(train, valid, config)
     encoder.save(args.out)
-    if valid:
+    if report.mrr_history:  # empty when no validation ran: no valid split, steps or valid_cap
         log.info("best validation MRR %.4f at step %d", report.best_mrr, report.best_step)
         print(f"trained {report.steps} steps; best valid MRR "
               f"{report.best_mrr:.4f} @ step {report.best_step} -> {args.out}")
@@ -360,8 +347,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             ("aliases", type(aliases) is dict and all(type(v) is str for v in aliases.values()),
              "an object of strings")):
         if not fits:
-            raise SchemaError(f"{path}: pair {record.pair_id!r}: "
-                              f"meta {key!r} must be {must}")
+            raise SchemaError(f"pair {record.pair_id!r}: meta {key!r} must be {must}", path=path)
     print(f"pair {record.pair_id} ({record.language})")
     print(f"dedent: {dedent} columns; masking skipped: {skipped}")
     if aliases:

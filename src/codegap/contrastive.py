@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import (
     BatchTooSmall,
-    CodegapError,
     Diverged,
     EmptyInput,
+    SchemaError,
     ZeroVector,
 )
 from .texttok import text_tokens
@@ -143,26 +143,28 @@ class ToyEncoder:
         try:
             sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CodegapError(f"{sidecar_path}: invalid checkpoint sidecar: {exc}") from exc
+            raise SchemaError(f"invalid checkpoint sidecar: {exc}", path=sidecar_path) from exc
         if not isinstance(sidecar, dict):
-            raise CodegapError(f"{sidecar_path}: a checkpoint sidecar must hold one JSON object")
+            raise SchemaError("a checkpoint sidecar must hold one JSON object", path=sidecar_path)
         if sidecar.get("format_version") != CHECKPOINT_FORMAT:
-            raise CodegapError(f"unsupported checkpoint format: {sidecar.get('format_version')}")
+            raise SchemaError(f"unsupported checkpoint format: {sidecar.get('format_version')}",
+                              path=sidecar_path)
         tau = sidecar.get("tau")
         if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-            raise CodegapError(f"{sidecar_path}: checkpoint sidecar needs a numeric 'tau', got {tau!r}")
+            raise SchemaError(f"checkpoint sidecar needs a numeric 'tau', got {tau!r}",
+                              path=sidecar_path)
         shape = sidecar.get("buckets"), sidecar.get("dim")
         if not all(type(n) is int and n > 0 for n in shape):
-            raise CodegapError(f"{sidecar_path}: checkpoint sidecar needs positive integer "
-                               f"'buckets' and 'dim', got {shape[0]!r} and {shape[1]!r}")
+            raise SchemaError(f"checkpoint sidecar needs positive integer 'buckets' and 'dim', "
+                              f"got {shape[0]!r} and {shape[1]!r}", path=sidecar_path)
         with path.open("rb") as fh:
             try:
                 params = np.load(fh)
             except (ValueError, EOFError) as exc:  # pickled data, or no .npy array at all
-                raise CodegapError(f"{path}: not a checkpoint array: {exc}") from exc
+                raise SchemaError(f"not a checkpoint array: {exc}", path=path) from exc
         # an .npz archive loads as several arrays
         if not isinstance(params, np.ndarray) or params.dtype.kind != "f" or params.shape != shape:
-            raise CodegapError(f"{path}: not one float array of the sidecar's shape {shape}")
+            raise SchemaError(f"not one float array of the sidecar's shape {shape}", path=path)
         return cls(params=params, tau=float(tau))
 
 
@@ -319,7 +321,6 @@ def train_toy(train_records, valid_records, config: TrainConfig,
     rng = random.Random(config.seed)
     order: list[int] = []
     params = encoder.params
-    best_params = params.copy()
     best_mrr = -1.0
     best_step = -1
     eval_every = config.eval_every or max(1, config.steps // 10)

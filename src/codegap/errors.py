@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from os import PathLike
+
 
 class CodegapError(Exception):
     """Base class for all toolkit errors."""
@@ -30,11 +32,15 @@ class AliasCollision(CodegapError):
 
 
 class SchemaError(CodegapError):
-    """Malformed persisted record; carries the offending line number."""
+    """Malformed data in a file, worded `<path>: line N: <message>` with the
+    parts that are known; keeps the line number and the path."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None, path: str | PathLike | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
+        self.path = path
 
 
 class DimensionMismatch(CodegapError, ValueError):

@@ -12,7 +12,7 @@ import keyword as _python_keyword
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CodegapError, UnsupportedLanguage
+from .errors import SchemaError, UnsupportedLanguage
 
 MASK_TOKEN = "<mask>"
 FOLD_TOKEN = "<fold>"
@@ -140,7 +140,7 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise CodegapError(f"{path}: not valid UTF-8: {exc}") from exc
+        raise SchemaError(f"not valid UTF-8: {exc}", path=path) from exc
 
 
 def load_extension_map(path: str | Path) -> dict[str, str]:

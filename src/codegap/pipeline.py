@@ -63,7 +63,6 @@ class PipelineConfig:
     segment_max_len: int = 800
     max_extractions: int = 8
     pairs_per_input: int = 1
-    token_budget: int = 7000
     shard_size: int = 10000
     languages: tuple[str, ...] | None = None
     valid_repos: frozenset[str] = frozenset()
@@ -336,17 +335,19 @@ def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[Pair
 # --------------------------------------------------------------------------
 # persistence
 
-def dump_record(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-def write_jsonl(path: str | Path, records: Iterable[PairRecord]) -> int:
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+    """Write each row as one compact JSON line, UTF-8 text unescaped; the one
+    writer of every JSONL file: shards, manifests and eval files. Returns the
+    row count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(dump_record(rec.to_record()) + "\n")
+        for row in rows:
+            fh.write(_encode(row) + "\n")
             count += 1
     return count
 
@@ -358,8 +359,8 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # a byte that is no UTF-8, as surroga
 def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
                        types: dict[str, type] | None = None) -> Iterator[tuple[int, dict]]:
     """(line number, object) per non-blank line, read as it is pulled; SchemaError names
-    a bad line: one that is not UTF-8, lacks a `required` key or holds a `types` key of
-    another type."""
+    the file and a bad line: one that is not UTF-8, lacks a `required` key or holds a
+    `types` key of another type."""
     needed = frozenset(required)
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -367,7 +368,7 @@ def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
             if not line:
                 continue
             if not line.isascii() and _NOT_UTF8.search(line):
-                raise SchemaError("not valid UTF-8", line=lineno)
+                raise SchemaError("not valid UTF-8", lineno, path)
             try:
                 obj, end = _raw_decode(line)
             except json.JSONDecodeError:
@@ -376,15 +377,15 @@ def read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (),
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                    raise SchemaError(f"invalid JSON: {exc.msg}", lineno, path) from exc
             if not isinstance(obj, dict):
-                raise SchemaError("expected a JSON object", line=lineno)
+                raise SchemaError("expected a JSON object", lineno, path)
             if not obj.keys() >= needed:
                 missing = next(key for key in required if key not in obj)
-                raise SchemaError(f"missing {missing!r} field", line=lineno)
+                raise SchemaError(f"missing {missing!r} field", lineno, path)
             for key, kind in (types or {}).items():
                 if key in obj and not isinstance(obj[key], kind):
-                    raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)
+                    raise SchemaError(f"{key!r} must be of type {kind.__name__}", lineno, path)
             yield lineno, obj
 
 
@@ -412,7 +413,7 @@ def write_shards(records: Iterable[PairRecord], out_dir: str | Path,
         idx = indexes.get(key, 0)
         indexes[key] = idx + 1
         path = out_dir / split_name / f"{lang}-{idx:05d}.jsonl"
-        write_jsonl(path, batch)
+        write_jsonl(path, (record.to_record() for record in batch))
         written.append(path)
 
     for rec in records:

@@ -251,7 +251,7 @@ def _by_id(path: str | Path, key: str, fields: dict[str, type]) -> dict[str, dic
     for lineno, obj in read_jsonl_objects(path, (key, *fields), fields):
         rid = str(obj[key])
         if rid in out:
-            raise SchemaError(f"repeated {key} {rid!r}", line=lineno)
+            raise SchemaError(f"repeated {key} {rid!r}", lineno, path)
         out[rid] = {name: obj[name] for name in fields}
     return out
 
@@ -290,23 +290,23 @@ def load_embeddings(path: str | Path, used: Container[str] = ()) -> dict[str, np
     for lineno, obj in read_jsonl_objects(path, ("id", "vector")):
         rid, vec = str(obj["id"]), obj["vector"]
         if rid in out:
-            raise SchemaError(f"repeated id {rid!r}", line=lineno)
+            raise SchemaError(f"repeated id {rid!r}", lineno, path)
         if not isinstance(vec, list) or not vec:
-            raise SchemaError("'vector' must be a non-empty list", line=lineno)
+            raise SchemaError("'vector' must be a non-empty list", lineno, path)
         bad = "'vector' must be a flat list of finite numbers"
         try:
             arr = np.asarray(vec)
         except ValueError as exc:  # ragged nesting
-            raise SchemaError(bad, line=lineno) from exc
+            raise SchemaError(bad, lineno, path) from exc
         if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-            raise SchemaError(bad, line=lineno)
+            raise SchemaError(bad, lineno, path)
         width = width or len(arr)
         if len(arr) != width:
-            raise SchemaError(f"'vector' has {len(arr)} numbers, the first one {width}", line=lineno)
+            raise SchemaError(f"'vector' has {len(arr)} numbers, the first one {width}", lineno, path)
         out[rid] = arr.astype(np.float64)
         if rid in used:
             try:
                 _unit_rows(out[rid][None])
             except ZeroVector as exc:
-                raise ZeroVector(f"{path}: line {lineno}: id {rid!r}: {exc}") from None
+                raise SchemaError(f"id {rid!r}: {exc}", lineno, path) from None
     return out

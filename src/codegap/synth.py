@@ -11,13 +11,13 @@ core relevant and the query's own core flagged as the original to exclude.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .languages import MASK_TOKEN, get_language
+from .pipeline import write_jsonl
 
 _SLOT_RE = re.compile(r"@([a-z][a-z0-9_]*)@")
 
@@ -419,20 +419,15 @@ def write_clone_corpus(out_dir: str | Path, seed: int = 0, functionalities: int 
                 qrels.append({"query_id": qid, "target_id": tid, "relevance": 1,
                               "is_original": int(other.variant == built.variant)})
 
-    paths = {}
-    for fname, rows in (("queries.jsonl", queries), ("candidates.jsonl", candidates),
-                        ("qrels.jsonl", qrels)):
-        path = eval_dir / fname
-        with path.open("w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n")
-        paths[fname] = path
+    paths = {name: eval_dir / f"{name}.jsonl" for name in ("queries", "candidates", "qrels")}
+    for name, rows in (("queries", queries), ("candidates", candidates), ("qrels", qrels)):
+        write_jsonl(paths[name], rows)
 
     return CloneCorpus(
         corpus_dir=corpus_dir,
-        queries_path=paths["queries.jsonl"],
-        candidates_path=paths["candidates.jsonl"],
-        qrels_path=paths["qrels.jsonl"],
+        queries_path=paths["queries"],
+        candidates_path=paths["candidates"],
+        qrels_path=paths["qrels"],
         valid_repos=valid_repos,
         train_files=train_files,
         eval_queries=len(queries),

@@ -1688,15 +1688,16 @@ def reference_read_jsonl_objects(path: str | Path, required: tuple[str, ...] = (
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno, path=path) from exc
             if not isinstance(obj, dict):
-                raise SchemaError("expected a JSON object", line=lineno)
+                raise SchemaError("expected a JSON object", line=lineno, path=path)
             for key in required:
                 if key not in obj:
-                    raise SchemaError(f"missing {key!r} field", line=lineno)
+                    raise SchemaError(f"missing {key!r} field", line=lineno, path=path)
             for key, kind in (types or {}).items():
                 if key in obj and not isinstance(obj[key], kind):
-                    raise SchemaError(f"{key!r} must be of type {kind.__name__}", line=lineno)
+                    raise SchemaError(f"{key!r} must be of type {kind.__name__}",
+                                      line=lineno, path=path)
             rows.append((lineno, obj))
     return rows
 

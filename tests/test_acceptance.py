@@ -318,7 +318,7 @@ def _run_python(args, cwd):
     package_root = str(Path(codegap.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, cwd=cwd,
+                          capture_output=True, encoding="utf-8", cwd=cwd,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr
     return proc

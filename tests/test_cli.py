@@ -10,7 +10,7 @@ from codegap import pipeline
 from codegap.cli import main
 from codegap.contrastive import ToyEncoder
 from codegap.languages import get_language
-from codegap.pipeline import read_jsonl
+from codegap.pipeline import read_jsonl, write_jsonl
 from codegap.synth import write_clone_corpus, write_mixed_corpus
 
 
@@ -46,7 +46,7 @@ def test_version_flag(capsys):
 def test_prepare_writes_manifest(small_corpus, tmp_path):
     manifest = tmp_path / "manifest.jsonl"
     assert main(["prepare", "--roots", str(small_corpus), "--out", str(manifest)]) == 0
-    rows = [json.loads(ln) for ln in manifest.read_text().splitlines()]
+    rows = [json.loads(ln) for ln in manifest.read_text(encoding="utf-8").splitlines()]
     assert rows
     assert set(rows[0]) == {"path", "source", "language", "hash", "split"}
 
@@ -559,7 +559,7 @@ def test_batch_manifest(small_corpus, tmp_path):
     batches = tmp_path / "batches.jsonl"
     assert main(["batch", "--shards", str(shards), "--out", str(batches),
                  "--budget", "3000"]) == 0
-    rows = [json.loads(ln) for ln in batches.read_text().splitlines()]
+    rows = [json.loads(ln) for ln in batches.read_text(encoding="utf-8").splitlines()]
     assert rows
     for row in rows:
         assert set(row) == {"split", "language", "token_count", "pair_ids"}
@@ -591,7 +591,7 @@ def test_eval_with_embeddings(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "MAP" in out and "MRR" in out
-    payload = json.loads(report.read_text())
+    payload = json.loads(report.read_text(encoding="utf-8"))
     assert payload["map"] == 1.0 and payload["mrr"] == 1.0
 
 
@@ -691,6 +691,41 @@ def test_eval_field_of_wrong_type_is_data_error(tmp_path, capsys, name, field, v
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"line {len(rows)}" in err and repr(field) in err
+
+
+# one bad line, after the good ones, per JSONL input: the reader's own errors
+# (truncated JSON, a field of another type) and the checks on its rows
+_BAD_LINES = {
+    "queries": '{"query_id": "q2", "language": "python", "context": ',
+    "candidates": '{"target_id": "t1", "language": "python", "text": "again"}',
+    "qrels": '{"query_id": "q1", "target_id": "t2", "relevance": "1"}',
+    "embeddings": '{"id": "t3", "vector": [1.0]}',
+    "manifest": json.dumps({**_MANIFEST_ROW, "split": "test"}),
+    "file": '{"id": "p2", "language": "python", "context": null, "target": "t", "meta": {}}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_LINES))
+def test_jsonl_data_error_names_the_file_and_line(tmp_path, capsys, kind):
+    if kind == "manifest":
+        path = tmp_path / "m.jsonl"
+        write_jsonl(path, [_MANIFEST_ROW])
+        args = ["pairs", "--manifest", str(path), "--out", str(tmp_path / "out")]
+    elif kind == "file":
+        path = tmp_path / "pairs.jsonl"
+        write_jsonl(path, [{"id": "p1", "language": "python", "context": "c", "target": "t",
+                            "meta": {}}])
+        args = ["inspect", "--file", str(path)]
+    else:
+        args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],
+                                                "t2": [0.0, 1.0]})
+        path = Path(args[args.index(f"--{kind}") + 1])
+    line = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(_BAD_LINES[kind] + "\n")
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"error: {path}: line {line}: " in capsys.readouterr().err
 
 
 def test_eval_unsupported_checkpoint_is_data_error(tmp_path, capsys):
@@ -826,6 +861,61 @@ def test_train_toy_matches_golden_digest(tmp_path, capsys):
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == TOY_CHECKPOINT_SHA256
     assert (hashlib.sha256(Path(str(ckpt) + ".json").read_bytes()).hexdigest()
             == TOY_SIDECAR_SHA256)
+
+
+@pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "3", "--valid-cap", "0"]])
+def test_train_toy_without_a_validation_pass_reports_no_mrr(tmp_path, capsys, caplog, flags):
+    # the shards hold a valid split, but no step or no kept row leaves nothing to validate
+    corpus = write_clone_corpus(tmp_path / "clone", seed=5, variants=10, train_variants=6,
+                                valid_variants=2)
+    valid = tmp_path / "valid_repos.txt"
+    valid.write_text("\n".join(corpus.valid_repos) + "\n", encoding="utf-8")
+    shards, ckpt = tmp_path / "shards", tmp_path / "toy.ckpt"
+    assert main(["pairs", "--roots", str(corpus.corpus_dir), "--out", str(shards),
+                 "--seed", "5", "--valid-repos", str(valid)]) == 0
+    assert any((shards / "valid").glob("*.jsonl"))
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="codegap"):
+        assert main(["train-toy", "--shards", str(shards), "--out", str(ckpt), "--d", "16",
+                     "--buckets", "512", *flags]) == 0
+    out = capsys.readouterr().out
+    assert "(no validation split; kept final state)" in out and "nan" not in out
+    assert "no validation split; kept the final state" in caplog.messages
+
+
+# SHA-256 of the JSONL files the package writes besides shards: a `prepare`
+# manifest over a corpus with non-ASCII paths, the `batch` manifest of its
+# pairs, and the seed-5 clone eval files; they pin each row's key order, the
+# compact separators and UTF-8 text written without escapes
+PREPARE_MANIFEST_SHA256 = "47d25e84bf22205710e3f5cf38ecbaf827b9db69bb93df4c1430d37b056ea235"
+BATCH_MANIFEST_SHA256 = "048de91d9637e9f354bb29e7a258b1221323e7a2b0a6f0b8797004b89958609a"
+CLONE_EVAL_FILES_SHA256 = "c852f8c6784b731f50a31b662dd2b7f65414b752be1e03fbeee7b92cfadce349"
+
+
+def _files_digest(paths) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_manifests_and_eval_files_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative roots, so the manifest's paths do not name tmp_path
+    write_mixed_corpus(Path("corpus"), seed=3, files_per_lang=4, long_every=0)
+    extra = Path("corpus") / "dépôt" / "naïve_ünïcode.py"
+    extra.parent.mkdir()
+    extra.write_text('greeting = "héllo wörld ✓"\n', encoding="utf-8")
+    Path("valid.txt").write_text("python_repo1\ndépôt\n", encoding="utf-8")
+    assert main(["prepare", "--roots", "corpus", "--out", "manifest.jsonl",
+                 "--valid-repos", "valid.txt"]) == 0
+    assert "dépôt/naïve_ünïcode.py" in Path("manifest.jsonl").read_text(encoding="utf-8")
+    assert _files_digest([Path("manifest.jsonl")]) == PREPARE_MANIFEST_SHA256
+    assert main(["pairs", "--manifest", "manifest.jsonl", "--out", "shards", "--seed", "0"]) == 0
+    assert main(["batch", "--shards", "shards", "--out", "batches.jsonl", "--budget", "600"]) == 0
+    assert _files_digest([Path("batches.jsonl")]) == BATCH_MANIFEST_SHA256
+    corpus = write_clone_corpus(tmp_path / "clone", seed=5)
+    assert (_files_digest([corpus.queries_path, corpus.candidates_path, corpus.qrels_path])
+            == CLONE_EVAL_FILES_SHA256)
 
 
 def test_train_toy_and_eval_model(small_corpus, tmp_path, capsys):

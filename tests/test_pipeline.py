@@ -379,7 +379,7 @@ def test_jsonl_roundtrip_thousand_pairs(tmp_path):
         for i in range(1000)
     ]
     path = tmp_path / "shard.jsonl"
-    assert write_jsonl(path, records) == 1000
+    assert write_jsonl(path, [r.to_record() for r in records]) == 1000
     loaded = read_jsonl(path)
     assert [r.to_record() for r in loaded] == [r.to_record() for r in records]
 
@@ -420,6 +420,30 @@ def test_empty_shard_roundtrip(tmp_path):
     path = tmp_path / "empty.jsonl"
     assert write_jsonl(path, []) == 0
     assert read_jsonl(path) == []
+
+
+# control characters, which JSON escapes, characters it writes as they are
+# that `str.splitlines` or `str.strip` take for a line end or a blank, and
+# any other character UTF-8 encodes
+_JSONL_TEXT = st.text(st.one_of(st.sampled_from("\x00\t\r\n\x1c\x1f\x7f\x85\xa0\u2028\u2029"
+                                                "\ufeff\u00e9\u2713\U0001f600"),
+                                st.characters(codec="utf-8")))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _JSONL_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSONL_TEXT, inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries({"id": _JSONL_TEXT, "context": _JSONL_TEXT,
+                                            "meta": st.dictionaries(_JSONL_TEXT, _JSON_VALUES,
+                                                                    max_size=4)}),
+                     max_size=4))
+def test_written_rows_read_back_equal(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        assert write_jsonl(path, rows) == len(rows)
+        assert [obj for _, obj in read_jsonl_objects(path, ("id", "context", "meta"))] == rows
 
 
 def test_write_shards_layout(tmp_path):
