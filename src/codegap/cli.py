@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .pipeline import (
     CorpusFile,
     PipelineConfig,
     batch_by_language,
+    encode_row,
     ingest,
     make_pairs,
     read_jsonl,
@@ -206,8 +208,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     config = resolve_pipeline_config(args)
     _echo_config("prepare", config.to_dict())
     files = ingest(args.roots, config, ext_map=_ext_map(args))
-    write_jsonl(args.out, ({"path": str(f.path), "source": f.source, "language": f.language,
-                            "hash": f.content_hash, "split": f.split} for f in files))
+    base = args.out.parent  # a relative path is written relative to the manifest's directory
+    write_jsonl(args.out, map(encode_row, (
+        {"path": f.path if os.path.isabs(f.path) else os.path.relpath(f.path, base),
+         "source": f.source, "language": f.language, "hash": f.content_hash, "split": f.split}
+        for f in files)))
     log.info("prepared %d files -> %s", len(files), args.out)
     print(f"{len(files)} files -> {args.out}")
     return 0
@@ -216,6 +221,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusFile]:
     if args.manifest:
         fields = ("path", "source", "language", "hash", "split")
+        base = args.manifest.parent  # a relative path is read relative to the manifest's directory
         files = []
         for lineno, obj in read_jsonl_objects(args.manifest, fields, dict.fromkeys(fields, str)):
             if obj["split"] not in (TRAIN, VALID):
@@ -225,7 +231,7 @@ def _files_for(args: argparse.Namespace, config: PipelineConfig) -> list[CorpusF
             except UnsupportedLanguage as exc:
                 raise SchemaError(str(exc), lineno, args.manifest) from None
             if not config.languages or obj["language"] in config.languages:
-                files.append(CorpusFile(path=Path(obj["path"]), source=obj["source"],
+                files.append(CorpusFile(path=str(base / obj["path"]), source=obj["source"],
                                         language=obj["language"], content_hash=obj["hash"],
                                         split=obj["split"]))
         return files
@@ -247,8 +253,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         raise CodegapError(f"--out {args.out} already holds shards, e.g. {stale[0]}; "
                            "pairs needs a directory without them")
     files = _files_for(args, config)
-    records = make_pairs(files, config)
-    written = write_shards(records, args.out, shard_size=config.shard_size)
+    written = write_shards(make_pairs(files, config), args.out, shard_size=config.shard_size)
     log.info("wrote %d shard files under %s", len(written), args.out)
     print(f"{len(written)} shards -> {args.out}")
     return 0
@@ -258,11 +263,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     budget = _merge_config(TrainConfig, args)["token_budget"]
     _echo_config("batch", {"token_budget": budget})
     train, valid = read_shard_dir(args.shards)
-    count = write_jsonl(args.out, (
+    count = write_jsonl(args.out, map(encode_row, (
         {"split": split_name, "language": batch.language, "token_count": batch.token_count,
          "pair_ids": [p.pair_id for p in batch.pairs]}
         for split_name, records in ((TRAIN, train), (VALID, valid))
-        for batch in batch_by_language(records, budget)))
+        for batch in batch_by_language(records, budget))))
     print(f"{count} batches -> {args.out}")
     return 0
 

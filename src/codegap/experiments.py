@@ -13,12 +13,13 @@ Trains the toy encoder twice on the same corpus — once on leak-reduced pairs
 from __future__ import annotations
 
 import logging
+import shutil
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .contrastive import ToyEncoder, TrainConfig, train_toy
-from .pipeline import PipelineConfig, PairRecord, ingest, make_pairs
+from .pipeline import PairRecord, PipelineConfig, ingest, make_pairs, read_shard_dir, write_shards
 from .retrieval import (
     EvalReport,
     Judgments,
@@ -130,14 +131,14 @@ def run_ablation(config: AblationConfig) -> AblationResult:
     log.info("clone corpus: %d files (%d for validation repos)",
              len(files), sum(1 for f in files if f.split == "valid"))
 
-    deleak_cfg = base
-    plain_cfg = replace(base, masking_enabled=False, dedent_enabled=False)
-    deleak_all = list(make_pairs(files, deleak_cfg))
-    plain_all = list(make_pairs(files, plain_cfg))
-    deleak_train = [r for r in deleak_all if r.split == "train"]
-    deleak_valid = [r for r in deleak_all if r.split == "valid"]
-    plain_train = [r for r in plain_all if r.split == "train"]
-    plain_valid = [r for r in plain_all if r.split == "valid"]
+    read_back = []  # (train, valid) records of each config's shards, read as train-toy reads them
+    for name, cfg in (("deleak", base),
+                      ("plain", replace(base, masking_enabled=False, dedent_enabled=False))):
+        shards = workdir / f"shards-{name}"
+        shutil.rmtree(shards, ignore_errors=True)  # an earlier run's shards would mix in
+        write_shards(make_pairs(files, cfg), shards, cfg.shard_size)
+        read_back.append(read_shard_dir(shards))
+    (deleak_train, deleak_valid), (plain_train, plain_valid) = read_back
 
     lex_deleak = lexical_training_map(deleak_train, LEXICAL_QUERY_CAP)
     lex_plain = lexical_training_map(plain_train, LEXICAL_QUERY_CAP)

@@ -21,8 +21,9 @@ import os
 import random
 import re
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -42,7 +43,8 @@ TRAIN = "train"
 VALID = "valid"
 # enough chunks that a worker left with a slow chunk does not hold up the rest
 CHUNKS_PER_WORKER = 8
-MAX_CHUNK_FILES = 32  # a worker holds a chunk's records until it returns them
+MAX_CHUNK_FILES = 32  # a worker holds a chunk's lines until it returns them
+CHUNKS_IN_FLIGHT = 2  # per worker: submitted chunks whose lines are not yet read
 # the most workers `jobs` may ask for: a fixed ceiling, so one config is valid on every host
 MAX_JOBS = 64
 
@@ -82,7 +84,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class CorpusFile:
-    path: Path
+    path: str  # where to read the file
     source: str  # POSIX path under the root the file was found in; meta.source
     language: str
     content_hash: str
@@ -161,7 +163,7 @@ def ingest(roots: Iterable[str | Path], config: PipelineConfig,
             else:
                 repo = parts[0] if len(parts) > 1 else root.name
             split_name = VALID if repo in config.valid_repos else TRAIN
-            out.append(CorpusFile(path=Path(path), source="/".join(parts),
+            out.append(CorpusFile(path=path, source="/".join(parts),
                                   language=lang.name, content_hash=digest, split=split_name))
     out.sort(key=lambda f: f.content_hash)
     return out
@@ -291,19 +293,23 @@ def generate_pairs_for_source(source: str, language: Language, *, seed: int,
     return records
 
 
-def _worker_generate(args: tuple[CorpusFile, PipelineConfig]) -> list[PairRecord]:
-    """One file's pairs, or none for a file that cannot be read or fails: logged, not raised."""
-    file, config = args
-    try:
-        source = file.path.read_bytes().decode("utf-8")
-        return generate_pairs_for_source(
-            source, get_language(file.language), seed=file_seed(config.seed, file.content_hash),
-            source_name=file.source, pair_id_prefix=file.content_hash[:16], split_name=file.split,
-            config=config)
-    except Exception as exc:  # an unreadable file is reported; any other fault, with its traceback
-        log.warning("skipping %s: %s: %s", file.path, type(exc).__name__, exc,
-                    exc_info=not isinstance(exc, (OSError, UnicodeDecodeError)))
-        return []
+def _worker_generate(config: PipelineConfig, files: list[CorpusFile]) -> list[tuple[str, str, str]]:
+    """(split, language, shard line) of each pair of a chunk's files, in order; a file that
+    cannot be read or fails gives none, and is logged, not raised."""
+    lines = []
+    for file in files:
+        try:
+            with open(file.path, "rb") as fh:
+                source = fh.read().decode("utf-8")
+            records = generate_pairs_for_source(
+                source, get_language(file.language), seed=file_seed(config.seed, file.content_hash),
+                source_name=file.source, pair_id_prefix=file.content_hash[:16],
+                split_name=file.split, config=config)
+            lines += [(r.split, r.language, encode_row(r.to_record())) for r in records]
+        except Exception as exc:  # an unreadable file is reported; any other fault, with its traceback
+            log.warning("skipping %s: %s: %s", file.path, type(exc).__name__, exc,
+                        exc_info=not isinstance(exc, (OSError, UnicodeDecodeError)))
+    return lines
 
 
 def chunk_size(files: int, jobs: int) -> int:
@@ -313,41 +319,48 @@ def chunk_size(files: int, jobs: int) -> int:
     return max(1, math.ceil(files / (per_worker * jobs)))
 
 
-def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[PairRecord]:
-    """Deterministic pair stream over deduplicated files, hash order. The
-    pool gets chunks of chunk_size files, and at most one worker per chunk.
-    The token tables start empty, so each run pays its own warm-up."""
+def make_pairs(files: list[CorpusFile], config: PipelineConfig) -> Iterator[tuple[str, str, str]]:
+    """(split, language, shard line) of each pair of the deduplicated files, in hash order. The
+    pool gets chunk_size files and the config per task, CHUNKS_IN_FLIGHT tasks per worker at
+    most, and at most one worker per chunk. Token tables start empty: each run pays its warm-up."""
     clear_token_tables()
-    tasks = [(f, config) for f in sorted(files, key=lambda f: f.content_hash)]
+    files = sorted(files, key=lambda f: f.content_hash)
+    work = partial(_worker_generate, config)
     if config.jobs <= 1:
-        for records in map(_worker_generate, tasks):
-            yield from records
+        for file in files:
+            yield from work([file])
         return
     for name in sorted({f.language for f in files}):
         tokenize("", get_language(name))  # compile the grammars once, before the workers fork
-    size = chunk_size(len(tasks), config.jobs)
-    workers = min(config.jobs, math.ceil(len(tasks) / size))
-    with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
-        for records in pool.map(_worker_generate, tasks, chunksize=size):
-            yield from records
+    size = chunk_size(len(files), config.jobs)
+    workers = max(1, min(config.jobs, math.ceil(len(files) / size)))
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for start in range(0, len(files), size):
+            if len(pending) == CHUNKS_IN_FLIGHT * workers:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(work, files[start:start + size]))
+        while pending:
+            yield from pending.popleft().result()
 
 
 # --------------------------------------------------------------------------
 # persistence
 
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# one row as one compact JSON line, without its line end, UTF-8 text unescaped
+encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write each row as one compact JSON line, UTF-8 text unescaped; the one
-    writer of every JSONL file: shards, manifests and eval files. Returns the
-    row count."""
+def write_jsonl(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each line (`encode_row` of a row) and its line end; the one writer
+    of every JSONL file: shards, manifests and eval files. Returns the line count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(_encode(row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
             count += 1
     return count
 
@@ -397,11 +410,11 @@ def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:
                        meta=obj["meta"], split=split or TRAIN) for _, obj in rows]
 
 
-def write_shards(records: Iterable[PairRecord], out_dir: str | Path,
+def write_shards(lines: Iterable[tuple[str, str, str]], out_dir: str | Path,
                  shard_size: int) -> list[Path]:
-    """One shard file per language per shard_size pairs, under split dirs."""
+    """One shard file per (split, language) per shard_size lines, in the order they come."""
     out_dir = Path(out_dir)
-    buffers: dict[tuple[str, str], list[PairRecord]] = {}
+    buffers: dict[tuple[str, str], list[str]] = {}
     indexes: dict[tuple[str, str], int] = {}
     written: list[Path] = []
 
@@ -413,12 +426,12 @@ def write_shards(records: Iterable[PairRecord], out_dir: str | Path,
         idx = indexes.get(key, 0)
         indexes[key] = idx + 1
         path = out_dir / split_name / f"{lang}-{idx:05d}.jsonl"
-        write_jsonl(path, (record.to_record() for record in batch))
+        write_jsonl(path, batch)
         written.append(path)
 
-    for rec in records:
-        key = (rec.split, rec.language)
-        buffers.setdefault(key, []).append(rec)
+    for split_name, lang, line in lines:
+        key = (split_name, lang)
+        buffers.setdefault(key, []).append(line)
         if len(buffers[key]) >= shard_size:
             flush(key)
     for key in sorted(buffers):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .languages import MASK_TOKEN, get_language
-from .pipeline import write_jsonl
+from .pipeline import encode_row, write_jsonl
 
 _SLOT_RE = re.compile(r"@([a-z][a-z0-9_]*)@")
 
@@ -421,7 +421,7 @@ def write_clone_corpus(out_dir: str | Path, seed: int = 0, functionalities: int 
 
     paths = {name: eval_dir / f"{name}.jsonl" for name in ("queries", "candidates", "qrels")}
     for name, rows in (("queries", queries), ("candidates", candidates), ("qrels", qrels)):
-        write_jsonl(paths[name], rows)
+        write_jsonl(paths[name], map(encode_row, rows))
 
     return CloneCorpus(
         corpus_dir=corpus_dir,

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here is deliberately written from the definitions with plain
-loops, not shared with package code. Two sections, which only tests call,
+loops, not shared with package code. Three sections, which only tests call,
 are built on package code: the test-only helpers (the truncation inverse and
-the path-to-grammar lookup), and the loss-function section at the end:
+the path-to-grammar lookup), the record-flow shard writer, which takes its
+pairs from `generate_pairs_for_source`, and the loss-function section at the end:
 single-query and whole-batch loss helpers and the finite difference gradient
 check, built on the training kernel they check.
 """
@@ -40,8 +41,18 @@ from codegap.errors import (
     SchemaError,
     ZeroVector,
 )
-from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language, language_for_name
-from codegap.pipeline import TRAIN, VALID, CorpusFile, TruncationResult, content_hash, repo_of
+from codegap.languages import FOLD_TOKEN, MASK_TOKEN, Language, get_language, language_for_name
+from codegap.pipeline import (
+    TRAIN,
+    VALID,
+    CorpusFile,
+    PairRecord,
+    TruncationResult,
+    content_hash,
+    file_seed,
+    generate_pairs_for_source,
+    repo_of,
+)
 from codegap.spans import _child_holding, _verify_span, select_span
 from codegap.tokenizer import MARKER_KINDS, MATCHING_BRACKET, OPEN_BRACKETS, Token, line_start
 from codegap.tree import (
@@ -1747,11 +1758,64 @@ def rglob_ingest(roots, config, ext_map: dict[str, str] | None = None) -> list:
                 repo = repo_of(path, root)
             else:
                 repo = rel.parts[0] if len(rel.parts) > 1 else root.name
-            out.append(CorpusFile(path=path, source=rel.as_posix(), language=lang.name,
+            out.append(CorpusFile(path=str(path), source=rel.as_posix(), language=lang.name,
                                   content_hash=digest,
                                   split=VALID if repo in config.valid_repos else TRAIN))
     out.sort(key=lambda f: f.content_hash)
     return out
+
+
+# --------------------------------------------------------------------------
+# record-flow shards: pairs travel as `PairRecord`s in content-hash order and
+# are JSON-encoded only when their shard is written, as `make_pairs` and
+# `write_shards` did before the workers returned finished shard lines
+
+def record_flow_pairs(files: list[CorpusFile], config) -> list[PairRecord]:
+    """Every pair of the files, in hash order; a file that cannot be read or
+    whose pairs raise gives none."""
+    records: list[PairRecord] = []
+    for file in sorted(files, key=lambda f: f.content_hash):
+        try:
+            source = Path(file.path).read_bytes().decode("utf-8")
+            records += generate_pairs_for_source(
+                source, get_language(file.language),
+                seed=file_seed(config.seed, file.content_hash), source_name=file.source,
+                pair_id_prefix=file.content_hash[:16], split_name=file.split, config=config)
+        except Exception:
+            continue
+    return records
+
+
+def record_flow_write_shards(records, out_dir: str | Path, shard_size: int) -> list[Path]:
+    """One shard file per language per shard_size records, under split dirs."""
+    out_dir = Path(out_dir)
+    buffers: dict[tuple[str, str], list[PairRecord]] = {}
+    indexes: dict[tuple[str, str], int] = {}
+    written: list[Path] = []
+
+    def flush(key: tuple[str, str]) -> None:
+        batch = buffers.pop(key, [])
+        if not batch:
+            return
+        split_name, lang = key
+        idx = indexes.get(key, 0)
+        indexes[key] = idx + 1
+        path = out_dir / split_name / f"{lang}-{idx:05d}.jsonl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8") as fh:
+            for record in batch:
+                fh.write(json.dumps(record.to_record(), ensure_ascii=False,
+                                    separators=(",", ":")) + "\n")
+        written.append(path)
+
+    for rec in records:
+        key = (rec.split, rec.language)
+        buffers.setdefault(key, []).append(rec)
+        if len(buffers[key]) >= shard_size:
+            flush(key)
+    for key in sorted(buffers):
+        flush(key)
+    return written
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,23 @@
+import concurrent.futures
 import hashlib
+import io
 import json
 import logging
-from pathlib import Path
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
 
+import codegap
 from codegap import pipeline
 from codegap.cli import main
 from codegap.contrastive import ToyEncoder
 from codegap.languages import get_language
-from codegap.pipeline import read_jsonl, write_jsonl
+from codegap.pipeline import encode_row, read_jsonl, write_jsonl
 from codegap.synth import write_clone_corpus, write_mixed_corpus
 
 
@@ -88,12 +95,12 @@ def test_pool_chunks_are_capped(mixed_corpus, tmp_path, monkeypatch):
     # the shards equal the serial run's and the golden digest
     chunk_sizes = []
 
-    class RecordingPool(pipeline.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1, **kwargs):
-            chunk_sizes.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            chunk_sizes.append(len(args[0]))
+            return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeline, "MAX_CHUNK_FILES", 3)
     root, _ = mixed_corpus
     outs = []
@@ -101,7 +108,7 @@ def test_pool_chunks_are_capped(mixed_corpus, tmp_path, monkeypatch):
         assert main(["pairs", "--roots", str(root), "--out", str(tmp_path / jobs),
                      "--seed", "0", "--jobs", jobs]) == 0
         outs.append(shard_bytes(tmp_path / jobs))
-    assert chunk_sizes == [3]
+    assert chunk_sizes == [3] * 40
     assert outs[0] == outs[1]
     digest = hashlib.sha256()
     for name, data in outs[1].items():
@@ -109,14 +116,35 @@ def test_pool_chunks_are_capped(mixed_corpus, tmp_path, monkeypatch):
     assert digest.hexdigest() == MIXED_PAIRS_SHA256
 
 
+def _pickled_objects(obj) -> list:
+    """The objects one pickle of `obj` writes by reduction: all but the plain
+    values (str, int, list, tuple, dict, ...), each object once."""
+    seen = []
+
+    class Recording(pickle.Pickler):
+        def reducer_override(self, value):
+            seen.append(value)
+            return NotImplemented
+
+    Recording(io.BytesIO()).dump(obj)
+    return seen
+
+
 class _RecordingPool:
-    """A stand-in for the process pool that records its worker count and
-    runs the tasks in this process, so a test starts no process."""
+    """A stand-in for the process pool that records its worker count, the
+    most chunks submitted at once whose lines were not yet read, and what
+    each task and its result pickle to; it runs a task in this process when
+    its result is read, so a test starts no process."""
 
     started: list[int] = []
+    peak_in_flight: list[int] = []
+    tasks: list[list] = []  # the objects each submitted task pickles by reduction
+    results: list[bytes] = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
+        self.peak_in_flight.append(0)
+        self.in_flight = 0
 
     def __enter__(self):
         return self
@@ -124,25 +152,90 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        self.tasks.append(_pickled_objects((fn, args)))
+        self.in_flight += 1
+        self.peak_in_flight[-1] = max(self.peak_in_flight[-1], self.in_flight)
+        pool = self
+
+        class Future:
+            def result(self):
+                pool.in_flight -= 1
+                lines = fn(*args)
+                pool.results.append(pickle.dumps(lines))
+                return lines
+
+        return Future()
 
 
-def test_pool_starts_at_most_one_worker_per_chunk(mixed_corpus, monkeypatch):
-    monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+@pytest.fixture
+def recording_pool(monkeypatch):
+    for name in ("started", "peak_in_flight", "tasks", "results"):
+        monkeypatch.setattr(_RecordingPool, name, [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+def test_pool_starts_at_most_one_worker_per_chunk(mixed_corpus, recording_pool):
     root, _ = mixed_corpus
     files = pipeline.ingest([root], pipeline.PipelineConfig())
     serial = list(pipeline.make_pairs(files[:3], pipeline.PipelineConfig()))
     for jobs in (8, 2):
         assert list(pipeline.make_pairs(files[:3], pipeline.PipelineConfig(jobs=jobs))) == serial
-    assert _RecordingPool.started == [3, 2]  # three one-file chunks
+    assert recording_pool.started == [3, 2]  # three one-file chunks
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pool_holds_a_bounded_number_of_chunks(mixed_corpus, recording_pool, jobs):
+    """At most CHUNKS_IN_FLIGHT chunks per worker are submitted and not yet
+    read, and the lines still come in hash order."""
+    root, _ = mixed_corpus
+    files = pipeline.ingest([root], pipeline.PipelineConfig())
+    chunks = -(-len(files) // pipeline.chunk_size(len(files), jobs))
+    assert chunks > pipeline.CHUNKS_IN_FLIGHT * jobs  # so the bound binds
+    serial = list(pipeline.make_pairs(files, pipeline.PipelineConfig()))
+    assert list(pipeline.make_pairs(files, pipeline.PipelineConfig(jobs=jobs))) == serial
+    assert recording_pool.started == [jobs]
+    assert recording_pool.peak_in_flight == [pipeline.CHUNKS_IN_FLIGHT * jobs]
+    assert len(recording_pool.tasks) == chunks
+
+
+def test_pool_tasks_hold_plain_strings_and_one_config(mixed_corpus, recording_pool):
+    """A task pickles its files as strings, no `pathlib` object, and the
+    config once; a result pickles shard lines, no `PairRecord`."""
+    root, _ = mixed_corpus
+    files = pipeline.ingest([root], pipeline.PipelineConfig())
+    assert list(pipeline.make_pairs(files, pipeline.PipelineConfig(jobs=2)))
+    assert recording_pool.tasks and len(recording_pool.results) == len(recording_pool.tasks)
+    for objects in recording_pool.tasks:
+        assert not any(isinstance(obj, PurePath) for obj in objects)
+        assert sum(isinstance(obj, pipeline.PipelineConfig) for obj in objects) == 1
+        assert sum(isinstance(obj, pipeline.CorpusFile) for obj in objects) >= 1
+    assert not any(b"PairRecord" in data or b"pathlib" in data for data in recording_pool.results)
+
+
+def test_cli_loads_the_process_pool_only_when_a_pool_runs(small_corpus, tmp_path):
+    """`import codegap.cli` and `pairs --jobs 1` leave `concurrent.futures.process`
+    and `multiprocessing` unloaded; `pairs --jobs 2` loads them."""
+    code = "\n".join([
+        "import sys",
+        "from codegap.cli import main",
+        "pool = ('concurrent.futures.process', 'multiprocessing')",
+        "print([m for m in pool if m in sys.modules])",
+        *(f"assert main(['--log-level', 'WARNING', 'pairs', '--roots', {str(small_corpus)!r}, "
+          f"'--out', {str(tmp_path / jobs)!r}, '--jobs', '{jobs}']) == 0\n"
+          "print([m for m in pool if m in sys.modules])" for jobs in ("1", "2"))])
+    package_root = str(Path(codegap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
+                          env={**os.environ, "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]", "[]", "['concurrent.futures.process', 'multiprocessing']"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_jobs_above_the_ceiling_is_data_error(small_corpus, tmp_path, capsys, monkeypatch, source):
-    monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+def test_jobs_above_the_ceiling_is_data_error(small_corpus, tmp_path, capsys, recording_pool,
+                                              source):
     for jobs, code in ((pipeline.MAX_JOBS + 1, 2), (10 ** 9, 2), (pipeline.MAX_JOBS, 0)):
         out = tmp_path / str(jobs)
         args = ["pairs", "--roots", str(small_corpus), "--out", str(out)]
@@ -156,7 +249,7 @@ def test_jobs_above_the_ceiling_is_data_error(small_corpus, tmp_path, capsys, mo
         err = capsys.readouterr().err
         assert (f"'jobs' must be between 1 and {pipeline.MAX_JOBS}" in err) == bool(code)
         assert out.exists() != bool(code)
-    assert len(_RecordingPool.started) == 1 and _RecordingPool.started[0] <= pipeline.MAX_JOBS
+    assert len(recording_pool.started) == 1 and recording_pool.started[0] <= pipeline.MAX_JOBS
 
 
 def test_pairs_bytes_do_not_depend_on_how_roots_is_spelled(small_corpus, tmp_path, monkeypatch):
@@ -199,6 +292,29 @@ def test_pairs_from_manifest_matches_roots(small_corpus, tmp_path):
     main(["pairs", "--roots", str(small_corpus), "--out", str(out_a), "--seed", "3"])
     main(["pairs", "--manifest", str(manifest), "--out", str(out_b), "--seed", "3"])
     assert shard_bytes(out_a) == shard_bytes(out_b)
+
+
+def test_manifest_paths_resolve_from_any_directory(tmp_path, monkeypatch):
+    """`prepare` writes a relative path relative to the manifest's directory,
+    and `pairs --manifest` reads it so: a manifest written outside the cwd
+    gives the `--roots` shards from a sibling directory. An absolute root
+    stays absolute."""
+    work, sibling = tmp_path / "work", tmp_path / "sibling"
+    write_mixed_corpus(work / "corpus", seed=5, files_per_lang=4, long_every=0)
+    sibling.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["prepare", "--roots", "corpus", "--out", "../m.jsonl"]) == 0
+    assert main(["prepare", "--roots", str(work / "corpus"), "--out", "../abs.jsonl"]) == 0
+    assert main(["pairs", "--roots", "corpus", "--out", "from_roots", "--seed", "3"]) == 0
+    rows = {name: [json.loads(line) for line in (tmp_path / name).read_text(encoding="utf-8")
+                   .splitlines()] for name in ("m.jsonl", "abs.jsonl")}
+    assert rows["m.jsonl"] and all(r["path"] == f"work/corpus/{r['source']}" for r in rows["m.jsonl"])
+    assert all(r["path"] == str(work / "corpus" / r["source"]) for r in rows["abs.jsonl"])
+    monkeypatch.chdir(sibling)
+    for name in ("m.jsonl", "abs.jsonl"):
+        assert main(["pairs", "--manifest", f"../{name}", "--out", name, "--seed", "3"]) == 0
+        assert shard_bytes(sibling / name) == shard_bytes(work / "from_roots")
+    assert shard_bytes(work / "from_roots")
 
 
 def test_pairs_from_manifest_keeps_only_langs(small_corpus, tmp_path):
@@ -709,12 +825,12 @@ _BAD_LINES = {
 def test_jsonl_data_error_names_the_file_and_line(tmp_path, capsys, kind):
     if kind == "manifest":
         path = tmp_path / "m.jsonl"
-        write_jsonl(path, [_MANIFEST_ROW])
+        write_jsonl(path, [encode_row(_MANIFEST_ROW)])
         args = ["pairs", "--manifest", str(path), "--out", str(tmp_path / "out")]
     elif kind == "file":
         path = tmp_path / "pairs.jsonl"
-        write_jsonl(path, [{"id": "p1", "language": "python", "context": "c", "target": "t",
-                            "meta": {}}])
+        write_jsonl(path, [encode_row({"id": "p1", "language": "python", "context": "c",
+                                       "target": "t", "meta": {}})])
         args = ["inspect", "--file", str(path)]
     else:
         args = _embedding_eval_files(tmp_path, {"q1": [1.0, 0.0], "t1": [0.99, 0.01],

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from _oracles import (
     real_sources,
+    record_flow_pairs,
+    record_flow_write_shards,
     reference_read_jsonl_objects,
     reference_truncate_file,
     rglob_ingest,
@@ -20,13 +22,15 @@ from _oracles import (
     tokens_balanced,
     tree_columns,
 )
-from codegap import pipeline, spans
+from codegap import experiments, pipeline, spans
+from codegap.experiments import AblationConfig, run_ablation
 from codegap.errors import SchemaError
 from codegap.pipeline import (
     PairRecord,
     PipelineConfig,
     batch_by_language,
     content_hash,
+    encode_row,
     file_seed,
     generate_pairs_for_source,
     ingest,
@@ -74,7 +78,7 @@ def test_repo_level_split(tmp_path):
         (tmp_path / repo).mkdir(exist_ok=True)
         (tmp_path / repo / name).write_text(body, encoding="utf-8")
     files = ingest([tmp_path], PipelineConfig(valid_repos=frozenset({"r2"})))
-    by_split = {f.path.name: f.split for f in files}
+    by_split = {Path(f.path).name: f.split for f in files}
     assert by_split == {"a.py": "train", "b.py": "valid", "c.py": "valid"}
 
 
@@ -97,7 +101,7 @@ def test_ingest_split_matches_repo_of(tmp_path, spelling):
     valid = frozenset({"r2", root.name})
     files = ingest([root], PipelineConfig(valid_repos=valid))
     splits = {f.source: f.split for f in files}
-    assert splits == {f.source: "valid" if repo_of(f.path, root) in valid else "train"
+    assert splits == {f.source: "valid" if repo_of(Path(f.path), root) in valid else "train"
                       for f in files}
     assert splits == {"r1/a.py": "train", "r1/in.py": "valid", "r1/out.py": "valid",
                       "r2/b.py": "valid", "top.py": "valid"}
@@ -316,10 +320,10 @@ def test_make_pairs_deterministic_and_parallel_stable(tmp_path, mixed_corpus):
     root, _ = mixed_corpus
     cfg = PipelineConfig(seed=13)
     files = ingest([root], cfg)[:37]  # the pool's last chunk is short at 2 and 3 workers
-    one = [json.dumps(r.to_record()) for r in make_pairs(files, cfg)]
-    two = [json.dumps(r.to_record()) for r in make_pairs(files, cfg)]
+    one = list(make_pairs(files, cfg))
+    two = list(make_pairs(files, cfg))
     for jobs in (2, 3):
-        assert [json.dumps(r.to_record()) for r in make_pairs(files, replace(cfg, jobs=jobs))] == one
+        assert list(make_pairs(files, replace(cfg, jobs=jobs))) == one
     assert one == two
     assert one
 
@@ -332,28 +336,87 @@ def test_a_file_that_fails_is_skipped_and_named(mixed_corpus, monkeypatch, caplo
     cfg = PipelineConfig(seed=5, jobs=jobs)
     files = ingest([root], cfg)[:12]
     bad = files[4]
-    want = [r.to_record() for r in make_pairs(files[:4] + files[5:], replace(cfg, jobs=1))]
+    want = list(make_pairs(files[:4] + files[5:], replace(cfg, jobs=1)))
     real_parse = pipeline.parse
 
     def parse(source, language):
-        if source == bad.path.read_text(encoding="utf-8"):
+        if source == Path(bad.path).read_text(encoding="utf-8"):
             raise ValueError("marked file")
         return real_parse(source, language)
 
     monkeypatch.setattr(pipeline, "parse", parse)  # the pool's workers fork with it
     with caplog.at_level("WARNING", logger="codegap.pipeline"):
-        got = [r.to_record() for r in make_pairs(files, cfg)]
+        got = list(make_pairs(files, cfg))
     assert got == want and want
     if jobs == 1:
         assert [r.getMessage() for r in caplog.records] == [
             f"skipping {bad.path}: ValueError: marked file"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("shard_size", [1, 7, PipelineConfig.shard_size])
+def test_shard_lines_match_the_record_flow_writer(mixed_corpus, tmp_path, monkeypatch, jobs,
+                                                  shard_size):
+    """Shards written from the workers' lines equal, byte for byte, those the
+    record-flow writer makes from the same pairs as records, on a corpus with
+    a file that is gone, one that is not UTF-8 and one whose pairs raise."""
+    root, _ = mixed_corpus
+    cfg = PipelineConfig(seed=11, jobs=jobs, shard_size=shard_size)
+    extra = tmp_path / "extra" / "repo"
+    extra.mkdir(parents=True)
+    (extra / "latin1.py").write_bytes(b"name = 'caf\xe9'\n")
+    (extra / "gone.py").write_text("gone = 1\n", encoding="utf-8")
+    files = ingest([root], cfg)[:40] + ingest([extra.parent], cfg)
+    (extra / "gone.py").unlink()
+    bad = files[5]
+    real_parse = pipeline.parse
+
+    def parse(source, language):
+        if source == Path(bad.path).read_text(encoding="utf-8"):
+            raise ValueError("marked file")
+        return real_parse(source, language)
+
+    monkeypatch.setattr(pipeline, "parse", parse)  # the pool's workers fork with it
+    got = write_shards(make_pairs(files, cfg), tmp_path / "lines", shard_size)
+    want = record_flow_write_shards(record_flow_pairs(files, cfg), tmp_path / "records",
+                                    shard_size)
+    assert ([p.relative_to(tmp_path / "lines") for p in got]
+            == [p.relative_to(tmp_path / "records") for p in want])
+    assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+    assert len(want) >= {1: 40, 7: 8}.get(shard_size, 4)
+
+
+def test_ablation_trains_on_the_records_of_its_shards(tmp_path, monkeypatch):
+    """run_ablation trains on the shards it writes, read back; the records
+    equal, in order, those generate_pairs_for_source yields over the files in
+    hash order."""
+    trained = []
+    real_train_toy = experiments.train_toy
+
+    def train_toy(train, valid, config):
+        trained.append((train, valid))
+        return real_train_toy(train, valid, config)
+
+    monkeypatch.setattr(experiments, "train_toy", train_toy)
+    config = AblationConfig(workdir=tmp_path, seed=9, steps=2)
+    result = run_ablation(config)
+    base = PipelineConfig(seed=config.seed, pairs_per_input=config.pairs_per_input,
+                          valid_repos=frozenset(result.corpus.valid_repos))
+    files = ingest([result.corpus.corpus_dir], base)
+    want = []
+    for cfg in (base, replace(base, masking_enabled=False, dedent_enabled=False)):
+        records = record_flow_pairs(files, cfg)
+        want.append(([r for r in records if r.split == "train"],
+                     [r for r in records if r.split == "valid"]))
+    assert trained == want
+    assert all(train and valid for train, valid in want)
+
+
 def test_pair_records_have_exact_schema(mixed_corpus):
     root, _ = mixed_corpus
     cfg = PipelineConfig(seed=1)
     files = ingest([root], cfg)[:4]
-    rec = next(iter(make_pairs(files, cfg))).to_record()
+    rec = json.loads(next(iter(make_pairs(files, cfg)))[2])
     assert list(rec.keys()) == ["id", "language", "context", "target", "meta"]
     assert list(rec["meta"].keys()) == [
         "source", "span_start", "span_len", "dedent_cols",
@@ -379,7 +442,7 @@ def test_jsonl_roundtrip_thousand_pairs(tmp_path):
         for i in range(1000)
     ]
     path = tmp_path / "shard.jsonl"
-    assert write_jsonl(path, [r.to_record() for r in records]) == 1000
+    assert write_jsonl(path, [encode_row(r.to_record()) for r in records]) == 1000
     loaded = read_jsonl(path)
     assert [r.to_record() for r in loaded] == [r.to_record() for r in records]
 
@@ -442,7 +505,7 @@ _JSON_VALUES = st.recursive(
 def test_written_rows_read_back_equal(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
-        assert write_jsonl(path, rows) == len(rows)
+        assert write_jsonl(path, map(encode_row, rows)) == len(rows)
         assert [obj for _, obj in read_jsonl_objects(path, ("id", "context", "meta"))] == rows
 
 
@@ -452,7 +515,8 @@ def test_write_shards_layout(tmp_path):
                    context="c", target="t", meta={}, split="train" if i < 8 else "valid")
         for i in range(10)
     ]
-    written = write_shards(records, tmp_path, shard_size=3)
+    written = write_shards([(r.split, r.language, encode_row(r.to_record())) for r in records],
+                           tmp_path, shard_size=3)
     names = sorted(str(p.relative_to(tmp_path)) for p in written)
     assert names == [
         "train/java-00000.jsonl", "train/java-00001.jsonl",
@@ -492,11 +556,13 @@ def test_batch_single_pair():
     assert batches[0].token_count == 20
 
 
-def test_batches_never_mix_languages(mixed_corpus):
+def test_batches_never_mix_languages(mixed_corpus, tmp_path):
     root, _ = mixed_corpus
     cfg = PipelineConfig(seed=3)
     files = ingest([root], cfg)[:30]
-    records = list(make_pairs(files, cfg))
+    write_shards(make_pairs(files, cfg), tmp_path, cfg.shard_size)
+    records = [r for split in read_shard_dir(tmp_path) for r in split]
+    assert records
     for batch in batch_by_language(records, 4000):
         assert {p.language for p in batch.pairs} == {batch.language}
         assert batch.token_count <= 4000
