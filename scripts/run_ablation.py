@@ -7,13 +7,18 @@ held-out clone retrieval next to a token-overlap baseline.
 
 Example:
   python scripts/run_ablation.py --workdir /tmp/ablation --seed 9 --steps 1200
+
+Exit codes: 0 when all three directional checks hold, 1 when one fails, 2 for
+a bad flag or a data error, such as a flag value out of its bound.
 """
 
 import argparse
 import json
 import logging
+import sys
 from pathlib import Path
 
+from codegap.errors import CodegapError
 from codegap.experiments import AblationConfig, run_ablation
 
 
@@ -33,10 +38,13 @@ def main() -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    config = AblationConfig(workdir=args.workdir, seed=args.seed, steps=args.steps,
-                            lr=args.lr, dim=args.dim, buckets=args.buckets,
-                            pairs_per_input=args.pairs_per_input)
-    result = run_ablation(config)
+    try:  # a value out of its bound is refused here, before anything is written
+        result = run_ablation(AblationConfig(
+            workdir=args.workdir, seed=args.seed, steps=args.steps, lr=args.lr, dim=args.dim,
+            buckets=args.buckets, pairs_per_input=args.pairs_per_input))
+    except CodegapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result.summary())
     print()
     print("held-out metric tables")

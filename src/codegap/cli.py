@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .contrastive import DEFAULT_BUCKETS, DEFAULT_DIM, DEFAULT_TAU, ToyEncoder, TrainConfig, train_toy
-from .errors import CodegapError, InvalidBounds, SchemaError, UnsupportedLanguage, UsageError
+from .errors import CodegapError, SchemaError, UnsupportedLanguage, UsageError
 from .languages import (
     DEFAULT_EXTENSIONS,
     MASK_TOKEN,
@@ -31,7 +30,6 @@ from .languages import (
     supported_languages,
 )
 from .pipeline import (
-    MAX_JOBS,
     TRAIN,
     VALID,
     CorpusFile,
@@ -112,30 +110,9 @@ def _fits_field(field: dataclasses.Field, value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-# config key -> (what it must be, test); a resolved value that fails is a data error
-_BOUNDS = {
-    **dict.fromkeys(("shard_size", "pairs_per_input", "dim", "buckets", "segment_min_len",
-                     "min_target_len"), ("at least 1", lambda v: v >= 1)),
-    "jobs": (f"between 1 and {MAX_JOBS}", lambda v: 1 <= v <= MAX_JOBS),
-    "mean_target_len": ("finite", math.isfinite),
-    **dict.fromkeys(("stddev_target_len", "decay_power"),
-                    ("finite and at least 0", lambda v: math.isfinite(v) and v >= 0)),
-    **dict.fromkeys(("mask_prob", "skip_pair_prob", "warmup_frac"),
-                    ("between 0 and 1", lambda v: 0 <= v <= 1)),
-    **dict.fromkeys(("tau", "lr"), ("finite and greater than 0", lambda v: 0 < v < math.inf)),
-    **dict.fromkeys(("valid_cap", "steps", "truncation_threshold", "max_extractions", "eval_every"),
-                    ("at least 0", lambda v: v >= 0)),
-    # an oversized pair keeps budget // 2 tokens a side, at least one each
-    "token_budget": ("at least 2", lambda v: v >= 2),
-}
-# (lower key, upper key) pairs of length bounds; the upper may not fall below the lower
-_ORDERED_BOUNDS = (("min_target_len", "max_target_len"), ("segment_min_len", "segment_max_len"))
-
-
 def _merge_config(cls, args: argparse.Namespace) -> dict:
     """Field values of `cls`: its defaults, then the --config file, then the
-    flags that were given; a file value of the wrong type is a SchemaError,
-    and a value outside its _BOUNDS is InvalidBounds."""
+    flags that were given; a file value of the wrong type is a SchemaError."""
     file_config = _load_file_config(args)
     values = {}
     for field in dataclasses.fields(cls):
@@ -148,11 +125,6 @@ def _merge_config(cls, args: argparse.Namespace) -> dict:
             values[field.name] = value
         if (flag := getattr(args, field.name, None)) is not None:
             values[field.name] = flag
-        if field.name in _BOUNDS:
-            must, test = _BOUNDS[field.name]
-            if not test(values[field.name]):
-                raise InvalidBounds(f"config key {field.name!r} must be {must}, "
-                                    f"got {values[field.name]}")
     return values
 
 
@@ -161,14 +133,13 @@ def resolve_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         names = [ln.strip() for ln in read_text(args.valid_repos_file).splitlines()]
         args.valid_repos = [n for n in names if n and not n.startswith("#")]
     values = _merge_config(PipelineConfig, args)
-    for low, high in _ORDERED_BOUNDS:
-        if values[high] < values[low]:
-            raise InvalidBounds(f"config key {high!r} must be at least {low!r} "
-                                f"({values[low]}), got {values[high]}")
     if values["languages"] is not None:
-        values["languages"] = tuple(get_language(name).name for name in values["languages"])
+        values["languages"] = tuple(values["languages"])
     values["valid_repos"] = frozenset(values["valid_repos"])
-    return PipelineConfig(**values)
+    config = PipelineConfig(**values)
+    for name in config.languages or ():  # once the bounds hold: a name with no grammar
+        get_language(name)
+    return config
 
 
 # one config file may serve every subcommand; "subcommand" is in each echo
@@ -193,8 +164,8 @@ def _load_file_config(args: argparse.Namespace) -> dict:
 
 
 def _echo_config(subcommand: str, payload: dict) -> None:
-    log.info("config %s", json.dumps({"subcommand": subcommand, **payload},
-                                     sort_keys=True, default=str))
+    log.info("config %s", json.dumps({"subcommand": subcommand, **payload},  # valid_repos sorted
+                                     sort_keys=True, default=sorted))
 
 
 def _ext_map(args: argparse.Namespace):
@@ -206,7 +177,7 @@ def _ext_map(args: argparse.Namespace):
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     config = resolve_pipeline_config(args)
-    _echo_config("prepare", config.to_dict())
+    _echo_config("prepare", dataclasses.asdict(config))
     files = ingest(args.roots, config, ext_map=_ext_map(args))
     base = args.out.parent  # a relative path is written relative to the manifest's directory
     write_jsonl(args.out, map(encode_row, (
@@ -243,7 +214,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         raise UsageError("--manifest rows carry each file's split and language; "
                          "--valid-repos and --ext-map apply to --roots only")
     config = resolve_pipeline_config(args)
-    _echo_config("pairs", config.to_dict())
+    _echo_config("pairs", dataclasses.asdict(config))
     if args.manifest and config.valid_repos:
         log.warning("config key valid_repos is ignored with --manifest: "
                     "the manifest rows carry each file's split")
@@ -260,7 +231,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    budget = _merge_config(TrainConfig, args)["token_budget"]
+    budget = TrainConfig(**_merge_config(TrainConfig, args)).token_budget
     _echo_config("batch", {"token_budget": budget})
     train, valid = read_shard_dir(args.shards)
     count = write_jsonl(args.out, map(encode_row, (

@@ -23,13 +23,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmall,
-    Diverged,
-    EmptyInput,
-    SchemaError,
-    ZeroVector,
-)
+from .errors import BatchTooSmall, BoundedConfig, Diverged, EmptyInput, SchemaError, ZeroVector
 from .texttok import text_tokens
 
 log = logging.getLogger(__name__)
@@ -233,8 +227,8 @@ def batch_loss_and_grads(params: np.ndarray, packed: PackedCounts, tau: float,
 # --------------------------------------------------------------------------
 # training loop
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(BoundedConfig):
     steps: int = 1000
     lr: float = 0.5
     seed: int = 0

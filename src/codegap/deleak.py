@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .errors import AliasCollision
+from .errors import AliasCollision, check_bounds
 from .tokenizer import MARKER_KINDS, WHITESPACE_KINDS, expanded_width, line_start
 from .tree import SyntaxTree
 
@@ -53,8 +53,7 @@ def plan_masking(context: list[str], target: list[str], rng: random.Random,
     masked (context-side ones first), skipping a VARk that either side already
     names: only a word token can spell VARk, and no keyword does.
     """
-    if not 0 <= mask_prob <= 1 or not 0 <= skip_pair_prob <= 1:
-        raise ValueError("probabilities must lie in [0, 1]")
+    check_bounds({"mask_prob": mask_prob, "skip_pair_prob": skip_pair_prob})
     # each name's rank among its side's first occurrences
     ctx_order, tgt_order = (dict(zip(order, range(len(order))))
                             for order in map(dict.fromkeys, (context, target)))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .contrastive import ToyEncoder, TrainConfig, train_toy
+from .errors import BoundedConfig
 from .pipeline import PairRecord, PipelineConfig, ingest, make_pairs, read_shard_dir, write_shards
 from .retrieval import (
     EvalReport,
@@ -39,8 +40,8 @@ log = logging.getLogger(__name__)
 LEXICAL_QUERY_CAP = 300  # training pairs probed by the token-overlap retriever
 
 
-@dataclass
-class AblationConfig:
+@dataclass(frozen=True)
+class AblationConfig(BoundedConfig):
     workdir: Path
     seed: int = 7
     pairs_per_input: int = 2

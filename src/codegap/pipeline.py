@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 # mutual_identifiers is not called here; perfbench's layer tracer patches this name (ROADMAP item 5)
 from .deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking  # noqa: F401
 from .deleak import MaskingPlan
-from .errors import CodegapError, EmptyTree, SchemaError
+from .errors import BoundedConfig, CodegapError, EmptyTree, SchemaError
 from .languages import FOLD_TOKEN, Language, get_language, language_for_name
 from .spans import SpanSelection, select_span, select_span_with_retry, split
 from .texttok import count_text_tokens, truncate_text_tokens
@@ -45,12 +45,10 @@ VALID = "valid"
 CHUNKS_PER_WORKER = 8
 MAX_CHUNK_FILES = 32  # a worker holds a chunk's lines until it returns them
 CHUNKS_IN_FLIGHT = 2  # per worker: submitted chunks whose lines are not yet read
-# the most workers `jobs` may ask for: a fixed ceiling, so one config is valid on every host
-MAX_JOBS = 64
 
 
-@dataclass
-class PipelineConfig:
+@dataclass(frozen=True)
+class PipelineConfig(BoundedConfig):
     seed: int = 0
     mean_target_len: float = 150.0
     stddev_target_len: float = 90.0
@@ -69,17 +67,6 @@ class PipelineConfig:
     languages: tuple[str, ...] | None = None
     valid_repos: frozenset[str] = frozenset()
     jobs: int = 1
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if isinstance(value, frozenset):
-                out[key] = sorted(value)
-            elif isinstance(value, tuple):
-                out[key] = list(value)
-            else:
-                out[key] = value
-        return out
 
 
 @dataclass(frozen=True)
@@ -300,11 +287,14 @@ def _worker_generate(config: PipelineConfig, files: list[CorpusFile]) -> list[tu
     for file in files:
         try:
             with open(file.path, "rb") as fh:
-                source = fh.read().decode("utf-8")
+                data = fh.read()
+            if content_hash(data) != file.content_hash:  # dedup and file_seed rest on the hash
+                log.warning("skipping %s: changed since ingest", file.path)
+                continue
             records = generate_pairs_for_source(
-                source, get_language(file.language), seed=file_seed(config.seed, file.content_hash),
-                source_name=file.source, pair_id_prefix=file.content_hash[:16],
-                split_name=file.split, config=config)
+                data.decode("utf-8"), get_language(file.language),
+                seed=file_seed(config.seed, file.content_hash), source_name=file.source,
+                pair_id_prefix=file.content_hash[:16], split_name=file.split, config=config)
             lines += [(r.split, r.language, encode_row(r.to_record())) for r in records]
         except Exception as exc:  # an unreadable file is reported; any other fault, with its traceback
             log.warning("skipping %s: %s: %s", file.path, type(exc).__name__, exc,

@@ -11,12 +11,11 @@ block is allowed, taking its braces requires taking the whole block node.
 from __future__ import annotations
 
 import bisect
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import EmptyTree, InvalidBounds, SpanMismatch
+from .errors import EmptyTree, InvalidBounds, SpanMismatch, check_bounds
 from .languages import MASK_TOKEN
 from .tokenizer import BRACKET_TEXTS, WHITESPACE_KINDS
 from .tree import SyntaxTree
@@ -47,8 +46,8 @@ class SpanSelection:
 def sample_target_length(rng: random.Random, mean: float, stddev: float,
                          min_len: int, max_len: int) -> int:
     """One target length: a rounded normal draw clamped into [min_len, max_len]."""
-    if min_len < 1 or max_len < min_len or not (0 <= stddev < math.inf and math.isfinite(mean)):
-        raise InvalidBounds(f"bad length bounds: min={min_len} max={max_len} mean={mean} stddev={stddev}")
+    check_bounds({"mean_target_len": mean, "stddev_target_len": stddev,
+                  "min_target_len": min_len, "max_target_len": max_len})
     draw = rng.gauss(mean, stddev) if stddev > 0 else mean
     return max(min_len, min(max_len, round(draw)))
 

@@ -312,7 +312,7 @@ def test_end_to_end_directional(tmp_path):
         f"{elapsed:.0f}s)")
 
 
-def _run_python(args, cwd):
+def _run_python(args, cwd, code=0):
     # The child runs in another cwd, where a relative PYTHONPATH (``src``) no
     # longer reaches the package: put the directory of the imported one first.
     package_root = str(Path(codegap.__file__).resolve().parents[1])
@@ -320,7 +320,7 @@ def _run_python(args, cwd):
     proc = subprocess.run([sys.executable, *args],
                           capture_output=True, encoding="utf-8", cwd=cwd,
                           env={**os.environ, "PYTHONPATH": pythonpath})
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -353,6 +353,20 @@ def test_ablation_script(tmp_path):
     assert payload["steps"] == 20 and all(payload["checks"].values())
     assert payload["heldout"].keys() == payload["lexical_train_map"].keys() == {"deleak", "plain"}
     _ok("ablation script (20 steps, JSON summary)")
+
+
+@pytest.mark.parametrize("flag,value", [("--steps", "-1"), ("--seed", "-1")])
+def test_ablation_script_refuses_a_value_out_of_range(tmp_path, flag, value):
+    """A flag value out of its bound exits 2 with one error line, before any file is written;
+    exit 1 stays the sign of a failed directional check."""
+    workdir = tmp_path / "ablation"
+    workdir.mkdir()
+    proc = _run_python([str(_SCRIPTS / "run_ablation.py"), "--workdir", str(workdir),
+                        flag, value], cwd=tmp_path, code=2)
+    key = flag[2:]
+    assert proc.stderr.startswith(f"error: config key {key!r} must be ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not any(workdir.iterdir()) and not proc.stdout
 
 
 def test_determinism(tmp_path):

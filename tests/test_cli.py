@@ -1,23 +1,33 @@
+import argparse
 import concurrent.futures
+import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import logging
+import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path, PurePath
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import codegap
-from codegap import pipeline
-from codegap.cli import main
-from codegap.contrastive import ToyEncoder
+from codegap import cli, errors, pipeline
+from codegap.cli import build_parser, main
+from codegap.contrastive import ToyEncoder, TrainConfig
+from codegap.errors import InvalidBounds
+from codegap.experiments import AblationConfig
 from codegap.languages import get_language
-from codegap.pipeline import encode_row, read_jsonl, write_jsonl
+from codegap.pipeline import PipelineConfig, encode_row, read_jsonl, write_jsonl
 from codegap.synth import write_clone_corpus, write_mixed_corpus
 
 
@@ -236,7 +246,7 @@ def test_cli_loads_the_process_pool_only_when_a_pool_runs(small_corpus, tmp_path
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_jobs_above_the_ceiling_is_data_error(small_corpus, tmp_path, capsys, recording_pool,
                                               source):
-    for jobs, code in ((pipeline.MAX_JOBS + 1, 2), (10 ** 9, 2), (pipeline.MAX_JOBS, 0)):
+    for jobs, code in ((errors.MAX_JOBS + 1, 2), (10 ** 9, 2), (errors.MAX_JOBS, 0)):
         out = tmp_path / str(jobs)
         args = ["pairs", "--roots", str(small_corpus), "--out", str(out)]
         if source == "flag":
@@ -247,9 +257,9 @@ def test_jobs_above_the_ceiling_is_data_error(small_corpus, tmp_path, capsys, re
             args = ["--config", str(cfg), *args]
         assert main(args) == code
         err = capsys.readouterr().err
-        assert (f"'jobs' must be between 1 and {pipeline.MAX_JOBS}" in err) == bool(code)
+        assert (f"'jobs' must be between 1 and {errors.MAX_JOBS}" in err) == bool(code)
         assert out.exists() != bool(code)
-    assert len(recording_pool.started) == 1 and recording_pool.started[0] <= pipeline.MAX_JOBS
+    assert len(recording_pool.started) == 1 and recording_pool.started[0] <= errors.MAX_JOBS
 
 
 def test_pairs_bytes_do_not_depend_on_how_roots_is_spelled(small_corpus, tmp_path, monkeypatch):
@@ -1173,6 +1183,264 @@ def test_config_only_value_out_of_range_is_data_error(small_corpus, small_shards
     err = capsys.readouterr().err
     assert all(repr(key) in err for key in keys)
     assert not out.exists()
+
+
+# an out-of-range value of each key in the bound table; a float key gets a float, so the
+# flag's parsed value prints as the dataclass's does
+_OUT_OF_RANGE = {
+    "seed": [-1, 2 ** 64], "jobs": [0, errors.MAX_JOBS + 1], "shard_size": [0],
+    "pairs_per_input": [0], "dim": [0], "buckets": [0], "segment_min_len": [0],
+    "min_target_len": [0], "mean_target_len": [float("inf")], "stddev_target_len": [-1.0],
+    "decay_power": [float("nan")], "mask_prob": [1.5], "skip_pair_prob": [-0.5],
+    "warmup_frac": [2.0], "tau": [0.0], "lr": [float("inf")], "valid_cap": [-1], "steps": [-1],
+    "truncation_threshold": [-5], "max_extractions": [-1], "eval_every": [-1],
+    "token_budget": [1],
+}
+
+
+def _bound_cases():
+    """(config class, subcommand, key, value) for every bound: each key of the table in
+    each config that has it, and the upper key of each ordered pair set below the lower."""
+    for cls, subcommands in ((PipelineConfig, ["pairs"]), (TrainConfig, ["train-toy", "batch"])):
+        for field in dataclasses.fields(cls):
+            for value in _OUT_OF_RANGE.get(field.name, []):
+                for subcommand in subcommands:
+                    yield cls, subcommand, field.name, value
+    for low, high in errors.ORDERED_BOUNDS:
+        yield PipelineConfig, "pairs", high, PipelineConfig.__dataclass_fields__[low].default - 1
+
+
+def _flag_for(subcommand: str, key: str) -> str | None:
+    """The flag of `subcommand` that sets config key `key`, or None when only --config does."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return next((a.option_strings[0] for a in subparsers.choices[subcommand]._actions
+                 if a.dest == key), None)
+
+
+def test_bound_cases_cover_the_table():
+    keys = {key for _, _, key, _ in _bound_cases()}
+    assert keys == errors.BOUNDS.keys() | {high for _, high in errors.ORDERED_BOUNDS}
+    assert _OUT_OF_RANGE.keys() == errors.BOUNDS.keys()
+
+
+@pytest.mark.parametrize("cls,subcommand,key,value", list(_bound_cases()),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_bound_gives_one_message_from_dataclass_flag_and_config(tmp_path, capsys, cls,
+                                                                subcommand, key, value):
+    """Building the config, passing the flag and setting the --config key give the same
+    InvalidBounds text, and the CLI exits 2 before it reads an input or writes --out."""
+    with pytest.raises(InvalidBounds) as built:
+        cls(**{key: value})
+    message = str(built.value)
+    assert message.startswith(f"config key {key!r} must be ") and message.endswith(f"got {value}")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = ["--roots", str(tmp_path)] if subcommand == "pairs" else ["--shards", str(tmp_path)]
+    runs = [["--config", str(cfg), subcommand, *inputs, "--out", str(out)]]
+    if flag := _flag_for(subcommand, key):
+        runs.append([subcommand, *inputs, "--out", str(out), flag, str(value)])
+    capsys.readouterr()
+    for args in runs:
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    if key in {f.name for f in dataclasses.fields(AblationConfig)}:
+        with pytest.raises(InvalidBounds, match=re.escape(message)):
+            AblationConfig(workdir=tmp_path / "ablation", **{key: value})
+
+
+@pytest.mark.parametrize("config,flags", [
+    ({"jobs": 0, "max_target_len": 5, "mask_prob": 2.0}, []),
+    ({"mask_prob": 2.0}, ["--jobs", "0", "--max-len", "5"]),
+    ({"segment_max_len": 10}, ["--max-len", "5"]),
+])
+def test_first_fault_in_field_order_is_reported(tmp_path, capsys, config, flags):
+    """Of two or more faults, the first field's in the config's field order is reported, from
+    a flag or the file alike, and an ordered pair only once every single bound holds."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["--config", str(cfg), "pairs", "--roots", str(tmp_path),
+                 "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    first = ("config key 'mask_prob' must be between 0 and 1, got 2.0" if "mask_prob" in config
+             else "config key 'max_target_len' must be at least 'min_target_len' (16), got 5")
+    assert err == f"error: {first}\n"
+
+
+@pytest.mark.parametrize("kwargs", [{"mask_prob": 2.0}, {"pairs_per_input": 0},
+                                    {"truncation_threshold": -5}, {"seed": -1},
+                                    {"jobs": errors.MAX_JOBS + 1}])
+def test_pipeline_config_is_checked_where_it_is_made(kwargs):
+    key = next(iter(kwargs))
+    with pytest.raises(InvalidBounds, match=f"config key {key!r} must be"):
+        PipelineConfig(**kwargs)
+    with pytest.raises(InvalidBounds, match=f"config key {key!r} must be"):
+        dataclasses.replace(PipelineConfig(), **kwargs)
+
+
+def test_train_config_is_checked_where_it_is_made():
+    with pytest.raises(InvalidBounds, match="config key 'seed' must be between 0 and "
+                                            f"{2 ** 64 - 1}, got -1"):
+        TrainConfig(seed=-1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().seed = -1  # a checked config stays checked
+
+
+def test_make_pairs_cannot_be_reached_above_the_jobs_ceiling(mixed_corpus, recording_pool):
+    root, _ = mixed_corpus
+    files = pipeline.ingest([root], PipelineConfig())
+    with pytest.raises(InvalidBounds, match=f"'jobs' must be between 1 and {errors.MAX_JOBS}"):
+        list(pipeline.make_pairs(files, dataclasses.replace(PipelineConfig(),
+                                                            jobs=errors.MAX_JOBS + 1)))
+    assert recording_pool.started == []
+
+
+@pytest.mark.parametrize("args", [["train-toy", "--steps", "2", "--seed", "-1"],
+                                  ["pairs", "--seed", str(10 ** 70)]])
+def test_seed_out_of_range_is_data_error(small_corpus, small_shards, tmp_path, capsys, args):
+    """numpy refuses a negative seed and blake2b a key longer than 64 bytes; both are
+    refused by name before any input is read."""
+    subcommand, *flags = args
+    inputs = ["--roots", str(small_corpus)] if subcommand == "pairs" else \
+        ["--shards", str(small_shards)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([subcommand, *inputs, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'seed' must be between 0 and ")
+    assert "Traceback" not in err and not out.exists()
+
+
+# --config files that a key's type or bound refuses: each run exits 2 before it reads an input
+
+_CONFIG_FIELDS = {field.name: field for cls in (PipelineConfig, TrainConfig)
+                  for field in dataclasses.fields(cls)}
+_VALID_CONFIG = {"subcommand": "pairs",
+                 **{name: sorted(field.default) if isinstance(field.default, frozenset)
+                    else field.default for name, field in _CONFIG_FIELDS.items()}}
+_KEYS = sorted(_CONFIG_FIELDS)
+_NUMBER_KEYS = [k for k in _KEYS if _CONFIG_FIELDS[k].type in ("int", "float")]
+# the keys a 70-digit int is out of range for: an upper bound, or no number at all
+_BOUNDED_ABOVE = sorted({"seed", "jobs", "mask_prob", "skip_pair_prob", "warmup_frac",
+                         *(k for k in _KEYS if k not in _NUMBER_KEYS)})
+
+_REFUSED_VALUES = st.one_of(
+    st.tuples(st.sampled_from(_KEYS),
+              st.sampled_from([[["python"]], [[]], {"python": 1}, {}, "python", ""])),
+    st.tuples(st.sampled_from(_NUMBER_KEYS), st.just(True)),
+    st.tuples(st.sampled_from(_KEYS), st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.sampled_from([k for k in _KEYS if k != "mean_target_len"]),
+              st.integers(max_value=-1)),
+    st.tuples(st.sampled_from([k for k in _KEYS if k != "languages"]), st.none()),
+    st.tuples(st.sampled_from(_BOUNDED_ABOVE),
+              st.integers(10 ** 69, 10 ** 70 - 1) | st.integers(-10 ** 70 + 1, -10 ** 69)),
+)
+
+
+@st.composite
+def _refused_config_files(draw):
+    """(file bytes, the key its error names or None for the file's path, subcommands that
+    read the fault): one key of a valid config mutated, or the whole file spoiled."""
+    valid = json.dumps(_VALID_CONFIG).encode()
+    every = ["pairs", "train-toy", "batch"]
+    kind = draw(st.sampled_from(["value", "unknown key", "array", "bom", "not utf-8"]))
+    if kind == "value":
+        key, value = draw(_REFUSED_VALUES)
+        readers = [sub for sub, cls in (("pairs", PipelineConfig), ("train-toy", TrainConfig),
+                                        ("batch", TrainConfig))
+                   if key in cls.__dataclass_fields__]
+        return json.dumps({**_VALID_CONFIG, key: value}).encode(), key, readers
+    if kind == "unknown key":
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in _VALID_CONFIG))
+        return json.dumps({**_VALID_CONFIG, key: 1}).encode(), None, every
+    if kind == "array":
+        return json.dumps([_VALID_CONFIG]).encode(), None, every
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + valid, None, every
+    at = draw(st.integers(0, len(valid)))
+    return valid[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3("])) + valid[at:], None, every
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("refused_configs")
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_refused_config_files())
+@example(case=(json.dumps({**_VALID_CONFIG, "seed": -1}).encode(), "seed",
+               ["pairs", "train-toy", "batch"]))
+@example(case=(json.dumps({**_VALID_CONFIG, "seed": 10 ** 69}).encode(), "seed",
+               ["pairs", "train-toy", "batch"]))
+def test_refused_config_file_exits_two_before_reading_input(config_dir, case):
+    data, key, subcommands = case
+    cfg = config_dir / "cfg.json"
+    cfg.write_bytes(data)
+    out = config_dir / "out"
+    inputs = {"pairs": ["--roots", str(config_dir)],
+              "train-toy": ["--shards", str(config_dir)], "batch": ["--shards", str(config_dir)]}
+
+    def read_input(*args, **kwargs):
+        raise AssertionError("an input was read before the config was refused")
+
+    with mock.patch.object(cli, "ingest", read_input), \
+            mock.patch.object(cli, "read_shard_dir", read_input):
+        for subcommand in subcommands:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["--config", str(cfg), subcommand, *inputs[subcommand],
+                             "--out", str(out)]) == 2
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert (repr(key) if key else str(cfg)) in lines[0]
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_file_changed_since_ingest_is_skipped(tmp_path, caplog, recording_pool, jobs):
+    """A file whose bytes no longer hash to its ingest hash gives no pairs and a warning
+    naming it, and every other file's lines are unchanged."""
+    write_mixed_corpus(tmp_path, seed=5, files_per_lang=4, long_every=0)
+    files = pipeline.ingest([tmp_path], PipelineConfig())
+    config = PipelineConfig(jobs=jobs)
+    before = list(pipeline.make_pairs(files, config))
+    changed = files[0]
+    Path(changed.path).write_bytes(Path(files[1].path).read_bytes())
+    with caplog.at_level(logging.WARNING, logger="codegap"):
+        after = list(pipeline.make_pairs(files, config))
+    stale = f'"id":"{changed.content_hash[:16]}:'
+    assert any(stale in line for _, _, line in before)
+    assert after == [row for row in before if stale not in row[2]]
+    assert f"skipping {changed.path}: changed since ingest" in caplog.text
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pairs_from_manifest_skips_a_file_changed_since_prepare(tmp_path, jobs):
+    corpus, manifest = tmp_path / "corpus", tmp_path / "manifest.jsonl"
+    write_mixed_corpus(corpus, seed=5, files_per_lang=4, long_every=0)
+    assert main(["prepare", "--roots", str(corpus), "--out", str(manifest)]) == 0
+    assert main(["pairs", "--manifest", str(manifest), "--out", str(tmp_path / "before")]) == 0
+    rows = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    changed = manifest.parent / rows[0]["path"]
+    changed.write_bytes((manifest.parent / rows[1]["path"]).read_bytes())
+    package_root = str(Path(codegap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "codegap", "pairs", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "after"), "--jobs", jobs],
+                          capture_output=True, encoding="utf-8",
+                          env={**os.environ, "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    assert f"skipping {changed}: changed since ingest" in proc.stderr
+
+    def shard_lines(out):
+        return {str(p.relative_to(out)): p.read_text(encoding="utf-8").splitlines()
+                for p in sorted(out.rglob("*.jsonl"))}
+
+    stale = f'"id":"{rows[0]["hash"][:16]}:'
+    kept = {name: [ln for ln in lines if stale not in ln]
+            for name, lines in shard_lines(tmp_path / "before").items()}
+    assert kept != shard_lines(tmp_path / "before")
+    assert shard_lines(tmp_path / "after") == {name: lines for name, lines in kept.items() if lines}
 
 
 @pytest.mark.parametrize("subcommand", ["prepare", "pairs"])
