@@ -13,6 +13,7 @@ a bad flag or a data error, such as a flag value out of its bound.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -25,12 +26,10 @@ from codegap.experiments import AblationConfig, run_ablation
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=9)
-    parser.add_argument("--steps", type=int, default=1200)
-    parser.add_argument("--lr", type=float, default=1.0)
-    parser.add_argument("--dim", type=int, default=64)
-    parser.add_argument("--buckets", type=int, default=4096)
-    parser.add_argument("--pairs-per-input", type=int, default=2)
+    fields = [f for f in dataclasses.fields(AblationConfig) if f.name != "workdir"]
+    for field in fields:  # AblationConfig declares each default
+        parser.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default),
+                            default=field.default)
     parser.add_argument("--out", type=Path, default=None, help="write a JSON summary here")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
@@ -39,9 +38,9 @@ def main() -> int:
                         format="%(levelname)s %(name)s: %(message)s")
 
     try:  # a value out of its bound is refused here, before anything is written
-        result = run_ablation(AblationConfig(
-            workdir=args.workdir, seed=args.seed, steps=args.steps, lr=args.lr, dim=args.dim,
-            buckets=args.buckets, pairs_per_input=args.pairs_per_input))
+        config = AblationConfig(workdir=args.workdir,
+                                **{field.name: getattr(args, field.name) for field in fields})
+        result = run_ablation(config)
     except CodegapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -57,8 +56,8 @@ def main() -> int:
 
     if args.out:
         payload = {
-            "seed": args.seed,
-            "steps": args.steps,
+            "seed": config.seed,
+            "steps": config.steps,
             "pool_size": result.pool_size,
             "random_baseline": result.random_baseline,
             "lexical_train_map": {

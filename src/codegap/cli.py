@@ -15,8 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from . import __version__
 from .contrastive import DEFAULT_BUCKETS, DEFAULT_DIM, DEFAULT_TAU, ToyEncoder, TrainConfig, train_toy
@@ -42,10 +41,13 @@ from .pipeline import (
     read_jsonl_objects,
     read_shard_dir,
     read_shards,
+    refuse_stale_shards,
     write_jsonl,
     write_shards,
 )
 from .retrieval import (
+    EvalReport,
+    Judgments,
     evaluate,
     evaluate_rankings,
     lexical_pool,
@@ -218,11 +220,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     if args.manifest and config.valid_repos:
         log.warning("config key valid_repos is ignored with --manifest: "
                     "the manifest rows carry each file's split")
-    # shards are written over by name only, so an earlier run's would mix into this one's
-    stale = [path for split in (TRAIN, VALID) for path in sorted((args.out / split).glob("*.jsonl"))]
-    if stale:
-        raise CodegapError(f"--out {args.out} already holds shards, e.g. {stale[0]}; "
-                           "pairs needs a directory without them")
+    refuse_stale_shards(args.out)  # before the corpus is read
     files = _files_for(args, config)
     written = write_shards(make_pairs(files, config), args.out, shard_size=config.shard_size)
     log.info("wrote %d shard files under %s", len(written), args.out)
@@ -243,35 +241,44 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+# the one eval path; it moves to `retrieval` once perfbench no longer wraps `cli`'s names
+def eval_files(queries: Path, candidates: Path, qrels: Path, *, encoder: ToyEncoder | None = None,
+               embeddings: Path | None = None) -> EvalReport:
+    """The report of ranking the candidates for every query by the encoder's rows, by the
+    embeddings file's rows, or by token overlap when neither is given."""
+    query_texts = {qid: q["context"] for qid, q in load_queries(queries).items()}
+    texts = {tid: c["text"] for tid, c in load_candidates(candidates).items()}
+    judgments = load_qrels(qrels)
+    if encoder is not None:
+        query_rows = encoder.encode(list(query_texts.values()))
+        candidate_rows = encoder.encode(list(texts.values()))
+    elif embeddings is not None:
+        rows = load_embeddings(embeddings, [*query_texts, *texts])
+        query_rows, candidate_rows = rows[:len(query_texts)], rows[len(query_texts):]
+    else:
+        return eval_overlap(sorted(query_texts.items()), texts, judgments)
+    return evaluate(list(query_texts), query_rows, list(texts), candidate_rows, judgments)
+
+
+def eval_overlap(queries: Iterable[tuple[str, str]], texts: Mapping[str, str],
+                 judgments: Judgments, coefficient: bool = False) -> EvalReport:
+    """The token-overlap report: each (query id, text), in the order given, ranked against the
+    candidate texts by Jaccard similarity, or by the overlap coefficient (`rank_lexical`)."""
+    pool = lexical_pool(texts)
+    lists = (rank_lexical(token_set(text), pool, exclude=judgments.original.get(qid),
+                          query_id=qid, coefficient=coefficient) for qid, text in queries)
+    return evaluate_rankings(lists, judgments)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     _echo_config("eval", {k: str(v) for k, v in vars(args).items() if k != "func"})
     if args.checkpoint and args.model != "toy":
         raise UsageError("--checkpoint is read only with --model toy")
-    queries = load_queries(args.queries)
-    candidates = load_candidates(args.candidates)
-    judgments = load_qrels(args.qrels)
-    if args.lexical:
-        pool = lexical_pool({tid: c["text"] for tid, c in candidates.items()})
-        lists = (rank_lexical(token_set(q["context"]), pool,
-                              exclude=judgments.original.get(qid), query_id=qid)
-                 for qid, q in sorted(queries.items()))
-        report = evaluate_rankings(lists, judgments)
-    elif args.model == "toy":
-        if not args.checkpoint:
-            raise UsageError("--model toy needs --checkpoint")
-        encoder = ToyEncoder.load(args.checkpoint)
-        report = evaluate(list(queries), encoder.encode([q["context"] for q in queries.values()]),
-                          list(candidates), encoder.encode([c["text"] for c in candidates.values()]),
-                          judgments)
-    else:
-        vectors = load_embeddings(args.embeddings, used={*queries, *candidates})
-        missing = [i for i in list(queries) + list(candidates) if i not in vectors]
-        if missing:
-            raise SchemaError(f"embeddings file lacks {len(missing)} ids, e.g. {missing[:3]}",
-                              path=args.embeddings)
-        rows, index = np.array(list(vectors.values())), {rid: r for r, rid in enumerate(vectors)}
-        report = evaluate(list(queries), rows[[index[qid] for qid in queries]],
-                          list(candidates), rows[[index[tid] for tid in candidates]], judgments)
+    if args.model == "toy" and not args.checkpoint:
+        raise UsageError("--model toy needs --checkpoint")
+    encoder = ToyEncoder.load(args.checkpoint) if args.checkpoint else None  # before any eval file
+    report = eval_files(args.queries, args.candidates, args.qrels, encoder=encoder,
+                        embeddings=args.embeddings)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")

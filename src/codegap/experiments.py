@@ -18,21 +18,11 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .contrastive import ToyEncoder, TrainConfig, train_toy
+from .cli import eval_files, eval_overlap
+from .contrastive import TrainConfig, train_toy
 from .errors import BoundedConfig
 from .pipeline import PairRecord, PipelineConfig, ingest, make_pairs, read_shard_dir, write_shards
-from .retrieval import (
-    EvalReport,
-    Judgments,
-    evaluate,
-    evaluate_rankings,
-    lexical_pool,
-    load_candidates,
-    load_qrels,
-    load_queries,
-    rank_lexical,
-    token_set,
-)
+from .retrieval import EvalReport, Judgments
 from .synth import CloneCorpus, write_clone_corpus
 
 log = logging.getLogger(__name__)
@@ -43,7 +33,7 @@ LEXICAL_QUERY_CAP = 300  # training pairs probed by the token-overlap retriever
 @dataclass(frozen=True)
 class AblationConfig(BoundedConfig):
     workdir: Path
-    seed: int = 7
+    seed: int = 9
     pairs_per_input: int = 2
     steps: int = 1200
     lr: float = 1.0
@@ -93,10 +83,6 @@ class AblationResult:
         return "\n".join(lines)
 
 
-def _own_target_judgments(records: list[PairRecord]) -> Judgments:
-    return Judgments(relevant={f"q:{r.pair_id}": {f"t:{r.pair_id}"} for r in records})
-
-
 def lexical_training_map(records: list[PairRecord], cap: int) -> float:
     """MAP of a token-overlap retriever finding each pair's own target.
 
@@ -105,20 +91,9 @@ def lexical_training_map(records: list[PairRecord], cap: int) -> float:
     should stand out, with masking it should not.
     """
     sample = records[:cap]
-    pool = lexical_pool({f"t:{r.pair_id}": r.target for r in sample})
-    judgments = _own_target_judgments(sample)
-    lists = (rank_lexical(token_set(r.context), pool, query_id=f"q:{r.pair_id}",
-                          coefficient=True) for r in sample)
-    return evaluate_rankings(lists, judgments).map
-
-
-def _evaluate_encoder(encoder: ToyEncoder, corpus: CloneCorpus) -> EvalReport:
-    queries = load_queries(corpus.queries_path)
-    candidates = load_candidates(corpus.candidates_path)
-    judgments = load_qrels(corpus.qrels_path)
-    return evaluate(list(queries), encoder.encode([q["context"] for q in queries.values()]),
-                    list(candidates), encoder.encode([c["text"] for c in candidates.values()]),
-                    judgments)
+    own = Judgments(relevant={f"q:{r.pair_id}": {f"t:{r.pair_id}"} for r in sample})
+    return eval_overlap(((f"q:{r.pair_id}", r.context) for r in sample),
+                        {f"t:{r.pair_id}": r.target for r in sample}, own, coefficient=True).map
 
 
 def run_ablation(config: AblationConfig) -> AblationResult:
@@ -132,36 +107,28 @@ def run_ablation(config: AblationConfig) -> AblationResult:
     log.info("clone corpus: %d files (%d for validation repos)",
              len(files), sum(1 for f in files if f.split == "valid"))
 
-    read_back = []  # (train, valid) records of each config's shards, read as train-toy reads them
+    tcfg = TrainConfig(steps=config.steps, lr=config.lr, seed=config.seed,
+                       dim=config.dim, buckets=config.buckets)
+    eval_paths = (corpus.queries_path, corpus.candidates_path, corpus.qrels_path)
+    lexical, reports = {}, {}
     for name, cfg in (("deleak", base),
                       ("plain", replace(base, masking_enabled=False, dedent_enabled=False))):
         shards = workdir / f"shards-{name}"
         shutil.rmtree(shards, ignore_errors=True)  # an earlier run's shards would mix in
         write_shards(make_pairs(files, cfg), shards, cfg.shard_size)
-        read_back.append(read_shard_dir(shards))
-    (deleak_train, deleak_valid), (plain_train, plain_valid) = read_back
-
-    lex_deleak = lexical_training_map(deleak_train, LEXICAL_QUERY_CAP)
-    lex_plain = lexical_training_map(plain_train, LEXICAL_QUERY_CAP)
-
-    tcfg = TrainConfig(steps=config.steps, lr=config.lr, seed=config.seed,
-                       dim=config.dim, buckets=config.buckets)
-    enc_deleak, rep_deleak = train_toy(deleak_train, deleak_valid, tcfg)
-    enc_plain, rep_plain = train_toy(plain_train, plain_valid, tcfg)
-    log.info("trained: deleak best-mrr %.4f @ %d; plain best-mrr %.4f @ %d",
-             rep_deleak.best_mrr, rep_deleak.best_step,
-             rep_plain.best_mrr, rep_plain.best_step)
-
-    report_deleak = _evaluate_encoder(enc_deleak, corpus)
-    report_plain = _evaluate_encoder(enc_plain, corpus)
+        train, valid = read_shard_dir(shards)  # read back as train-toy reads them
+        lexical[name] = lexical_training_map(train, LEXICAL_QUERY_CAP)
+        encoder, trained = train_toy(train, valid, tcfg)
+        log.info("trained %s: best-mrr %.4f @ %d", name, trained.best_mrr, trained.best_step)
+        reports[name] = eval_files(*eval_paths, encoder=encoder)
 
     return AblationResult(
         corpus=corpus,
         pool_size=corpus.pool_size,
         random_baseline=1.0 / corpus.pool_size,
-        lexical_train_map_deleak=lex_deleak,
-        lexical_train_map_plain=lex_plain,
-        deleak_report=report_deleak,
-        plain_report=report_plain,
+        lexical_train_map_deleak=lexical["deleak"],
+        lexical_train_map_plain=lexical["plain"],
+        deleak_report=reports["deleak"],
+        plain_report=reports["plain"],
         seconds=time.monotonic() - started,
     )

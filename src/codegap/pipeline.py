@@ -400,9 +400,19 @@ def read_jsonl(path: str | Path, split: str | None = None) -> list[PairRecord]:
                        meta=obj["meta"], split=split or TRAIN) for _, obj in rows]
 
 
+def refuse_stale_shards(out_dir: str | Path) -> None:
+    """Shards are written over by name only, so an earlier run's would mix into this one's."""
+    stale = next((path for split_name in (TRAIN, VALID)
+                  for path in sorted((Path(out_dir) / split_name).glob("*.jsonl"))), None)
+    if stale:
+        raise CodegapError(f"{out_dir} already holds shards, e.g. {stale}; "
+                           "shards are written only into a directory without them")
+
+
 def write_shards(lines: Iterable[tuple[str, str, str]], out_dir: str | Path,
                  shard_size: int) -> list[Path]:
     """One shard file per (split, language) per shard_size lines, in the order they come."""
+    refuse_stale_shards(out_dir)
     out_dir = Path(out_dir)
     buffers: dict[tuple[str, str], list[str]] = {}
     indexes: dict[tuple[str, str], int] = {}

@@ -12,7 +12,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -282,15 +282,16 @@ def load_qrels(path: str | Path) -> Judgments:
     return Judgments(relevant=relevant, original=original)
 
 
-def load_embeddings(path: str | Path, used: Container[str] = ()) -> dict[str, np.ndarray]:
-    """Each id's vector; every vector has as many numbers as the file's first. An id in
-    `used` needs a vector whose norm is finite and positive in float64: cosine similarity
-    is undefined for the rest, so one is a data error naming the file, line and id."""
-    out, width = {}, 0
+def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
+    """The vectors of `ids`, a row each in that order; all lines are checked, none other kept.
+    Each has as many numbers as the file's first, and one of `ids` needs a finite positive norm
+    in float64 (else cosine similarity is undefined): a data error names the file, line and id."""
+    wanted, seen, kept, width = set(ids), set(), {}, 0
     for lineno, obj in read_jsonl_objects(path, ("id", "vector")):
         rid, vec = str(obj["id"]), obj["vector"]
-        if rid in out:
+        if rid in seen:
             raise SchemaError(f"repeated id {rid!r}", lineno, path)
+        seen.add(rid)
         if not isinstance(vec, list) or not vec:
             raise SchemaError("'vector' must be a non-empty list", lineno, path)
         bad = "'vector' must be a flat list of finite numbers"
@@ -303,10 +304,14 @@ def load_embeddings(path: str | Path, used: Container[str] = ()) -> dict[str, np
         width = width or len(arr)
         if len(arr) != width:
             raise SchemaError(f"'vector' has {len(arr)} numbers, the first one {width}", lineno, path)
-        out[rid] = arr.astype(np.float64)
-        if rid in used:
+        if rid in wanted:
+            kept[rid] = arr.astype(np.float64)
             try:
-                _unit_rows(out[rid][None])
+                _unit_rows(kept[rid][None])
             except ZeroVector as exc:
                 raise SchemaError(f"id {rid!r}: {exc}", lineno, path) from None
-    return out
+    missing = [rid for rid in ids if rid not in kept]
+    if missing:
+        raise SchemaError(f"embeddings file lacks {len(missing)} ids, e.g. {missing[:3]}",
+                          path=path)
+    return np.array([kept[rid] for rid in ids])

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import InvalidBounds
 from .languages import MASK_TOKEN, get_language
 from .pipeline import encode_row, write_jsonl
 
@@ -379,7 +380,13 @@ def write_clone_corpus(out_dir: str | Path, seed: int = 0, functionalities: int 
                        variants: int = 15, train_variants: int = 10,
                        valid_variants: int = 2) -> CloneCorpus:
     """Emit corpus files for training variants and eval files for the rest."""
-    assert functionalities <= len(CLONE_TEMPLATES)
+    if not 1 <= functionalities <= len(CLONE_TEMPLATES):
+        raise InvalidBounds(f"'functionalities' must be between 1 and {len(CLONE_TEMPLATES)}, "
+                            f"got {functionalities}")
+    least = train_variants + valid_variants + 2  # two held out: a query's own one is not relevant
+    if variants < least:
+        raise InvalidBounds(f"'variants' must be at least train_variants + valid_variants + 2 "
+                            f"({least}), got {variants}")
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
     eval_dir = out_dir / "eval"
@@ -568,6 +575,8 @@ def _fill_mixed(template: str, rng: random.Random) -> str:
 def write_mixed_corpus(out_dir: str | Path, seed: int = 0, files_per_lang: int = 30,
                        long_every: int = 6) -> list[Path]:
     """>= files_per_lang files per grammar; every long_every-th one is large."""
+    if files_per_lang < 1:
+        raise InvalidBounds(f"'files_per_lang' must be at least 1, got {files_per_lang}")
     out_dir = Path(out_dir)
     rng = random.Random(seed)
     written: list[Path] = []

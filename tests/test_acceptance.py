@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned in the assertions below.
 """
 
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -35,6 +37,7 @@ from _oracles import (
 )
 from codegap.contrastive import ToyEncoder
 from codegap.deleak import apply_masking, dedent_target, mutual_identifiers, plan_masking
+from codegap.errors import CodegapError
 from codegap.experiments import AblationConfig, run_ablation
 from codegap.languages import MASK_TOKEN
 from codegap.pipeline import PipelineConfig, truncate_file
@@ -334,12 +337,29 @@ _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 def test_synthetic_corpus_script(tmp_path):
     out = tmp_path / "corpora"
     proc = _run_python([str(_SCRIPTS / "make_synthetic_corpus.py"), "--out", str(out), "--clone",
-                        "--files-per-lang", "2", "--variants", "13"], cwd=tmp_path)
+                        "--files-per-lang", "2", "--variants", "14"], cwd=tmp_path)
     heads = [line.split(":")[0] for line in proc.stdout.splitlines()]
     assert heads == ["mixed corpus", "clone corpus", "eval files", "validation repos"]
     assert proc.stdout.startswith(f"mixed corpus: 8 files -> {out / 'mixed'}")
     assert (out / "clone" / "eval").is_dir()
     _ok("synthetic corpus script (mixed and clone corpora at a small size)")
+
+
+@pytest.mark.parametrize("flags,corpus", [
+    (["--files-per-lang", "-1"], "mixed"),
+    (["--clone", "--variants", "1"], "clone"),
+    (["--clone", "--variants", "13"], "clone"),  # one held-out variant: no relevant candidate
+    (["--clone", "--functionalities", "0"], "clone"),
+    (["--clone", "--functionalities", "25"], "clone"),
+])
+def test_synthetic_corpus_script_refuses_a_corpus_that_cannot_be_used(tmp_path, flags, corpus):
+    out = tmp_path / "corpora"
+    proc = _run_python([str(_SCRIPTS / "make_synthetic_corpus.py"), "--out", str(out),
+                        "--files-per-lang", "1", *flags], cwd=tmp_path, code=2)
+    name = flags[-2][2:].replace("-", "_")
+    assert proc.stderr.startswith(f"error: {name!r} must be ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (out / corpus).exists() or not any(p.is_file() for p in (out / corpus).rglob("*"))
 
 
 def test_ablation_script(tmp_path):
@@ -353,6 +373,24 @@ def test_ablation_script(tmp_path):
     assert payload["steps"] == 20 and all(payload["checks"].values())
     assert payload["heldout"].keys() == payload["lexical_train_map"].keys() == {"deleak", "plain"}
     _ok("ablation script (20 steps, JSON summary)")
+
+
+def test_ablation_script_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_ablation", _SCRIPTS / "run_ablation.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    made = []
+
+    def stop(config):
+        made.append(config)
+        raise CodegapError("stopped before the run")
+
+    monkeypatch.setattr(script, "run_ablation", stop)
+    monkeypatch.setattr(sys, "argv", ["run_ablation.py", "--workdir", str(tmp_path)])
+    assert script.main() == 2
+    assert dataclasses.asdict(made[0]) == dataclasses.asdict(AblationConfig(workdir=tmp_path))
+    assert made[0].seed == 9  # the seed the directional test and README use
+    _ok("ablation script defaults (the six AblationConfig field defaults)")
 
 
 @pytest.mark.parametrize("flag,value", [("--steps", "-1"), ("--seed", "-1")])

@@ -7,7 +7,10 @@ from collections import Counter
 from pathlib import Path
 
 from _oracles import preorder_rows, real_sources
+from codegap.cli import main
+from codegap.contrastive import ToyEncoder
 from codegap.pipeline import PipelineConfig, truncate_file
+from codegap.synth import write_clone_corpus
 from codegap.tree import parse
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -33,6 +36,28 @@ def test_tracer_installs_on_every_traced_name_and_restores_it():
         restore()
     assert all(vars(owner)[attr] is original
                for (owner, attr), original in zip(owners, originals))
+
+
+def test_traced_eval_records_every_rank_pool_layer(tmp_path, capsys):
+    # the rank_pool workload's two evals, traced: an eval call that stops going
+    # through a wrapped name leaves that layer at zero calls
+    layers = load_layers()
+    corpus = write_clone_corpus(tmp_path / "clone", seed=5)
+    checkpoint = tmp_path / "toy.ckpt"
+    ToyEncoder.create(seed=3, dim=16, buckets=512).save(checkpoint)
+    files = ["--queries", str(corpus.queries_path), "--candidates", str(corpus.candidates_path),
+             "--qrels", str(corpus.qrels_path)]
+    tracer = layers.Tracer()
+    restore = layers.install(tracer)
+    try:
+        assert main(["--log-level", "WARNING", "eval", *files, "--model", "toy",
+                     "--checkpoint", str(checkpoint)]) == 0
+        assert main(["--log-level", "WARNING", "eval", *files, "--lexical"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    assert layers.silent_zeros("rank_pool", tracer) == []
+    assert tracer.counts["retrieval.load.calls"] == 6
 
 
 def test_tree_node_count_is_one_per_group_and_leaf(parsed_corpus):

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import sysconfig
 import tempfile
 from dataclasses import replace
@@ -24,7 +25,7 @@ from _oracles import (
 )
 from codegap import experiments, pipeline, spans
 from codegap.experiments import AblationConfig, run_ablation
-from codegap.errors import SchemaError
+from codegap.errors import CodegapError, SchemaError
 from codegap.pipeline import (
     PairRecord,
     PipelineConfig,
@@ -525,6 +526,21 @@ def test_write_shards_layout(tmp_path):
     ]
     train, valid = read_shard_dir(tmp_path)
     assert len(train) == 8 and len(valid) == 2
+
+
+def test_write_shards_refuses_a_directory_that_holds_shards(tmp_path):
+    stale = tmp_path / "train" / "python-00000.jsonl"
+    stale.parent.mkdir()
+    stale.write_text("", encoding="utf-8")
+    pulled = []
+
+    def lines():
+        pulled.append(True)
+        yield "train", "python", "{}"
+
+    with pytest.raises(CodegapError, match=f"already holds shards, e.g. {re.escape(str(stale))}"):
+        write_shards(lines(), tmp_path, shard_size=3)
+    assert not pulled and [p.name for p in tmp_path.rglob("*")] == ["train", "python-00000.jsonl"]
 
 
 def _record(lang, tokens_each_side, pid):

@@ -430,11 +430,24 @@ def test_loaders_roundtrip(tmp_path):
     queries = load_queries(qpath)
     candidates = load_candidates(cpath)
     judgments = load_qrels(rpath)
-    vectors = load_embeddings(epath)
+    vectors = load_embeddings(epath, ["q1", "t1"])
     assert set(queries) == {"q1"} and set(candidates) == {"t1", "t2"}
     assert judgments.relevant_for("q1") == {"t1"}
     assert judgments.original["q1"] == "t2"
-    assert vectors["t1"].shape == (2,)
+    assert vectors.tolist() == [[1.0, 0.0], [0.9, 0.1]]
+
+
+def test_load_embeddings_returns_the_asked_rows_in_order(tmp_path):
+    path = tmp_path / "embeddings.jsonl"
+    path.write_text("".join(json.dumps({"id": rid, "vector": vec}) + "\n" for rid, vec in
+                            [("a", [1, 0]), ("b", [0.0, 2.0]), ("spare", [0, 0]), (7, [3, 4])]),
+                    encoding="utf-8")
+    rows = load_embeddings(path, ["7", "a", "b", "a"])
+    assert rows.dtype == np.float64 and rows.tolist() == [[3, 4], [1, 0], [0, 2], [1, 0]]
+    with pytest.raises(SchemaError, match=r"lacks 2 ids, e\.g\. \['c', 'd'\]"):
+        load_embeddings(path, ["a", "c", "d"])
+    with pytest.raises(SchemaError, match="line 3: id 'spare': "):  # a zero vector asked for
+        load_embeddings(path, ["spare"])
 
 
 def test_load_qrels_keeps_one_string_per_target_id(tmp_path):
